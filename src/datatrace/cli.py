@@ -8,9 +8,7 @@ of the same config reproduces every output byte for byte.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
-import io
 import json
 import os
 import sys
@@ -18,12 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import attribution, data, hypergrad, models, oracle, reports, trainer
+from . import __version__, attribution, configtext, data, hypergrad, models, oracle, reports
+from . import trainer
 from .influence import InverseHvpConfig, as_contribution_report
 from .influence import influence as influence_fn
 from .exceptions import ConfigError
-
-VERSION = "0.1.0"
 
 METHODS = (
     "exact",
@@ -55,6 +52,10 @@ class DatasetConfig:
     train_csv: str = ""
     test_csv: str = ""
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "idx", "csv"):
+            raise ConfigError(f"unknown dataset source {self.source!r}")
+
 
 @dataclass(frozen=True)
 class TrackingConfig:
@@ -63,6 +64,10 @@ class TrackingConfig:
     seed: int = 3
     indices: tuple = ()
     fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.selection not in ("all", "random_k", "explicit", "per_class_fraction"):
+            raise ConfigError(f"unknown tracked-sample selection {self.selection!r}")
 
 
 @dataclass(frozen=True)
@@ -93,113 +98,65 @@ class ExperimentConfig:
 # Config file parsing / canonical serialization.
 
 
-def _parser_from_text(text):
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    return cp
+def _read_value(sections, name, key, parse, default):
+    """The one value of a hand-mapped section, or ``default`` when absent."""
+    items = sections.pop(name, {})
+    for other in items:
+        if other != key:
+            raise ConfigError(f"unknown config key {name}.{other}")
+    try:
+        return parse(items.get(key, default).strip())
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{key}: cannot parse {items[key]!r}") from exc
+
+
+def _config_from_sections(sections):
+    """ExperimentConfig from ``{section: {key: value text}}``."""
+    sections = dict(sections)
+
+    def read(name, cls, skip=(), **defaults):
+        return configtext.read_section(name, sections.pop(name, {}), cls, defaults, skip)
+
+    dataset = read("dataset", DatasetConfig)
+    # Keyword defaults are where the file's defaults differ from the library's.
+    cfg = ExperimentConfig(
+        dataset=dataset,
+        model=read(
+            "model",
+            models.ModelSpec,
+            kind="logistic_regression",
+            layer_widths=(dataset.dim, dataset.classes),
+        ),
+        training=read(
+            "training",
+            trainer.TrainingConfig,
+            epochs=100,
+            batch_size=0,
+            initial_lr=0.1,
+            weight_decay=0.01,
+            seed=7,
+        ),
+        tracking=read("tracking", TrackingConfig),
+        methods=_read_value(
+            sections,
+            "methods",
+            "methods",
+            lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
+            "exact,approx",
+        ),
+        noise=read("noise", NoiseConfig),
+        # The per-method tag picks the solver at call time, so it is not a key.
+        inverse_hvp=read("influence", InverseHvpConfig, skip=("method",), seed=11),
+        oracle_delta=_read_value(sections, "oracle", "delta", float, "1e-3"),
+        output_dir=_read_value(sections, "output", "directory", str, "out"),
+    )
+    if sections:
+        raise ConfigError(f"unknown config section {next(iter(sections))!r}")
+    return cfg
 
 
 def parse_config_text(text):
-    cp = _parser_from_text(text)
-
-    ds = cp["dataset"] if cp.has_section("dataset") else {}
-    dataset = DatasetConfig(
-        source=ds.get("source", "synthetic"),
-        classes=int(ds.get("classes", 2)),
-        per_class=int(ds.get("per_class", 25)),
-        dim=int(ds.get("dim", 5)),
-        separation=float(ds.get("separation", 3.0)),
-        seed=int(ds.get("seed", 1)),
-        test_per_class=int(ds.get("test_per_class", 25)),
-        test_seed=int(ds.get("test_seed", 2)),
-        train_images=ds.get("train_images", ""),
-        train_labels=ds.get("train_labels", ""),
-        test_images=ds.get("test_images", ""),
-        test_labels=ds.get("test_labels", ""),
-        train_csv=ds.get("train_csv", ""),
-        test_csv=ds.get("test_csv", ""),
-    )
-    if dataset.source not in ("synthetic", "idx", "csv"):
-        raise ConfigError(f"unknown dataset source {dataset.source!r}")
-
-    mo = cp["model"] if cp.has_section("model") else {}
-    model = models.ModelSpec(
-        kind=mo.get("kind", "logistic_regression"),
-        layer_widths=tuple(
-            int(w) for w in mo.get("layer_widths", f"{dataset.dim},{dataset.classes}").split(",")
-        ),
-        activation=mo.get("activation", "relu"),
-        loss=mo.get("loss", "cross_entropy"),
-    )
-
-    tr = cp["training"] if cp.has_section("training") else {}
-    training = trainer.TrainingConfig(
-        epochs=int(tr.get("epochs", 100)),
-        batch_size=int(tr.get("batch_size", 0)),
-        initial_lr=float(tr.get("initial_lr", 0.1)),
-        schedule=trainer.schedule_from_string(tr.get("schedule", "constant")),
-        momentum=float(tr.get("momentum", 0.0)),
-        weight_decay=float(tr.get("weight_decay", 0.01)),
-        seed=int(tr.get("seed", 7)),
-        snapshot_stride=int(tr.get("snapshot_stride", 0)),
-    )
-
-    tk = cp["tracking"] if cp.has_section("tracking") else {}
-    indices = tk.get("indices", "")
-    tracking = TrackingConfig(
-        selection=tk.get("selection", "all"),
-        k=int(tk.get("k", 10)),
-        seed=int(tk.get("seed", 3)),
-        indices=tuple(int(i) for i in indices.split(",") if i.strip()),
-        fraction=float(tk.get("fraction", 0.1)),
-    )
-    if tracking.selection not in ("all", "random_k", "explicit", "per_class_fraction"):
-        raise ConfigError(f"unknown tracked-sample selection {tracking.selection!r}")
-
-    me = cp["methods"] if cp.has_section("methods") else {}
-    methods = tuple(
-        m.strip() for m in me.get("methods", "exact,approx").split(",") if m.strip()
-    )
-
-    no = cp["noise"] if cp.has_section("noise") else {}
-    noise = NoiseConfig(
-        fraction=float(no.get("fraction", 0.0)), seed=int(no.get("seed", 5))
-    )
-
-    iv = cp["influence"] if cp.has_section("influence") else {}
-    scale = iv.get("neumann_scale", "auto")
-    inverse_hvp = InverseHvpConfig(
-        method="conjugate_gradient",  # per-method tag decides at call time
-        damping=float(iv.get("damping", 0.01)),
-        cg_max_iters=int(iv.get("cg_max_iters", 1000)),
-        cg_tolerance=float(iv.get("cg_tolerance", 1e-10)),
-        neumann_depth=int(iv.get("neumann_depth", 500)),
-        neumann_repeats=int(iv.get("neumann_repeats", 4)),
-        neumann_scale=None if scale == "auto" else float(scale),
-        seed=int(iv.get("seed", 11)),
-        include_regularizer_in_hessian=str(
-            iv.get("include_regularizer_in_hessian", "true")
-        ).lower()
-        in ("1", "true", "yes"),
-    )
-
-    orc = cp["oracle"] if cp.has_section("oracle") else {}
-    oracle_delta = float(orc.get("delta", 1e-3))
-
-    out = cp["output"] if cp.has_section("output") else {}
-    output_dir = out.get("directory", "out")
-
-    return ExperimentConfig(
-        dataset=dataset,
-        model=model,
-        training=training,
-        tracking=tracking,
-        methods=methods,
-        noise=noise,
-        inverse_hvp=inverse_hvp,
-        oracle_delta=oracle_delta,
-        output_dir=output_dir,
-    )
+    return _config_from_sections(configtext.parse_sections(text))
 
 
 def config_to_text(cfg, include_output=True):
@@ -208,74 +165,22 @@ def config_to_text(cfg, include_output=True):
     The [output] section is excluded from the identity hash so the same
     experiment written to two directories hashes identically.
     """
-    ds, tk, no, iv = cfg.dataset, cfg.tracking, cfg.noise, cfg.inverse_hvp
-    tr, mo = cfg.training, cfg.model
-    lines = [
-        "[dataset]",
-        f"source = {ds.source}",
-        f"classes = {ds.classes}",
-        f"per_class = {ds.per_class}",
-        f"dim = {ds.dim}",
-        f"separation = {ds.separation!r}",
-        f"seed = {ds.seed}",
-        f"test_per_class = {ds.test_per_class}",
-        f"test_seed = {ds.test_seed}",
-        f"train_images = {ds.train_images}",
-        f"train_labels = {ds.train_labels}",
-        f"test_images = {ds.test_images}",
-        f"test_labels = {ds.test_labels}",
-        f"train_csv = {ds.train_csv}",
-        f"test_csv = {ds.test_csv}",
-        "",
-        "[model]",
-        f"kind = {mo.kind}",
-        f"layer_widths = {','.join(str(w) for w in mo.layer_widths)}",
-        f"activation = {mo.activation}",
-        f"loss = {mo.loss}",
-        "",
-        "[training]",
-        f"epochs = {tr.epochs}",
-        f"batch_size = {tr.batch_size}",
-        f"initial_lr = {tr.initial_lr!r}",
-        f"schedule = {tr.schedule.describe()}",
-        f"momentum = {tr.momentum!r}",
-        f"weight_decay = {tr.weight_decay!r}",
-        f"seed = {tr.seed}",
-        f"snapshot_stride = {tr.snapshot_stride}",
-        "",
-        "[tracking]",
-        f"selection = {tk.selection}",
-        f"k = {tk.k}",
-        f"seed = {tk.seed}",
-        f"indices = {','.join(str(i) for i in tk.indices)}",
-        f"fraction = {tk.fraction!r}",
-        "",
-        "[methods]",
-        f"methods = {','.join(cfg.methods)}",
-        "",
-        "[noise]",
-        f"fraction = {no.fraction!r}",
-        f"seed = {no.seed}",
-        "",
-        "[influence]",
-        f"damping = {iv.damping!r}",
-        f"cg_max_iters = {iv.cg_max_iters}",
-        f"cg_tolerance = {iv.cg_tolerance!r}",
-        f"neumann_depth = {iv.neumann_depth}",
-        f"neumann_repeats = {iv.neumann_repeats}",
-        f"neumann_scale = {'auto' if iv.neumann_scale is None else repr(iv.neumann_scale)}",
-        f"seed = {iv.seed}",
-        f"include_regularizer_in_hessian = {str(iv.include_regularizer_in_hessian).lower()}",
-        "",
-        "[oracle]",
-        f"delta = {cfg.oracle_delta!r}",
-        "",
+    blocks = [
+        configtext.write_section("dataset", cfg.dataset),
+        configtext.write_section("model", cfg.model),
+        configtext.write_section("training", cfg.training),
+        configtext.write_section("tracking", cfg.tracking),
+        configtext.write_section("methods", {"methods": cfg.methods}),
+        configtext.write_section("noise", cfg.noise),
+        configtext.write_section("influence", cfg.inverse_hvp, skip=("method",)),
+        configtext.write_section("oracle", {"delta": cfg.oracle_delta}),
     ]
     if include_output:
-        lines += ["[output]", f"directory = {cfg.output_dir}", ""]
+        blocks.append(configtext.write_section("output", {"directory": cfg.output_dir}))
     else:
-        lines += [""]
-    return "\n".join(lines)
+        # The identity text has always ended in a blank line; hashes depend on it.
+        blocks.append("")
+    return "\n".join(blocks)
 
 
 def load_config(path):
@@ -399,7 +304,7 @@ def _write_manifest(cfg, out_dir, files):
         "config_hash": hashlib.sha256(
             config_to_text(cfg, include_output=False).encode()
         ).hexdigest(),
-        "version": VERSION,
+        "version": __version__,
         "seeds": {
             "dataset": cfg.dataset.seed,
             "dataset_test": cfg.dataset.test_seed,
@@ -545,30 +450,6 @@ def run_bound_trace(cfg, output_dir=None, record_stride=1):
 # Argument parsing.
 
 
-def _apply_overrides(cfg, args):
-    text = config_to_text(cfg)
-    cp = _parser_from_text(text)
-    for item in args.set or []:
-        key, _, value = item.partition("=")
-        section, _, option = key.partition(".")
-        if not cp.has_section(section):
-            raise ConfigError(f"unknown config section {section!r}")
-        cp.set(section, option, value)
-    if args.seed is not None:
-        cp.set("training", "seed", str(args.seed))
-    if args.epochs is not None:
-        cp.set("training", "epochs", str(args.epochs))
-    if args.methods is not None:
-        cp.set("methods", "methods", args.methods)
-    if getattr(args, "noise_fraction", None) is not None:
-        cp.set("noise", "fraction", repr(args.noise_fraction))
-    if args.output is not None:
-        cp.set("output", "directory", args.output)
-    buf = io.StringIO()
-    cp.write(buf)
-    return parse_config_text(buf.getvalue())
-
-
 def _add_common(sub):
     sub.add_argument("--config", help="experiment config file (INI)")
     sub.add_argument("--output", help="output directory")
@@ -585,11 +466,27 @@ def _add_common(sub):
 
 
 def _config_from_args(args):
+    """The config file's sections with ``--set`` and the flags applied, parsed once."""
+    text = ""
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config_text("")
-    return _apply_overrides(cfg, args)
+        with open(args.config) as fh:
+            text = fh.read()
+    sections = configtext.parse_sections(text)
+    for item in args.set or []:
+        key, _, value = item.partition("=")
+        section, _, option = key.partition(".")
+        sections.setdefault(section, {})[option.strip().lower()] = value
+    flags = {
+        ("training", "seed"): args.seed,
+        ("training", "epochs"): args.epochs,
+        ("methods", "methods"): args.methods,
+        ("noise", "fraction"): args.noise_fraction,
+        ("output", "directory"): args.output,
+    }
+    for (section, option), value in flags.items():
+        if value is not None:
+            sections.setdefault(section, {})[option] = str(value)
+    return _config_from_sections(sections)
 
 
 def main(argv=None):

@@ -87,11 +87,6 @@ def init_params(spec, seed):
     return pv
 
 
-def zero_params(spec):
-    layout, size = build_layout(spec)
-    return ParameterVector(np.zeros(size), layout)
-
-
 def _unpack(spec, flat):
     """Views (W_l, b_l) into the flat vector, in layer order."""
     Ws, bs = [], []

@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
+from . import configtext, models
 from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 from .models import ModelSpec
 from .params import as_flat
@@ -119,13 +119,17 @@ class TrainingConfig:
     epochs: int
     batch_size: int  # 0 means full batch
     initial_lr: float
-    schedule: object = ConstantSchedule()
+    schedule: object = field(
+        default=ConstantSchedule(), metadata={"parse": schedule_from_string}
+    )
     momentum: float = 0.0
     weight_decay: float = 0.0
     seed: int = 0
     snapshot_stride: int = 0  # steps between snapshots; 0 = once per epoch
 
     def __post_init__(self):
+        if self.schedule is None:
+            object.__setattr__(self, "schedule", ConstantSchedule())
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 0:
@@ -396,32 +400,18 @@ def replay(record, dataset, data_weights=None, step_hook=None, check=True):
 
 def save_trajectory(record, directory):
     os.makedirs(directory, exist_ok=True)
-    cfg = record.config
-    lines = [
-        "[model]",
-        f"kind = {record.model.kind}",
-        f"layer_widths = {','.join(str(w) for w in record.model.layer_widths)}",
-        f"activation = {record.model.activation}",
-        f"loss = {record.model.loss}",
-        "",
-        "[training]",
-        f"epochs = {cfg.epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"initial_lr = {cfg.initial_lr!r}",
-        f"schedule = {cfg.schedule.describe()}",
-        f"momentum = {cfg.momentum!r}",
-        f"weight_decay = {cfg.weight_decay!r}",
-        f"seed = {cfg.seed}",
-        f"snapshot_stride = {cfg.snapshot_stride}",
-        "",
-        "[meta]",
-        f"n_train = {record.n_train}",
-        f"param_count = {record.final_params.size}",
-        f"checksum = {record.checksum()}",
-        "",
-    ]
+    meta = {
+        "n_train": record.n_train,
+        "param_count": record.final_params.size,
+        "checksum": record.checksum(),
+    }
+    text = "\n".join([
+        configtext.write_section("model", record.model),
+        configtext.write_section("training", record.config),
+        configtext.write_section("meta", meta),
+    ])
     with open(os.path.join(directory, "config.txt"), "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write(text)
 
     with open(os.path.join(directory, "snapshots.bin"), "wb") as blob, open(
         os.path.join(directory, "snapshots.idx"), "w"
@@ -443,27 +433,14 @@ def save_trajectory(record, directory):
 
 
 def load_trajectory(directory):
-    import configparser
-
-    cp = configparser.ConfigParser()
-    cp.read(os.path.join(directory, "config.txt"))
-    model = ModelSpec(
-        kind=cp["model"]["kind"],
-        layer_widths=tuple(int(w) for w in cp["model"]["layer_widths"].split(",")),
-        activation=cp["model"]["activation"],
-        loss=cp["model"]["loss"],
-    )
-    config = TrainingConfig(
-        epochs=cp.getint("training", "epochs"),
-        batch_size=cp.getint("training", "batch_size"),
-        initial_lr=cp.getfloat("training", "initial_lr"),
-        schedule=schedule_from_string(cp["training"]["schedule"]),
-        momentum=cp.getfloat("training", "momentum"),
-        weight_decay=cp.getfloat("training", "weight_decay"),
-        seed=cp.getint("training", "seed"),
-        snapshot_stride=cp.getint("training", "snapshot_stride"),
-    )
-    n_train = cp.getint("meta", "n_train")
+    with open(os.path.join(directory, "config.txt")) as fh:
+        sections = configtext.parse_sections(fh.read())
+    model = configtext.read_section("model", sections.get("model", {}), ModelSpec)
+    config = configtext.read_section("training", sections.get("training", {}), TrainingConfig)
+    meta = sections.get("meta", {})
+    if "n_train" not in meta:
+        raise ConfigError("missing config key meta.n_train")
+    n_train = int(meta["n_train"])
 
     snapshots = {}
     blob = np.fromfile(os.path.join(directory, "snapshots.bin"), dtype="<f8")
@@ -495,7 +472,7 @@ def load_trajectory(directory):
         snapshots=snapshots,
         final_params=snapshots[max(snapshots)].copy(),
     )
-    stored = cp["meta"].get("checksum")
+    stored = meta.get("checksum")
     if stored and stored != record.checksum():
         raise ReplayDivergenceError(-1, "stored trajectory checksum mismatch")
     return record

@@ -1,10 +1,15 @@
 """Command-line interface: config parsing, subcommands, deterministic outputs."""
 
+import ast
+import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import datatrace as dt
 from datatrace import cli
@@ -61,6 +66,131 @@ def test_config_round_trip_is_lossless(small_config):
 def test_unknown_method_rejected():
     with pytest.raises(ConfigError, match="unknown method"):
         cli.parse_config_text("[methods]\nmethods = exact,telepathy\n")
+
+
+def _demo_config():
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "06_cli_experiment.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return next(
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CONFIG"
+    )
+
+
+@pytest.mark.parametrize("text, digest", [
+    ("", "77df2380155fb10aa5ed499da9f3b074c40ba5bf61a44f3c638877fba3b699ea"),
+    (SMALL_CONFIG, "a128d2a52ffe3dc96e32cae49a90df4c308ac107b0adac6fdb30b10b0b4613c7"),
+    (_demo_config(), "a31f4457393ddc5a6d75aa8eff9da7f6f41efc4952b0e2a10769ad29484cbde8"),
+], ids=["defaults", "small", "demo06"])
+def test_config_hash_is_pinned(text, digest):
+    # The manifest's config_hash; a change here invalidates every recorded run.
+    identity = cli.config_to_text(cli.parse_config_text(text), include_output=False)
+    assert hashlib.sha256(identity.encode()).hexdigest() == digest
+
+
+_names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", max_size=12)
+_counts = st.integers(0, 10**9)
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_rates = st.floats(0.0, 1.0, exclude_min=True)
+_widths = st.integers(1, 1000)
+_schedules = st.one_of(
+    st.just(dt.ConstantSchedule()),
+    st.builds(dt.StepDecaySchedule, _rates, st.integers(1, 10**6)),
+    st.builds(dt.ExponentialSchedule, _rates),
+    st.builds(dt.ReduceOnPlateauSchedule, _rates, st.integers(1, 10**6), _reals),
+)
+_model_options = dict(
+    activation=st.sampled_from(dt.models.ACTIVATIONS), loss=st.sampled_from(dt.models.LOSSES)
+)
+_models = st.builds(
+    dt.ModelSpec, kind=st.just("logistic_regression"),
+    layer_widths=st.tuples(_widths, _widths), **_model_options,
+) | st.builds(
+    dt.ModelSpec, kind=st.just("mlp"),
+    layer_widths=st.lists(_widths, min_size=2, max_size=4), **_model_options,
+)
+_experiments = st.builds(
+    cli.ExperimentConfig,
+    dataset=st.builds(
+        cli.DatasetConfig,
+        source=st.sampled_from(["synthetic", "idx", "csv"]),
+        classes=_counts, per_class=_counts, dim=_counts, separation=_reals,
+        seed=_counts, test_per_class=_counts, test_seed=_counts,
+        train_images=_names, train_labels=_names, test_images=_names,
+        test_labels=_names, train_csv=_names, test_csv=_names,
+    ),
+    model=_models,
+    training=st.builds(
+        dt.TrainingConfig,
+        epochs=st.integers(1, 10**6), batch_size=_counts,
+        initial_lr=st.floats(1e-6, 10.0), schedule=_schedules,
+        momentum=st.floats(0.0, 1.0, exclude_max=True),
+        weight_decay=st.floats(0.0, 0.099), seed=_counts, snapshot_stride=_counts,
+    ),
+    tracking=st.builds(
+        cli.TrackingConfig,
+        selection=st.sampled_from(["all", "random_k", "explicit", "per_class_fraction"]),
+        k=_counts, seed=_counts,
+        indices=st.lists(_counts, max_size=5).map(tuple), fraction=_reals,
+    ),
+    methods=st.lists(st.sampled_from(cli.METHODS), unique=True).map(tuple),
+    noise=st.builds(cli.NoiseConfig, fraction=_reals, seed=_counts),
+    inverse_hvp=st.builds(
+        cli.InverseHvpConfig,
+        damping=st.floats(0.0, 1e6), cg_max_iters=_counts, cg_tolerance=_reals,
+        neumann_depth=_counts, neumann_repeats=_counts,
+        neumann_scale=st.none() | _reals, seed=_counts,
+        include_regularizer_in_hessian=st.booleans(),
+    ),
+    oracle_delta=_reals,
+    output_dir=_names,
+)
+
+
+# No shrinking: over this many fields it takes minutes, and the assertion's
+# dataclass diff already names the field that did not survive the round trip.
+@settings(max_examples=200, deadline=None, phases=[Phase.generate])
+@given(_experiments)
+def test_config_text_round_trips_any_config(cfg):
+    assert cli.parse_config_text(cli.config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[trainig]\nepochs = 3\n", "trainig"),
+    ("[training]\nepoch = 3\n", "training.epoch"),
+    ("[training]\nepochs = abc\n", "training.epochs"),
+    ("[training]\nschedule = step_decay(factor=0.5)\n", "training.schedule"),
+    ("[influence]\ninclude_regularizer_in_hessian = maybe\n",
+     "influence.include_regularizer_in_hessian"),
+    ("[influence]\nmethod = dense\n", "influence.method"),
+    ("[methods]\nmethod = exact\n", "methods.method"),
+    ("[oracle]\ndelta = small\n", "oracle.delta"),
+    ("[dataset]\nsource = hdf5\n", "dataset"),
+])
+def test_invalid_config_is_rejected_by_name(text, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        cli.parse_config_text(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+])
+def test_boolean_spellings(text, value):
+    cfg = cli.parse_config_text(f"[influence]\ninclude_regularizer_in_hessian = {text}\n")
+    assert cfg.inverse_hvp.include_regularizer_in_hessian is value
+
+
+def test_set_dataset_dim_matches_file_dim(tmp_path):
+    via_set, via_file = str(tmp_path / "set"), str(tmp_path / "file")
+    cli.main(["train", "--output", via_set, "--set", "dataset.dim=7", "--epochs", "2"])
+    path = tmp_path / "dim7.ini"
+    path.write_text("[dataset]\ndim = 7\n")
+    cli.main(["train", "--config", str(path), "--output", via_file, "--epochs", "2"])
+    rec = dt.load_trajectory(os.path.join(via_set, "trajectory"))
+    assert rec.model.layer_widths == (7, 2)
+    assert rec.config == dt.load_trajectory(os.path.join(via_file, "trajectory")).config
 
 
 def test_flag_overrides(small_config, tmp_path):

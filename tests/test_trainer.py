@@ -1,6 +1,7 @@
 """Trainer: trajectories, schedules, replay, on-disk round trips."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ def test_trajectory_save_load_round_trip(tmp_path):
     assert np.array_equal(back.lrs, rec.lrs)
     assert all(np.array_equal(a, b) for a, b in zip(back.batches, rec.batches))
     assert back.config == rec.config
+    # every [model] and [training] key is required, and no other is accepted
+    path = os.path.join(d, "config.txt")
+    text = open(path).read()
+    for bad, key in (
+        (text.replace("momentum = 0.9\n", ""), "training.momentum"),
+        (text.replace("[model]\n", "[model]\nwidth = 3\n"), "model.width"),
+    ):
+        open(path, "w").write(bad)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            dt.load_trajectory(d)
+    open(path, "w").write(text)
+    # a None schedule is the constant one, and saves and loads as such
+    none_cfg = dt.TrainingConfig(epochs=2, batch_size=5, initial_lr=0.05, schedule=None)
+    assert none_cfg.schedule == dt.ConstantSchedule()
+    const_dir = str(tmp_path / "const")
+    dt.save_trajectory(dt.train(spec, ds, none_cfg), const_dir)
+    assert dt.load_trajectory(const_dir).config == none_cfg
     # corrupting the snapshot blob is caught by the stored checksum
     blob = os.path.join(d, "snapshots.bin")
     raw = bytearray(open(blob, "rb").read())
