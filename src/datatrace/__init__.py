@@ -57,6 +57,7 @@ from .influence import (
 from .models import (
     ModelSpec,
     accuracy,
+    as_flat,
     batch_gradient,
     dense_hessian,
     hessian_vector_product,
@@ -71,7 +72,6 @@ from .models import (
     test_loss_gradient,
 )
 from .oracle import OracleResult, finite_difference_hypergradient, leave_one_out
-from .params import ParameterVector, as_flat
 from .reports import oracle_results_to_report, read_report_csv, write_report_csv
 from .trainer import (
     ConstantSchedule,

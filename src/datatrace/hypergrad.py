@@ -57,106 +57,92 @@ class ContributionReport:
 
 
 class _Tracker:
-    """Shared recurrence engine; runs one or both modes over a replay."""
+    """Step hook carrying d w_t / d eps_i for every tracked sample.
 
-    def __init__(self, record, tracked, use_hessian, hvp_mode, lockstep=False):
+    Per step, with momentum p, weight decay lam and batch size b:
+        mom   <- p * mom [+ H_batch nabla] + lam * nabla + (n / b) * g_i [i in batch]
+        nabla <- nabla - lr * mom
+    The Hessian term is kept when ``use_hessian`` (exact) and dropped
+    otherwise (approx).
+    """
+
+    def __init__(self, record, tracked, use_hessian):
         self.record = record
-        self.tracked = list(tracked)
         self.use_hessian = use_hessian
-        self.hvp_mode = hvp_mode
-        self.lockstep = lockstep  # run exact and approx side by side
-        n = record.n_train
-        if any(i < 0 or i >= n for i in self.tracked):
+        tracked = list(tracked)
+        self.index = np.asarray(tracked, dtype=np.int64)
+        if np.any((self.index < 0) | (self.index >= record.n_train)):
             raise ConfigError("tracked index outside [0, n_train)")
-        k = len(self.tracked)
         P = record.final_params.size
-        self.nabla = np.zeros((k, P))
-        self.mom = np.zeros((k, P))
-        if lockstep:
-            self.nabla_a = np.zeros((k, P))
-            self.mom_a = np.zeros((k, P))
-        self.pos = {i: r for r, i in enumerate(self.tracked)}
+        self.nabla = np.zeros((len(tracked), P))
+        self.mom = np.zeros((len(tracked), P))
+        # A repeated index owns the row of its last occurrence.
+        self.pos = {i: r for r, i in enumerate(tracked)}
+        self.rows = np.array([self.pos[i] for i in tracked], dtype=np.int64)
         self.hvp_calls = 0
-        self.nabla_max = 0.0
-        self.on_step = None  # optional callback(t, tracker)
 
     def __call__(self, ctx):
-        rec = self.record
-        p = rec.config.momentum
-        lam = rec.config.weight_decay
-        n = rec.n_train
-        b = len(ctx.batch)
-
-        in_batch = [i for i in self.tracked if i in set(int(j) for j in ctx.batch)]
+        cfg = self.record.config
+        hit = np.isin(self.index, ctx.batch)
         source = np.zeros_like(self.nabla)
-        if in_batch:
-            G = ctx.per_sample_gradients(in_batch)
-            rows = [self.pos[i] for i in in_batch]
-            source[rows] = (n / b) * G
+        if hit.any():
+            G = ctx.per_sample_gradients(self.index[hit])
+            source[self.rows[hit]] = (self.record.n_train / len(ctx.batch)) * G
 
-        if self.use_hessian or self.lockstep:
-            hterm = ctx.batch_hvp(self.nabla, mode=self.hvp_mode)
+        mom = cfg.momentum * self.mom
+        if self.use_hessian:
+            mom = mom + ctx.batch_hvp(self.nabla)
             self.hvp_calls += 1
-            self.mom = p * self.mom + hterm + lam * self.nabla + source
-            self.nabla = self.nabla - ctx.lr * self.mom
-        else:
-            self.mom = p * self.mom + lam * self.nabla + source
-            self.nabla = self.nabla - ctx.lr * self.mom
-        if self.lockstep:
-            self.mom_a = p * self.mom_a + lam * self.nabla_a + source
-            self.nabla_a = self.nabla_a - ctx.lr * self.mom_a
-
+        self.mom = mom + cfg.weight_decay * self.nabla + source
+        self.nabla = self.nabla - ctx.lr * self.mom
         if not np.all(np.isfinite(self.nabla)):
             raise DivergenceError(ctx.step, f"hypergradient diverged at step {ctx.step}")
-        self.nabla_max = max(
-            self.nabla_max, float(np.linalg.norm(self.nabla, axis=1).max())
-        )
-        if self.on_step is not None:
-            self.on_step(ctx.step, self)
 
-    def states(self, mode, step):
-        src = self.nabla_a if (self.lockstep and mode == "approx") else self.nabla
-        mom = self.mom_a if (self.lockstep and mode == "approx") else self.mom
+    def states(self):
+        mode = "exact" if self.use_hessian else "approx"
+        step = self.record.steps
         return {
-            i: HypergradState(i, mode, src[r].copy(), mom[r].copy(), step)
+            i: HypergradState(i, mode, self.nabla[r].copy(), self.mom[r].copy(), step)
             for i, r in self.pos.items()
         }
 
 
-def _run(record, dataset, tracker):
-    trainer.replay(record, dataset, step_hook=tracker, check=False)
-    return tracker
+def _track(record, dataset, tracked_indices, use_hessian):
+    tracker = _Tracker(record, tracked_indices, use_hessian)
+    trainer.replay(record, dataset, step_hook=tracker)
+    assert use_hessian or tracker.hvp_calls == 0
+    return tracker.states()
 
 
-def track_exact(record, dataset, tracked_indices, hvp_mode="exact"):
+def track_exact(record, dataset, tracked_indices):
     """Hessian-aware hypergradients at the final step, per tracked sample."""
-    tracker = _Tracker(record, tracked_indices, use_hessian=True, hvp_mode=hvp_mode)
-    _run(record, dataset, tracker)
-    return tracker.states("exact", record.steps)
+    return _track(record, dataset, tracked_indices, use_hessian=True)
 
 
 def track_approx(record, dataset, tracked_indices):
     """Hessian-free hypergradients (the fast recurrence). No HVPs occur."""
-    tracker = _Tracker(record, tracked_indices, use_hessian=False, hvp_mode="exact")
-    _run(record, dataset, tracker)
-    assert tracker.hvp_calls == 0
-    return tracker.states("approx", record.steps)
+    return _track(record, dataset, tracked_indices, use_hessian=False)
 
 
-def error_trace(record, dataset, index, record_stride=1, hvp_mode="exact", power_iters=200):
-    """Run both modes in lockstep and record error norms against the bound."""
+def error_trace(record, dataset, index, record_stride=1, power_iters=200):
+    """Step both modes through one replay and record error norms against the bound."""
     if record.config.weight_decay <= 0.0:
         raise ConfigError("the approximation-error bound requires weight_decay > 0")
-    tracker = _Tracker(record, [index], use_hessian=True, hvp_mode=hvp_mode, lockstep=True)
+    exact = _Tracker(record, [index], use_hessian=True)
+    approx = _Tracker(record, [index], use_hessian=False)
     steps, errors = [], []
+    m_w = 0.0
 
-    def on_step(t, tk):
-        if t % record_stride == 0 or t == record.steps:
-            steps.append(t)
-            errors.append(float(np.linalg.norm(tk.nabla[0] - tk.nabla_a[0])))
+    def step(ctx):
+        nonlocal m_w
+        exact(ctx)
+        approx(ctx)
+        m_w = max(m_w, float(np.linalg.norm(exact.nabla, axis=1).max()))
+        if ctx.step % record_stride == 0 or ctx.step == record.steps:
+            steps.append(ctx.step)
+            errors.append(float(np.linalg.norm(exact.nabla[0] - approx.nabla[0])))
 
-    tracker.on_step = on_step
-    _run(record, dataset, tracker)
+    trainer.replay(record, dataset, step_hook=step)
 
     n = record.n_train
     w_T = record.final_params
@@ -167,7 +153,6 @@ def error_trace(record, dataset, index, record_stride=1, hvp_mode="exact", power
         iterations=power_iters,
         seed=record.config.seed,
     )
-    m_w = tracker.nabla_max
     lam = record.config.weight_decay
     lr1 = record.lrs[0]
     steps = np.asarray(steps)
@@ -182,7 +167,7 @@ def error_trace(record, dataset, index, record_stride=1, hvp_mode="exact", power
     )
 
 
-def contribution(record, states, test_dataset, per_test=False, method=None):
+def contribution(record, states, test_dataset, per_test=False):
     """Contribution report from final-step hypergradient states.
 
     C(i) = -(1/N) * grad L_test(w_T)^T nabla_{T,i}; with ``per_test`` the
@@ -195,7 +180,7 @@ def contribution(record, states, test_dataset, per_test=False, method=None):
         raise ValueError("no hypergradient states given")
     n = record.n_train
     modes = {s.mode for s in states.values()}
-    tag = method or (modes.pop() if len(modes) == 1 else "mixed")
+    tag = modes.pop() if len(modes) == 1 else "mixed"
     g_test = models.test_loss_gradient(record.model, record.final_params, test_dataset)
     values = {}
     pair_values = {} if per_test else None

@@ -15,11 +15,15 @@ import numpy as np
 
 from .data import LabeledDataset
 from .exceptions import NumericError, ShapeError
-from .params import ParameterVector, as_flat
 
 KINDS = ("logistic_regression", "mlp")
 ACTIVATIONS = ("relu", "identity")
 LOSSES = ("cross_entropy", "squared_error")
+
+
+def as_flat(params):
+    """Parameters as a flat float64 array (no copy when already one)."""
+    return np.asarray(params, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -57,45 +61,37 @@ class ModelSpec:
         return self.layer_widths[-1]
 
 
-def build_layout(spec):
-    """Named block layout matching the packing order W0, b0, W1, b1, ..."""
-    layout = {}
-    offset = 0
-    for l in range(spec.n_layers):
-        fan_in, fan_out = spec.layer_widths[l], spec.layer_widths[l + 1]
-        layout[f"W{l}"] = (offset, (fan_out, fan_in))
-        offset += fan_out * fan_in
-        layout[f"b{l}"] = (offset, (fan_out,))
-        offset += fan_out
-    return layout, offset
-
-
 def param_count(spec):
-    return build_layout(spec)[1]
+    widths = spec.layer_widths
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 def init_params(spec, seed):
     """Glorot-uniform weights, zero biases, from a seeded generator."""
-    layout, size = build_layout(spec)
     rng = np.random.default_rng([int(seed), 0x1A17])
-    values = np.zeros(size)
-    pv = ParameterVector(values, layout)
-    for l in range(spec.n_layers):
-        fan_in, fan_out = spec.layer_widths[l], spec.layer_widths[l + 1]
+    flat = np.zeros(param_count(spec))
+    for W in _unpack(spec, flat)[0]:
+        fan_out, fan_in = W.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        pv.block(f"W{l}")[:] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-    return pv
+        W[:] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+    return flat
 
 
 def _unpack(spec, flat):
-    """Views (W_l, b_l) into the flat vector, in layer order."""
+    """Views (W_l, b_l) into the last axis of ``flat``, in layer order.
+
+    The packing order is W0, b0, W1, b1, ...; a ``(..., P)`` stack gives
+    ``(..., fan_out, fan_in)`` and ``(..., fan_out)`` views, so writing a
+    block writes the stack.
+    """
+    lead = flat.shape[:-1]
     Ws, bs = [], []
     offset = 0
     for l in range(spec.n_layers):
         fan_in, fan_out = spec.layer_widths[l], spec.layer_widths[l + 1]
-        Ws.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        Ws.append(flat[..., offset : offset + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
         offset += fan_out * fan_in
-        bs.append(flat[offset : offset + fan_out])
+        bs.append(flat[..., offset : offset + fan_out])
         offset += fan_out
     return Ws, bs
 
@@ -203,25 +199,21 @@ def _backprop_pack(spec, flat, Zs, As, delta, weights=None, per_sample=False):
     """
     Ws, _ = _unpack(spec, flat)
     n = len(delta)
-    P = flat.size
-    layout, _ = build_layout(spec)
     if per_sample:
-        out = np.zeros((n, P))
+        out = np.zeros((n, flat.size))
     else:
-        out = np.zeros(P)
+        out = np.zeros(flat.size)
         w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    GWs, Gbs = _unpack(spec, out)
     D = delta
     for l in reversed(range(spec.n_layers)):
-        offW, shapeW = layout[f"W{l}"]
-        offB, shapeB = layout[f"b{l}"]
-        cW = shapeW[0] * shapeW[1]
         if per_sample:
-            out[:, offW : offW + cW] = np.einsum("no,ni->noi", D, As[l]).reshape(n, cW)
-            out[:, offB : offB + shapeB[0]] = D
+            GWs[l][:] = np.einsum("no,ni->noi", D, As[l])
+            Gbs[l][:] = D
         else:
             wD = D * w[:, None]
-            out[offW : offW + cW] = (wD.T @ As[l]).reshape(cW)
-            out[offB : offB + shapeB[0]] = wD.sum(axis=0)
+            GWs[l][:] = wD.T @ As[l]
+            Gbs[l][:] = wD.sum(axis=0)
         if l > 0:
             D = (D @ Ws[l]) * _act_grad(spec, Zs[l - 1])
     return out
@@ -271,15 +263,7 @@ def mean_gradient(spec, params, dataset):
 def _hvp_exact(spec, flat, X, targets, weights, V):
     """R-operator Hessian-vector products, batched over the rows of V (k, P)."""
     Ws, _ = _unpack(spec, flat)
-    layout, P = build_layout(spec)
-    k = V.shape[0]
-    n = len(X)
-    VWs, Vbs = [], []
-    for l in range(spec.n_layers):
-        offW, shapeW = layout[f"W{l}"]
-        offB, shapeB = layout[f"b{l}"]
-        VWs.append(V[:, offW : offW + shapeW[0] * shapeW[1]].reshape(k, *shapeW))
-        Vbs.append(V[:, offB : offB + shapeB[0]])
+    VWs, Vbs = _unpack(spec, V)
 
     Zs, As = _forward(spec, flat, X)
     # R-forward: directional derivatives of activations. RAs[l] pairs with
@@ -300,17 +284,14 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
     else:
         RD = RZ
 
-    out = np.zeros((k, P))
+    out = np.zeros(V.shape)
+    HWs, Hbs = _unpack(spec, out)
     D = delta
     for l in reversed(range(spec.n_layers)):
-        offW, shapeW = layout[f"W{l}"]
-        offB, shapeB = layout[f"b{l}"]
-        cW = shapeW[0] * shapeW[1]
-        HW = np.einsum("n,nko,ni->koi", weights, RD, As[l])
+        HWs[l][:] = np.einsum("n,nko,ni->koi", weights, RD, As[l])
         if RAs[l] is not None:
-            HW += np.einsum("n,no,nki->koi", weights, D, RAs[l])
-        out[:, offW : offW + cW] = HW.reshape(k, cW)
-        out[:, offB : offB + shapeB[0]] = np.einsum("n,nko->ko", weights, RD)
+            HWs[l] += np.einsum("n,no,nki->koi", weights, D, RAs[l])
+        Hbs[l][:] = np.einsum("n,nko->ko", weights, RD)
         if l > 0:
             ag = _act_grad(spec, Zs[l - 1])[:, None, :]
             RD = (
@@ -321,14 +302,12 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
     return out
 
 
-def hessian_vector_product(
-    spec, params, dataset, weights, v, mode="exact", eps_scale=1e-4
-):
+def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     """H^er v for the weighted empirical risk (no regularizer).
 
     ``v`` may be a single flat vector or a (k, P) stack; the result has the
     same shape. ``finite_difference`` mode uses a central difference of the
-    batch gradient with step r = eps_scale / max(1, ||v||).
+    batch gradient with step r = 1e-4 / max(1, ||v||).
     """
     X, Y = _xy(dataset)
     _check_inputs(spec, X)
@@ -336,7 +315,7 @@ def hessian_vector_product(
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != len(X):
         raise ShapeError(f"{len(weights)} weights for {len(X)} samples")
-    V = np.asarray(as_flat(v) if not isinstance(v, np.ndarray) else v, dtype=np.float64)
+    V = as_flat(v)
     single = V.ndim == 1
     V = np.atleast_2d(V)
     if V.shape[1] != flat.size:
@@ -350,7 +329,7 @@ def hessian_vector_product(
     elif mode == "finite_difference":
         out = np.empty_like(V)
         for i, vec in enumerate(V):
-            r = eps_scale / max(1.0, float(np.linalg.norm(vec)))
+            r = 1e-4 / max(1.0, float(np.linalg.norm(vec)))
             gp = batch_gradient(spec, flat + r * vec, dataset, weights)
             gm = batch_gradient(spec, flat - r * vec, dataset, weights)
             out[i] = (gp - gm) / (2.0 * r)

@@ -17,7 +17,6 @@ import numpy as np
 from . import configtext, models
 from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 from .models import ModelSpec
-from .params import as_flat
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -186,47 +185,34 @@ class TrajectoryRecord:
 
 
 class StepContext:
-    """Immutable view of one training step, handed to step hooks.
+    """Read-only view of one training step, handed to step hooks.
 
-    Exposes the pre-update parameters and seeded access to per-sample
-    gradients and batch HVPs evaluated at those parameters.
+    Exposes the pre-update parameters and access to per-sample gradients
+    and batch HVPs evaluated at those parameters.
     """
 
-    def __init__(self, trainer_state, step, lr, batch):
-        self._st = trainer_state
+    def __init__(self, model, dataset, w, step, lr, batch):
+        self.model = model
+        self.dataset = dataset
+        # ``train`` rebinds its parameters every step and never writes them
+        # in place, so a read-only view stays the pre-update parameters.
+        self.params = w.view()
+        self.params.setflags(write=False)
         self.step = step
         self.lr = lr
         self.batch = batch
-        self.params = trainer_state.w.copy()
-        self.params.setflags(write=False)
-
-    @property
-    def n_train(self):
-        return self._st.n
 
     def per_sample_gradients(self, indices):
         """Gradients of the listed samples at the pre-update parameters."""
-        st = self._st
-        sub = st.dataset.subset(np.asarray(indices, dtype=np.int64))
-        return models.per_sample_gradients(st.model, st.w, sub)
+        sub = self.dataset.subset(np.asarray(indices, dtype=np.int64))
+        return models.per_sample_gradients(self.model, self.params, sub)
 
-    def batch_hvp(self, v, mode="exact", eps_scale=1e-4):
+    def batch_hvp(self, v):
         """H^er of the regularizer-free batch-mean loss times v."""
-        st = self._st
         b = len(self.batch)
-        sub = st.dataset.subset(self.batch)
+        sub = self.dataset.subset(self.batch)
         weights = np.full(b, 1.0 / b)
-        return models.hessian_vector_product(
-            st.model, st.w, sub, weights, v, mode=mode, eps_scale=eps_scale
-        )
-
-
-class _TrainerState:
-    def __init__(self, model, dataset, w):
-        self.model = model
-        self.dataset = dataset
-        self.n = len(dataset)
-        self.w = w
+        return models.hessian_vector_product(self.model, self.params, sub, weights, v)
 
 
 def _epoch_lrs(config, epochs):
@@ -272,13 +258,12 @@ def train(
     stride = config.snapshot_stride if config.snapshot_stride > 0 else steps_per_epoch
 
     if init is None:
-        w = models.init_params(model, config.seed).values.copy()
+        w = models.init_params(model, config.seed)
     else:
-        w = as_flat(init).copy()
+        w = models.as_flat(init).copy()
     lam = config.weight_decay
     p = config.momentum
     velocity = np.zeros_like(w)
-    st = _TrainerState(model, dataset, w)
 
     epoch_lrs = _epoch_lrs(config, config.epochs)
     plateau = isinstance(config.schedule, ReduceOnPlateauSchedule)
@@ -312,12 +297,12 @@ def train(
         b = len(batch)
         sub = dataset.subset(batch)
         weights = 1.0 / b + n * eps[batch] / b
-        g = models.batch_gradient(model, st.w, sub, weights)
+        g = models.batch_gradient(model, w, sub, weights)
         if lam > 0.0:
-            g = g + lam * st.w
+            g = g + lam * w
 
-        batch_losses = models.sample_losses(model, st.w, sub)
-        loss = float(np.dot(weights, batch_losses)) + 0.5 * lam * float(st.w @ st.w)
+        batch_losses = models.sample_losses(model, w, sub)
+        loss = float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
         out_losses[t - 1] = loss
         out_lrs[t - 1] = lr
         if initial_loss is None:
@@ -326,21 +311,21 @@ def train(
             raise DivergenceError(t)
 
         if step_hook is not None:
-            step_hook(StepContext(st, t, lr, batch))
+            step_hook(StepContext(model, dataset, w, t, lr, batch))
 
         velocity = p * velocity + g
-        st.w = st.w - lr * velocity
+        w = w - lr * velocity
 
         if t % stride == 0 or t == total_steps:
-            snapshots[t] = st.w.copy()
+            snapshots[t] = w.copy()
 
         if plateau and lrs is None and t % steps_per_epoch == 0:
             full_weights = 1.0 / n + eps
             monitor = float(
-                np.dot(full_weights, models.sample_losses(model, st.w, dataset))
-            ) + 0.5 * lam * float(st.w @ st.w)
+                np.dot(full_weights, models.sample_losses(model, w, dataset))
+            ) + 0.5 * lam * float(w @ w)
             if validation is not None:
-                monitor += models.test_loss(model, st.w, validation)
+                monitor += models.test_loss(model, w, validation)
             if monitor < best_monitor * (1.0 - config.schedule.rel_threshold):
                 best_monitor = monitor
                 stale_epochs = 0
@@ -359,7 +344,7 @@ def train(
         lrs=out_lrs,
         losses=out_losses,
         snapshots=snapshots,
-        final_params=st.w.copy(),
+        final_params=w.copy(),
     )
 
 

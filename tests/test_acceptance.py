@@ -14,6 +14,7 @@ analysis is recorded in the project decisions ledger.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -422,9 +423,9 @@ def test_criterion_11_experiment_outputs_are_deterministic(tmp_path):
         for name in files:
             p1 = os.path.join(root, name)
             p2 = os.path.join(out2, os.path.relpath(p1, out1))
-            if open(p1, "rb").read() != open(p2, "rb").read():
+            if Path(p1).read_bytes() != Path(p2).read_bytes():
                 diffs.append(os.path.relpath(p1, out1))
-    manifest = json.load(open(os.path.join(out1, "manifest.json")))
+    manifest = json.loads(Path(out1, "manifest.json").read_text())
     ok = not diffs and "contrib_exact.csv" in manifest["files"]
     _verdict(11, "repeated runs are byte-identical", ok,
              f"{'no differing files' if not diffs else 'differs: ' + ', '.join(diffs)}")

@@ -1,6 +1,7 @@
 """Attribution analytics: stats, comparisons, cleaning, clustering."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ def test_json_and_csv_writers_are_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     attribution.write_stats_json(stats, p1)
     attribution.write_stats_json(stats, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    payload = json.load(open(p1))
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    payload = json.loads(Path(p1).read_text())
     assert payload["mean"] == stats.mean  # repr round-trip preserves the float
 
     m = dt.inter_class_matrix(
@@ -126,4 +127,4 @@ def test_json_and_csv_writers_are_deterministic(tmp_path):
     c1, c2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
     attribution.write_matrix_csv(m, c1)
     attribution.write_matrix_csv(m, c2)
-    assert open(c1, "rb").read() == open(c2, "rb").read()
+    assert Path(c1).read_bytes() == Path(c2).read_bytes()

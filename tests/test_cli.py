@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,18 +218,18 @@ def test_run_outputs_are_byte_identical_across_reruns(small_config, tmp_path):
     )
     assert "manifest.json" in names and "contrib_exact.csv" in names
     for n in names:
-        a = open(os.path.join(out1, n), "rb").read()
-        b = open(os.path.join(out2, n), "rb").read()
+        a = Path(out1, n).read_bytes()
+        b = Path(out2, n).read_bytes()
         assert a == b, f"{n} differs between reruns"
 
 
 def test_run_emits_comparisons_and_manifest(small_config, tmp_path):
     out = str(tmp_path / "r")
     cli.main(["run", "--config", small_config, "--output", out])
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert set(manifest) == {"config_hash", "version", "seeds", "files"}
     assert "compare_exact_vs_approx.json" in manifest["files"]
-    cmp_ = json.load(open(os.path.join(out, "compare_exact_vs_approx.json")))
+    cmp_ = json.loads(Path(out, "compare_exact_vs_approx.json").read_text())
     assert -1.0 <= cmp_["spearman_rho"] <= 1.0
 
 
@@ -239,7 +240,7 @@ def test_track_and_compare_subcommands(small_config, tmp_path):
     cand = os.path.join(out, "contrib_approx.csv")
     result = str(tmp_path / "cmp.json")
     cli.main(["compare", "--reference", ref, "--candidate", cand, "--output", result])
-    payload = json.load(open(result))
+    payload = json.loads(Path(result).read_text())
     assert payload["reference"] == "exact"
     assert payload["candidate"] == "approx"
 
@@ -272,10 +273,10 @@ def test_clean_subcommand_reports_recovery(small_config, tmp_path):
         "--noise-fraction", "0.3", "--epochs", "100",
     ])
     assert rc == 0
-    payload = json.load(open(os.path.join(out, "cleaning.json")))
+    payload = json.loads(Path(out, "cleaning.json").read_text())
     assert 0.0 <= payload["flipped_recovered_fraction"] <= 1.0
     assert payload["n_discarded"] == 6  # floor(0.3 * 20)
-    retained = [int(l) for l in open(os.path.join(out, "retained.txt"))]
+    retained = [int(l) for l in Path(out, "retained.txt").read_text().splitlines()]
     assert len(retained) == 14
 
 
@@ -301,7 +302,7 @@ def test_bound_trace_emits_trace_csv(small_config, tmp_path):
         "--set", "tracking.selection=explicit",
         "--set", "tracking.indices=0",
     ])
-    lines = open(os.path.join(out, "bound_trace.csv")).read().splitlines()
+    lines = Path(out, "bound_trace.csv").read_text().splitlines()
     assert lines[0] == "train_index,step,error_norm,bound"
     assert len(lines) > 1
     rows = [l.split(",") for l in lines[1:]]

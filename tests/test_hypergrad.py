@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import datatrace as dt
-from datatrace.exceptions import ConfigError
+from datatrace.exceptions import ConfigError, ReplayDivergenceError
 from datatrace.hypergrad import HypergradState
 from conftest import bias_only_probe, gaussian_pair
 
@@ -76,11 +76,12 @@ def test_joint_tracking_equals_individual_tracking():
     cfg = dt.TrainingConfig(epochs=15, batch_size=4, initial_lr=0.02,
                             momentum=0.9, weight_decay=0.01, seed=2)
     rec = dt.train(spec, train, cfg)
-    joint = dt.track_exact(rec, train, [2, 7, 11])
-    for i in (2, 7, 11):
-        solo = dt.track_exact(rec, train, [i])
-        # batched HVPs change the summation order, so equality is to rounding
-        assert np.allclose(joint[i].nabla, solo[i].nabla, atol=1e-12, rtol=1e-10)
+    for tracked in ([2, 7, 11], [11, 2, 7]):
+        joint = dt.track_exact(rec, train, tracked)
+        for i in tracked:
+            solo = dt.track_exact(rec, train, [i])
+            # batched HVPs change the summation order, so equality is to rounding
+            assert np.allclose(joint[i].nabla, solo[i].nabla, atol=1e-12, rtol=1e-10)
 
 
 def test_full_batch_equals_batch_size_n_tracking():
@@ -102,7 +103,7 @@ def test_approx_mode_never_calls_hvp():
     train, _ = gaussian_pair(dim=4, per_class=8)
     cfg = dt.TrainingConfig(epochs=5, batch_size=4, initial_lr=0.05, seed=4)
     rec = dt.train(spec, train, cfg)
-    tracker = _Tracker(rec, [0], use_hessian=False, hvp_mode="exact")
+    tracker = _Tracker(rec, [0], use_hessian=False)
     trainer_mod.replay(rec, train, step_hook=tracker, check=False)
     assert tracker.hvp_calls == 0
 
@@ -138,6 +139,33 @@ def test_error_trace_bound_holds_on_constant_lr():
     assert np.all(trace.error_norms <= trace.bounds)
     assert trace.lipschitz_estimate > 0.0
     assert trace.nabla_max > 0.0
+
+
+def test_error_trace_final_error_equals_exact_minus_approx():
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, _ = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=15, batch_size=4, initial_lr=0.02,
+                            momentum=0.9, weight_decay=0.01, seed=2)
+    rec = dt.train(spec, train, cfg)
+    trace = dt.error_trace(rec, train, 7, record_stride=4)
+    exact = dt.track_exact(rec, train, [7])[7].nabla
+    approx = dt.track_approx(rec, train, [7])[7].nabla
+    assert trace.steps[-1] == rec.steps
+    assert trace.error_norms[-1] == np.linalg.norm(exact - approx)
+
+
+@pytest.mark.parametrize("entry", ["track_exact", "track_approx", "error_trace"])
+def test_tracking_rejects_a_dataset_other_than_the_trained_one(entry):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, _ = gaussian_pair(dim=4, per_class=8)
+    other, _ = gaussian_pair(dim=4, per_class=8, seed=2)
+    cfg = dt.TrainingConfig(epochs=5, batch_size=4, initial_lr=0.05,
+                            weight_decay=0.01, seed=0)
+    rec = dt.train(spec, train, cfg)
+    track = getattr(dt, entry)
+    track(rec, train, 0 if entry == "error_trace" else [0])
+    with pytest.raises(ReplayDivergenceError):
+        track(rec, other, 0 if entry == "error_trace" else [0])
 
 
 def test_tracked_index_validated():

@@ -23,6 +23,19 @@ def _fd_gradient(spec, params, x, y):
     return g
 
 
+def test_unpack_partitions_the_parameter_axis_in_layer_order():
+    spec = dt.ModelSpec("mlp", (4, 5, 3, 2))
+    P = models.param_count(spec)
+    for flat in (np.arange(P), np.tile(np.arange(P), (3, 1))):
+        Ws, bs = models._unpack(spec, flat)
+        blocks = [b for pair in zip(Ws, bs) for b in pair]
+        lead = flat.shape[:-1]
+        packed = np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
+        assert np.array_equal(packed, flat)
+        assert all(np.shares_memory(b, flat) for b in blocks)
+        assert [W.shape[-2:] for W in Ws] == [(5, 4), (3, 5), (2, 3)]
+
+
 def test_zero_model_zero_input_gives_zero_gradient():
     spec = dt.ModelSpec("logistic_regression", (3, 1), loss="squared_error")
     params = np.zeros(4)

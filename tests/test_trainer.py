@@ -2,6 +2,7 @@
 
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,16 +154,16 @@ def test_trajectory_save_load_round_trip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(back.batches, rec.batches))
     assert back.config == rec.config
     # every [model] and [training] key is required, and no other is accepted
-    path = os.path.join(d, "config.txt")
-    text = open(path).read()
+    path = Path(d, "config.txt")
+    text = path.read_text()
     for bad, key in (
         (text.replace("momentum = 0.9\n", ""), "training.momentum"),
         (text.replace("[model]\n", "[model]\nwidth = 3\n"), "model.width"),
     ):
-        open(path, "w").write(bad)
+        path.write_text(bad)
         with pytest.raises(ConfigError, match=re.escape(key)):
             dt.load_trajectory(d)
-    open(path, "w").write(text)
+    path.write_text(text)
     # a None schedule is the constant one, and saves and loads as such
     none_cfg = dt.TrainingConfig(epochs=2, batch_size=5, initial_lr=0.05, schedule=None)
     assert none_cfg.schedule == dt.ConstantSchedule()
@@ -170,10 +171,10 @@ def test_trajectory_save_load_round_trip(tmp_path):
     dt.save_trajectory(dt.train(spec, ds, none_cfg), const_dir)
     assert dt.load_trajectory(const_dir).config == none_cfg
     # corrupting the snapshot blob is caught by the stored checksum
-    blob = os.path.join(d, "snapshots.bin")
-    raw = bytearray(open(blob, "rb").read())
+    blob = Path(d, "snapshots.bin")
+    raw = bytearray(blob.read_bytes())
     raw[8] ^= 0xFF
-    open(blob, "wb").write(bytes(raw))
+    blob.write_bytes(bytes(raw))
     with pytest.raises(ReplayDivergenceError):
         dt.load_trajectory(d)
 
