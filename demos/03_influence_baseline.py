@@ -1,10 +1,12 @@
 """Compare the influence-functions baseline against trajectory tracking.
 
 Influence functions estimate a sample's effect from the final parameters
-only: IF(i) = -grad_test^T H^-1 grad_i, with the inverse Hessian-vector
-product computed by conjugate gradient, a stochastic Neumann series, or a
-dense solve. This script runs all three solvers, checks them against each
-other, and compares the resulting ranking with exact trajectory tracking.
+only: IF(i) = -grad_i^T s_test with s_test = H^-1 grad_test, which equals
+-grad_test^T H^-1 grad_i because H is symmetric. One inverse Hessian-vector
+product per call, on the test side, serves every training sample; it is
+computed by conjugate gradient, a stochastic Neumann series, or a dense
+solve. This script runs all three solvers, checks them against each other,
+and compares the resulting ranking with exact trajectory tracking.
 
 Run:  python3 demos/03_influence_baseline.py
 """

@@ -1,10 +1,12 @@
 """Influence-functions baseline via inverse-Hessian-vector products.
 
 The influence of a training point on a test point is evaluated at the final
-parameters only: IF = -grad_test^T (H_T + damping I)^{-1} grad_i. The inverse
-HVP can be computed by damped conjugate gradient, by the stochastic
-Neumann-series iteration with single-sample Hessians, or (for tiny models)
-by a dense solve.
+parameters only: IF_i = -g_test^T (H_T + shift I)^{-1} g_i. H is symmetric, so
+IF_i = -g_i^T s_test with s_test = (H_T + shift I)^{-1} g_test (Koh & Liang,
+2017): one inverse HVP per call serves every training sample. It can be
+computed by damped conjugate gradient, by the stochastic Neumann-series
+iteration with single-sample Hessians (LiSSA; Agarwal et al., 2017), or (for
+tiny models) by a dense solve.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .exceptions import ConvergenceError, ScalingError
+from .exceptions import ConfigError, ConvergenceError, ScalingError
 
 NEUMANN_DIVERGENCE_FACTOR = 1e6
+_METHOD_TAGS = {
+    "conjugate_gradient": "influence_cg",
+    "neumann": "influence_neumann",
+    "dense": "influence_dense",
+}
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,7 @@ class InverseHvpConfig:
     include_regularizer_in_hessian: bool = True
 
     def __post_init__(self):
-        if self.method not in ("conjugate_gradient", "neumann", "dense"):
+        if self.method not in _METHOD_TAGS:
             raise ValueError(f"unknown inverse-HVP method {self.method!r}")
         if self.damping < 0.0:
             raise ValueError("damping must be >= 0")
@@ -46,32 +53,6 @@ class InfluenceReport:
     pair_values: dict | None
     diagnostics: dict
     n_train: int
-
-
-def _method_tag(config):
-    return {
-        "conjugate_gradient": "influence_cg",
-        "neumann": "influence_neumann",
-        "dense": "influence_dense",
-    }[config.method]
-
-
-def _shift(config, weight_decay):
-    shift = config.damping
-    if config.include_regularizer_in_hessian:
-        shift += weight_decay
-    return shift
-
-
-def _full_operator(model, params, dataset, shift):
-    n = len(dataset)
-    uniform = np.full(n, 1.0 / n)
-
-    def matvec(v):
-        hv = models.hessian_vector_product(model, params, dataset, uniform, v)
-        return hv + shift * v
-
-    return matvec
 
 
 def _cg(matvec, v, tol, max_iters):
@@ -128,90 +109,109 @@ def _neumann_scale(model, params, dataset, shift, config):
     return 1.1 * max(max_eig, 1e-12)
 
 
-def _neumann(model, params, dataset, v, shift, scale, config):
+def _neumann(model, params, dataset, V, shift, scale, config):
+    """Neumann-series estimates of every row of V, shape (repeats, r, P)."""
     n = len(dataset)
-    vnorm = float(np.linalg.norm(v))
-    estimates = np.zeros((config.neumann_repeats, v.size))
+    vnorm = np.maximum(np.linalg.norm(V, axis=1), 1.0)
+    estimates = np.zeros((config.neumann_repeats,) + V.shape)
     for rep in range(config.neumann_repeats):
         rng = np.random.default_rng([int(config.seed), rep])
-        r = v.copy()
+        R = V.copy()
         for _ in range(config.neumann_depth):
             d = int(rng.integers(n))
             sub = dataset.subset(np.array([d]))
             hr = models.hessian_vector_product(
-                model, params, sub, np.array([1.0]), r
+                model, params, sub, np.array([1.0]), R
             )
-            hr += shift * r
-            r = v + r - hr / scale
-            if float(np.linalg.norm(r)) > NEUMANN_DIVERGENCE_FACTOR * max(vnorm, 1.0):
+            hr += shift * R
+            R = V + R - hr / scale
+            if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
                 raise ScalingError(
                     f"Neumann iterate diverged (scale {scale}); increase the scale"
                 )
-        estimates[rep] = r / scale
-    return estimates.mean(axis=0), estimates
+        estimates[rep] = R / scale
+    return estimates
 
 
 def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
-    """Approximate (H_T + damping I)^{-1} v. Returns (result, diagnostics)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != np.size(params):
+    """Approximate (H_T + shift I)^{-1} v. Returns (result, diagnostics).
+
+    ``v`` may be a flat vector or an (r, P) stack; the result has the same
+    shape. The solver is set up once per call (dense builds H once, Neumann
+    estimates its scale once) and CG solves the rows one by one. For a stack,
+    ``cg_residual`` is the largest row residual and ``cg_iterations`` the total.
+    """
+    V = np.asarray(v, dtype=np.float64)
+    single = V.ndim == 1
+    V = np.atleast_2d(V)
+    if V.shape[1] != np.size(params):
         raise ValueError("vector length does not match parameter count")
-    shift = _shift(config, weight_decay)
+    shift = config.damping
+    if config.include_regularizer_in_hessian:
+        shift += weight_decay
+    uniform = np.full(len(dataset), 1.0 / len(dataset))
     if config.method == "conjugate_gradient":
-        matvec = _full_operator(model, params, dataset, shift)
-        x, resid, iters = _cg(matvec, v, config.cg_tolerance, config.cg_max_iters)
-        return x, {"cg_residual": resid, "cg_iterations": iters}
-    if config.method == "neumann":
+
+        def matvec(d):
+            hd = models.hessian_vector_product(model, params, dataset, uniform, d)
+            return hd + shift * d
+
+        runs = [_cg(matvec, row, config.cg_tolerance, config.cg_max_iters) for row in V]
+        X = np.array([x for x, _, _ in runs])
+        diag = {
+            "cg_residual": max(resid for _, resid, _ in runs),
+            "cg_iterations": sum(iters for _, _, iters in runs),
+        }
+    elif config.method == "neumann":
         scale = _neumann_scale(model, params, dataset, shift, config)
-        mean, estimates = _neumann(model, params, dataset, v, shift, scale, config)
+        estimates = _neumann(model, params, dataset, V, shift, scale, config)
+        X = estimates.mean(axis=0)
         spread = float(np.linalg.norm(estimates.std(axis=0)))
-        return mean, {"neumann_scale": scale, "neumann_repeat_std": spread}
-    # dense
-    n = len(dataset)
-    uniform = np.full(n, 1.0 / n)
-    H = models.dense_hessian(model, params, dataset, uniform)
-    H = H + shift * np.eye(H.shape[0])
-    return np.linalg.solve(H, v), {}
+        diag = {"neumann_scale": scale, "neumann_repeat_std": spread}
+    else:
+        H = models.dense_hessian(model, params, dataset, uniform)
+        H = H + shift * np.eye(H.shape[0])
+        X = np.linalg.solve(H, V.T).T
+        diag = {}
+    return (X[0] if single else X), diag
 
 
-def influence(
-    model,
-    final_params,
-    train_dataset,
-    test_dataset,
-    train_indices,
-    config=InverseHvpConfig(),
-    weight_decay=0.0,
-    per_test=False,
-):
+def influence(model, final_params, train_dataset, test_dataset, train_indices,
+              config=InverseHvpConfig(), weight_decay=0.0, per_test=False):
     """IF(z_i, test subset) for each requested training index.
 
-    ``values`` holds the raw -grad_test^T H^{-1} grad_i, whose sign follows
-    the upweighting direction. ``scaled_values`` holds -IF/N, the first-order
-    estimate of the test-loss change from removing the sample, which is the
-    quantity comparable (in scale and sign) to trajectory contributions C(i).
+    One inverse HVP gives s_test = (H + shift I)^{-1} g_test, and
+    ``values[i]`` = -g_i^T s_test, which equals -g_test^T H^{-1} g_i because H
+    is symmetric; its sign follows the upweighting direction. With
+    ``per_test`` the test-row gradients join the same solve, and
+    ``pair_values[(i, j)]`` = -g_i^T s_j. ``scaled_values`` holds -IF/N, the
+    first-order estimate of the test-loss change from removing the sample,
+    which is the quantity comparable (in scale and sign) to trajectory
+    contributions C(i). ``diagnostics`` are those of the one solve.
     """
     n = len(train_dataset)
-    g_test = models.test_loss_gradient(model, final_params, test_dataset)
-    values, scaled, pairs = {}, {}, ({} if per_test else None)
-    diagnostics = {}
+    train_indices = list(train_indices)
+    index = np.asarray(train_indices, dtype=np.int64)
+    # The cast truncates a fractional index, so compare with the originals too.
+    if np.any((index < 0) | (index >= n) | (index != train_indices)):
+        raise ConfigError("training index outside [0, n_train)")
+    rhs = np.atleast_2d(models.test_loss_gradient(model, final_params, test_dataset))
     if per_test:
-        G_test = models.per_sample_gradients(model, final_params, test_dataset)
-    for i in train_indices:
-        g_i = models.per_sample_gradient(
-            model, final_params, train_dataset.features[i], train_dataset.labels[i]
-        )
-        ihvp, diag = inverse_hvp(
-            model, final_params, train_dataset, g_i, config, weight_decay
-        )
-        values[i] = float(-(g_test @ ihvp))
-        scaled[i] = -values[i] / n
-        diagnostics[i] = diag
-        if per_test:
-            for j, gt in enumerate(G_test):
-                pairs[(i, j)] = float(-(gt @ ihvp))
+        rhs = np.vstack([rhs, models.per_sample_gradients(model, final_params, test_dataset)])
+    S, diagnostics = inverse_hvp(model, final_params, train_dataset, rhs, config, weight_decay)
+    rows = (train_dataset.features[index], train_dataset.labels[index])
+    # per_sample_gradients needs at least one row. Column 0 of the scores is
+    # against g_test, column 1 + j against test row j.
+    G = models.per_sample_gradients(model, final_params, rows) if index.size else S[:0]
+    scores = -(G @ S.T)
+    values = {i: float(row[0]) for i, row in zip(train_indices, scores)}
+    scaled = {i: -v / n for i, v in values.items()}
+    pairs = None
+    if per_test:
+        pairs = {(i, j): float(x) for i, row in zip(train_indices, scores)
+                 for j, x in enumerate(row[1:])}
     return InfluenceReport(
-        method=_method_tag(config),
+        method=_METHOD_TAGS[config.method],
         values=values,
         scaled_values=scaled,
         pair_values=pairs,

@@ -1,12 +1,18 @@
 """Influence baseline: inverse-HVP solvers and final-parameter influence."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 import datatrace as dt
-from datatrace.exceptions import ConvergenceError
+from datatrace import models
+from datatrace.exceptions import ConfigError, ConvergenceError, ScalingError
 from conftest import gaussian_pair, ridge_probe
+
+# The package re-exports the function ``influence`` under the module's name.
+influence_module = sys.modules["datatrace.influence"]
 
 
 def _sign_flip_probe():
@@ -167,3 +173,79 @@ def test_regularizer_inclusion_flag_changes_result():
         weight_decay=0.1,
     )
     assert with_reg.values[0] != without.values[0]
+
+
+@pytest.fixture(scope="module")
+def mlp_probe():
+    spec = dt.ModelSpec("mlp", (4, 6, 3))
+    train, test = gaussian_pair(classes=3, per_class=10, dim=4, test_per_class=4)
+    cfg = dt.TrainingConfig(epochs=50, batch_size=0, initial_lr=0.05,
+                            weight_decay=0.01, seed=1)
+    return spec, train, test, dt.train(spec, train, cfg).final_params
+
+
+@pytest.mark.parametrize("method, rtol", [("dense", 1e-10), ("conjugate_gradient", 1e-6)])
+def test_test_side_solve_equals_per_sample_definition(mlp_probe, method, rtol):
+    # IF_i = -g_test^T H^-1 g_i, one solve per training sample, is the
+    # definition; influence() solves once on the test side instead.
+    spec, train, test, w = mlp_probe
+    config = dt.InverseHvpConfig(method=method)
+    idx = list(range(len(train)))
+    rep = dt.influence(spec, w, train, test, idx, config=config,
+                       weight_decay=0.01, per_test=True)
+    g_test = dt.test_loss_gradient(spec, w, test)
+    G_test = models.per_sample_gradients(spec, w, test)
+    for i in idx:
+        g_i = dt.per_sample_gradient(spec, w, train.features[i], train.labels[i])
+        ihvp, _ = dt.inverse_hvp(spec, w, train, g_i, config, weight_decay=0.01)
+        np.testing.assert_allclose(rep.values[i], -(g_test @ ihvp), rtol=rtol, atol=0)
+        got = [rep.pair_values[(i, j)] for j in range(len(test))]
+        np.testing.assert_allclose(got, -(G_test @ ihvp), rtol=rtol, atol=0)
+    assert len(rep.pair_values) == len(train) * len(test)
+
+
+@pytest.mark.parametrize("method", ["dense", "conjugate_gradient", "neumann"])
+def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatch, method):
+    spec, train, test, w = mlp_probe
+    calls = {"inverse_hvp": 0, "power_iteration_max_eig": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(influence_module, "inverse_hvp")
+    counted(models, "power_iteration_max_eig")
+    config = dt.InverseHvpConfig(method=method, neumann_depth=20, neumann_repeats=2)
+    rep = dt.influence(spec, w, train, test, list(range(20)), config=config,
+                       weight_decay=0.01)
+    assert len(rep.values) == 20
+    assert calls["inverse_hvp"] == 1
+    assert calls["power_iteration_max_eig"] <= 16
+
+
+@pytest.mark.parametrize("index", [-1, 20, 1.5])
+def test_training_index_validated(index):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=10)
+    assert len(train) == 20
+    params = dt.init_params(spec, seed=0)
+    with pytest.raises(ConfigError, match=r"outside \[0, n_train\)"):
+        dt.influence(spec, params, train, test, [0, index])
+
+
+def test_no_training_indices_gives_empty_report(mlp_probe):
+    spec, train, test, w = mlp_probe
+    rep = dt.influence(spec, w, train, test, [], weight_decay=0.01, per_test=True)
+    assert rep.values == rep.scaled_values == rep.pair_values == {}
+
+
+def test_neumann_scale_too_small_raises_scaling_error(mlp_probe):
+    spec, train, test, w = mlp_probe
+    config = dt.InverseHvpConfig(method="neumann", neumann_scale=1e-3)
+    with pytest.raises(ScalingError):
+        dt.influence(spec, w, train, test, [0, 1], config=config, weight_decay=0.01)
