@@ -23,7 +23,7 @@ config = dt.TrainingConfig(
 )
 record = dt.train(spec, train, config)
 
-trace = dt.error_trace(record, train, index=0, record_stride=50)
+trace = dt.error_trace(record, train, [0], record_stride=50)[0]
 print(f"Lipschitz estimate L = {trace.lipschitz_estimate:.4f}, "
       f"max hypergradient norm M_w = {trace.nabla_max:.4f}\n")
 print(f"{'step':>6} {'error norm':>14} {'bound':>14} {'slack':>10}")

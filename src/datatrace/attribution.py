@@ -241,17 +241,3 @@ def write_retained_indices(indices, path):
     with open(path, "w") as fh:
         for i in indices:
             fh.write(f"{int(i)}\n")
-
-
-def write_cluster_json(evaluation, path):
-    payload = {
-        "per_class": {
-            str(c): {"correct": v[0], "flipped": v[1]}
-            for c, v in evaluation.per_class.items()
-        },
-        "mean_correct": evaluation.mean_correct,
-        "mean_flipped": evaluation.mean_flipped,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")

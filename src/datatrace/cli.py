@@ -8,6 +8,7 @@ of the same config reproduces every output byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -221,7 +222,7 @@ def select_tracked(cfg, train):
     if tk.selection == "all":
         return np.arange(n)
     if tk.selection == "explicit":
-        return np.array(sorted(tk.indices), dtype=np.int64)
+        return np.sort(data.training_indices(tk.indices, n))
     if tk.selection == "random_k":
         rng = np.random.default_rng([tk.seed, 0x7AC4])
         return np.sort(rng.choice(n, size=min(tk.k, n), replace=False))
@@ -417,29 +418,26 @@ def run_cleaning(cfg, output_dir=None, method="approx"):
     return payload
 
 
-def run_bound_trace(cfg, output_dir=None, record_stride=1):
+def run_bound_trace(cfg, output_dir=None):
     """Exact-vs-approx error trace with the analytic bound, per tracked index."""
     if cfg.training.weight_decay <= 0.0:
         raise ConfigError("bound-trace requires weight_decay > 0")
     out = _resolve_output(cfg, output_dir)
     train, _, _ = build_datasets(cfg)
     record = trainer.train(cfg.model, train, cfg.training)
-    tracked = select_tracked(cfg, train)
-    import csv as _csv
+    traces = hypergrad.error_trace(record, train, select_tracked(cfg, train))
 
     path = os.path.join(out, "bound_trace.csv")
-    constants = {}
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["train_index", "step", "error_norm", "bound"])
-        for i in tracked:
-            trace = hypergrad.error_trace(record, train, int(i), record_stride=record_stride)
-            constants[int(i)] = {
-                "lipschitz_estimate": trace.lipschitz_estimate,
-                "nabla_max": trace.nabla_max,
-            }
+        for i, trace in traces.items():
             for t, err, bnd in zip(trace.steps, trace.error_norms, trace.bounds):
-                writer.writerow([int(i), int(t), repr(float(err)), repr(float(bnd))])
+                writer.writerow([i, int(t), repr(float(err)), repr(float(bnd))])
+    constants = {
+        i: {"lipschitz_estimate": trace.lipschitz_estimate, "nabla_max": trace.nabla_max}
+        for i, trace in traces.items()
+    }
     with open(os.path.join(out, "bound_constants.json"), "w") as fh:
         json.dump(constants, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import IdxFormatError
+from .exceptions import ConfigError, IdxFormatError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -62,6 +62,21 @@ class LabeledDataset:
             self.class_count,
             split_tag or self.split_tag,
         )
+
+
+def training_indices(indices, n_train):
+    """The distinct training indices in first-seen order, as an int64 array.
+
+    Raises ConfigError for an index that is negative, >= n_train or
+    fractional.
+    """
+    indices = list(indices)
+    index = np.asarray(indices, dtype=np.int64)
+    # The cast truncates a fractional index, so compare with the originals too.
+    if np.any((index < 0) | (index >= n_train) | (index != indices)):
+        raise ConfigError("training index fractional or outside [0, n_train)")
+    _, first = np.unique(index, return_index=True)
+    return index[np.sort(first)]
 
 
 def check_disjoint(train, test):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
-from .exceptions import ConfigError, ConvergenceError, ScalingError
+from . import data, models
+from .exceptions import ConvergenceError, ScalingError
 
 NEUMANN_DIVERGENCE_FACTOR = 1e6
 _METHOD_TAGS = {
@@ -190,11 +190,7 @@ def influence(model, final_params, train_dataset, test_dataset, train_indices,
     contributions C(i). ``diagnostics`` are those of the one solve.
     """
     n = len(train_dataset)
-    train_indices = list(train_indices)
-    index = np.asarray(train_indices, dtype=np.int64)
-    # The cast truncates a fractional index, so compare with the originals too.
-    if np.any((index < 0) | (index >= n) | (index != train_indices)):
-        raise ConfigError("training index outside [0, n_train)")
+    index = data.training_indices(train_indices, n)
     rhs = np.atleast_2d(models.test_loss_gradient(model, final_params, test_dataset))
     if per_test:
         rhs = np.vstack([rhs, models.per_sample_gradients(model, final_params, test_dataset)])
@@ -204,11 +200,12 @@ def influence(model, final_params, train_dataset, test_dataset, train_indices,
     # against g_test, column 1 + j against test row j.
     G = models.per_sample_gradients(model, final_params, rows) if index.size else S[:0]
     scores = -(G @ S.T)
-    values = {i: float(row[0]) for i, row in zip(train_indices, scores)}
+    keys = index.tolist()
+    values = {i: float(row[0]) for i, row in zip(keys, scores)}
     scaled = {i: -v / n for i, v in values.items()}
     pairs = None
     if per_test:
-        pairs = {(i, j): float(x) for i, row in zip(train_indices, scores)
+        pairs = {(i, j): float(x) for i, row in zip(keys, scores)
                  for j, x in enumerate(row[1:])}
     return InfluenceReport(
         method=_METHOD_TAGS[config.method],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, trainer
+from . import data, models, trainer
 
 MAX_ORACLE_SAMPLES = 200
 MAX_ORACLE_STEPS = 5000
@@ -48,20 +48,16 @@ def _guard(dataset, config, force):
         raise ValueError("oracle step budget exceeded; pass force=True")
 
 
-def _perturbed_loss(model, dataset, record, index, eps_value, test_dataset, base_weights):
-    weights = base_weights.copy()
+def _perturbed_loss(model, dataset, record, index, eps_value, test_dataset):
+    weights = record.data_weights.copy()
     weights[index] += eps_value
     run = trainer.replay(record, dataset, data_weights=weights, check=False)
     return models.test_loss(model, run.final_params, test_dataset), run
 
 
-def _central_difference(model, dataset, record, index, delta, test_dataset, base_weights):
-    lp, run_p = _perturbed_loss(
-        model, dataset, record, index, +delta, test_dataset, base_weights
-    )
-    lm, run_m = _perturbed_loss(
-        model, dataset, record, index, -delta, test_dataset, base_weights
-    )
+def _central_difference(model, dataset, record, index, delta, test_dataset):
+    lp, run_p = _perturbed_loss(model, dataset, record, index, +delta, test_dataset)
+    lm, run_m = _perturbed_loss(model, dataset, record, index, -delta, test_dataset)
     return (lp - lm) / (2.0 * delta), lp, lm, run_p, run_m
 
 
@@ -72,7 +68,6 @@ def finite_difference_hypergradient(
     index,
     test_dataset,
     delta=1e-3,
-    data_weights=None,
     nominal=None,
     richardson=True,
     force=False,
@@ -81,23 +76,23 @@ def finite_difference_hypergradient(
 
     With ``richardson`` (the default) the estimates at delta and delta/2 are
     combined as (4*half - full) / 3, cancelling the O(delta^2) truncation
-    term; the reported step is the smaller one actually used.
+    term; the reported step is the smaller one actually used. The weights are
+    perturbed around those of ``nominal``.
     """
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
+    (index,) = data.training_indices([index], len(dataset)).tolist()
     _guard(dataset, config, force)
-    n = len(dataset)
-    base = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=float)
     if nominal is None:
-        nominal = trainer.train(model, dataset, config, data_weights=base)
+        nominal = trainer.train(model, dataset, config)
 
     value, lp, lm, run_p, run_m = _central_difference(
-        model, dataset, nominal, index, delta, test_dataset, base
+        model, dataset, nominal, index, delta, test_dataset
     )
     used = delta
     if richardson:
         half, lp, lm, run_p, run_m = _central_difference(
-            model, dataset, nominal, index, delta / 2.0, test_dataset, base
+            model, dataset, nominal, index, delta / 2.0, test_dataset
         )
         value = (4.0 * half - value) / 3.0
         used = delta / 2.0
@@ -113,19 +108,15 @@ def finite_difference_hypergradient(
     )
 
 
-def leave_one_out(
-    model, dataset, config, index, test_dataset, data_weights=None, nominal=None, force=False
-):
+def leave_one_out(model, dataset, config, index, test_dataset, nominal=None, force=False):
     """Test-loss change from retraining with eps_i = -1/N (sample removed)."""
-    _guard(dataset, config, force)
     n = len(dataset)
-    base = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=float)
+    (index,) = data.training_indices([index], n).tolist()
+    _guard(dataset, config, force)
     if nominal is None:
-        nominal = trainer.train(model, dataset, config, data_weights=base)
+        nominal = trainer.train(model, dataset, config)
     nominal_loss = models.test_loss(model, nominal.final_params, test_dataset)
-    without_loss, run = _perturbed_loss(
-        model, dataset, nominal, index, -1.0 / n, test_dataset, base
-    )
+    without_loss, run = _perturbed_loss(model, dataset, nominal, index, -1.0 / n, test_dataset)
     # One-sided secant estimate of d L_test/d eps_i from the -1/N step;
     # loo_delta itself is the C(i)-comparable quantity.
     return OracleResult(

@@ -62,11 +62,11 @@ class ExponentialSchedule:
 
 @dataclass(frozen=True)
 class ReduceOnPlateauSchedule:
-    """Multiply by ``factor`` when train(+validation) loss stops improving.
+    """Multiply by ``factor`` when the training loss stops improving.
 
-    A plateau is declared when the monitored loss fails to improve on the
-    best value by more than ``rel_threshold`` (relative) within ``patience``
-    epochs.
+    A plateau is declared when the full-dataset training loss (with the ridge
+    term) fails to improve on the best value by more than ``rel_threshold``
+    (relative) within ``patience`` epochs.
     """
 
     factor: float
@@ -234,7 +234,6 @@ def train(
     data_weights=None,
     step_hook=None,
     init=None,
-    validation=None,
     batches=None,
     lrs=None,
 ):
@@ -324,8 +323,6 @@ def train(
             monitor = float(
                 np.dot(full_weights, models.sample_losses(model, w, dataset))
             ) + 0.5 * lam * float(w @ w)
-            if validation is not None:
-                monitor += models.test_loss(model, w, validation)
             if monitor < best_monitor * (1.0 - config.schedule.rel_threshold):
                 best_monitor = monitor
                 stale_epochs = 0

@@ -69,3 +69,27 @@ def convex_probe():
     )
     record = dt.train(spec, train, cfg)
     return spec, train, test, cfg, record
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap module functions to count their calls; returns ``{name: count}``.
+
+    ``count_calls((module, "name"), ...)`` patches each function for the
+    duration of the test.
+    """
+    calls = {}
+
+    def install(*targets):
+        for module, name in targets:
+            original = getattr(module, name)
+            calls[name] = 0
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install

@@ -144,7 +144,7 @@ def test_criterion_03_exact_tracking_matches_retraining_oracle():
 def test_criterion_04_error_bound_holds_at_every_recorded_step():
     t0 = time.time()
     spec, train, test, cfg, rec = _convex_probe()
-    trace = dt.error_trace(rec, train, 0, record_stride=1)
+    trace = dt.error_trace(rec, train, [0], record_stride=1)[0]
     margin = float(np.max(trace.error_norms - trace.bounds))
     elapsed = time.time() - t0
     ok = bool(np.all(trace.error_norms <= trace.bounds)) and elapsed < 60.0
@@ -165,7 +165,7 @@ def test_criterion_05_error_vanishes_under_exponential_decay():
     spec, train, test, cfg, rec = _convex_probe(
         lr=lr1, schedule=dt.ExponentialSchedule(c), epochs=2000
     )
-    trace = dt.error_trace(rec, train, 0, record_stride=10)
+    trace = dt.error_trace(rec, train, [0], record_stride=10)[0]
     peak = float(np.max(trace.error_norms))
     final = float(trace.error_norms[-1])
     ratio = final / peak

@@ -309,6 +309,28 @@ def test_bound_trace_emits_trace_csv(small_config, tmp_path):
     assert all(float(err) <= float(bnd) for _, _, err, bnd in rows)
 
 
+def test_bound_trace_runs_one_replay_for_repeated_explicit_indices(
+    small_config, tmp_path, count_calls
+):
+    from datatrace import models as models_mod
+    from datatrace import trainer as trainer_mod
+
+    calls = count_calls((trainer_mod, "replay"), (models_mod, "power_iteration_max_eig"))
+    out = str(tmp_path / "bt")
+    cli.main([
+        "bound-trace", "--config", small_config, "--output", out,
+        "--set", "tracking.selection=explicit",
+        "--set", "tracking.indices=3,1,3,7",
+    ])
+    assert calls == {"replay": 1, "power_iteration_max_eig": 1}
+    rows = [l.split(",") for l in Path(out, "bound_trace.csv").read_text().splitlines()[1:]]
+    # 20 full-batch steps per index, in sorted index order, each index once
+    assert [int(r[0]) for r in rows] == [1] * 20 + [3] * 20 + [7] * 20
+    assert [int(r[1]) for r in rows] == list(range(1, 21)) * 3
+    constants = json.loads(Path(out, "bound_constants.json").read_text())
+    assert list(constants) == ["1", "3", "7"]
+
+
 def test_output_root_environment_variable(small_config, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
     cli.main(["train", "--config", small_config, "--output", "nested/run"])

@@ -1,4 +1,4 @@
-"""Datasets: synthetic generators, label noise, IDX/CSV loaders, report CSVs."""
+"""Datasets: generators, label noise, IDX/CSV loaders, report CSVs, training indices."""
 
 import struct
 
@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import datatrace as dt
-from datatrace.exceptions import IdxFormatError
+from datatrace.exceptions import ConfigError, IdxFormatError
 from datatrace.hypergrad import ContributionReport
 from datatrace.reports import oracle_results_to_report, read_report_csv, write_report_csv
 from datatrace.oracle import OracleResult
+from conftest import gaussian_pair
 
 
 def test_synth_gaussian_is_deterministic_and_balanced():
@@ -155,3 +156,42 @@ def test_oracle_results_to_report_scaling():
     ]
     rep2 = oracle_results_to_report(loo, n_train=10, method="oracle_loo")
     assert rep2.values == {0: 0.03}
+
+
+# Every entry point that takes training indices, called with one index.
+INDEX_ENTRIES = {
+    "track_exact": lambda rec, train, test, i: dt.track_exact(rec, train, [i]),
+    "track_approx": lambda rec, train, test, i: dt.track_approx(rec, train, [i]),
+    "error_trace": lambda rec, train, test, i: dt.error_trace(rec, train, [i]),
+    "influence": lambda rec, train, test, i: dt.influence(
+        rec.model, rec.final_params, train, test, [i]
+    ),
+    "finite_difference_hypergradient": lambda rec, train, test, i: (
+        dt.finite_difference_hypergradient(rec.model, train, rec.config, i, test, nominal=rec)
+    ),
+    "leave_one_out": lambda rec, train, test, i: dt.leave_one_out(
+        rec.model, train, rec.config, i, test, nominal=rec
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, "n", 1.5])
+@pytest.mark.parametrize("entry", list(INDEX_ENTRIES))
+def test_training_index_contract(entry, bad):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=5)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=0, initial_lr=0.05,
+                            weight_decay=0.01, seed=0)
+    rec = dt.train(spec, train, cfg)
+    index = len(train) if bad == "n" else bad
+    with pytest.raises(ConfigError, match="training index"):
+        INDEX_ENTRIES[entry](rec, train, test, index)
+
+
+def test_training_indices_are_distinct_in_first_seen_order():
+    from datatrace.data import training_indices
+
+    index = training_indices([7, 2, 7, np.int64(0), 2.0], 8)
+    assert index.dtype == np.int64
+    assert index.tolist() == [7, 2, 0]
+    assert training_indices([], 8).tolist() == []

@@ -126,7 +126,7 @@ def test_error_trace_requires_weight_decay():
     cfg = dt.TrainingConfig(epochs=5, batch_size=0, initial_lr=0.05, seed=0)
     rec = dt.train(spec, train, cfg)
     with pytest.raises(ConfigError):
-        dt.error_trace(rec, train, 0)
+        dt.error_trace(rec, train, [0])
 
 
 def test_error_trace_bound_holds_on_constant_lr():
@@ -135,7 +135,7 @@ def test_error_trace_bound_holds_on_constant_lr():
     cfg = dt.TrainingConfig(epochs=100, batch_size=0, initial_lr=0.1,
                             weight_decay=0.01, seed=0)
     rec = dt.train(spec, train, cfg)
-    trace = dt.error_trace(rec, train, 0, record_stride=5)
+    trace = dt.error_trace(rec, train, [0], record_stride=5)[0]
     assert np.all(trace.error_norms <= trace.bounds)
     assert trace.lipschitz_estimate > 0.0
     assert trace.nabla_max > 0.0
@@ -147,11 +147,55 @@ def test_error_trace_final_error_equals_exact_minus_approx():
     cfg = dt.TrainingConfig(epochs=15, batch_size=4, initial_lr=0.02,
                             momentum=0.9, weight_decay=0.01, seed=2)
     rec = dt.train(spec, train, cfg)
-    trace = dt.error_trace(rec, train, 7, record_stride=4)
+    trace = dt.error_trace(rec, train, [7], record_stride=4)[7]
     exact = dt.track_exact(rec, train, [7])[7].nabla
     approx = dt.track_approx(rec, train, [7])[7].nabla
     assert trace.steps[-1] == rec.steps
     assert trace.error_norms[-1] == np.linalg.norm(exact - approx)
+
+
+def test_error_trace_over_several_indices_matches_single_traces(count_calls):
+    from datatrace import models as models_mod
+    from datatrace import trainer as trainer_mod
+
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, _ = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=15, batch_size=4, initial_lr=0.02,
+                            momentum=0.9, weight_decay=0.01, seed=2)
+    rec = dt.train(spec, train, cfg)
+    solo = {i: dt.error_trace(rec, train, [i], record_stride=4)[i] for i in (2, 7, 11)}
+
+    calls = count_calls((trainer_mod, "replay"), (models_mod, "power_iteration_max_eig"))
+    joint = dt.error_trace(rec, train, [2, 7, 11], record_stride=4)
+    assert calls == {"replay": 1, "power_iteration_max_eig": 1}
+
+    assert list(joint) == [2, 7, 11]
+    assert len({trace.lipschitz_estimate for trace in joint.values()}) == 1
+    for i, trace in joint.items():
+        assert trace.sample_index == i
+        assert np.array_equal(trace.steps, solo[i].steps)
+        assert trace.lipschitz_estimate == solo[i].lipschitz_estimate
+        # batched HVPs change the summation order, so equality is to rounding
+        for field in ("error_norms", "bounds", "nabla_max"):
+            assert np.allclose(getattr(trace, field), getattr(solo[i], field),
+                               rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("track", ["track_exact", "track_approx"])
+def test_repeated_index_is_tracked_once(track):
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, test = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=10, batch_size=4, initial_lr=0.02,
+                            momentum=0.9, weight_decay=0.01, seed=2)
+    rec = dt.train(spec, train, cfg)
+    repeated = getattr(dt, track)(rec, train, [7, 2, 7, 7])
+    distinct = getattr(dt, track)(rec, train, [7, 2])
+    assert list(repeated) == [7, 2]
+    for i in (7, 2):
+        assert np.array_equal(repeated[i].nabla, distinct[i].nabla)
+        assert np.array_equal(repeated[i].mom_deriv, distinct[i].mom_deriv)
+    assert dt.contribution(rec, repeated, test).values == \
+        dt.contribution(rec, distinct, test).values
 
 
 @pytest.mark.parametrize("entry", ["track_exact", "track_approx", "error_trace"])
@@ -163,9 +207,9 @@ def test_tracking_rejects_a_dataset_other_than_the_trained_one(entry):
                             weight_decay=0.01, seed=0)
     rec = dt.train(spec, train, cfg)
     track = getattr(dt, entry)
-    track(rec, train, 0 if entry == "error_trace" else [0])
+    track(rec, train, [0])
     with pytest.raises(ReplayDivergenceError):
-        track(rec, other, 0 if entry == "error_trace" else [0])
+        track(rec, other, [0])
 
 
 def test_tracked_index_validated():
