@@ -9,11 +9,12 @@ scored by Jaccard index.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as _scipy_stats
+
+from . import reports
 
 
 @dataclass
@@ -209,9 +210,7 @@ def write_stats_json(stats, path):
         "top": [[int(i), v] for i, v in stats.top],
         "bottom": [[int(i), v] for i, v in stats.bottom],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    reports.write_json(payload, path)
 
 
 def write_matrix_csv(matrix, path):
@@ -232,9 +231,7 @@ def write_comparison_json(comparison, path):
         "spearman_rho": comparison.spearman_rho,
         "n_compared": comparison.n_compared,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    reports.write_json(payload, path)
 
 
 def write_retained_indices(indices, path):

@@ -224,9 +224,13 @@ def select_tracked(cfg, train):
     if tk.selection == "explicit":
         return np.sort(data.training_indices(tk.indices, n))
     if tk.selection == "random_k":
+        if tk.k < 1:
+            raise ConfigError(f"tracking.k = {tk.k} must be >= 1 for random_k")
         rng = np.random.default_rng([tk.seed, 0x7AC4])
         return np.sort(rng.choice(n, size=min(tk.k, n), replace=False))
     # per_class_fraction
+    if not 0.0 < tk.fraction <= 1.0:
+        raise ConfigError(f"tracking.fraction = {tk.fraction!r} must lie in (0, 1]")
     rng = np.random.default_rng([tk.seed, 0x7AC5])
     chosen = []
     for c in range(train.class_count):
@@ -316,11 +320,7 @@ def _write_manifest(cfg, out_dir, files):
         },
         "files": {name: _file_sha256(os.path.join(out_dir, name)) for name in sorted(files)},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    return reports.write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
 def run_experiment(cfg, output_dir=None):
@@ -336,19 +336,13 @@ def run_experiment(cfg, output_dir=None):
 
     train, test, noise_record = build_datasets(cfg)
     if noise_record is not None:
-        with open(os.path.join(out, "noise.json"), "w") as fh:
-            json.dump(
-                {
-                    "flipped_indices": [int(i) for i in noise_record.flipped_indices],
-                    "original_labels": [int(l) for l in noise_record.original_labels],
-                    "new_labels": [int(l) for l in noise_record.new_labels],
-                    "seed": noise_record.seed,
-                },
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
+        noise = {
+            "flipped_indices": [int(i) for i in noise_record.flipped_indices],
+            "original_labels": [int(l) for l in noise_record.original_labels],
+            "new_labels": [int(l) for l in noise_record.new_labels],
+            "seed": noise_record.seed,
+        }
+        reports.write_json(noise, os.path.join(out, "noise.json"))
         files.append("noise.json")
 
     record = trainer.train(cfg.model, train, cfg.training)
@@ -412,9 +406,7 @@ def run_cleaning(cfg, output_dir=None, method="approx"):
         "accuracy_cleaned": acc_cleaned,
         "n_discarded": len(discarded),
     }
-    with open(os.path.join(out, "cleaning.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    reports.write_json(payload, os.path.join(out, "cleaning.json"))
     return payload
 
 
@@ -438,9 +430,7 @@ def run_bound_trace(cfg, output_dir=None):
         i: {"lipschitz_estimate": trace.lipschitz_estimate, "nabla_max": trace.nabla_max}
         for i, trace in traces.items()
     }
-    with open(os.path.join(out, "bound_constants.json"), "w") as fh:
-        json.dump(constants, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    reports.write_json(constants, os.path.join(out, "bound_constants.json"))
     return path
 
 

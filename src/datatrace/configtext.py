@@ -3,9 +3,11 @@
 A section is written with one ``key = value`` line per dataclass field, in
 field order, and read back by the field's annotated type. Formatting goes by
 value type: ints as ``str``, floats as ``repr``, bools in lower case, tuples
-joined with commas, schedules by ``describe()`` and ``None`` as ``auto``. A
-field whose text form needs its own reader names it in its metadata under
-``"parse"``. Experiment identity hashes this text, so changing a format here
+joined with commas and ``None`` as ``auto``. A field whose metadata maps
+names to dataclasses under ``"choices"`` (the training schedule) is written
+``name(key=value,...)``, or ``name`` alone for a class without fields, and
+its body is read back by ``read_section`` with the same strictness as a
+section. Experiment identity hashes this text, so changing a format here
 changes every config hash.
 """
 
@@ -20,7 +22,9 @@ from .exceptions import ConfigError
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _format(value):
+def _format(value, choices=None):
+    if choices is not None:
+        return format_choice(value, choices)
     if value is None:
         return "auto"
     if isinstance(value, bool):
@@ -29,14 +33,39 @@ def _format(value):
         return repr(value)
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if hasattr(value, "describe"):
-        return value.describe()
     return str(value)
 
 
-def _parser(field, hint):
-    if "parse" in field.metadata:
-        return field.metadata["parse"]
+def _fields(obj):
+    """``(key, text)`` of each field of a dataclass instance, in field order."""
+    return [
+        (f.name, _format(getattr(obj, f.name), f.metadata.get("choices")))
+        for f in dataclasses.fields(obj)
+    ]
+
+
+def format_choice(value, choices):
+    """``name(key=value,...)`` of an instance of ``choices[name]``, or ``name`` alone."""
+    name = next(name for name, cls in choices.items() if type(value) is cls)
+    body = ",".join(f"{key}={text}" for key, text in _fields(value))
+    return f"{name}({body})" if body else name
+
+
+def read_choice(where, text, choices):
+    """The instance that ``format_choice`` wrote as ``text``; errors name ``where``."""
+    name, paren, body = text.strip().partition("(")
+    if name not in choices or (paren and not body.endswith(")")):
+        raise ConfigError(f"{where}: cannot parse {text!r}; names are {', '.join(choices)}")
+    pairs = [part.partition("=") for part in body[:-1].split(",") if part.strip()]
+    items = {key.strip(): value for key, _, value in pairs}
+    if len(items) < len(pairs):
+        raise ConfigError(f"{where}: repeated key in {text!r}")
+    return read_section(where, items, choices[name], defaults={})
+
+
+def _parser(field, hint, where):
+    if "choices" in field.metadata:
+        return lambda text: read_choice(where, text, field.metadata["choices"])
     if hint is bool:
         return lambda text: _BOOLS[text.lower()]
     if hint is tuple:
@@ -58,11 +87,8 @@ def parse_sections(text):
 
 def write_section(name, obj, skip=()):
     """The ``[name]`` block of a dataclass instance or of a ``{key: value}`` dict."""
-    if isinstance(obj, dict):
-        pairs = obj.items()
-    else:
-        pairs = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
-    lines = [f"[{name}]"] + [f"{k} = {_format(v)}" for k, v in pairs if k not in skip]
+    pairs = [(k, _format(v)) for k, v in obj.items()] if isinstance(obj, dict) else _fields(obj)
+    lines = [f"[{name}]"] + [f"{k} = {v}" for k, v in pairs if k not in skip]
     return "\n".join(lines) + "\n"
 
 
@@ -71,8 +97,9 @@ def read_section(name, items, cls, defaults=None, skip=()):
 
     Keys absent from ``items`` take their value from ``defaults`` and then
     from the dataclass defaults; with ``defaults=None`` every key other than
-    those in ``skip`` is required. Unknown keys, unparsable values and values
-    the dataclass rejects raise ConfigError naming the section or key.
+    those in ``skip`` is required. Unknown keys, unparsable values, missing
+    required fields and values the dataclass rejects raise ConfigError naming
+    the section or key.
     """
     hints = typing.get_type_hints(cls)
     known = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
@@ -81,7 +108,9 @@ def read_section(name, items, cls, defaults=None, skip=()):
         if key not in known:
             raise ConfigError(f"unknown config key {name}.{key}")
         try:
-            values[key] = _parser(known[key], hints[key])(text.strip())
+            values[key] = _parser(known[key], hints[key], f"{name}.{key}")(text.strip())
+        except ConfigError:
+            raise
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{name}.{key}: cannot parse {text!r} ({exc!r})") from exc
     if defaults is None:
@@ -91,5 +120,5 @@ def read_section(name, items, cls, defaults=None, skip=()):
         defaults = {}
     try:
         return cls(**{**defaults, **values})
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"[{name}] {exc}") from exc

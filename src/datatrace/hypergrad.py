@@ -75,14 +75,17 @@ class _Tracker:
         self.mom = np.zeros((self.index.size, P))
         self.hvp_calls = 0
 
-    def __call__(self, ctx):
-        cfg = self.record.config
+    def source(self, ctx):
+        """(n / b) * g_i on the rows of tracked samples in the step's batch, zero elsewhere."""
         hit = np.isin(self.index, ctx.batch)
         source = np.zeros_like(self.nabla)
         if hit.any():
             G = ctx.per_sample_gradients(self.index[hit])
             source[hit] = (self.record.n_train / len(ctx.batch)) * G
+        return source
 
+    def advance(self, ctx, source):
+        cfg = self.record.config
         mom = cfg.momentum * self.mom
         if self.use_hessian:
             mom = mom + ctx.batch_hvp(self.nabla)
@@ -91,6 +94,9 @@ class _Tracker:
         self.nabla = self.nabla - ctx.lr * self.mom
         if not np.all(np.isfinite(self.nabla)):
             raise DivergenceError(ctx.step, f"hypergradient diverged at step {ctx.step}")
+
+    def __call__(self, ctx):
+        self.advance(ctx, self.source(ctx))
 
     def states(self):
         mode = "exact" if self.use_hessian else "approx"
@@ -118,12 +124,13 @@ def track_approx(record, dataset, tracked_indices):
     return _track(record, dataset, tracked_indices, use_hessian=False)
 
 
-def error_trace(record, dataset, indices, record_stride=1, power_iters=200):
+def error_trace(record, dataset, indices, record_stride=1):
     """Step both modes over every index through one replay; error norms against the bound.
 
     Returns ``{index: ApproxErrorTrace}`` over the distinct indices in
-    first-seen order. M_w is each index's own running max of ||nabla||; L does
-    not depend on the index, so its power iteration runs once.
+    first-seen order. Both trackers step on the same per-sample gradients,
+    computed once per step. M_w is each index's own running max of ||nabla||;
+    L does not depend on the index, so its power iteration runs once.
     """
     if record.config.weight_decay <= 0.0:
         raise ConfigError("the approximation-error bound requires weight_decay > 0")
@@ -134,8 +141,9 @@ def error_trace(record, dataset, indices, record_stride=1, power_iters=200):
 
     def step(ctx):
         nonlocal m_w
-        exact(ctx)
-        approx(ctx)
+        source = exact.source(ctx)
+        exact.advance(ctx, source)
+        approx.advance(ctx, source)
         m_w = np.maximum(m_w, np.linalg.norm(exact.nabla, axis=1))
         if ctx.step % record_stride == 0 or ctx.step == record.steps:
             steps.append(ctx.step)
@@ -150,7 +158,6 @@ def error_trace(record, dataset, indices, record_stride=1, power_iters=200):
     L = models.power_iteration_max_eig(
         lambda v: models.hessian_vector_product(record.model, w_T, dataset, uniform, v),
         dim=w_T.size,
-        iterations=power_iters,
         seed=record.config.seed,
     )
     lam = record.config.weight_decay

@@ -19,6 +19,7 @@ from .exceptions import NumericError, ShapeError
 KINDS = ("logistic_regression", "mlp")
 ACTIVATIONS = ("relu", "identity")
 LOSSES = ("cross_entropy", "squared_error")
+DENSE_HESSIAN_CAP = 2000  # largest parameter count ``dense_hessian`` builds
 
 
 def as_flat(params):
@@ -340,11 +341,11 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     return out[0] if single else out
 
 
-def dense_hessian(spec, params, dataset, weights, cap=2000):
+def dense_hessian(spec, params, dataset, weights):
     """Full H^er matrix, assembled from exact HVPs with basis vectors."""
     P = as_flat(params).size
-    if P > cap:
-        raise ValueError(f"parameter count {P} exceeds dense-Hessian cap {cap}")
+    if P > DENSE_HESSIAN_CAP:
+        raise ValueError(f"parameter count {P} exceeds dense-Hessian cap {DENSE_HESSIAN_CAP}")
     basis = np.eye(P)
     H = hessian_vector_product(spec, params, dataset, weights, basis, mode="exact")
     return H.T
@@ -378,8 +379,11 @@ def test_loss_gradient(spec, params, dataset):
 
 
 def accuracy(spec, params, dataset):
+    """Fraction of samples whose largest output is their class index."""
     X, Y = _xy(dataset)
-    flat = as_flat(params)
-    Zs, _ = _forward(spec, flat, X)
-    pred = Zs[-1].argmax(axis=1)
-    return float((pred == np.asarray(Y)).mean())
+    _check_inputs(spec, X)
+    if spec.loss != "cross_entropy":
+        raise ShapeError(f"accuracy needs class-index targets, not {spec.loss} targets")
+    targets = _targets(spec, Y, len(X))
+    Zs, _ = _forward(spec, as_flat(params), X)
+    return float((Zs[-1].argmax(axis=1) == targets).mean())

@@ -51,7 +51,7 @@ def _guard(dataset, config, force):
 def _perturbed_loss(model, dataset, record, index, eps_value, test_dataset):
     weights = record.data_weights.copy()
     weights[index] += eps_value
-    run = trainer.replay(record, dataset, data_weights=weights, check=False)
+    run = trainer.replay(record, dataset, data_weights=weights)
     return models.test_loss(model, run.final_params, test_dataset), run
 
 

@@ -3,16 +3,26 @@
 Every method (trajectory trackers, influence functions, retraining oracles)
 emits rows of (method, train_index, test_index_or_ALL, contribution) so the
 outputs are directly comparable. Floats use their shortest round-trip
-decimal form, which keeps reruns byte-identical.
+decimal form, which keeps reruns byte-identical. ``write_json`` is the one
+writer of the JSON outputs.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 
 from .hypergrad import ContributionReport
 
 HEADER = ["method", "train_index", "test_index_or_ALL", "contribution"]
+
+
+def write_json(payload, path):
+    """``payload`` as JSON with sorted keys, two-space indents and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path
 
 
 def write_report_csv(report, path):

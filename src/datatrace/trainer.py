@@ -22,17 +22,25 @@ DIVERGENCE_FACTOR = 1e6
 
 
 # ---------------------------------------------------------------------------
-# Learning-rate schedules. All built-in schedules are non-increasing.
+# Learning-rate schedules. All built-in schedules are non-increasing. Their
+# text form is the config schema's ``name(key=value,...)`` (see configtext).
 
 
-@dataclass(frozen=True)
-class ConstantSchedule:
+class _Schedule:
     def describe(self):
-        return "constant"
+        """The config text form, read back by ``schedule_from_string``."""
+        return configtext.format_choice(self, SCHEDULES)
 
 
 @dataclass(frozen=True)
-class StepDecaySchedule:
+class ConstantSchedule(_Schedule):
+    pass
+
+
+@dataclass(frozen=True)
+class StepDecaySchedule(_Schedule):
+    """Multiply the rate by ``factor`` once, at the start of (1-based) ``epoch``."""
+
     factor: float
     epoch: int
 
@@ -42,12 +50,9 @@ class StepDecaySchedule:
         if self.epoch < 1:
             raise ConfigError("step_decay epoch must be >= 1")
 
-    def describe(self):
-        return f"step_decay(factor={self.factor!r},epoch={self.epoch})"
-
 
 @dataclass(frozen=True)
-class ExponentialSchedule:
+class ExponentialSchedule(_Schedule):
     """Per-step decay: lr_{t+1} = c * lr_t exactly."""
 
     c: float
@@ -56,12 +61,9 @@ class ExponentialSchedule:
         if not 0.0 < self.c <= 1.0:
             raise ConfigError("exponential rate c must lie in (0, 1]")
 
-    def describe(self):
-        return f"exponential(c={self.c!r})"
-
 
 @dataclass(frozen=True)
-class ReduceOnPlateauSchedule:
+class ReduceOnPlateauSchedule(_Schedule):
     """Multiply by ``factor`` when the training loss stops improving.
 
     A plateau is declared when the full-dataset training loss (with the ridge
@@ -79,38 +81,18 @@ class ReduceOnPlateauSchedule:
         if self.patience < 1:
             raise ConfigError("plateau patience must be >= 1")
 
-    def describe(self):
-        return (
-            f"reduce_on_plateau(factor={self.factor!r},patience={self.patience},"
-            f"rel_threshold={self.rel_threshold!r})"
-        )
+
+SCHEDULES = {
+    "constant": ConstantSchedule,
+    "step_decay": StepDecaySchedule,
+    "exponential": ExponentialSchedule,
+    "reduce_on_plateau": ReduceOnPlateauSchedule,
+}
 
 
 def schedule_from_string(text):
     """Parse the textual schedule form produced by ``describe``."""
-    text = text.strip()
-    if text == "constant":
-        return ConstantSchedule()
-    name, _, body = text.partition("(")
-    if not body.endswith(")"):
-        raise ConfigError(f"malformed schedule {text!r}")
-    kwargs = {}
-    for part in body[:-1].split(","):
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        kwargs[key.strip()] = float(val)
-    if name == "step_decay":
-        return StepDecaySchedule(kwargs["factor"], int(kwargs["epoch"]))
-    if name == "exponential":
-        return ExponentialSchedule(kwargs["c"])
-    if name == "reduce_on_plateau":
-        return ReduceOnPlateauSchedule(
-            kwargs["factor"],
-            int(kwargs.get("patience", 2)),
-            kwargs.get("rel_threshold", 1e-4),
-        )
-    raise ConfigError(f"unknown schedule {name!r}")
+    return configtext.read_choice("schedule", text, SCHEDULES)
 
 
 @dataclass(frozen=True)
@@ -118,9 +100,7 @@ class TrainingConfig:
     epochs: int
     batch_size: int  # 0 means full batch
     initial_lr: float
-    schedule: object = field(
-        default=ConstantSchedule(), metadata={"parse": schedule_from_string}
-    )
+    schedule: object = field(default=ConstantSchedule(), metadata={"choices": SCHEDULES})
     momentum: float = 0.0
     weight_decay: float = 0.0
     seed: int = 0
@@ -129,6 +109,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.schedule is None:
             object.__setattr__(self, "schedule", ConstantSchedule())
+        if type(self.schedule) not in SCHEDULES.values():
+            raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 0:
@@ -215,18 +197,6 @@ class StepContext:
         return models.hessian_vector_product(self.model, self.params, sub, weights, v)
 
 
-def _epoch_lrs(config, epochs):
-    """Per-epoch base rates for epoch-level schedules (not plateau)."""
-    lrs = []
-    lr = config.initial_lr
-    sched = config.schedule
-    for epoch in range(epochs):
-        if isinstance(sched, StepDecaySchedule) and epoch + 1 == sched.epoch:
-            lr *= sched.factor
-        lrs.append(lr)
-    return lrs
-
-
 def train(
     model,
     dataset,
@@ -264,12 +234,9 @@ def train(
     p = config.momentum
     velocity = np.zeros_like(w)
 
-    epoch_lrs = _epoch_lrs(config, config.epochs)
-    plateau = isinstance(config.schedule, ReduceOnPlateauSchedule)
-    exponential = isinstance(config.schedule, ExponentialSchedule)
-    plateau_lr = config.initial_lr
-    # Running product keeps lr_{t+1} = c * lr_t exact in floating point.
-    exp_lr = config.initial_lr
+    # One running rate, which each schedule updates at its own event.
+    sched = config.schedule
+    rate = config.initial_lr
     best_monitor = np.inf
     stale_epochs = 0
 
@@ -280,16 +247,10 @@ def train(
 
     for t in range(1, total_steps + 1):
         batch = batches[t - 1]
-        epoch = (t - 1) // steps_per_epoch
-        if lrs is not None:
-            lr = float(lrs[t - 1])
-        elif exponential:
-            lr = exp_lr
-            exp_lr *= config.schedule.c
-        elif plateau:
-            lr = plateau_lr
-        else:
-            lr = epoch_lrs[min(epoch, config.epochs - 1)]
+        if isinstance(sched, StepDecaySchedule) and sched.epoch <= config.epochs:
+            if t == (sched.epoch - 1) * steps_per_epoch + 1:  # start of epoch sched.epoch
+                rate *= sched.factor
+        lr = rate if lrs is None else float(lrs[t - 1])
         if lam > 0.0 and not 0.0 < lr * lam < 1.0:
             raise ConfigError(f"lr*weight_decay = {lr * lam} outside (0, 1) at step {t}")
 
@@ -318,18 +279,20 @@ def train(
         if t % stride == 0 or t == total_steps:
             snapshots[t] = w.copy()
 
-        if plateau and lrs is None and t % steps_per_epoch == 0:
-            full_weights = 1.0 / n + eps
-            monitor = float(
-                np.dot(full_weights, models.sample_losses(model, w, dataset))
-            ) + 0.5 * lam * float(w @ w)
-            if monitor < best_monitor * (1.0 - config.schedule.rel_threshold):
+        if isinstance(sched, ExponentialSchedule):
+            rate *= sched.c  # a running product keeps lr_{t+1} = c * lr_t exact
+        elif isinstance(sched, ReduceOnPlateauSchedule) and (
+            lrs is None and t % steps_per_epoch == 0
+        ):
+            full_losses = models.sample_losses(model, w, dataset)
+            monitor = float(np.dot(1.0 / n + eps, full_losses)) + 0.5 * lam * float(w @ w)
+            if monitor < best_monitor * (1.0 - sched.rel_threshold):
                 best_monitor = monitor
                 stale_epochs = 0
             else:
                 stale_epochs += 1
-                if stale_epochs >= config.schedule.patience:
-                    plateau_lr *= config.schedule.factor
+                if stale_epochs >= sched.patience:
+                    rate *= sched.factor
                     stale_epochs = 0
 
     return TrajectoryRecord(
@@ -345,17 +308,15 @@ def train(
     )
 
 
-def replay(record, dataset, data_weights=None, step_hook=None, check=True):
+def replay(record, dataset, data_weights=None, step_hook=None):
     """Re-run a recorded trajectory with the identical batch order and rates.
 
-    With unchanged weights the replay must be bit-identical; ``check``
-    verifies every recorded snapshot and raises ReplayDivergenceError naming
-    the first bad step. Perturbed weights (the oracle's case) skip the check.
+    With unchanged weights the replay must be bit-identical, so every
+    recorded snapshot is checked and ReplayDivergenceError names the first
+    bad step. Perturbed weights (the oracle's case) skip the check.
     """
     weights = record.data_weights if data_weights is None else np.asarray(data_weights)
-    perturbed = data_weights is not None and not np.array_equal(
-        weights, record.data_weights
-    )
+    perturbed = not np.array_equal(weights, record.data_weights)
     new = train(
         record.model,
         dataset,
@@ -366,7 +327,7 @@ def replay(record, dataset, data_weights=None, step_hook=None, check=True):
         batches=record.batches,
         lrs=record.lrs,
     )
-    if check and not perturbed:
+    if not perturbed:
         for step in sorted(record.snapshots):
             if step in new.snapshots and not np.array_equal(
                 record.snapshots[step], new.snapshots[step]

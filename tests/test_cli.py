@@ -163,6 +163,13 @@ def test_config_text_round_trips_any_config(cfg):
     ("[training]\nepoch = 3\n", "training.epoch"),
     ("[training]\nepochs = abc\n", "training.epochs"),
     ("[training]\nschedule = step_decay(factor=0.5)\n", "training.schedule"),
+    ("[training]\nschedule = step_decay(factor=0.5,epoch=3,bogus=1)\n",
+     "training.schedule.bogus"),
+    ("[training]\nschedule = step_decay(factor=0.5,epoch=2.7)\n", "training.schedule.epoch"),
+    ("[training]\nschedule = reduce_on_plateau(factor=0.5,patience=2.9)\n",
+     "training.schedule.patience"),
+    ("[training]\nschedule = cosine(c=0.5)\n", "training.schedule"),
+    ("[training]\nschedule = exponential(c=0.5,c=0.9)\n", "training.schedule"),
     ("[influence]\ninclude_regularizer_in_hessian = maybe\n",
      "influence.include_regularizer_in_hessian"),
     ("[influence]\nmethod = dense\n", "influence.method"),
@@ -353,3 +360,20 @@ def test_tracked_selection_modes(small_config):
     frac = cli.select_tracked(pf, train)
     labels = train.labels[frac]
     assert (labels == 0).sum() == 2 and (labels == 1).sum() == 2
+
+
+@pytest.mark.parametrize("tracking, key", [
+    ({"selection": "random_k", "k": 0}, "tracking.k"),
+    ({"selection": "random_k", "k": -3}, "tracking.k"),
+    ({"selection": "per_class_fraction", "fraction": 0.0}, "tracking.fraction"),
+    ({"selection": "per_class_fraction", "fraction": -1.0}, "tracking.fraction"),
+    ({"selection": "per_class_fraction", "fraction": 1.5}, "tracking.fraction"),
+])
+def test_bad_tracked_selection_is_rejected_by_name(small_config, tracking, key):
+    from dataclasses import replace
+
+    cfg = cli.load_config(small_config)
+    cfg = replace(cfg, tracking=replace(cfg.tracking, **tracking))
+    train, _, _ = cli.build_datasets(cfg)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        cli.select_tracked(cfg, train)

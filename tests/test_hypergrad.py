@@ -104,7 +104,7 @@ def test_approx_mode_never_calls_hvp():
     cfg = dt.TrainingConfig(epochs=5, batch_size=4, initial_lr=0.05, seed=4)
     rec = dt.train(spec, train, cfg)
     tracker = _Tracker(rec, [0], use_hessian=False)
-    trainer_mod.replay(rec, train, step_hook=tracker, check=False)
+    trainer_mod.replay(rec, train, step_hook=tracker)
     assert tracker.hvp_calls == 0
 
 
@@ -179,6 +179,23 @@ def test_error_trace_over_several_indices_matches_single_traces(count_calls):
         for field in ("error_norms", "bounds", "nabla_max"):
             assert np.allclose(getattr(trace, field), getattr(solo[i], field),
                                rtol=1e-10, atol=1e-12)
+
+
+def test_error_trace_computes_per_sample_gradients_once_per_step(count_calls):
+    from datatrace import models as models_mod
+
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, _ = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=6, batch_size=4, initial_lr=0.02,
+                            momentum=0.9, weight_decay=0.01, seed=2)
+    rec = dt.train(spec, train, cfg)
+    tracked = [2, 7, 11]
+    hit_steps = sum(bool(np.isin(tracked, batch).any()) for batch in rec.batches)
+    assert 0 < hit_steps < rec.steps
+
+    calls = count_calls((models_mod, "per_sample_gradients"))
+    dt.error_trace(rec, train, tracked)
+    assert calls == {"per_sample_gradients": hit_steps}
 
 
 @pytest.mark.parametrize("track", ["track_exact", "track_approx"])

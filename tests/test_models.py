@@ -187,6 +187,11 @@ def test_shape_mismatch_raises():
     ds = dt.synth_gaussian(2, 4, 4, 2.0, 0)
     with pytest.raises(ShapeError):
         dt.batch_gradient(spec, params, ds, np.ones(3))
+    with pytest.raises(ShapeError):
+        dt.accuracy(spec, params, dt.synth_gaussian(2, 4, 3, 2.0, 0))
+    se_spec = dt.ModelSpec("logistic_regression", (4, 2), loss="squared_error")
+    with pytest.raises(ShapeError):
+        dt.accuracy(se_spec, dt.init_params(se_spec, 0), (np.zeros((3, 4)), np.zeros((3, 2))))
 
 
 def test_accuracy_and_test_loss():

@@ -111,6 +111,8 @@ def test_schedule_string_round_trip():
         dt.ReduceOnPlateauSchedule(0.1, patience=3, rel_threshold=1e-3),
     ):
         assert dt.schedule_from_string(sched.describe()) == sched
+    with pytest.raises(ConfigError, match="epoch"):
+        dt.schedule_from_string("step_decay(factor=0.5)")
 
 
 def test_config_invariants():
@@ -120,6 +122,8 @@ def test_config_invariants():
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=2.0, weight_decay=0.5)
     with pytest.raises(ConfigError):
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, momentum=1.0)
+    with pytest.raises(ConfigError, match="unknown schedule"):
+        dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, schedule="constant")
 
 
 def test_divergence_aborts_with_step_index():
