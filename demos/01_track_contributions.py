@@ -1,10 +1,10 @@
 """Measure what each training sample contributed to the test loss.
 
-Trains a small logistic-regression model on a synthetic two-class problem,
-carries every sample's hypergradient through the full optimization
-trajectory, and turns the final hypergradients into per-sample contribution
-scores C(i): the first-order estimate of how much the test loss would rise
-if sample i were removed. Positive C(i) means the sample helped.
+Trains a small logistic-regression model on a synthetic two-class problem
+and differentiates the test loss through the full optimization trajectory,
+giving every sample's contribution score C(i): the first-order estimate of
+how much the test loss would rise if sample i were removed. Positive C(i)
+means the sample helped.
 
 Run:  python3 demos/01_track_contributions.py
 """
@@ -23,7 +23,8 @@ config = dt.TrainingConfig(
 )
 
 # Training records the full trajectory (every step's parameters are
-# reproducible from the seed and batch schedule), which tracking replays.
+# reproducible from the seed and batch schedule), which tracking replays:
+# one backward pass over the steps gives C(i) for every sample at once.
 record = dt.train(spec, train, config)
 print(f"trained {record.steps} steps, "
       f"final test accuracy {dt.accuracy(spec, record.final_params, test):.3f}")
@@ -31,11 +32,11 @@ print(f"trained {record.steps} steps, "
 indices = list(range(len(train)))
 
 # Exact mode propagates the Hessian-vector term at every step.
-exact = dt.contribution(record, dt.track_exact(record, train, indices), test)
+exact = dt.contribution_exact(record, train, indices, test)
 
 # Approx mode drops the Hessian term: one backprop per step instead of a
 # Hessian-vector product, at a small cost in fidelity.
-approx = dt.contribution(record, dt.track_approx(record, train, indices), test)
+approx = dt.contribution_approx(record, train, indices, test)
 
 stats = dt.distribution_stats(exact, k=3)
 print(f"\ncontribution mean {stats.mean:+.2e}, std {stats.std:.2e}")
@@ -48,8 +49,7 @@ print(f"\napprox vs exact: sign errors {comparison.sign_error_rate:.3f}, "
 
 # Per-test-sample contributions C(i, j) support the class-pair view: how
 # much does training class a help or hurt test class b on average?
-per_pair = dt.contribution(record, dt.track_exact(record, train, indices),
-                           test, per_test=True)
+per_pair = dt.contribution_exact(record, train, indices, test, per_test=True)
 matrix = dt.inter_class_matrix(per_pair.pair_values, train.labels, test.labels, 2)
 print("\ninter-class contribution means (rows = train class, cols = test class):")
 print(np.array2string(matrix.raw, formatter={"float_kind": lambda v: f"{v:+.2e}"}))

@@ -47,7 +47,7 @@ for name in ("conjugate_gradient", "neumann"):
 
 # How well does the final-parameter estimate rank samples compared with
 # tracking the whole trajectory?
-exact = dt.contribution(record, dt.track_exact(record, train, indices), test)
+exact = dt.contribution_exact(record, train, indices, test)
 scaled = dt.as_contribution_report(reports["conjugate_gradient"])
 comparison = dt.compare_methods(exact, scaled)
 print(f"\ninfluence vs exact tracking: sign errors {comparison.sign_error_rate:.3f}, "

@@ -28,7 +28,7 @@ config = dt.TrainingConfig(
 record = dt.train(spec, train, config)
 
 probe = list(range(10))
-tracked = dt.contribution(record, dt.track_exact(record, train, probe), test)
+tracked = dt.contribution_exact(record, train, probe, test)
 
 fd = [dt.finite_difference_hypergradient(spec, train, config, i, test,
                                          nominal=record) for i in probe]

@@ -41,6 +41,8 @@ from .hypergrad import (
     ContributionReport,
     HypergradState,
     contribution,
+    contribution_approx,
+    contribution_exact,
     error_trace,
     load_states,
     save_states,

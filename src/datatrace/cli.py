@@ -252,11 +252,9 @@ def _influence_config(cfg, method):
 def compute_report(cfg, method, record, train, test, tracked, per_test=False):
     """One contribution report for one method over the tracked indices."""
     if method == "exact":
-        states = hypergrad.track_exact(record, train, tracked)
-        return hypergrad.contribution(record, states, test, per_test=per_test)
+        return hypergrad.contribution_exact(record, train, tracked, test, per_test=per_test)
     if method == "approx":
-        states = hypergrad.track_approx(record, train, tracked)
-        return hypergrad.contribution(record, states, test, per_test=per_test)
+        return hypergrad.contribution_approx(record, train, tracked, test, per_test=per_test)
     if method.startswith("influence"):
         rep = influence_fn(
             cfg.model,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import numbers
 import typing
 
 from .exceptions import ConfigError
@@ -73,6 +74,19 @@ def _parser(field, hint, where):
     if hint == float | None:
         return lambda text: None if text == "auto" else float(text)
     return hint
+
+
+def check_ints(obj):
+    """Raise ConfigError for an ``int`` field of a dataclass instance not holding an integer.
+
+    Its text form would not read back: ``2.0`` and ``True`` do not parse as ``int``.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ConfigError(f"{type(obj).__name__}.{f.name} must be an integer, not {value!r}")
 
 
 def parse_sections(text):

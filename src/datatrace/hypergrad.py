@@ -1,20 +1,32 @@
-"""Per-sample hypergradients carried through the training trajectory.
+"""Per-sample hypergradients and contributions through the training trajectory.
 
-For each tracked training sample i this module maintains d(params)/d(eps_i)
-across every optimization step, in two modes: the exact Hessian-aware
-recurrence, and the fast approximation that deletes the Hessian term. Both
-ride a trajectory replay through the trainer's step hook, so they see the
+The contribution of training sample i is C(i) = -(1/n) g_test(w_T)^T nabla_{T,i},
+with nabla_{t,i} = d w_t / d eps_i carried by a recurrence over the steps, in
+two modes: exact (with the batch Hessian term) and approx (without it). Both
+ride trajectory replays through the trainer's step hook, so they see the
 identical batch order and learning rates as the original run.
+
+- Reverse mode (``contribution_exact``, ``contribution_approx``): the
+  recurrence is linear in its state and C(i) is one linear functional of
+  it, so one backward (adjoint) pass gives C(i) for every requested sample
+  with one HVP per step, whatever their number (none in approx mode). The
+  pass keeps (w, velocity) checkpoints every ceil(sqrt(T)) steps and re-runs
+  one segment at a time, so its parameter memory is O(sqrt(T) * P).
+- Forward mode (``track_exact``, ``track_approx``, ``error_trace``): carries
+  the full vectors nabla_{t,i}, one HVP vector per tracked sample per step,
+  for callers that need the vectors themselves (``save_states``, the error
+  bound).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data, models, trainer
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 
 
 @dataclass
@@ -181,7 +193,9 @@ def contribution(record, states, test_dataset, per_test=False):
 
     C(i) = -(1/N) * grad L_test(w_T)^T nabla_{T,i}; with ``per_test`` the
     per-pair values C(i, j) over individual test samples are included, and
-    C(i) is their mean by linearity.
+    C(i) is their mean by linearity. ``contribution_exact`` and
+    ``contribution_approx`` give the same report without the states, at a
+    cost that does not grow with their number.
     """
     if len(test_dataset) == 0:
         raise ValueError("empty test subset")
@@ -208,6 +222,132 @@ def contribution(record, states, test_dataset, per_test=False):
         test_tag=getattr(test_dataset, "split_tag", "test"),
         n_train=n,
     )
+
+
+class _Steps:
+    """Step hook keeping the context of every ``stride``-th step, from the first.
+
+    A context holds read-only views of that step's pre-update parameters and
+    momentum buffer, which ``train`` never writes again, so keeping it costs
+    those two arrays and no copy.
+    """
+
+    def __init__(self, stride=1):
+        self.stride = stride
+        self.kept = []
+
+    def __call__(self, ctx):
+        if (ctx.step - 1) % self.stride == 0:
+            self.kept.append(ctx)
+
+
+def _adjoint(record, dataset, indices, rows, use_hessian):
+    """``rows @ nabla_{T,i}`` for each distinct index i, by one backward pass.
+
+    Returns ``(index, acc)``: the distinct indices in first-seen order and an
+    array of shape ``(len(rows), len(index))``. Walking the steps backwards
+    from alpha = rows, beta = 0, with momentum p, weight decay lam and batch
+    size b:
+        beta~  = beta - lr * alpha
+        acc[:, i in batch] += (n / b) * beta~ @ g_i
+        alpha <- alpha + lam * beta~ [+ H_batch beta~]
+        beta  <- p * beta~
+    The Hessian term is kept when ``use_hessian`` (exact) and dropped
+    otherwise (approx). One checked replay keeps (w, velocity) every
+    S = ceil(sqrt(T)) steps; each segment is then re-run from its checkpoint,
+    last first, and must end bit-identical to the next one.
+    """
+    index = data.training_indices(indices, record.n_train)
+    if index.size == 0:
+        raise ValueError("no training indices given")
+    cfg = record.config
+    n, T = record.n_train, record.steps
+    stride = math.isqrt(T - 1) + 1
+    position = np.full(n, -1)
+    position[index] = np.arange(index.size)
+
+    checkpoints = _Steps(stride)
+    trainer.replay(record, dataset, step_hook=checkpoints)
+    ends = [ctx.params for ctx in checkpoints.kept[1:]] + [record.final_params]
+
+    alpha = np.array(rows, dtype=np.float64, ndmin=2)
+    beta = np.zeros_like(alpha)
+    acc = np.zeros((alpha.shape[0], index.size))
+    for start, end in reversed(list(zip(checkpoints.kept, ends))):
+        first = start.step - 1
+        segment = _Steps()
+        rerun = trainer.train(
+            record.model,
+            dataset,
+            cfg,
+            data_weights=record.data_weights,
+            step_hook=segment,
+            init=start.params,
+            velocity=start.velocity,
+            batches=record.batches[first : first + stride],
+            lrs=record.lrs[first : first + stride],
+        )
+        if not np.array_equal(rerun.final_params, end):
+            raise ReplayDivergenceError(first + rerun.steps)
+        for ctx in reversed(segment.kept):
+            beta = beta - ctx.lr * alpha
+            rank = position[ctx.batch]
+            hit = rank >= 0
+            if hit.any():
+                G = ctx.per_sample_gradients(ctx.batch[hit])
+                acc[:, rank[hit]] += (n / len(ctx.batch)) * (beta @ G.T)
+            alpha = alpha + cfg.weight_decay * beta
+            if use_hessian:
+                alpha = alpha + ctx.batch_hvp(beta)
+            if not np.all(np.isfinite(alpha)):
+                step = first + ctx.step
+                raise DivergenceError(step, f"adjoint diverged at step {step}")
+            beta = cfg.momentum * beta
+    return index, acc
+
+
+def _contribution(record, dataset, indices, test_dataset, per_test, use_hessian):
+    if len(test_dataset) == 0:
+        raise ValueError("empty test subset")
+    w_T = record.final_params
+    rows = models.test_loss_gradient(record.model, w_T, test_dataset)[None]
+    if per_test:
+        G = models.per_sample_gradients(record.model, w_T, test_dataset)
+        rows = np.concatenate([rows, G])
+    index, acc = _adjoint(record, dataset, indices, rows, use_hessian)
+    C = -acc / record.n_train
+    index = index.tolist()
+    pair_values = None
+    if per_test:
+        pair_values = {
+            (i, j): cij for r, i in enumerate(index) for j, cij in enumerate(C[1:, r].tolist())
+        }
+    return ContributionReport(
+        method="exact" if use_hessian else "approx",
+        values=dict(zip(index, C[0].tolist())),
+        pair_values=pair_values,
+        test_tag=getattr(test_dataset, "split_tag", "test"),
+        n_train=record.n_train,
+    )
+
+
+def contribution_exact(record, dataset, indices, test_dataset, per_test=False):
+    """C(i) of the Hessian-aware recurrence for each index, by one backward pass.
+
+    Equals ``contribution(record, track_exact(record, dataset, indices),
+    test_dataset, per_test)`` to rounding, at a cost of one HVP per step
+    whatever the number of indices; ``per_test`` adds C(i, j) per test sample.
+    """
+    return _contribution(record, dataset, indices, test_dataset, per_test, use_hessian=True)
+
+
+def contribution_approx(record, dataset, indices, test_dataset, per_test=False):
+    """C(i) of the Hessian-free recurrence for each index; no HVPs occur.
+
+    Equals ``contribution(record, track_approx(record, dataset, indices),
+    test_dataset, per_test)`` to rounding.
+    """
+    return _contribution(record, dataset, indices, test_dataset, per_test, use_hessian=False)
 
 
 def save_states(states, path):

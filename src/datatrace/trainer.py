@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import configtext, models
-from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError
+from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError, ShapeError
 from .models import ModelSpec
 
 DIVERGENCE_FACTOR = 1e6
@@ -45,6 +45,7 @@ class StepDecaySchedule(_Schedule):
     epoch: int
 
     def __post_init__(self):
+        configtext.check_ints(self)
         if not 0.0 < self.factor <= 1.0:
             raise ConfigError("step_decay factor must lie in (0, 1]")
         if self.epoch < 1:
@@ -76,10 +77,13 @@ class ReduceOnPlateauSchedule(_Schedule):
     rel_threshold: float = 1e-4
 
     def __post_init__(self):
+        configtext.check_ints(self)
         if not 0.0 < self.factor <= 1.0:
             raise ConfigError("plateau factor must lie in (0, 1]")
         if self.patience < 1:
             raise ConfigError("plateau patience must be >= 1")
+        if not 0.0 <= self.rel_threshold < 1.0:
+            raise ConfigError("plateau rel_threshold must lie in [0, 1)")
 
 
 SCHEDULES = {
@@ -111,6 +115,7 @@ class TrainingConfig:
             object.__setattr__(self, "schedule", ConstantSchedule())
         if type(self.schedule) not in SCHEDULES.values():
             raise ConfigError(f"unknown schedule {self.schedule!r}")
+        configtext.check_ints(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 0:
@@ -169,17 +174,20 @@ class TrajectoryRecord:
 class StepContext:
     """Read-only view of one training step, handed to step hooks.
 
-    Exposes the pre-update parameters and access to per-sample gradients
-    and batch HVPs evaluated at those parameters.
+    Exposes the pre-update parameters and momentum buffer, and access to
+    per-sample gradients and batch HVPs evaluated at those parameters.
     """
 
-    def __init__(self, model, dataset, w, step, lr, batch):
+    def __init__(self, model, dataset, w, velocity, step, lr, batch):
         self.model = model
         self.dataset = dataset
-        # ``train`` rebinds its parameters every step and never writes them
-        # in place, so a read-only view stays the pre-update parameters.
+        # ``train`` rebinds its parameters and momentum buffer every step and
+        # never writes them in place, so read-only views stay the pre-update
+        # values.
         self.params = w.view()
         self.params.setflags(write=False)
+        self.velocity = velocity.view()
+        self.velocity.setflags(write=False)
         self.step = step
         self.lr = lr
         self.batch = batch
@@ -204,6 +212,7 @@ def train(
     data_weights=None,
     step_hook=None,
     init=None,
+    velocity=None,
     batches=None,
     lrs=None,
 ):
@@ -213,7 +222,9 @@ def train(
     a sample in a batch of size b contributes with weight 1/b + N*eps_i/b,
     the ridge term ``weight_decay * w`` is added on top. ``step_hook`` is
     called after the step gradient is computed and before the update.
-    ``batches``/``lrs`` override the derived schedule (used by replay).
+    ``init``/``velocity`` are the starting parameters and momentum buffer
+    (default: seeded initialization and zero). ``batches``/``lrs`` override
+    the derived schedule (used by replay).
     """
     n = len(dataset)
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
@@ -232,7 +243,9 @@ def train(
         w = models.as_flat(init).copy()
     lam = config.weight_decay
     p = config.momentum
-    velocity = np.zeros_like(w)
+    velocity = np.zeros_like(w) if velocity is None else models.as_flat(velocity).copy()
+    if velocity.shape != w.shape:
+        raise ShapeError(f"velocity of shape {velocity.shape} for {w.size} parameters")
 
     # One running rate, which each schedule updates at its own event.
     sched = config.schedule
@@ -271,7 +284,7 @@ def train(
             raise DivergenceError(t)
 
         if step_hook is not None:
-            step_hook(StepContext(model, dataset, w, t, lr, batch))
+            step_hook(StepContext(model, dataset, w, velocity, t, lr, batch))
 
         velocity = p * velocity + g
         w = w - lr * velocity
@@ -375,15 +388,32 @@ def save_trajectory(record, directory):
             fh.write(np.asarray(batch, dtype="<i4").tobytes())
 
 
+def _read_floats(directory, name, count):
+    """The ``count`` little-endian float64 values of one blob; ConfigError otherwise."""
+    path = os.path.join(directory, name)
+    size = os.path.getsize(path)
+    if size != 8 * count:
+        raise ConfigError(f"{name} holds {size} bytes, expected {8 * count}")
+    return np.fromfile(path, dtype="<f8")
+
+
 def load_trajectory(directory):
+    """Read back a ``save_trajectory`` directory.
+
+    Raises ConfigError for a missing meta key or a blob of the wrong length
+    (a truncated or mismatched file), and ReplayDivergenceError when the
+    snapshots do not match the stored checksum.
+    """
     with open(os.path.join(directory, "config.txt")) as fh:
         sections = configtext.parse_sections(fh.read())
     model = configtext.read_section("model", sections.get("model", {}), ModelSpec)
     config = configtext.read_section("training", sections.get("training", {}), TrainingConfig)
     meta = sections.get("meta", {})
-    if "n_train" not in meta:
-        raise ConfigError("missing config key meta.n_train")
+    for key in ("n_train", "param_count"):
+        if key not in meta:
+            raise ConfigError(f"missing config key meta.{key}")
     n_train = int(meta["n_train"])
+    param_count = int(meta["param_count"])
 
     snapshots = {}
     blob = np.fromfile(os.path.join(directory, "snapshots.bin"), dtype="<f8")
@@ -391,18 +421,30 @@ def load_trajectory(directory):
         for line in idx:
             step, offset, count = (int(x) for x in line.split())
             snapshots[step] = blob[offset : offset + count].copy()
+            if count != param_count or snapshots[step].size != count:
+                raise ConfigError(
+                    f"snapshots.bin: step {step} holds {snapshots[step].size} values, "
+                    f"expected {param_count}"
+                )
 
-    lrs = np.fromfile(os.path.join(directory, "lrs.bin"), dtype="<f8")
-    losses = np.fromfile(os.path.join(directory, "losses.bin"), dtype="<f8")
-    weights = np.fromfile(os.path.join(directory, "weights.bin"), dtype="<f8")
-    batches = []
     with open(os.path.join(directory, "schedule.bin"), "rb") as fh:
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (count,) = struct.unpack("<I", head)
-            batches.append(np.frombuffer(fh.read(4 * count), dtype="<i4").copy())
+        raw = fh.read()
+    batches, at = [], 0
+    while at < len(raw):
+        count = int.from_bytes(raw[at : at + 4], "little")
+        end = at + 4 + 4 * count
+        if count == 0 or end > len(raw):
+            raise ConfigError(f"schedule.bin: batch {len(batches) + 1} is empty or truncated")
+        batch = np.frombuffer(raw, dtype="<i4", count=count, offset=at + 4).copy()
+        if np.any((batch < 0) | (batch >= n_train)):
+            raise ConfigError(f"schedule.bin: batch {len(batches) + 1} indexes outside n_train")
+        batches.append(batch)
+        at = end
+    if not {0, len(batches)} <= set(snapshots):
+        raise ConfigError("snapshots.idx lacks step 0 or the final step")
+    lrs = _read_floats(directory, "lrs.bin", len(batches))
+    losses = _read_floats(directory, "losses.bin", len(batches))
+    weights = _read_floats(directory, "weights.bin", n_train)
 
     record = TrajectoryRecord(
         model=model,

@@ -100,7 +100,8 @@ _schedules = st.one_of(
     st.just(dt.ConstantSchedule()),
     st.builds(dt.StepDecaySchedule, _rates, st.integers(1, 10**6)),
     st.builds(dt.ExponentialSchedule, _rates),
-    st.builds(dt.ReduceOnPlateauSchedule, _rates, st.integers(1, 10**6), _reals),
+    st.builds(dt.ReduceOnPlateauSchedule, _rates, st.integers(1, 10**6),
+              st.floats(0.0, 1.0, exclude_max=True)),
 )
 _model_options = dict(
     activation=st.sampled_from(dt.models.ACTIVATIONS), loss=st.sampled_from(dt.models.LOSSES)
@@ -168,6 +169,8 @@ def test_config_text_round_trips_any_config(cfg):
     ("[training]\nschedule = step_decay(factor=0.5,epoch=2.7)\n", "training.schedule.epoch"),
     ("[training]\nschedule = reduce_on_plateau(factor=0.5,patience=2.9)\n",
      "training.schedule.patience"),
+    ("[training]\nschedule = reduce_on_plateau(factor=0.5,rel_threshold=nan)\n",
+     "training.schedule"),
     ("[training]\nschedule = cosine(c=0.5)\n", "training.schedule"),
     ("[training]\nschedule = exponential(c=0.5,c=0.9)\n", "training.schedule"),
     ("[influence]\ninclude_regularizer_in_hessian = maybe\n",

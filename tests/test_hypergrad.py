@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import datatrace as dt
-from datatrace.exceptions import ConfigError, ReplayDivergenceError
+from datatrace.exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 from datatrace.hypergrad import HypergradState
 from conftest import bias_only_probe, gaussian_pair
 
@@ -215,27 +215,34 @@ def test_repeated_index_is_tracked_once(track):
         dt.contribution(rec, distinct, test).values
 
 
-@pytest.mark.parametrize("entry", ["track_exact", "track_approx", "error_trace"])
+@pytest.mark.parametrize("entry", [
+    "track_exact", "track_approx", "error_trace", "contribution_exact", "contribution_approx",
+])
 def test_tracking_rejects_a_dataset_other_than_the_trained_one(entry):
     spec = dt.ModelSpec("logistic_regression", (4, 2))
-    train, _ = gaussian_pair(dim=4, per_class=8)
+    train, test = gaussian_pair(dim=4, per_class=8)
     other, _ = gaussian_pair(dim=4, per_class=8, seed=2)
     cfg = dt.TrainingConfig(epochs=5, batch_size=4, initial_lr=0.05,
                             weight_decay=0.01, seed=0)
     rec = dt.train(spec, train, cfg)
+    extra = (test,) if entry.startswith("contribution") else ()
     track = getattr(dt, entry)
-    track(rec, train, [0])
+    track(rec, train, [0], *extra)
     with pytest.raises(ReplayDivergenceError):
-        track(rec, other, [0])
+        track(rec, other, [0], *extra)
 
 
 def test_tracked_index_validated():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
-    train, _ = gaussian_pair(dim=4, per_class=5)
+    train, test = gaussian_pair(dim=4, per_class=5)
     cfg = dt.TrainingConfig(epochs=3, batch_size=0, initial_lr=0.05, seed=0)
     rec = dt.train(spec, train, cfg)
     with pytest.raises(ConfigError):
         dt.track_exact(rec, train, [len(train)])
+    with pytest.raises(ConfigError):
+        dt.contribution_exact(rec, train, [len(train)], test)
+    with pytest.raises(ValueError, match="no training indices"):
+        dt.contribution_approx(rec, train, [], test)
 
 
 def test_states_save_load_round_trip(tmp_path):
@@ -252,3 +259,108 @@ def test_states_save_load_round_trip(tmp_path):
         assert np.array_equal(back[i].nabla, states[i].nabla)
         assert np.array_equal(back[i].mom_deriv, states[i].mom_deriv)
         assert back[i].mode == "exact" and back[i].step == rec.steps
+
+
+# ---------------------------------------------------------------------------
+# Reverse mode: contribution_exact / contribution_approx against forward mode.
+
+SCHEDULES = [
+    dt.ConstantSchedule(),
+    dt.StepDecaySchedule(0.5, 3),
+    dt.ExponentialSchedule(0.97),
+    dt.ReduceOnPlateauSchedule(0.5, patience=1, rel_threshold=0.2),  # cuts the rate 3-4 times
+]
+
+
+def _adjoint_probe(batch_size, momentum, schedule=dt.ConstantSchedule()):
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, test = gaussian_pair(dim=4, per_class=10, test_per_class=3)
+    cfg = dt.TrainingConfig(epochs=6, batch_size=batch_size, initial_lr=0.05,
+                            schedule=schedule, momentum=momentum, weight_decay=0.01, seed=3)
+    return train, test, dt.train(spec, train, cfg)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("batch_size", [0, 5])
+def test_adjoint_matches_forward_tracking(batch_size, momentum, schedule):
+    train, test, rec = _adjoint_probe(batch_size, momentum, schedule)
+    # 6 full-batch steps run as segments of 3; 24 mini-batch steps as 5+5+5+5+4
+    indices = [17, 3, 0, 17, 12]
+    for track, adjoint in ((dt.track_exact, dt.contribution_exact),
+                           (dt.track_approx, dt.contribution_approx)):
+        forward = dt.contribution(rec, track(rec, train, indices), test, per_test=True)
+        reverse = adjoint(rec, train, indices, test, per_test=True)
+        assert reverse.method == forward.method
+        assert reverse.test_tag == forward.test_tag and reverse.n_train == forward.n_train
+        assert list(reverse.values) == list(forward.values) == [17, 3, 0, 12]
+        assert list(reverse.pair_values) == list(forward.pair_values)
+        for got, want in ((reverse.values, forward.values),
+                          (reverse.pair_values, forward.pair_values)):
+            assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_calls):
+    from datatrace import models as models_mod
+
+    train, test, rec = _adjoint_probe(5, 0.9)
+    adjoint = getattr(dt, f"contribution_{mode}")
+    calls = count_calls((models_mod, "hessian_vector_product"))
+    for indices, per_test in (([4], False), (list(range(len(train))), True)):
+        calls["hessian_vector_product"] = 0
+        report = adjoint(rec, train, indices, test, per_test=per_test)
+        assert calls["hessian_vector_product"] == (rec.steps if mode == "exact" else 0)
+        assert (report.pair_values is None) == (not per_test)
+
+
+def test_adjoint_keeps_at_most_sqrt_t_step_contexts(monkeypatch):
+    from datatrace import hypergrad
+
+    made = []
+
+    class Counted(hypergrad._Steps):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(hypergrad, "_Steps", Counted)
+    train, test, rec = _adjoint_probe(5, 0.9)
+    assert rec.steps == 24
+    dt.contribution_exact(rec, train, [1, 2], test)
+    # one checkpoint pass, then five segments of at most ceil(sqrt(24)) = 5 steps
+    assert [len(steps.kept) for steps in made] == [5, 4, 5, 5, 5, 5]
+
+
+@pytest.mark.parametrize("field", ["init", "velocity"])
+def test_corrupted_checkpoint_fails_the_segment_rerun(field, monkeypatch):
+    from datatrace import trainer as trainer_mod
+
+    train, test, rec = _adjoint_probe(5, 0.9)
+    original = trainer_mod.train
+    reruns = 0
+
+    def corrupting(*args, **kwargs):
+        nonlocal reruns
+        if kwargs.get("velocity") is not None:
+            reruns += 1
+            if reruns == 2:  # the second segment from the end
+                kwargs[field] = kwargs[field] + 1e-9
+        return original(*args, **kwargs)
+
+    dt.contribution_exact(rec, train, [1], test)
+    monkeypatch.setattr(trainer_mod, "train", corrupting)
+    with pytest.raises(ReplayDivergenceError) as err:
+        dt.contribution_exact(rec, train, [1], test)
+    assert err.value.step == 20  # the segment over steps 16..20 ends off its checkpoint
+
+
+def test_non_finite_adjoint_raises_divergence():
+    from datatrace.hypergrad import _adjoint
+
+    train, _, rec = _adjoint_probe(0, 0.0)
+    rows = np.full((1, rec.final_params.size), np.inf)
+    # (the exact mode's HVP raises NumericError on such input first)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        _adjoint(rec, train, [0], rows, use_hessian=False)
+    assert err.value.step == rec.steps

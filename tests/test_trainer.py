@@ -63,6 +63,27 @@ def test_replay_is_bit_identical_and_detects_tampering():
         dt.replay(rec, ds)
 
 
+def test_training_resumes_from_a_step_with_its_velocity():
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=4, batch_size=6, initial_lr=0.05, momentum=0.9,
+                            schedule=dt.ExponentialSchedule(0.95), weight_decay=0.01, seed=5)
+    seen = {}
+
+    def keep(ctx):
+        seen[ctx.step] = ctx
+        with pytest.raises(ValueError):
+            ctx.velocity[0] = 1.0  # read-only, like ctx.params
+
+    rec = dt.train(spec, ds, cfg, step_hook=keep)
+    mid = seen[7]  # holds w_6 and the momentum buffer after step 6, mid-epoch
+    rest = dt.train(spec, ds, cfg, init=mid.params, velocity=mid.velocity,
+                    batches=rec.batches[6:], lrs=rec.lrs[6:])
+    assert np.array_equal(rest.final_params, rec.final_params)
+    with pytest.raises(dt.ShapeError):
+        dt.train(spec, ds, cfg, velocity=np.zeros(3))
+
+
 def test_replay_with_perturbed_weights_skips_check():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
@@ -126,6 +147,42 @@ def test_config_invariants():
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, schedule="constant")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: dt.StepDecaySchedule(0.5, 3.0),
+    lambda: dt.ReduceOnPlateauSchedule(0.5, patience=2.0),
+    lambda: dt.ReduceOnPlateauSchedule(0.5, patience=True),
+    lambda: dt.TrainingConfig(epochs=2.0, batch_size=0, initial_lr=0.1),
+    lambda: dt.TrainingConfig(epochs=2, batch_size=5.0, initial_lr=0.1),
+    lambda: dt.TrainingConfig(epochs=2, batch_size=0, initial_lr=0.1, seed="7"),
+    lambda: dt.TrainingConfig(epochs=2, batch_size=0, initial_lr=0.1, snapshot_stride=2.0),
+], ids=["epoch", "patience", "patience_bool", "epochs", "batch_size", "seed", "snapshot_stride"])
+def test_integer_fields_reject_other_types(make):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        make()
+
+
+def test_every_constructible_config_saves_and_loads(tmp_path):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    ds = dt.synth_gaussian(2, 6, 4, 2.0, 1)
+    for schedule in (
+        dt.StepDecaySchedule(0.5, np.int64(2)),
+        dt.ReduceOnPlateauSchedule(0.5, patience=np.int32(1), rel_threshold=0.0),
+    ):
+        cfg = dt.TrainingConfig(epochs=np.int64(3), batch_size=4, initial_lr=0.1,
+                                schedule=schedule, seed=np.int64(7), snapshot_stride=2)
+        d = str(tmp_path / type(schedule).__name__)
+        dt.save_trajectory(dt.train(spec, ds, cfg), d)
+        assert dt.load_trajectory(d).config == cfg
+
+
+@pytest.mark.parametrize("rel_threshold", [float("nan"), -3.0, 1.0])
+def test_plateau_threshold_must_lie_in_unit_interval(rel_threshold):
+    with pytest.raises(ConfigError, match="rel_threshold"):
+        dt.ReduceOnPlateauSchedule(0.5, rel_threshold=rel_threshold)
+    with pytest.raises(ConfigError, match="rel_threshold"):
+        dt.schedule_from_string(f"reduce_on_plateau(factor=0.5,rel_threshold={rel_threshold!r})")
+
+
 def test_divergence_aborts_with_step_index():
     spec, data = bias_only_probe([0.0])
     cfg = dt.TrainingConfig(epochs=200, batch_size=0, initial_lr=3.0, seed=0)
@@ -180,6 +237,28 @@ def test_trajectory_save_load_round_trip(tmp_path):
     raw[8] ^= 0xFF
     blob.write_bytes(bytes(raw))
     with pytest.raises(ReplayDivergenceError):
+        dt.load_trajectory(d)
+
+
+@pytest.mark.parametrize("name, cut", [
+    ("schedule.bin", 2),  # inside the last batch's last index
+    ("schedule.bin", 4),  # one whole index short
+    ("lrs.bin", 8),
+    ("losses.bin", 8),
+    ("weights.bin", 8),
+    ("snapshots.bin", 8),
+    ("snapshots.idx", len("12 30 10\n")),  # the final step's line
+])
+def test_damaged_trajectory_file_raises_config_error(tmp_path, name, cut):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=6, initial_lr=0.05, seed=0)
+    d = str(tmp_path / "traj")
+    dt.save_trajectory(dt.train(spec, ds, cfg), d)
+    path = Path(d, name)
+    assert name != "snapshots.idx" or path.read_text().endswith("\n8 20 10\n12 30 10\n")
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ConfigError, match=re.escape(name)):
         dt.load_trajectory(d)
 
 
