@@ -188,6 +188,37 @@ def error_trace(record, dataset, indices, record_stride=1):
     }
 
 
+def _test_rows(record, test_dataset, per_test):
+    """g_test(w_T), with the m per-sample test gradients stacked under it when ``per_test``."""
+    if len(test_dataset) == 0:
+        raise ValueError("empty test subset")
+    w_T = record.final_params
+    rows = models.test_loss_gradient(record.model, w_T, test_dataset)[None]
+    if per_test:
+        rows = np.concatenate([rows, models.per_sample_gradients(record.model, w_T, test_dataset)])
+    return rows
+
+
+def _report(record, test_dataset, index, acc, method, per_test):
+    """Report from ``acc = _test_rows(...) @ nabla_{T,i}``, one column per index i.
+
+    C = -acc / n: row 0 holds C(i), and with ``per_test`` row 1 + j holds C(i, j).
+    """
+    C = -acc / record.n_train
+    pair_values = None
+    if per_test:
+        pair_values = {
+            (i, j): cij for r, i in enumerate(index) for j, cij in enumerate(C[1:, r].tolist())
+        }
+    return ContributionReport(
+        method=method,
+        values=dict(zip(index, C[0].tolist())),
+        pair_values=pair_values,
+        test_tag=getattr(test_dataset, "split_tag", "test"),
+        n_train=record.n_train,
+    )
+
+
 def contribution(record, states, test_dataset, per_test=False):
     """Contribution report from final-step hypergradient states.
 
@@ -197,31 +228,13 @@ def contribution(record, states, test_dataset, per_test=False):
     ``contribution_approx`` give the same report without the states, at a
     cost that does not grow with their number.
     """
-    if len(test_dataset) == 0:
-        raise ValueError("empty test subset")
+    rows = _test_rows(record, test_dataset, per_test)
     if not states:
         raise ValueError("no hypergradient states given")
-    n = record.n_train
     modes = {s.mode for s in states.values()}
     tag = modes.pop() if len(modes) == 1 else "mixed"
-    g_test = models.test_loss_gradient(record.model, record.final_params, test_dataset)
-    values = {}
-    pair_values = {} if per_test else None
-    if per_test:
-        G = models.per_sample_gradients(record.model, record.final_params, test_dataset)
-    for i, state in states.items():
-        values[i] = float(-(1.0 / n) * (g_test @ state.nabla))
-        if per_test:
-            pairs = -(1.0 / n) * (G @ state.nabla)
-            for j, cij in enumerate(pairs):
-                pair_values[(i, j)] = float(cij)
-    return ContributionReport(
-        method=tag,
-        values=values,
-        pair_values=pair_values,
-        test_tag=getattr(test_dataset, "split_tag", "test"),
-        n_train=n,
-    )
+    nabla = np.stack([s.nabla for s in states.values()])
+    return _report(record, test_dataset, list(states), rows @ nabla.T, tag, per_test)
 
 
 class _Steps:
@@ -255,7 +268,8 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
     The Hessian term is kept when ``use_hessian`` (exact) and dropped
     otherwise (approx). One checked replay keeps (w, velocity) every
     S = ceil(sqrt(T)) steps; each segment is then re-run from its checkpoint,
-    last first, and must end bit-identical to the next one.
+    last first, against the replay's divergence reference (its first loss),
+    and must end bit-identical to the next checkpoint.
     """
     index = data.training_indices(indices, record.n_train)
     if index.size == 0:
@@ -267,7 +281,7 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
     position[index] = np.arange(index.size)
 
     checkpoints = _Steps(stride)
-    trainer.replay(record, dataset, step_hook=checkpoints)
+    replayed = trainer.replay(record, dataset, step_hook=checkpoints)
     ends = [ctx.params for ctx in checkpoints.kept[1:]] + [record.final_params]
 
     alpha = np.array(rows, dtype=np.float64, ndmin=2)
@@ -276,17 +290,22 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
     for start, end in reversed(list(zip(checkpoints.kept, ends))):
         first = start.step - 1
         segment = _Steps()
-        rerun = trainer.train(
-            record.model,
-            dataset,
-            cfg,
-            data_weights=record.data_weights,
-            step_hook=segment,
-            init=start.params,
-            velocity=start.velocity,
-            batches=record.batches[first : first + stride],
-            lrs=record.lrs[first : first + stride],
-        )
+        try:
+            rerun = trainer.train(
+                record.model,
+                dataset,
+                cfg,
+                data_weights=record.data_weights,
+                step_hook=segment,
+                init=start.params,
+                velocity=start.velocity,
+                batches=record.batches[first : first + stride],
+                lrs=record.lrs[first : first + stride],
+                reference_loss=replayed.losses[0],
+            )
+        except DivergenceError as err:
+            # The checked replay passed these steps against the same reference.
+            raise ReplayDivergenceError(first + err.step) from err
         if not np.array_equal(rerun.final_params, end):
             raise ReplayDivergenceError(first + rerun.steps)
         for ctx in reversed(segment.kept):
@@ -307,28 +326,10 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
 
 
 def _contribution(record, dataset, indices, test_dataset, per_test, use_hessian):
-    if len(test_dataset) == 0:
-        raise ValueError("empty test subset")
-    w_T = record.final_params
-    rows = models.test_loss_gradient(record.model, w_T, test_dataset)[None]
-    if per_test:
-        G = models.per_sample_gradients(record.model, w_T, test_dataset)
-        rows = np.concatenate([rows, G])
+    rows = _test_rows(record, test_dataset, per_test)
     index, acc = _adjoint(record, dataset, indices, rows, use_hessian)
-    C = -acc / record.n_train
-    index = index.tolist()
-    pair_values = None
-    if per_test:
-        pair_values = {
-            (i, j): cij for r, i in enumerate(index) for j, cij in enumerate(C[1:, r].tolist())
-        }
-    return ContributionReport(
-        method="exact" if use_hessian else "approx",
-        values=dict(zip(index, C[0].tolist())),
-        pair_values=pair_values,
-        test_tag=getattr(test_dataset, "split_tag", "test"),
-        n_train=record.n_train,
-    )
+    method = "exact" if use_hessian else "approx"
+    return _report(record, test_dataset, index.tolist(), acc, method, per_test)
 
 
 def contribution_exact(record, dataset, indices, test_dataset, per_test=False):

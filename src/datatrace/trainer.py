@@ -215,6 +215,7 @@ def train(
     velocity=None,
     batches=None,
     lrs=None,
+    reference_loss=None,
 ):
     """Run (momentum) gradient descent and record the trajectory.
 
@@ -224,7 +225,10 @@ def train(
     called after the step gradient is computed and before the update.
     ``init``/``velocity`` are the starting parameters and momentum buffer
     (default: seeded initialization and zero). ``batches``/``lrs`` override
-    the derived schedule (used by replay).
+    the derived schedule (used by replay). The run diverges when a batch loss
+    exceeds ``DIVERGENCE_FACTOR`` times ``reference_loss`` (default: the
+    first step's loss), so a run resumed mid-trajectory can keep the
+    original run's reference.
     """
     n = len(dataset)
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
@@ -256,7 +260,7 @@ def train(
     out_lrs = np.empty(total_steps)
     out_losses = np.empty(total_steps)
     snapshots = {0: w.copy()}
-    initial_loss = None
+    initial_loss = None if reference_loss is None else abs(reference_loss) + 1e-12
 
     for t in range(1, total_steps + 1):
         batch = batches[t - 1]

@@ -300,6 +300,30 @@ def test_adjoint_matches_forward_tracking(batch_size, momentum, schedule):
             assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
 
 
+def test_adjoint_keeps_the_runs_divergence_reference():
+    # Separable data, no weight decay, batch size 1: late batch losses reach
+    # 0 while others in the same segment stay near 0.2, so a segment re-run
+    # must not measure divergence against its own first loss.
+    x = np.array([[8.0], [-8.0], [0.2], [-0.2], [9.0], [-9.0]])
+    train = dt.LabeledDataset(x, np.array([1, 0, 1, 0, 1, 0]), 2, "train")
+    test = dt.LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, 0]), 2, "test")
+    spec = dt.ModelSpec("logistic_regression", (1, 2))
+    cfg = dt.TrainingConfig(epochs=8, batch_size=1, initial_lr=0.5, seed=0)
+    rec = dt.train(spec, train, cfg)
+    S = 7  # ceil(sqrt(48)) steps per segment
+    assert any(
+        rec.losses[k : k + S].max() > 1e6 * (rec.losses[k] + 1e-12)
+        for k in range(0, rec.steps, S)
+    )
+    for track, adjoint in ((dt.track_exact, dt.contribution_exact),
+                           (dt.track_approx, dt.contribution_approx)):
+        forward = dt.contribution(rec, track(rec, train, range(6)), test, per_test=True)
+        reverse = adjoint(rec, train, range(6), test, per_test=True)
+        for got, want in ((reverse.values, forward.values),
+                          (reverse.pair_values, forward.pair_values)):
+            assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_calls):
     from datatrace import models as models_mod
@@ -332,8 +356,12 @@ def test_adjoint_keeps_at_most_sqrt_t_step_contexts(monkeypatch):
     assert [len(steps.kept) for steps in made] == [5, 4, 5, 5, 5, 5]
 
 
-@pytest.mark.parametrize("field", ["init", "velocity"])
-def test_corrupted_checkpoint_fails_the_segment_rerun(field, monkeypatch):
+@pytest.mark.parametrize("field, step", [
+    ("init", 20),  # the segment over steps 16..20 ends off its checkpoint
+    ("velocity", 20),
+    ("reference_loss", 16),  # its first step "diverges"; the step counts from step 1
+])
+def test_corrupted_checkpoint_fails_the_segment_rerun(field, step, monkeypatch):
     from datatrace import trainer as trainer_mod
 
     train, test, rec = _adjoint_probe(5, 0.9)
@@ -345,14 +373,14 @@ def test_corrupted_checkpoint_fails_the_segment_rerun(field, monkeypatch):
         if kwargs.get("velocity") is not None:
             reruns += 1
             if reruns == 2:  # the second segment from the end
-                kwargs[field] = kwargs[field] + 1e-9
+                kwargs[field] = 1e-30 if field == "reference_loss" else kwargs[field] + 1e-9
         return original(*args, **kwargs)
 
     dt.contribution_exact(rec, train, [1], test)
     monkeypatch.setattr(trainer_mod, "train", corrupting)
     with pytest.raises(ReplayDivergenceError) as err:
         dt.contribution_exact(rec, train, [1], test)
-    assert err.value.step == 20  # the segment over steps 16..20 ends off its checkpoint
+    assert err.value.step == step
 
 
 def test_non_finite_adjoint_raises_divergence():
