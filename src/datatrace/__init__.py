@@ -64,6 +64,7 @@ from .models import (
     dense_hessian,
     hessian_vector_product,
     init_params,
+    loss_and_gradient,
     mean_gradient,
     mean_loss,
     per_sample_gradient,

@@ -93,12 +93,13 @@ def _neumann_scale(model, params, dataset, shift, config):
     rng = np.random.default_rng([int(config.seed), 0x5CA1])
     probe = rng.choice(n, size=min(16, n), replace=False)
     dim = np.size(params)
+    X, Y = dataset.features, dataset.labels
     max_eig = 0.0
     for d in probe:
-        sub = dataset.subset(np.array([d]))
+        row = (X[d : d + 1], Y[d : d + 1])
 
-        def matvec(v, sub=sub):
-            hv = models.hessian_vector_product(model, params, sub, np.array([1.0]), v)
+        def matvec(v, row=row):
+            hv = models.hessian_vector_product(model, params, row, np.array([1.0]), v)
             return hv + shift * v
 
         eig = models.power_iteration_max_eig(
@@ -114,14 +115,14 @@ def _neumann(model, params, dataset, V, shift, scale, config):
     n = len(dataset)
     vnorm = np.maximum(np.linalg.norm(V, axis=1), 1.0)
     estimates = np.zeros((config.neumann_repeats,) + V.shape)
+    X, Y = dataset.features, dataset.labels
     for rep in range(config.neumann_repeats):
         rng = np.random.default_rng([int(config.seed), rep])
         R = V.copy()
         for _ in range(config.neumann_depth):
             d = int(rng.integers(n))
-            sub = dataset.subset(np.array([d]))
             hr = models.hessian_vector_product(
-                model, params, sub, np.array([1.0]), R
+                model, params, (X[d : d + 1], Y[d : d + 1]), np.array([1.0]), R
             )
             hr += shift * R
             R = V + R - hr / scale

@@ -238,8 +238,12 @@ def per_sample_gradient(spec, params, x, y):
     return per_sample_gradients(spec, params, ([x], [y]))[0]
 
 
-def batch_gradient(spec, params, dataset, weights):
-    """Weighted sum of per-sample gradients (empirical-risk part only)."""
+def loss_and_gradient(spec, params, dataset, weights):
+    """Per-sample losses and the weighted sum of their gradients, from one forward pass.
+
+    Returns ``(losses, g)``; ``g`` is the empirical-risk part only. Raises
+    NumericError for a non-finite gradient, then for a non-finite loss.
+    """
     X, Y = _xy(dataset)
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != len(X):
@@ -248,11 +252,18 @@ def batch_gradient(spec, params, dataset, weights):
     flat = as_flat(params)
     Zs, As = _forward(spec, flat, X)
     targets = _targets(spec, Y, len(X))
-    _, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
+    losses, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
     g = _backprop_pack(spec, flat, Zs, As, delta, weights=weights)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
-    return g
+    if not np.all(np.isfinite(losses)):
+        raise NumericError("non-finite loss value")
+    return losses, g
+
+
+def batch_gradient(spec, params, dataset, weights):
+    """Weighted sum of per-sample gradients (empirical-risk part only)."""
+    return loss_and_gradient(spec, params, dataset, weights)[1]
 
 
 def mean_gradient(spec, params, dataset):
@@ -262,7 +273,12 @@ def mean_gradient(spec, params, dataset):
 
 
 def _hvp_exact(spec, flat, X, targets, weights, V):
-    """R-operator Hessian-vector products, batched over the rows of V (k, P)."""
+    """R-operator Hessian-vector products, batched over the rows of V (k, P).
+
+    Directional derivatives are carried as (k, n, width) stacks and every
+    contraction is an ``np.matmul`` over the stack, one product per vector,
+    so a stack gives the same bits as its rows one at a time.
+    """
     Ws, _ = _unpack(spec, flat)
     VWs, Vbs = _unpack(spec, V)
 
@@ -272,16 +288,16 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
     RAs = [None]
     RZ = None
     for l in range(spec.n_layers):
-        RZ = np.einsum("ni,koi->nko", As[l], VWs[l]) + Vbs[l][None, :, :]
+        RZ = As[l] @ VWs[l].swapaxes(1, 2) + Vbs[l][:, None, :]
         if RAs[l] is not None:
-            RZ += np.einsum("nki,oi->nko", RAs[l], Ws[l])
+            RZ += RAs[l] @ Ws[l].T
         if l < spec.n_layers - 1:
-            RAs.append(_act_grad(spec, Zs[l])[:, None, :] * RZ)
+            RAs.append(_act_grad(spec, Zs[l]) * RZ)
 
     _, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
     if spec.loss == "cross_entropy":
-        s = soft[:, None, :]
-        RD = s * RZ - s * (s * RZ).sum(axis=2, keepdims=True)
+        sRZ = soft * RZ
+        RD = sRZ - soft * sRZ.sum(axis=2, keepdims=True)
     else:
         RD = RZ
 
@@ -289,17 +305,15 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
     HWs, Hbs = _unpack(spec, out)
     D = delta
     for l in reversed(range(spec.n_layers)):
-        HWs[l][:] = np.einsum("n,nko,ni->koi", weights, RD, As[l])
+        RDt = RD.swapaxes(1, 2)
+        HWs[l][:] = RDt @ (weights[:, None] * As[l])
         if RAs[l] is not None:
-            HWs[l] += np.einsum("n,no,nki->koi", weights, D, RAs[l])
-        Hbs[l][:] = np.einsum("n,nko->ko", weights, RD)
+            HWs[l] += (weights[:, None] * D).T @ RAs[l]
+        Hbs[l][:] = RDt @ weights
         if l > 0:
-            ag = _act_grad(spec, Zs[l - 1])[:, None, :]
-            RD = (
-                np.einsum("nko,oi->nki", RD, Ws[l])
-                + np.einsum("no,koi->nki", D, VWs[l])
-            ) * ag
-            D = (D @ Ws[l]) * _act_grad(spec, Zs[l - 1])
+            ag = _act_grad(spec, Zs[l - 1])
+            RD = (RD @ Ws[l] + D @ VWs[l]) * ag
+            D = (D @ Ws[l]) * ag
     return out
 
 

@@ -174,11 +174,12 @@ class TrajectoryRecord:
 class StepContext:
     """Read-only view of one training step, handed to step hooks.
 
-    Exposes the pre-update parameters and momentum buffer, and access to
-    per-sample gradients and batch HVPs evaluated at those parameters.
+    Exposes the pre-update parameters and momentum buffer, the batch rows
+    ``(X, Y)``, and access to per-sample gradients and batch HVPs evaluated at
+    those parameters.
     """
 
-    def __init__(self, model, dataset, w, velocity, step, lr, batch):
+    def __init__(self, model, dataset, w, velocity, step, lr, batch, rows):
         self.model = model
         self.dataset = dataset
         # ``train`` rebinds its parameters and momentum buffer every step and
@@ -191,18 +192,19 @@ class StepContext:
         self.step = step
         self.lr = lr
         self.batch = batch
+        self.rows = rows
 
     def per_sample_gradients(self, indices):
         """Gradients of the listed samples at the pre-update parameters."""
-        sub = self.dataset.subset(np.asarray(indices, dtype=np.int64))
-        return models.per_sample_gradients(self.model, self.params, sub)
+        indices = np.asarray(indices, dtype=np.int64)
+        rows = (self.dataset.features[indices], self.dataset.labels[indices])
+        return models.per_sample_gradients(self.model, self.params, rows)
 
     def batch_hvp(self, v):
         """H^er of the regularizer-free batch-mean loss times v."""
         b = len(self.batch)
-        sub = self.dataset.subset(self.batch)
         weights = np.full(b, 1.0 / b)
-        return models.hessian_vector_product(self.model, self.params, sub, weights, v)
+        return models.hessian_vector_product(self.model, self.params, self.rows, weights, v)
 
 
 def train(
@@ -231,6 +233,7 @@ def train(
     original run's reference.
     """
     n = len(dataset)
+    X, Y = dataset.features, dataset.labels
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
     if len(eps) != n:
         raise ConfigError(f"{len(eps)} data weights for {n} samples")
@@ -272,13 +275,12 @@ def train(
             raise ConfigError(f"lr*weight_decay = {lr * lam} outside (0, 1) at step {t}")
 
         b = len(batch)
-        sub = dataset.subset(batch)
+        rows = (X[batch], Y[batch])
         weights = 1.0 / b + n * eps[batch] / b
-        g = models.batch_gradient(model, w, sub, weights)
+        batch_losses, g = models.loss_and_gradient(model, w, rows, weights)
         if lam > 0.0:
             g = g + lam * w
 
-        batch_losses = models.sample_losses(model, w, sub)
         loss = float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
         out_losses[t - 1] = loss
         out_lrs[t - 1] = lr
@@ -288,7 +290,7 @@ def train(
             raise DivergenceError(t)
 
         if step_hook is not None:
-            step_hook(StepContext(model, dataset, w, velocity, t, lr, batch))
+            step_hook(StepContext(model, dataset, w, velocity, t, lr, batch, rows))
 
         velocity = p * velocity + g
         w = w - lr * velocity
@@ -404,9 +406,10 @@ def _read_floats(directory, name, count):
 def load_trajectory(directory):
     """Read back a ``save_trajectory`` directory.
 
-    Raises ConfigError for a missing meta key or a blob of the wrong length
-    (a truncated or mismatched file), and ReplayDivergenceError when the
-    snapshots do not match the stored checksum.
+    Raises ConfigError for a missing meta key, a blob of the wrong length
+    (a truncated or mismatched file) or a snapshot step repeated or outside
+    [0, T], and ReplayDivergenceError when the snapshots do not match the
+    stored checksum.
     """
     with open(os.path.join(directory, "config.txt")) as fh:
         sections = configtext.parse_sections(fh.read())
@@ -424,6 +427,8 @@ def load_trajectory(directory):
     with open(os.path.join(directory, "snapshots.idx")) as idx:
         for line in idx:
             step, offset, count = (int(x) for x in line.split())
+            if step in snapshots:
+                raise ConfigError(f"snapshots.idx lists step {step} twice")
             snapshots[step] = blob[offset : offset + count].copy()
             if count != param_count or snapshots[step].size != count:
                 raise ConfigError(
@@ -444,10 +449,14 @@ def load_trajectory(directory):
             raise ConfigError(f"schedule.bin: batch {len(batches) + 1} indexes outside n_train")
         batches.append(batch)
         at = end
-    if not {0, len(batches)} <= set(snapshots):
+    T = len(batches)
+    if not {0, T} <= set(snapshots):
         raise ConfigError("snapshots.idx lacks step 0 or the final step")
-    lrs = _read_floats(directory, "lrs.bin", len(batches))
-    losses = _read_floats(directory, "losses.bin", len(batches))
+    outside = [step for step in snapshots if not 0 <= step <= T]
+    if outside:
+        raise ConfigError(f"snapshots.idx: step {outside[0]} outside [0, {T}]")
+    lrs = _read_floats(directory, "lrs.bin", T)
+    losses = _read_floats(directory, "losses.bin", T)
     weights = _read_floats(directory, "weights.bin", n_train)
 
     record = TrajectoryRecord(
@@ -459,7 +468,7 @@ def load_trajectory(directory):
         lrs=lrs,
         losses=losses,
         snapshots=snapshots,
-        final_params=snapshots[max(snapshots)].copy(),
+        final_params=snapshots[T].copy(),
     )
     stored = meta.get("checksum")
     if stored and stored != record.checksum():

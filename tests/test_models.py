@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import datatrace as dt
 from datatrace import models
-from datatrace.exceptions import ShapeError
+from datatrace.exceptions import NumericError, ShapeError
+
+ARCHITECTURES = pytest.mark.parametrize("kind,widths,loss", [
+    ("logistic_regression", (4, 3), "cross_entropy"),
+    ("mlp", (4, 6, 3), "cross_entropy"),
+    ("mlp", (3, 5, 2), "squared_error"),
+])
 
 
 def _fd_gradient(spec, params, x, y):
@@ -43,11 +51,7 @@ def test_zero_model_zero_input_gives_zero_gradient():
     assert np.all(g == 0.0)
 
 
-@pytest.mark.parametrize("kind,widths,loss", [
-    ("logistic_regression", (4, 3), "cross_entropy"),
-    ("mlp", (4, 6, 3), "cross_entropy"),
-    ("mlp", (3, 5, 2), "squared_error"),
-])
+@ARCHITECTURES
 def test_per_sample_gradient_matches_finite_differences(kind, widths, loss):
     spec = dt.ModelSpec(kind, widths, loss=loss)
     rng = np.random.default_rng(0)
@@ -94,6 +98,56 @@ def test_batch_gradient_is_weighted_sum_of_per_sample():
     assert np.allclose(g, weights @ G, atol=1e-12)
 
 
+def _probe(kind, widths, loss, n, seed):
+    """A model, perturbed parameters and an n-row dataset of matching targets."""
+    spec = dt.ModelSpec(kind, widths, loss=loss)
+    rng = np.random.default_rng(seed)
+    params = dt.as_flat(dt.init_params(spec, seed)) + 0.1 * rng.standard_normal(
+        models.param_count(spec)
+    )
+    X = rng.standard_normal((n, widths[0]))
+    if loss == "cross_entropy":
+        Y = rng.integers(widths[-1], size=n)
+    else:
+        Y = rng.standard_normal((n, widths[-1]))
+    return spec, params, (X, Y)
+
+
+@ARCHITECTURES
+def test_loss_and_gradient_is_bit_equal_to_separate_calls(kind, widths, loss):
+    spec, params, rows = _probe(kind, widths, loss, 7, 3)
+    weights = np.linspace(0.1, 1.0, 7)
+    losses, g = models.loss_and_gradient(spec, params, rows, weights)
+    assert np.array_equal(losses, models.sample_losses(spec, params, rows))
+    assert np.array_equal(g, models.batch_gradient(spec, params, rows, weights))
+    assert np.allclose(g, weights @ models.per_sample_gradients(spec, params, rows), atol=1e-12)
+
+
+@ARCHITECTURES
+def test_loss_and_gradient_checks_the_gradient_before_the_loss(kind, widths, loss, monkeypatch):
+    spec, params, rows = _probe(kind, widths, loss, 4, 5)
+    weights = np.full(4, 0.25)
+    # both non-finite: the gradient is named, as when it was computed first
+    nan_params = np.full_like(params, np.nan)
+    with np.errstate(invalid="ignore"):
+        for call in (models.loss_and_gradient, models.batch_gradient):
+            with pytest.raises(NumericError, match="gradient"):
+                call(spec, nan_params, rows, weights)
+        # an infinite weight leaves the (unweighted) losses finite
+        with pytest.raises(NumericError, match="gradient"):
+            models.loss_and_gradient(spec, params, rows, np.array([np.inf, 0.25, 0.25, 0.25]))
+    # a non-finite loss beside a finite gradient
+    original = models._losses_and_delta
+
+    def infinite_loss(*args):
+        losses, delta, soft = original(*args)
+        return np.full_like(losses, np.inf), delta, soft
+
+    monkeypatch.setattr(models, "_losses_and_delta", infinite_loss)
+    with pytest.raises(NumericError, match="loss"):
+        models.loss_and_gradient(spec, params, rows, weights)
+
+
 def test_cross_entropy_stable_for_large_logits():
     spec = dt.ModelSpec("logistic_regression", (2, 2))
     params = np.array([500.0, 0.0, -500.0, 0.0, 0.0, 0.0])
@@ -114,11 +168,7 @@ def _fd_dense_hessian(spec, params, ds, weights, h=1e-5):
     return H
 
 
-@pytest.mark.parametrize("kind,widths,loss", [
-    ("logistic_regression", (4, 3), "cross_entropy"),
-    ("mlp", (4, 6, 3), "cross_entropy"),
-    ("mlp", (3, 5, 2), "squared_error"),
-])
+@ARCHITECTURES
 def test_exact_hvp_matches_fd_dense_hessian(kind, widths, loss):
     spec = dt.ModelSpec(kind, widths, loss=loss)
     ds_cls = dt.synth_gaussian(widths[-1] if loss == "cross_entropy" else 2, 6,
@@ -201,3 +251,41 @@ def test_accuracy_and_test_loss():
     ds = dt.LabeledDataset([[2.0, 0.0], [-2.0, 0.0]], [0, 1], 2)
     assert dt.accuracy(spec, params, ds) == 1.0
     assert dt.test_loss(spec, params, ds) > 0.0
+
+
+@st.composite
+def _hvp_cases(draw):
+    kind = draw(st.sampled_from(models.KINDS))
+    loss = draw(st.sampled_from(models.LOSSES))
+    hidden = [] if kind == "logistic_regression" else draw(
+        st.lists(st.integers(1, 6), min_size=1, max_size=2)
+    )
+    widths = (draw(st.integers(1, 5)), *hidden, draw(st.integers(1, 4)))
+    spec = dt.ModelSpec(kind, widths, draw(st.sampled_from(models.ACTIVATIONS)), loss)
+    _, params, rows = _probe(kind, widths, loss, draw(st.integers(1, 9)), draw(st.integers(0, 2**16)))
+    return spec, params, rows, draw(st.integers(2, 5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_hvp_cases())
+def test_exact_hvp_properties_on_random_architectures(case):
+    spec, params, rows, k = case  # k >= 2 vectors in the stack
+    n = len(rows[0])
+    # A central difference across a ReLU kink measures a different slope.
+    Zs, _ = models._forward(spec, params, rows[0])
+    assume(spec.activation == "identity" or all(np.abs(z).min() > 1e-3 for z in Zs[:-1]))
+    weights = np.random.default_rng(n).uniform(0.5, 1.5, n) / n
+    V = np.random.default_rng(k).standard_normal((k, params.size))
+    HV = dt.hessian_vector_product(spec, params, rows, weights, V)
+    # symmetric: u^T H v = v^T H u
+    u, v = V[0], V[1]
+    scale = np.linalg.norm(u) * np.linalg.norm(HV[1]) + np.linalg.norm(v) * np.linalg.norm(HV[0])
+    assert abs(u @ HV[1] - v @ HV[0]) <= 1e-12 * scale
+    # a stack equals its rows done one by one
+    for row, hv in zip(V, HV):
+        assert np.array_equal(dt.hessian_vector_product(spec, params, rows, weights, row), hv)
+    # agrees with the central-difference HVP
+    fd = dt.hessian_vector_product(spec, params, rows, weights, V, mode="finite_difference")
+    g = dt.batch_gradient(spec, params, rows, weights)
+    for f, hv in zip(fd, HV):
+        assert np.linalg.norm(f - hv) <= 1e-6 * np.linalg.norm(hv) + 1e-9 * np.linalg.norm(g) + 1e-12

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import datatrace as dt
+from datatrace import models
 from datatrace.exceptions import ConfigError, DivergenceError, ReplayDivergenceError
-from conftest import bias_only_probe, ridge_probe
+from conftest import bias_only_probe, gaussian_pair, ridge_probe
 
 
 def test_geometric_contraction_on_pure_quadratic():
@@ -248,6 +249,9 @@ def test_trajectory_save_load_round_trip(tmp_path):
     ("weights.bin", 8),
     ("snapshots.bin", 8),
     ("snapshots.idx", len("12 30 10\n")),  # the final step's line
+    # An extra line, loaded without the optional checksum: T = 12.
+    pytest.param("snapshots.idx", b"19 0 10\n", id="snapshots.idx-beyond-T"),
+    pytest.param("snapshots.idx", b"8 0 10\n", id="snapshots.idx-repeated"),
 ])
 def test_damaged_trajectory_file_raises_config_error(tmp_path, name, cut):
     spec = dt.ModelSpec("logistic_regression", (4, 2))
@@ -257,7 +261,12 @@ def test_damaged_trajectory_file_raises_config_error(tmp_path, name, cut):
     dt.save_trajectory(dt.train(spec, ds, cfg), d)
     path = Path(d, name)
     assert name != "snapshots.idx" or path.read_text().endswith("\n8 20 10\n12 30 10\n")
-    path.write_bytes(path.read_bytes()[:-cut])
+    if isinstance(cut, bytes):
+        path.write_bytes(path.read_bytes() + cut)
+        config = Path(d, "config.txt")
+        config.write_text(re.sub(r"checksum = \w+\n", "", config.read_text()))
+    else:
+        path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(ConfigError, match=re.escape(name)):
         dt.load_trajectory(d)
 
@@ -269,3 +278,35 @@ def test_snapshot_stride():
                             snapshot_stride=3)
     rec = dt.train(spec, ds, cfg)  # 20 samples, 4 batches/epoch, 16 steps
     assert set(rec.snapshots) == {0, 3, 6, 9, 12, 15, 16}
+
+
+def test_each_training_step_evaluates_the_model_once(monkeypatch):
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train_ds, test_ds = gaussian_pair(per_class=10, dim=4, test_per_class=5)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=6, initial_lr=0.05, momentum=0.9,
+                            weight_decay=0.01, seed=2)
+    calls = dict.fromkeys(("subset", "forward", "sample_losses"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dt.LabeledDataset, "subset", counted("subset", dt.LabeledDataset.subset))
+    monkeypatch.setattr(models, "_forward", counted("forward", models._forward))
+    monkeypatch.setattr(models, "sample_losses", counted("sample_losses", models.sample_losses))
+    rec = dt.train(spec, train_ds, cfg)
+    T = rec.steps
+    assert calls == {"subset": 0, "forward": T, "sample_losses": 0}
+    dt.replay(rec, train_ds)
+    assert calls == {"subset": 0, "forward": 2 * T, "sample_losses": 0}
+
+    calls.update(forward=0)
+    indices = [0, 3, 7]
+    dt.contribution_exact(rec, train_ds, indices, test_ds)
+    hit_steps = sum(bool(np.isin(indices, batch).any()) for batch in rec.batches)
+    # The checked replay and the segment re-runs take one forward per step
+    # each; the backward pass one per HVP, one per step whose batch holds an
+    # index, and one for g_test.
+    assert calls == {"subset": 0, "forward": 3 * T + hit_steps + 1, "sample_losses": 0}
