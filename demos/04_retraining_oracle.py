@@ -3,9 +3,11 @@
 The ground truth for "what did sample i contribute" is retraining. Two
 oracles are provided:
 
-- finite_difference_hypergradient: retrains twice with sample i's data
-  weight nudged by +/-delta and forms a Richardson-extrapolated central
-  difference of the test loss — the same derivative tracking computes.
+- finite_difference_hypergradient: retrains with sample i's data weight
+  nudged by +/-delta and by +/-delta/2, and forms a Richardson-extrapolated
+  central difference of the test loss — the same derivative tracking
+  computes. The 4 perturbed weight vectors advance together in one stacked
+  replay of the recorded trajectory.
 - leave_one_out: retrains once with sample i removed and reports the actual
   test-loss change.
 
@@ -13,7 +15,8 @@ Both retrain under the identical batch schedule, so the comparison is
 apples-to-apples. Retraining is O(T) per sample, which is exactly what
 tracking avoids; a cost guard refuses oversized datasets unless forced.
 
-Run:  python3 demos/04_retraining_oracle.py   (~30 s: 10 samples x 3 retrainings)
+Run:  python3 demos/04_retraining_oracle.py   (10 samples x one stacked replay
+of 4 weight vectors, 500 steps each)
 """
 
 import datatrace as dt

@@ -139,12 +139,16 @@ def _act_grad(spec, z):
 
 
 def _forward(spec, flat, X):
-    """Returns (Zs, As): pre-activations per layer and inputs to each layer."""
+    """Returns (Zs, As): pre-activations per layer and inputs to each layer.
+
+    A ``(..., P)`` stack of parameters gives ``(..., n, width)`` stacks over
+    the shared input X, one ``np.matmul`` product per parameter vector.
+    """
     Ws, bs = _unpack(spec, flat)
     As = [X]
     Zs = []
     for l in range(spec.n_layers):
-        z = As[-1] @ Ws[l].T + bs[l]
+        z = As[-1] @ Ws[l].swapaxes(-1, -2) + bs[l][..., None, :]
         Zs.append(z)
         if l < spec.n_layers - 1:
             As.append(_act(spec, z))
@@ -152,27 +156,33 @@ def _forward(spec, flat, X):
 
 
 def _losses_and_delta(spec, logits, targets):
-    """Per-sample losses plus the loss gradient w.r.t. the logits."""
+    """Per-sample losses plus the loss gradient w.r.t. the logits.
+
+    ``logits`` may be a ``(..., n, out)`` stack over shared targets.
+    """
     if spec.loss == "cross_entropy":
-        zmax = logits.max(axis=1, keepdims=True)
+        rows = np.arange(logits.shape[-2])
+        zmax = logits.max(axis=-1, keepdims=True)
         ez = np.exp(logits - zmax)
-        sez = ez.sum(axis=1, keepdims=True)
-        lse = np.log(sez[:, 0]) + zmax[:, 0]
-        losses = lse - logits[np.arange(len(logits)), targets]
+        sez = ez.sum(axis=-1, keepdims=True)
+        lse = np.log(sez[..., 0]) + zmax[..., 0]
+        losses = lse - logits[..., rows, targets]
         soft = ez / sez
         delta = soft.copy()
-        delta[np.arange(len(logits)), targets] -= 1.0
+        delta[..., rows, targets] -= 1.0
         return losses, delta, soft
     resid = logits - targets
-    losses = 0.5 * (resid**2).sum(axis=1)
+    losses = 0.5 * (resid**2).sum(axis=-1)
     return losses, resid, None
 
 
 def sample_losses(spec, params, dataset):
-    """Per-sample losses for every row of the dataset."""
+    """Per-sample losses for every row of the dataset, at one parameter vector."""
     X, Y = _xy(dataset)
     _check_inputs(spec, X)
     flat = as_flat(params)
+    if flat.ndim != 1:  # test_loss and mean_loss would average a stack's rows together
+        raise ShapeError(f"parameters of shape {flat.shape}, expected one vector")
     Zs, _ = _forward(spec, flat, X)
     targets = _targets(spec, Y, len(X))
     losses, _, _ = _losses_and_delta(spec, Zs[-1], targets)
@@ -196,14 +206,16 @@ def _backprop_pack(spec, flat, Zs, As, delta, weights=None, per_sample=False):
     """Reverse pass. Packs gradients into flat vectors in layout order.
 
     With ``per_sample`` returns an (n, P) matrix of per-sample gradients;
-    otherwise the weighted sum (weights default to all ones).
+    otherwise the weighted sum (weights default to all ones), which for a
+    ``(..., P)`` stack of parameters and ``(..., n)`` weights is a
+    ``(..., P)`` stack.
     """
     Ws, _ = _unpack(spec, flat)
-    n = len(delta)
+    n = delta.shape[-2]
     if per_sample:
         out = np.zeros((n, flat.size))
     else:
-        out = np.zeros(flat.size)
+        out = np.zeros(flat.shape)
         w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     GWs, Gbs = _unpack(spec, out)
     D = delta
@@ -212,9 +224,9 @@ def _backprop_pack(spec, flat, Zs, As, delta, weights=None, per_sample=False):
             GWs[l][:] = np.einsum("no,ni->noi", D, As[l])
             Gbs[l][:] = D
         else:
-            wD = D * w[:, None]
-            GWs[l][:] = wD.T @ As[l]
-            Gbs[l][:] = wD.sum(axis=0)
+            wD = D * w[..., None]
+            GWs[l][:] = wD.swapaxes(-1, -2) @ As[l]
+            Gbs[l][:] = wD.sum(axis=-2)
         if l > 0:
             D = (D @ Ws[l]) * _act_grad(spec, Zs[l - 1])
     return out
@@ -241,15 +253,21 @@ def per_sample_gradient(spec, params, x, y):
 def loss_and_gradient(spec, params, dataset, weights):
     """Per-sample losses and the weighted sum of their gradients, from one forward pass.
 
-    Returns ``(losses, g)``; ``g`` is the empirical-risk part only. Raises
-    NumericError for a non-finite gradient, then for a non-finite loss.
+    Returns ``(losses, g)``; ``g`` is the empirical-risk part only. A
+    ``(R, P)`` stack of parameters takes ``(R, n)`` weights and gives
+    ``(R, n)`` losses and an ``(R, P)`` stack of gradients, row r bit-equal to
+    the call with row r alone. Raises NumericError for a non-finite gradient,
+    then for a non-finite loss.
     """
     X, Y = _xy(dataset)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(X):
-        raise ShapeError(f"{len(weights)} weights for {len(X)} samples")
-    _check_inputs(spec, X)
     flat = as_flat(params)
+    if weights.shape != flat.shape[:-1] + (len(X),):
+        raise ShapeError(
+            f"weights of shape {weights.shape} for {len(X)} samples and "
+            f"parameters of shape {flat.shape}"
+        )
+    _check_inputs(spec, X)
     Zs, As = _forward(spec, flat, X)
     targets = _targets(spec, Y, len(X))
     losses, delta, _ = _losses_and_delta(spec, Zs[-1], targets)

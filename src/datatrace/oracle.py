@@ -44,21 +44,20 @@ def _guard(dataset, config, force):
         raise ValueError(
             f"oracle limited to {MAX_ORACLE_SAMPLES} samples (got {n}); pass force=True"
         )
-    if config.epochs * max(1, n // max(1, config.batch_size or n)) > MAX_ORACLE_STEPS:
+    batch = config.batch_size if 0 < config.batch_size < n else n
+    if config.epochs * -(-n // batch) > MAX_ORACLE_STEPS:  # ceil(n / batch) steps per epoch
         raise ValueError("oracle step budget exceeded; pass force=True")
 
 
-def _perturbed_loss(model, dataset, record, index, eps_value, test_dataset):
-    weights = record.data_weights.copy()
-    weights[index] += eps_value
-    run = trainer.replay(record, dataset, data_weights=weights)
-    return models.test_loss(model, run.final_params, test_dataset), run
+def _retrain(model, dataset, record, index, offsets, test_dataset):
+    """One replay of ``record`` with a weight row per offset added to sample ``index``.
 
-
-def _central_difference(model, dataset, record, index, delta, test_dataset):
-    lp, run_p = _perturbed_loss(model, dataset, record, index, +delta, test_dataset)
-    lm, run_m = _perturbed_loss(model, dataset, record, index, -delta, test_dataset)
-    return (lp - lm) / (2.0 * delta), lp, lm, run_p, run_m
+    Returns each row's test loss and final parameters.
+    """
+    weights = np.tile(record.data_weights, (len(offsets), 1))
+    weights[:, index] += offsets
+    final = trainer.replay(record, dataset, data_weights=weights).final_params
+    return [models.test_loss(model, params, test_dataset) for params in final], final
 
 
 def finite_difference_hypergradient(
@@ -77,7 +76,8 @@ def finite_difference_hypergradient(
     With ``richardson`` (the default) the estimates at delta and delta/2 are
     combined as (4*half - full) / 3, cancelling the O(delta^2) truncation
     term; the reported step is the smaller one actually used. The weights are
-    perturbed around those of ``nominal``.
+    perturbed around those of ``nominal``, and the 4 perturbed runs (2
+    without ``richardson``) advance together in one stacked replay.
     """
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
@@ -86,25 +86,21 @@ def finite_difference_hypergradient(
     if nominal is None:
         nominal = trainer.train(model, dataset, config)
 
-    value, lp, lm, run_p, run_m = _central_difference(
-        model, dataset, nominal, index, delta, test_dataset
+    steps = (delta, delta / 2.0) if richardson else (delta,)
+    losses, final = _retrain(
+        model, dataset, nominal, index, [e for h in steps for e in (h, -h)], test_dataset
     )
-    used = delta
-    if richardson:
-        half, lp, lm, run_p, run_m = _central_difference(
-            model, dataset, nominal, index, delta / 2.0, test_dataset
-        )
-        value = (4.0 * half - value) / 3.0
-        used = delta / 2.0
+    slopes = [(lp - lm) / (2.0 * h) for lp, lm, h in zip(losses[::2], losses[1::2], steps)]
+    value = (4.0 * slopes[1] - slopes[0]) / 3.0 if richardson else slopes[0]
     return OracleResult(
         index=index,
         value=value,
-        delta=used,
-        loss_plus=lp,
-        loss_minus=lm,
+        delta=steps[-1],
+        loss_plus=losses[-2],
+        loss_minus=losses[-1],
         loo_delta=None,
-        checksum_plus=_params_checksum(run_p.final_params),
-        checksum_minus=_params_checksum(run_m.final_params),
+        checksum_plus=_params_checksum(final[-2]),
+        checksum_minus=_params_checksum(final[-1]),
     )
 
 
@@ -116,7 +112,9 @@ def leave_one_out(model, dataset, config, index, test_dataset, nominal=None, for
     if nominal is None:
         nominal = trainer.train(model, dataset, config)
     nominal_loss = models.test_loss(model, nominal.final_params, test_dataset)
-    without_loss, run = _perturbed_loss(model, dataset, nominal, index, -1.0 / n, test_dataset)
+    (without_loss,), (without,) = _retrain(
+        model, dataset, nominal, index, [-1.0 / n], test_dataset
+    )
     # One-sided secant estimate of d L_test/d eps_i from the -1/N step;
     # loo_delta itself is the C(i)-comparable quantity.
     return OracleResult(
@@ -126,6 +124,6 @@ def leave_one_out(model, dataset, config, index, test_dataset, nominal=None, for
         loss_plus=without_loss,
         loss_minus=nominal_loss,
         loo_delta=without_loss - nominal_loss,
-        checksum_plus=_params_checksum(run.final_params),
+        checksum_plus=_params_checksum(without),
         checksum_minus=_params_checksum(nominal.final_params),
     )

@@ -19,6 +19,7 @@ from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError, Sha
 from .models import ModelSpec
 
 DIVERGENCE_FACTOR = 1e6
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +232,27 @@ def train(
     exceeds ``DIVERGENCE_FACTOR`` times ``reference_loss`` (default: the
     first step's loss), so a run resumed mid-trajectory can keep the
     original run's reference.
+
+    An ``(R, n)`` stack of data weights runs R trajectories in lockstep on
+    the shared batches and rates: the parameters, momentum buffer, snapshots
+    and final parameters gain a leading R axis, the losses are ``(R, T)``,
+    and row r is bit-identical to the run with weights row r alone (each row
+    diverges against its own first loss). A stack takes no ``step_hook``, and
+    under ``ReduceOnPlateauSchedule`` it needs recorded ``lrs``, because that
+    rate follows each run's own loss; both raise ConfigError.
     """
     n = len(dataset)
     X, Y = dataset.features, dataset.labels
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
-    if len(eps) != n:
-        raise ConfigError(f"{len(eps)} data weights for {n} samples")
+    if eps.ndim not in (1, 2) or eps.shape[-1] != n:
+        raise ConfigError(f"data weights of shape {eps.shape} for {n} samples")
+    lead = eps.shape[:-1]  # (R,) for a stack of R runs, () for one run
+    if lead and step_hook is not None:
+        raise ConfigError("a stack of data weights takes no step_hook")
+    if lead and lrs is None and isinstance(config.schedule, ReduceOnPlateauSchedule):
+        raise ConfigError(
+            "reduce_on_plateau follows each run's own loss: a stack of data weights needs lrs"
+        )
 
     if batches is None:
         batches = build_batch_schedule(n, config.batch_size, config.epochs, config.seed)
@@ -244,15 +260,13 @@ def train(
     total_steps = len(batches)
     stride = config.snapshot_stride if config.snapshot_stride > 0 else steps_per_epoch
 
-    if init is None:
-        w = models.init_params(model, config.seed)
-    else:
-        w = models.as_flat(init).copy()
+    w = models.init_params(model, config.seed) if init is None else models.as_flat(init)
+    w = np.broadcast_to(w, lead + w.shape[-1:]).copy()
     lam = config.weight_decay
     p = config.momentum
     velocity = np.zeros_like(w) if velocity is None else models.as_flat(velocity).copy()
     if velocity.shape != w.shape:
-        raise ShapeError(f"velocity of shape {velocity.shape} for {w.size} parameters")
+        raise ShapeError(f"velocity of shape {velocity.shape} for parameters of shape {w.shape}")
 
     # One running rate, which each schedule updates at its own event.
     sched = config.schedule
@@ -261,9 +275,9 @@ def train(
     stale_epochs = 0
 
     out_lrs = np.empty(total_steps)
-    out_losses = np.empty(total_steps)
+    out_losses = np.empty(lead + (total_steps,))
     snapshots = {0: w.copy()}
-    initial_loss = None if reference_loss is None else abs(reference_loss) + 1e-12
+    limit = None  # the largest |loss| that does not diverge, per row
 
     for t in range(1, total_steps + 1):
         batch = batches[t - 1]
@@ -276,17 +290,22 @@ def train(
 
         b = len(batch)
         rows = (X[batch], Y[batch])
-        weights = 1.0 / b + n * eps[batch] / b
+        # take keeps each row contiguous (``eps[..., batch]`` would not), so
+        # a row's dot product below runs on the strides of a single run.
+        weights = 1.0 / b + n * eps.take(batch, axis=-1) / b
         batch_losses, g = models.loss_and_gradient(model, w, rows, weights)
         if lam > 0.0:
             g = g + lam * w
 
-        loss = float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
-        out_losses[t - 1] = loss
+        # vecdot is np.dot row by row, so the recorded losses keep their bits.
+        loss = np.vecdot(weights, batch_losses) + 0.5 * lam * np.vecdot(w, w)
+        out_losses[..., t - 1] = loss
         out_lrs[t - 1] = lr
-        if initial_loss is None:
-            initial_loss = abs(loss) + 1e-12
-        if not np.isfinite(loss) or abs(loss) > DIVERGENCE_FACTOR * initial_loss:
+        if limit is None:
+            reference = loss if reference_loss is None else reference_loss
+            limit = np.minimum(DIVERGENCE_FACTOR * (np.abs(reference) + 1e-12), _FLOAT_MAX)
+        # The limit is finite, so a NaN or infinite loss fails the comparison too.
+        if not (np.abs(loss) <= limit).all():
             raise DivergenceError(t)
 
         if step_hook is not None:
@@ -332,7 +351,8 @@ def replay(record, dataset, data_weights=None, step_hook=None):
 
     With unchanged weights the replay must be bit-identical, so every
     recorded snapshot is checked and ReplayDivergenceError names the first
-    bad step. Perturbed weights (the oracle's case) skip the check.
+    bad step. Perturbed weights (the oracle's case) skip the check; an
+    ``(R, n)`` stack of them replays R runs in lockstep (see ``train``).
     """
     weights = record.data_weights if data_weights is None else np.asarray(data_weights)
     perturbed = not np.array_equal(weights, record.data_weights)
@@ -361,6 +381,8 @@ def replay(record, dataset, data_weights=None, step_hook=None):
 
 
 def save_trajectory(record, directory):
+    if record.data_weights.ndim != 1:
+        raise ConfigError("the on-disk form holds one run, not a stack of data weights")
     os.makedirs(directory, exist_ok=True)
     meta = {
         "n_train": record.n_train,

@@ -7,8 +7,30 @@ pinned to configurations verified against independent oracles.
 
 Criterion 5 asserts the vanishing-error property exactly as stated and is
 expected to FAIL: under the stated decay condition the error norm contracts
-by at most a constant factor after its peak, not to below 1% of it. The
-analysis is recorded in the project decisions ledger.
+by at most a constant factor after its peak, not to below 1% of it.
+
+The analysis. Criterion 5's probe is full-batch gradient descent without
+momentum, with lr_t = lr_1 * c^(t-1) and weight decay lam. Exact tracking
+steps nabla_t = (1 - lr_t*lam) nabla_{t-1} - lr_t * (H_t nabla_{t-1} + g_t),
+and the approximation drops the H_t term, so their difference obeys
+
+    e_t = (1 - lr_t*lam) e_{t-1} - lr_t * H_t nabla_{t-1}.
+
+The forcing term lr_t * H_t nabla_{t-1} is what builds the error up, and it
+shrinks with lr_t. After the peak at step s the homogeneous part only
+rescales e by Prod_{t>s} (1 - lr_t*lam), so the error contracts by at most
+that product (unless the forcing turns against e, which the corrected test
+below checks on the probe). With x_t = lr_t*lam and log(1 - x) >= -x/(1 - x),
+
+    Prod_{t>s} (1 - x_t) >= exp(-sum_{t>s} x_t / (1 - x_{s+1}))
+                         >= exp(-lr_1*lam * c^s / ((1 - c)(1 - lr_1*lam*c)))
+                         >= exp(-lr_1*lam / (1 - c))       for s >= 1,
+
+because the decay condition c < 1 - lr_1*lam gives c <= 1 - lr_1*lam*c.
+On the probe (lr_1 = 0.5, lam = 0.01, c = 0.99) the floor is e^-0.5 = 0.607:
+the final error stays above 60% of its peak, and 1% is out of reach. The
+decay condition keeps every step contracting; it does not make the sum of
+the contraction rates diverge, which vanishing would need.
 """
 
 import json
@@ -173,6 +195,19 @@ def test_criterion_05_error_vanishes_under_exponential_decay():
     ok = ratio < 0.01 and elapsed < 60.0
     _verdict(5, "error norm vanishes under exponential decay", ok,
              f"final/peak = {ratio:.3f} (required < 0.01), {elapsed:.1f}s")
+
+
+def test_criterion_05_probe_error_keeps_the_contraction_floor():
+    # The corrected statement of criterion 5 (module docstring), on its probe:
+    # final/peak >= exp(-lr_1 * lam / (1 - c)).
+    lr1, lam, c = 0.5, 0.01, 0.99
+    spec, train, test, cfg, rec = _convex_probe(
+        lr=lr1, schedule=dt.ExponentialSchedule(c), epochs=2000
+    )
+    trace = dt.error_trace(rec, train, [0], record_stride=10)[0]
+    ratio = float(trace.error_norms[-1]) / float(np.max(trace.error_norms))
+    floor = float(np.exp(-lr1 * lam / (1.0 - c)))
+    assert ratio >= floor, (ratio, floor)
 
 
 def test_criterion_06_approximation_quality():

@@ -124,6 +124,28 @@ def test_loss_and_gradient_is_bit_equal_to_separate_calls(kind, widths, loss):
 
 
 @ARCHITECTURES
+def test_loss_and_gradient_stack_rows_are_bit_equal_to_single_calls(kind, widths, loss):
+    spec, params, rows = _probe(kind, widths, loss, 7, 3)
+    rng = np.random.default_rng(4)
+    for R in (1, 3):
+        stack = params + 0.1 * rng.standard_normal((R, params.size))
+        weights = rng.uniform(0.1, 1.0, (R, 7))
+        losses, g = models.loss_and_gradient(spec, stack, rows, weights)
+        assert losses.shape == (R, 7) and g.shape == (R, params.size)
+        for r in range(R):
+            one_losses, one_g = models.loss_and_gradient(spec, stack[r], rows, weights[r])
+            assert np.array_equal(losses[r], one_losses)
+            assert np.array_equal(g[r], one_g)
+    # the weights must stack like the parameters
+    for bad in (weights[0], weights[:, :6], weights[None]):
+        with pytest.raises(ShapeError, match="weights of shape"):
+            models.loss_and_gradient(spec, stack, rows, bad)
+    # the loss-only entry points take one vector
+    with pytest.raises(ShapeError, match="one vector"):
+        dt.test_loss(spec, stack, rows)
+
+
+@ARCHITECTURES
 def test_loss_and_gradient_checks_the_gradient_before_the_loss(kind, widths, loss, monkeypatch):
     spec, params, rows = _probe(kind, widths, loss, 4, 5)
     weights = np.full(4, 0.25)
@@ -284,6 +306,13 @@ def test_exact_hvp_properties_on_random_architectures(case):
     # a stack equals its rows done one by one
     for row, hv in zip(V, HV):
         assert np.array_equal(dt.hessian_vector_product(spec, params, rows, weights, row), hv)
+    # so does a stack of parameters with its weights in loss_and_gradient
+    stack = params + 0.1 * V
+    W = weights * np.arange(1, k + 1)[:, None]
+    losses, G = models.loss_and_gradient(spec, stack, rows, W)
+    for p, w, l, g in zip(stack, W, losses, G):
+        one_l, one_g = models.loss_and_gradient(spec, p, rows, w)
+        assert np.array_equal(one_l, l) and np.array_equal(one_g, g)
     # agrees with the central-difference HVP
     fd = dt.hessian_vector_product(spec, params, rows, weights, V, mode="finite_difference")
     g = dt.batch_gradient(spec, params, rows, weights)

@@ -5,6 +5,7 @@ import pytest
 
 import datatrace as dt
 from datatrace import oracle as oracle_mod
+from datatrace import trainer
 from conftest import gaussian_pair, ridge_probe
 
 
@@ -73,6 +74,37 @@ def test_cost_guard_blocks_large_jobs_unless_forced():
         dt.finite_difference_hypergradient(spec, train, cfg, 0, test)
     res = dt.finite_difference_hypergradient(spec, train, cfg, 0, test, force=True)
     assert np.isfinite(res.value)
+
+
+def test_step_guard_counts_the_short_last_batch():
+    # 150 samples in batches of 100 make 2 steps per epoch: 6000 steps in all.
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=75)
+    cfg = dt.TrainingConfig(epochs=3000, batch_size=100, initial_lr=0.05, seed=0)
+    for oracle in (dt.finite_difference_hypergradient, dt.leave_one_out):
+        with pytest.raises(ValueError, match="step budget"):
+            oracle(spec, train, cfg, 0, test)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_oracle_call_is_one_stacked_replay(count_calls, richardson):
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, test = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=10, batch_size=5, initial_lr=0.05,
+                            momentum=0.9, weight_decay=0.01, seed=3)
+    rec = dt.train(spec, train, cfg)
+    calls = count_calls((trainer, "train"))
+    res = dt.finite_difference_hypergradient(spec, train, cfg, 4, test, nominal=rec,
+                                             richardson=richardson)
+    assert calls == {"train": 1}
+    # the reported runs are the last pair, at the step actually used
+    w = np.zeros(len(train))
+    w[4] = res.delta
+    plus = dt.replay(rec, train, data_weights=w)
+    assert res.loss_plus == dt.test_loss(spec, plus.final_params, test)
+    assert res.checksum_plus == oracle_mod._params_checksum(plus.final_params)
+    dt.leave_one_out(spec, train, cfg, 4, test, nominal=rec)
+    assert calls == {"train": 3}  # the replay above, then one for leave-one-out
 
 
 def test_oracle_agrees_with_exact_tracking_on_momentum_minibatch():

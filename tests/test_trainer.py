@@ -2,10 +2,13 @@
 
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import datatrace as dt
 from datatrace import models
@@ -94,6 +97,78 @@ def test_replay_with_perturbed_weights_skips_check():
     w[0] = 1e-3
     out = dt.replay(rec, ds, data_weights=w)
     assert not np.array_equal(out.final_params, rec.final_params)
+
+
+SCHEDULES = pytest.mark.parametrize("schedule", [
+    dt.ConstantSchedule(),
+    dt.StepDecaySchedule(0.5, 3),
+    dt.ExponentialSchedule(0.9),
+    dt.ReduceOnPlateauSchedule(0.5, patience=1, rel_threshold=0.05),
+], ids=["constant", "step_decay", "exponential", "plateau"])
+
+
+@pytest.mark.parametrize("kind,widths", [("logistic_regression", (4, 2)), ("mlp", (4, 5, 2))])
+@pytest.mark.parametrize("batch_size", [0, 5])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@SCHEDULES
+def test_stacked_replay_rows_are_bit_identical_to_single_replays(
+    kind, widths, batch_size, momentum, schedule
+):
+    spec = dt.ModelSpec(kind, widths)
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=6, batch_size=batch_size, initial_lr=0.1,
+                            schedule=schedule, momentum=momentum, weight_decay=0.01,
+                            seed=5, snapshot_stride=3)
+    rec = dt.train(spec, ds, cfg)
+    stack = np.random.default_rng(0).uniform(-0.02, 0.02, (3, len(ds)))
+    run = dt.replay(rec, ds, data_weights=stack)  # plateau: the recorded rates
+    assert run.final_params.shape == (3, models.param_count(spec))
+    assert run.losses.shape == (3, rec.steps)
+    assert np.array_equal(run.lrs, rec.lrs)
+    for r, weights in enumerate(stack):
+        one = dt.replay(rec, ds, data_weights=weights)
+        assert np.array_equal(run.final_params[r], one.final_params)
+        assert np.array_equal(run.losses[r], one.losses)
+        assert run.snapshots.keys() == one.snapshots.keys()
+        assert all(np.array_equal(run.snapshots[t][r], one.snapshots[t]) for t in one.snapshots)
+
+
+def test_weight_stack_refusals():
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.1, seed=5)
+    stack = np.zeros((2, len(ds)))
+    with pytest.raises(ConfigError, match="step_hook"):
+        dt.train(spec, ds, cfg, data_weights=stack, step_hook=lambda ctx: None)
+    plateau = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.1, seed=5,
+                                schedule=dt.ReduceOnPlateauSchedule(0.5))
+    with pytest.raises(ConfigError, match="lrs"):
+        dt.train(spec, ds, plateau, data_weights=stack)
+    rec = dt.train(spec, ds, plateau)
+    stacked = dt.replay(rec, ds, data_weights=stack)
+    assert stacked.final_params.shape == (2, 10)
+    with pytest.raises(ConfigError, match="one run"), tempfile.TemporaryDirectory() as d:
+        dt.save_trajectory(stacked, d)
+    for bad in (np.zeros((2, len(ds) + 1)), np.zeros((1, 2, len(ds)))):
+        with pytest.raises(ConfigError, match="data weights of shape"):
+            dt.train(spec, ds, cfg, data_weights=bad)
+
+
+def test_stack_diverges_at_its_diverging_rows_step():
+    # Bias-only quadratic, full batch of 2: b <- (1 - lr * (1 + eps_0 + eps_1)) b.
+    # Row 0 contracts by 0.85 from a first loss of 0.05; row 1 grows by -2
+    # from a first loss of 1, so it diverges later against its own first loss
+    # than it would against row 0's.
+    spec, data = bias_only_probe([0.0, 0.0])
+    cfg = dt.TrainingConfig(epochs=40, batch_size=0, initial_lr=1.5, seed=0)
+    stack = np.array([[-0.45, -0.45], [0.0, 1.0]])
+    init = np.array([0.0, 1.0])
+    dt.train(spec, data, cfg, data_weights=stack[0], init=init)
+    with pytest.raises(DivergenceError) as alone:
+        dt.train(spec, data, cfg, data_weights=stack[1], init=init)
+    with pytest.raises(DivergenceError) as stacked:
+        dt.train(spec, data, cfg, data_weights=stack, init=init)
+    assert stacked.value.step == alone.value.step == 11
 
 
 def test_exponential_schedule_is_exactly_geometric_per_step():
@@ -239,6 +314,53 @@ def test_trajectory_save_load_round_trip(tmp_path):
     blob.write_bytes(bytes(raw))
     with pytest.raises(ReplayDivergenceError):
         dt.load_trajectory(d)
+
+
+@st.composite
+def _trajectory_runs(draw):
+    """A small model, training config and data weights; n = 10 samples."""
+    schedule = draw(st.one_of(
+        st.just(dt.ConstantSchedule()),
+        st.builds(dt.StepDecaySchedule, st.floats(0.05, 1.0), st.integers(1, 4)),
+        st.builds(dt.ExponentialSchedule, st.floats(0.5, 1.0)),
+        st.builds(dt.ReduceOnPlateauSchedule, st.floats(0.05, 1.0), st.integers(1, 3),
+                  st.floats(0.0, 0.5)),
+    ))
+    cfg = dt.TrainingConfig(
+        epochs=draw(st.integers(1, 4)),
+        batch_size=draw(st.integers(0, 12)),
+        initial_lr=draw(st.floats(0.001, 0.3)),
+        schedule=schedule,
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        weight_decay=draw(st.sampled_from([0.0, 0.01])),
+        seed=draw(st.integers(0, 2**16)),
+        snapshot_stride=draw(st.integers(0, 5)),
+    )
+    spec = draw(st.sampled_from([dt.ModelSpec("logistic_regression", (4, 2)),
+                                 dt.ModelSpec("mlp", (4, 3, 2))]))
+    weights = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=10, max_size=10)))
+    return spec, cfg, weights
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_trajectory_runs())
+def test_trajectory_save_load_round_trips_and_replays(run):
+    spec, cfg, weights = run
+    ds = dt.synth_gaussian(2, 5, 4, 2.0, 1)
+    rec = dt.train(spec, ds, cfg, data_weights=weights)
+    with tempfile.TemporaryDirectory() as d:
+        dt.save_trajectory(rec, d)
+        back = dt.load_trajectory(d)
+    assert (back.model, back.config, back.n_train) == (rec.model, rec.config, rec.n_train)
+    assert back.snapshots.keys() == rec.snapshots.keys()
+    assert all(np.array_equal(back.snapshots[t], rec.snapshots[t]) for t in rec.snapshots)
+    assert len(back.batches) == len(rec.batches)
+    assert all(np.array_equal(a, b) for a, b in zip(back.batches, rec.batches))
+    for field in ("lrs", "losses", "data_weights", "final_params"):
+        assert np.array_equal(getattr(back, field), getattr(rec, field)), field
+    again = dt.replay(back, ds)  # checks every snapshot bit for bit
+    assert np.array_equal(again.final_params, rec.final_params)
+    assert np.array_equal(again.losses, rec.losses)
 
 
 @pytest.mark.parametrize("name, cut", [
