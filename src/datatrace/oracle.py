@@ -44,8 +44,7 @@ def _guard(dataset, config, force):
         raise ValueError(
             f"oracle limited to {MAX_ORACLE_SAMPLES} samples (got {n}); pass force=True"
         )
-    batch = config.batch_size if 0 < config.batch_size < n else n
-    if config.epochs * -(-n // batch) > MAX_ORACLE_STEPS:  # ceil(n / batch) steps per epoch
+    if config.epochs * len(trainer.batch_starts(n, config.batch_size)) > MAX_ORACLE_STEPS:
         raise ValueError("oracle step budget exceeded; pass force=True")
 
 

@@ -133,16 +133,22 @@ class TrainingConfig:
             raise ConfigError("initial_lr * weight_decay must be < 1")
 
 
-def build_batch_schedule(n, batch_size, epochs, seed):
-    """Seeded shuffled partition per epoch; the last batch may be short."""
+def batch_starts(n, batch_size):
+    """Offsets of one epoch's batches; ``batch_size <= 0`` or ``>= n`` is one full batch."""
     if batch_size <= 0 or batch_size >= n:
         batch_size = n
+    return range(0, n, batch_size)
+
+
+def build_batch_schedule(n, batch_size, epochs, seed):
+    """Seeded shuffled partition per epoch; the last batch may be short."""
+    starts = batch_starts(n, batch_size)
     batches = []
     for epoch in range(epochs):
         rng = np.random.default_rng([int(seed), epoch])
         perm = rng.permutation(n).astype(np.int32)
-        for start in range(0, n, batch_size):
-            batches.append(perm[start : start + batch_size])
+        for start in starts:
+            batches.append(perm[start : start + starts.step])
     return batches
 
 
@@ -208,6 +214,11 @@ class StepContext:
         return models.hessian_vector_product(self.model, self.params, self.rows, weights, v)
 
 
+def _recorded_loss(weights, batch_losses, w, lam):
+    """The regularized batch loss of one run at its pre-update parameters."""
+    return float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
+
+
 def train(
     model,
     dataset,
@@ -231,7 +242,8 @@ def train(
     the derived schedule (used by replay). The run diverges when a batch loss
     exceeds ``DIVERGENCE_FACTOR`` times ``reference_loss`` (default: the
     first step's loss), so a run resumed mid-trajectory can keep the
-    original run's reference.
+    original run's reference; a non-finite ``reference_loss`` raises
+    ConfigError.
 
     An ``(R, n)`` stack of data weights runs R trajectories in lockstep on
     the shared batches and rates: the parameters, momentum buffer, snapshots
@@ -246,6 +258,8 @@ def train(
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
     if eps.ndim not in (1, 2) or eps.shape[-1] != n:
         raise ConfigError(f"data weights of shape {eps.shape} for {n} samples")
+    if reference_loss is not None and not np.isfinite(reference_loss):
+        raise ConfigError(f"reference_loss must be finite (got {reference_loss})")
     lead = eps.shape[:-1]  # (R,) for a stack of R runs, () for one run
     if lead and step_hook is not None:
         raise ConfigError("a stack of data weights takes no step_hook")
@@ -297,8 +311,10 @@ def train(
         if lam > 0.0:
             g = g + lam * w
 
-        # vecdot is np.dot row by row, so the recorded losses keep their bits.
-        loss = np.vecdot(weights, batch_losses) + 0.5 * lam * np.vecdot(w, w)
+        if lead:  # row by row, so each row records the loss of its run alone
+            loss = np.array([_recorded_loss(*row, lam) for row in zip(weights, batch_losses, w)])
+        else:
+            loss = _recorded_loss(weights, batch_losses, w, lam)
         out_losses[..., t - 1] = loss
         out_lrs[t - 1] = lr
         if limit is None:

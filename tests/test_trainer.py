@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datatrace as dt
-from datatrace import models
+from datatrace import models, trainer
 from datatrace.exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 from conftest import bias_only_probe, gaussian_pair, ridge_probe
 
@@ -154,6 +154,15 @@ def test_weight_stack_refusals():
             dt.train(spec, ds, cfg, data_weights=bad)
 
 
+@pytest.mark.parametrize("reference", [np.nan, np.inf, -np.inf])
+def test_non_finite_reference_loss_is_refused(reference):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.1, seed=5)
+    with pytest.raises(ConfigError, match="reference_loss"):
+        dt.train(spec, ds, cfg, reference_loss=reference)
+
+
 def test_stack_diverges_at_its_diverging_rows_step():
     # Bias-only quadratic, full batch of 2: b <- (1 - lr * (1 + eps_0 + eps_1)) b.
     # Row 0 contracts by 0.85 from a first loss of 0.05; row 1 grows by -2
@@ -273,6 +282,10 @@ def test_batch_schedule_partitions_each_epoch():
     for epoch in range(2):
         seen = np.concatenate(batches[epoch * 4 : (epoch + 1) * 4])
         assert sorted(seen) == list(range(10))
+    # batch_starts, which the oracle's step guard counts, matches every schedule.
+    for n, batch_size in [(10, 3), (10, 5), (10, 0), (10, 10), (10, 12), (7, 1)]:
+        batches = dt.build_batch_schedule(n, batch_size, 3, seed=4)
+        assert len(batches) == 3 * len(trainer.batch_starts(n, batch_size))
 
 
 def test_trajectory_save_load_round_trip(tmp_path):
