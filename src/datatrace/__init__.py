@@ -44,8 +44,6 @@ from .hypergrad import (
     contribution_approx,
     contribution_exact,
     error_trace,
-    load_states,
-    save_states,
     track_approx,
     track_exact,
 )
@@ -65,8 +63,6 @@ from .models import (
     hessian_vector_product,
     init_params,
     loss_and_gradient,
-    mean_gradient,
-    mean_loss,
     per_sample_gradient,
     per_sample_gradients,
     power_iteration_max_eig,

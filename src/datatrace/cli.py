@@ -19,19 +19,12 @@ import numpy as np
 
 from . import __version__, attribution, configtext, data, hypergrad, models, oracle, reports
 from . import trainer
-from .influence import InverseHvpConfig, as_contribution_report
+from .influence import _METHOD_TAGS, InverseHvpConfig, as_contribution_report
 from .influence import influence as influence_fn
 from .exceptions import ConfigError
 
-METHODS = (
-    "exact",
-    "approx",
-    "influence_cg",
-    "influence_neumann",
-    "influence_dense",
-    "oracle_fd",
-    "oracle_loo",
-)
+METHODS = ("exact", "approx", *_METHOD_TAGS.values(), "oracle_fd", "oracle_loo")
+_SOLVERS = {tag: solver for solver, tag in _METHOD_TAGS.items()}
 
 OUTPUT_ROOT_ENV = "DATATRACE_OUTPUT_ROOT"
 
@@ -240,31 +233,21 @@ def select_tracked(cfg, train):
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def _influence_config(cfg, method):
-    kind = {
-        "influence_cg": "conjugate_gradient",
-        "influence_neumann": "neumann",
-        "influence_dense": "dense",
-    }[method]
-    return replace(cfg.inverse_hvp, method=kind)
-
-
-def compute_report(cfg, method, record, train, test, tracked, per_test=False):
+def compute_report(cfg, method, record, train, test, tracked):
     """One contribution report for one method over the tracked indices."""
     if method == "exact":
-        return hypergrad.contribution_exact(record, train, tracked, test, per_test=per_test)
+        return hypergrad.contribution_exact(record, train, tracked, test)
     if method == "approx":
-        return hypergrad.contribution_approx(record, train, tracked, test, per_test=per_test)
-    if method.startswith("influence"):
+        return hypergrad.contribution_approx(record, train, tracked, test)
+    if method in _SOLVERS:
         rep = influence_fn(
             cfg.model,
             record.final_params,
             train,
             test,
             [int(i) for i in tracked],
-            config=_influence_config(cfg, method),
+            config=replace(cfg.inverse_hvp, method=_SOLVERS[method]),
             weight_decay=cfg.training.weight_decay,
-            per_test=per_test,
         )
         return as_contribution_report(rep, test_tag=test.split_tag)
     if method == "oracle_fd":
@@ -375,15 +358,15 @@ def run_experiment(cfg, output_dir=None):
     return out
 
 
-def run_cleaning(cfg, output_dir=None, method="approx"):
-    """inject noise -> track -> discard bottom r% -> retrain -> accuracies."""
+def run_cleaning(cfg, output_dir=None):
+    """inject noise -> approx contributions -> discard bottom r% -> retrain -> accuracies."""
     if not 0.0 < cfg.noise.fraction < 1.0:
         raise ConfigError("cleaning requires a noise fraction in (0, 1)")
     out = _resolve_output(cfg, output_dir)
     train, test, noise_record = build_datasets(cfg)
     record = trainer.train(cfg.model, train, cfg.training)
     tracked = np.arange(len(train))
-    rep = compute_report(cfg, method, record, train, test, tracked)
+    rep = compute_report(cfg, "approx", record, train, test, tracked)
     retained = attribution.clean_dataset(rep, cfg.noise.fraction)
     attribution.write_retained_indices(retained, os.path.join(out, "retained.txt"))
 
@@ -397,7 +380,7 @@ def run_cleaning(cfg, output_dir=None, method="approx"):
     acc_cleaned = models.accuracy(cfg.model, cleaned_record.final_params, test)
 
     payload = {
-        "method": method,
+        "method": rep.method,
         "noise_fraction": cfg.noise.fraction,
         "flipped_recovered_fraction": recovered,
         "accuracy_no_filtering": acc_nofilter,
@@ -512,7 +495,7 @@ def main(argv=None):
     if args.command in ("track", "influence", "oracle"):
         wanted = {
             "track": ("exact", "approx"),
-            "influence": ("influence_cg", "influence_neumann", "influence_dense"),
+            "influence": tuple(_METHOD_TAGS.values()),
             "oracle": ("oracle_fd", "oracle_loo"),
         }[args.command]
         methods = tuple(m for m in cfg.methods if m in wanted) or (wanted[0],)

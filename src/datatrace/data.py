@@ -48,7 +48,9 @@ class LabeledDataset:
     @property
     def features(self):
         """Inputs flattened to (n, d)."""
-        return self.inputs.reshape(len(self.inputs), -1)
+        n = len(self.inputs)
+        # -1 cannot be inferred from zero rows.
+        return self.inputs.reshape(n, -1 if n else self.feature_dim)
 
     @property
     def feature_dim(self):
@@ -56,6 +58,8 @@ class LabeledDataset:
 
     def subset(self, indices, split_tag=None):
         indices = np.asarray(indices)
+        if indices.size == 0:  # [] is a float array, which numpy refuses as an index
+            indices = indices.astype(np.int64)
         return LabeledDataset(
             self.inputs[indices],
             self.labels[indices],

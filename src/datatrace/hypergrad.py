@@ -14,8 +14,7 @@ identical batch order and learning rates as the original run.
   one segment at a time, so its parameter memory is O(sqrt(T) * P).
 - Forward mode (``track_exact``, ``track_approx``, ``error_trace``): carries
   the full vectors nabla_{t,i}, one HVP vector per tracked sample per step,
-  for callers that need the vectors themselves (``save_states``, the error
-  bound).
+  for callers that need the vectors themselves (the error bound).
 """
 
 from __future__ import annotations
@@ -188,19 +187,8 @@ def error_trace(record, dataset, indices, record_stride=1):
     }
 
 
-def _test_rows(record, test_dataset, per_test):
-    """g_test(w_T), with the m per-sample test gradients stacked under it when ``per_test``."""
-    if len(test_dataset) == 0:
-        raise ValueError("empty test subset")
-    w_T = record.final_params
-    rows = models.test_loss_gradient(record.model, w_T, test_dataset)[None]
-    if per_test:
-        rows = np.concatenate([rows, models.per_sample_gradients(record.model, w_T, test_dataset)])
-    return rows
-
-
 def _report(record, test_dataset, index, acc, method, per_test):
-    """Report from ``acc = _test_rows(...) @ nabla_{T,i}``, one column per index i.
+    """Report from ``acc = models.test_gradients(...) @ nabla_{T,i}``, one column per index i.
 
     C = -acc / n: row 0 holds C(i), and with ``per_test`` row 1 + j holds C(i, j).
     """
@@ -228,7 +216,7 @@ def contribution(record, states, test_dataset, per_test=False):
     ``contribution_approx`` give the same report without the states, at a
     cost that does not grow with their number.
     """
-    rows = _test_rows(record, test_dataset, per_test)
+    rows = models.test_gradients(record.model, record.final_params, test_dataset, per_test)
     if not states:
         raise ValueError("no hypergradient states given")
     modes = {s.mode for s in states.values()}
@@ -326,7 +314,7 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
 
 
 def _contribution(record, dataset, indices, test_dataset, per_test, use_hessian):
-    rows = _test_rows(record, test_dataset, per_test)
+    rows = models.test_gradients(record.model, record.final_params, test_dataset, per_test)
     index, acc = _adjoint(record, dataset, indices, rows, use_hessian)
     method = "exact" if use_hessian else "approx"
     return _report(record, test_dataset, index.tolist(), acc, method, per_test)
@@ -349,33 +337,3 @@ def contribution_approx(record, dataset, indices, test_dataset, per_test=False):
     test_dataset, per_test)`` to rounding.
     """
     return _contribution(record, dataset, indices, test_dataset, per_test, use_hessian=False)
-
-
-def save_states(states, path):
-    """Serialize final hypergradient states to one little-endian blob + index."""
-    with open(path, "wb") as blob, open(path + ".idx", "w") as idx:
-        offset = 0
-        for i in sorted(states):
-            s = states[i]
-            arr = np.concatenate([s.nabla, s.mom_deriv]).astype("<f8")
-            blob.write(arr.tobytes())
-            idx.write(f"{i} {s.mode} {s.step} {offset} {s.nabla.size}\n")
-            offset += arr.size
-    return path
-
-
-def load_states(path):
-    blob = np.fromfile(path, dtype="<f8")
-    states = {}
-    with open(path + ".idx") as idx:
-        for line in idx:
-            i, mode, step, offset, size = line.split()
-            i, step, offset, size = int(i), int(step), int(offset), int(size)
-            states[i] = HypergradState(
-                i,
-                mode,
-                blob[offset : offset + size].copy(),
-                blob[offset + size : offset + 2 * size].copy(),
-                step,
-            )
-    return states

@@ -55,6 +55,15 @@ class InfluenceReport:
     n_train: int
 
 
+def _shifted(model, params, rows, weights, shift):
+    """The operator v -> (H + shift I) v, H the weighted empirical-risk Hessian on ``rows``."""
+
+    def matvec(v):
+        return models.hessian_vector_product(model, params, rows, weights, v) + shift * v
+
+    return matvec
+
+
 def _cg(matvec, v, tol, max_iters):
     """Conjugate gradient for (H + shift I) x = v; residual-norm stopping."""
     vnorm = float(np.linalg.norm(v))
@@ -96,15 +105,8 @@ def _neumann_scale(model, params, dataset, shift, config):
     X, Y = dataset.features, dataset.labels
     max_eig = 0.0
     for d in probe:
-        row = (X[d : d + 1], Y[d : d + 1])
-
-        def matvec(v, row=row):
-            hv = models.hessian_vector_product(model, params, row, np.array([1.0]), v)
-            return hv + shift * v
-
-        eig = models.power_iteration_max_eig(
-            matvec, dim=dim, iterations=50, seed=config.seed
-        )
+        matvec = _shifted(model, params, (X[d : d + 1], Y[d : d + 1]), np.array([1.0]), shift)
+        eig = models.power_iteration_max_eig(matvec, dim=dim, iterations=50, seed=config.seed)
         max_eig = max(max_eig, eig)
     # 1.1 headroom so the scaled operator has spectral radius < 1.
     return 1.1 * max(max_eig, 1e-12)
@@ -121,10 +123,7 @@ def _neumann(model, params, dataset, V, shift, scale, config):
         R = V.copy()
         for _ in range(config.neumann_depth):
             d = int(rng.integers(n))
-            hr = models.hessian_vector_product(
-                model, params, (X[d : d + 1], Y[d : d + 1]), np.array([1.0]), R
-            )
-            hr += shift * R
+            hr = _shifted(model, params, (X[d : d + 1], Y[d : d + 1]), np.array([1.0]), shift)(R)
             R = V + R - hr / scale
             if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
                 raise ScalingError(
@@ -152,11 +151,7 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
         shift += weight_decay
     uniform = np.full(len(dataset), 1.0 / len(dataset))
     if config.method == "conjugate_gradient":
-
-        def matvec(d):
-            hd = models.hessian_vector_product(model, params, dataset, uniform, d)
-            return hd + shift * d
-
+        matvec = _shifted(model, params, dataset, uniform, shift)
         runs = [_cg(matvec, row, config.cg_tolerance, config.cg_max_iters) for row in V]
         X = np.array([x for x, _, _ in runs])
         diag = {
@@ -192,9 +187,7 @@ def influence(model, final_params, train_dataset, test_dataset, train_indices,
     """
     n = len(train_dataset)
     index = data.training_indices(train_indices, n)
-    rhs = np.atleast_2d(models.test_loss_gradient(model, final_params, test_dataset))
-    if per_test:
-        rhs = np.vstack([rhs, models.per_sample_gradients(model, final_params, test_dataset)])
+    rhs = models.test_gradients(model, final_params, test_dataset, per_test)
     S, diagnostics = inverse_hvp(model, final_params, train_dataset, rhs, config, weight_decay)
     rows = (train_dataset.features[index], train_dataset.labels[index])
     # per_sample_gradients needs at least one row. Column 0 of the scores is

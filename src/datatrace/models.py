@@ -181,7 +181,7 @@ def sample_losses(spec, params, dataset):
     X, Y = _xy(dataset)
     _check_inputs(spec, X)
     flat = as_flat(params)
-    if flat.ndim != 1:  # test_loss and mean_loss would average a stack's rows together
+    if flat.ndim != 1:  # test_loss would average a stack's rows together
         raise ShapeError(f"parameters of shape {flat.shape}, expected one vector")
     Zs, _ = _forward(spec, flat, X)
     targets = _targets(spec, Y, len(X))
@@ -193,13 +193,6 @@ def sample_losses(spec, params, dataset):
 
 def per_sample_loss(spec, params, x, y):
     return float(sample_losses(spec, params, ([x], [y]))[0])
-
-
-def mean_loss(spec, params, dataset, weights=None):
-    losses = sample_losses(spec, params, dataset)
-    if weights is None:
-        return float(losses.mean())
-    return float(np.dot(np.asarray(weights, dtype=np.float64), losses))
 
 
 def _backprop_pack(spec, flat, Zs, As, delta, weights=None, per_sample=False):
@@ -282,12 +275,6 @@ def loss_and_gradient(spec, params, dataset, weights):
 def batch_gradient(spec, params, dataset, weights):
     """Weighted sum of per-sample gradients (empirical-risk part only)."""
     return loss_and_gradient(spec, params, dataset, weights)[1]
-
-
-def mean_gradient(spec, params, dataset):
-    X, _ = _xy(dataset)
-    n = len(X)
-    return batch_gradient(spec, params, dataset, np.full(n, 1.0 / n))
 
 
 def _hvp_exact(spec, flat, X, targets, weights, V):
@@ -401,13 +388,37 @@ def power_iteration_max_eig(matvec, dim, iterations=200, seed=0):
     return lam
 
 
+def check_test_subset(dataset):
+    """The row count of a test subset; ValueError for none, whose mean loss is undefined."""
+    m = len(_xy(dataset)[0])
+    if m == 0:
+        raise ValueError("empty test subset")
+    return m
+
+
 def test_loss(spec, params, dataset):
     """Mean per-sample loss over a test subset (no regularizer)."""
+    check_test_subset(dataset)
     return float(sample_losses(spec, params, dataset).mean())
 
 
 def test_loss_gradient(spec, params, dataset):
-    return mean_gradient(spec, params, dataset)
+    """g_test: the gradient of ``test_loss``."""
+    m = check_test_subset(dataset)
+    return batch_gradient(spec, params, dataset, np.full(m, 1.0 / m))
+
+
+def test_gradients(spec, params, dataset, per_test=False):
+    """g_test as row 0 of a stack, with the m per-sample test gradients under it when ``per_test``.
+
+    The test side of trajectory contributions and influence functions (the
+    retraining oracle reads ``test_loss``); all of them refuse an empty test
+    subset through ``check_test_subset``.
+    """
+    rows = test_loss_gradient(spec, params, dataset)[None]
+    if per_test:
+        rows = np.concatenate([rows, per_sample_gradients(spec, params, dataset)])
+    return rows
 
 
 def accuracy(spec, params, dataset):

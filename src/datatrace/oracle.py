@@ -36,7 +36,9 @@ def _params_checksum(params):
     return hashlib.sha256(np.ascontiguousarray(params).tobytes()).hexdigest()
 
 
-def _guard(dataset, config, force):
+def _guard(dataset, test_dataset, config, force):
+    """Refuse an empty test subset, then (unless ``force``) a run too large to retrain."""
+    models.check_test_subset(test_dataset)
     n = len(dataset)
     if force:
         return
@@ -81,7 +83,7 @@ def finite_difference_hypergradient(
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
     (index,) = data.training_indices([index], len(dataset)).tolist()
-    _guard(dataset, config, force)
+    _guard(dataset, test_dataset, config, force)
     if nominal is None:
         nominal = trainer.train(model, dataset, config)
 
@@ -107,7 +109,7 @@ def leave_one_out(model, dataset, config, index, test_dataset, nominal=None, for
     """Test-loss change from retraining with eps_i = -1/N (sample removed)."""
     n = len(dataset)
     (index,) = data.training_indices([index], n).tolist()
-    _guard(dataset, config, force)
+    _guard(dataset, test_dataset, config, force)
     if nominal is None:
         nominal = trainer.train(model, dataset, config)
     nominal_loss = models.test_loss(model, nominal.final_params, test_dataset)

@@ -215,7 +215,10 @@ class StepContext:
 
 
 def _recorded_loss(weights, batch_losses, w, lam):
-    """The regularized batch loss of one run at its pre-update parameters."""
+    """The regularized objective of one run at w: weighted losses plus 0.5 * lam * ||w||^2.
+
+    A step records it on its batch; the plateau monitor reads it on the full dataset.
+    """
     return float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
 
 
@@ -238,7 +241,8 @@ def train(
     the ridge term ``weight_decay * w`` is added on top. ``step_hook`` is
     called after the step gradient is computed and before the update.
     ``init``/``velocity`` are the starting parameters and momentum buffer
-    (default: seeded initialization and zero). ``batches``/``lrs`` override
+    (default: seeded initialization and zero); a wrong length raises
+    ShapeError. ``batches``/``lrs`` override
     the derived schedule (used by replay). The run diverges when a batch loss
     exceeds ``DIVERGENCE_FACTOR`` times ``reference_loss`` (default: the
     first step's loss), so a run resumed mid-trajectory can keep the
@@ -275,6 +279,9 @@ def train(
     stride = config.snapshot_stride if config.snapshot_stride > 0 else steps_per_epoch
 
     w = models.init_params(model, config.seed) if init is None else models.as_flat(init)
+    P = models.param_count(model)
+    if w.shape[-1:] != (P,):
+        raise ShapeError(f"init of shape {w.shape} for {P} parameters")
     w = np.broadcast_to(w, lead + w.shape[-1:]).copy()
     lam = config.weight_decay
     p = config.momentum
@@ -339,7 +346,7 @@ def train(
             lrs is None and t % steps_per_epoch == 0
         ):
             full_losses = models.sample_losses(model, w, dataset)
-            monitor = float(np.dot(1.0 / n + eps, full_losses)) + 0.5 * lam * float(w @ w)
+            monitor = _recorded_loss(1.0 / n + eps, full_losses, w, lam)
             if monitor < best_monitor * (1.0 - sched.rel_threshold):
                 best_monitor = monitor
                 stale_epochs = 0

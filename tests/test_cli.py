@@ -276,6 +276,14 @@ def test_oracle_subcommand(small_config, tmp_path):
     assert sorted(rep.values) == [0, 3]
 
 
+def test_run_refuses_an_empty_test_split(small_config, tmp_path):
+    with pytest.raises(ValueError, match="empty test subset"):
+        cli.main([
+            "run", "--config", small_config, "--output", str(tmp_path / "e"),
+            "--set", "dataset.test_per_class=0",
+        ])
+
+
 def test_clean_subcommand_reports_recovery(small_config, tmp_path):
     out = str(tmp_path / "cl")
     rc = cli.main([

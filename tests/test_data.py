@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import datatrace as dt
+from datatrace import trainer
 from datatrace.exceptions import ConfigError, IdxFormatError
 from datatrace.hypergrad import ContributionReport
 from datatrace.reports import oracle_results_to_report, read_report_csv, write_report_csv
@@ -186,6 +187,42 @@ def test_training_index_contract(entry, bad):
     index = len(train) if bad == "n" else bad
     with pytest.raises(ConfigError, match="training index"):
         INDEX_ENTRIES[entry](rec, train, test, index)
+
+
+# Every entry point that reads the test side, called with an empty test subset.
+TEST_SIDE_ENTRIES = {
+    "test_loss": lambda rec, train, test: dt.test_loss(rec.model, rec.final_params, test),
+    "contribution": lambda rec, train, test: dt.contribution(
+        rec, {0: dt.HypergradState(0, "exact", np.zeros(rec.final_params.size),
+                                   np.zeros(rec.final_params.size), rec.steps)}, test
+    ),
+    "contribution_exact": lambda rec, train, test: dt.contribution_exact(rec, train, [0], test),
+    "contribution_approx": lambda rec, train, test: dt.contribution_approx(rec, train, [0], test),
+    "influence": lambda rec, train, test: dt.influence(
+        rec.model, rec.final_params, train, test, [0]
+    ),
+    "finite_difference_hypergradient": lambda rec, train, test: (
+        dt.finite_difference_hypergradient(rec.model, train, rec.config, 0, test)
+    ),
+    "leave_one_out": lambda rec, train, test: dt.leave_one_out(
+        rec.model, train, rec.config, 0, test
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(TEST_SIDE_ENTRIES))
+def test_empty_test_subset_is_refused_before_any_training(entry, count_calls):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=5)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=0, initial_lr=0.05,
+                            weight_decay=0.01, seed=0)
+    rec = dt.train(spec, train, cfg)
+    empty = test.subset([])
+    assert empty.features.shape == (0, 4)
+    calls = count_calls((trainer, "train"))
+    with pytest.raises(ValueError, match="empty test subset"):
+        TEST_SIDE_ENTRIES[entry](rec, train, empty)
+    assert calls == {"train": 0}
 
 
 def test_training_indices_are_distinct_in_first_seen_order():

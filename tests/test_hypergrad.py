@@ -245,22 +245,6 @@ def test_tracked_index_validated():
         dt.contribution_approx(rec, train, [], test)
 
 
-def test_states_save_load_round_trip(tmp_path):
-    spec = dt.ModelSpec("logistic_regression", (4, 2))
-    train, _ = gaussian_pair(dim=4, per_class=6)
-    cfg = dt.TrainingConfig(epochs=8, batch_size=4, initial_lr=0.05,
-                            weight_decay=0.01, seed=6)
-    rec = dt.train(spec, train, cfg)
-    states = dt.track_exact(rec, train, [1, 4])
-    path = str(tmp_path / "states.bin")
-    dt.save_states(states, path)
-    back = dt.load_states(path)
-    for i in (1, 4):
-        assert np.array_equal(back[i].nabla, states[i].nabla)
-        assert np.array_equal(back[i].mom_deriv, states[i].mom_deriv)
-        assert back[i].mode == "exact" and back[i].step == rec.steps
-
-
 # ---------------------------------------------------------------------------
 # Reverse mode: contribution_exact / contribution_approx against forward mode.
 

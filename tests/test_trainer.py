@@ -86,6 +86,8 @@ def test_training_resumes_from_a_step_with_its_velocity():
     assert np.array_equal(rest.final_params, rec.final_params)
     with pytest.raises(dt.ShapeError):
         dt.train(spec, ds, cfg, velocity=np.zeros(3))
+    with pytest.raises(dt.ShapeError, match="init"):
+        dt.train(spec, ds, cfg, init=np.zeros(3))
 
 
 def test_replay_with_perturbed_weights_skips_check():
