@@ -38,7 +38,6 @@ from .exceptions import (
 )
 from .hypergrad import (
     ApproxErrorTrace,
-    ContributionReport,
     HypergradState,
     contribution,
     contribution_approx,
@@ -47,13 +46,7 @@ from .hypergrad import (
     track_approx,
     track_exact,
 )
-from .influence import (
-    InfluenceReport,
-    InverseHvpConfig,
-    as_contribution_report,
-    influence,
-    inverse_hvp,
-)
+from .influence import InverseHvpConfig, influence, inverse_hvp
 from .models import (
     ModelSpec,
     accuracy,
@@ -71,7 +64,12 @@ from .models import (
     test_loss_gradient,
 )
 from .oracle import OracleResult, finite_difference_hypergradient, leave_one_out
-from .reports import oracle_results_to_report, read_report_csv, write_report_csv
+from .reports import (
+    ContributionReport,
+    oracle_results_to_report,
+    read_report_csv,
+    write_report_csv,
+)
 from .trainer import (
     ConstantSchedule,
     ExponentialSchedule,

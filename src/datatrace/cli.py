@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, attribution, configtext, data, hypergrad, models, oracle, reports
 from . import trainer
-from .influence import _METHOD_TAGS, InverseHvpConfig, as_contribution_report
+from .influence import _METHOD_TAGS, InverseHvpConfig
 from .influence import influence as influence_fn
 from .exceptions import ConfigError
 
@@ -240,7 +240,7 @@ def compute_report(cfg, method, record, train, test, tracked):
     if method == "approx":
         return hypergrad.contribution_approx(record, train, tracked, test)
     if method in _SOLVERS:
-        rep = influence_fn(
+        return influence_fn(
             cfg.model,
             record.final_params,
             train,
@@ -249,7 +249,6 @@ def compute_report(cfg, method, record, train, test, tracked):
             config=replace(cfg.inverse_hvp, method=_SOLVERS[method]),
             weight_decay=cfg.training.weight_decay,
         )
-        return as_contribution_report(rep, test_tag=test.split_tag)
     if method == "oracle_fd":
         results = [
             oracle.finite_difference_hypergradient(
@@ -306,6 +305,8 @@ def _write_manifest(cfg, out_dir, files):
 
 def run_experiment(cfg, output_dir=None):
     """train -> track per method -> contributions -> analytics -> emit."""
+    train, test, noise_record = build_datasets(cfg)
+    models.check_test_subset(test)  # before the output directory exists
     out = _resolve_output(cfg, output_dir)
     files = []
 
@@ -315,7 +316,6 @@ def run_experiment(cfg, output_dir=None):
         fh.write(config_to_text(cfg, include_output=False))
     files.append("config.ini")
 
-    train, test, noise_record = build_datasets(cfg)
     if noise_record is not None:
         noise = {
             "flipped_indices": [int(i) for i in noise_record.flipped_indices],
@@ -362,8 +362,9 @@ def run_cleaning(cfg, output_dir=None):
     """inject noise -> approx contributions -> discard bottom r% -> retrain -> accuracies."""
     if not 0.0 < cfg.noise.fraction < 1.0:
         raise ConfigError("cleaning requires a noise fraction in (0, 1)")
-    out = _resolve_output(cfg, output_dir)
     train, test, noise_record = build_datasets(cfg)
+    models.check_test_subset(test)  # before the output directory exists
+    out = _resolve_output(cfg, output_dir)
     record = trainer.train(cfg.model, train, cfg.training)
     tracked = np.arange(len(train))
     rep = compute_report(cfg, "approx", record, train, test, tracked)
@@ -499,8 +500,9 @@ def main(argv=None):
             "oracle": ("oracle_fd", "oracle_loo"),
         }[args.command]
         methods = tuple(m for m in cfg.methods if m in wanted) or (wanted[0],)
-        out = _resolve_output(cfg, args.output)
         train_ds, test_ds, _ = build_datasets(cfg)
+        models.check_test_subset(test_ds)  # before the output directory exists
+        out = _resolve_output(cfg, args.output)
         record = trainer.train(cfg.model, train_ds, cfg.training)
         tracked = select_tracked(cfg, train_ds)
         for method in methods:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, models, trainer
+from . import data, models, reports, trainer
 from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 
 
@@ -54,17 +54,6 @@ class ApproxErrorTrace:
     bounds: np.ndarray
     lipschitz_estimate: float
     nabla_max: float
-
-
-@dataclass
-class ContributionReport:
-    """Per-sample contribution values with method provenance."""
-
-    method: str
-    values: dict  # train index -> C(i)
-    pair_values: dict | None  # (train index, test index) -> C(i, j)
-    test_tag: str
-    n_train: int
 
 
 class _Tracker:
@@ -145,6 +134,8 @@ def error_trace(record, dataset, indices, record_stride=1):
     """
     if record.config.weight_decay <= 0.0:
         raise ConfigError("the approximation-error bound requires weight_decay > 0")
+    if record_stride < 1:
+        raise ConfigError(f"record_stride = {record_stride} must be >= 1")
     exact = _Tracker(record, indices, use_hessian=True)
     approx = _Tracker(record, indices, use_hessian=False)
     steps, errors = [], []
@@ -187,26 +178,6 @@ def error_trace(record, dataset, indices, record_stride=1):
     }
 
 
-def _report(record, test_dataset, index, acc, method, per_test):
-    """Report from ``acc = models.test_gradients(...) @ nabla_{T,i}``, one column per index i.
-
-    C = -acc / n: row 0 holds C(i), and with ``per_test`` row 1 + j holds C(i, j).
-    """
-    C = -acc / record.n_train
-    pair_values = None
-    if per_test:
-        pair_values = {
-            (i, j): cij for r, i in enumerate(index) for j, cij in enumerate(C[1:, r].tolist())
-        }
-    return ContributionReport(
-        method=method,
-        values=dict(zip(index, C[0].tolist())),
-        pair_values=pair_values,
-        test_tag=getattr(test_dataset, "split_tag", "test"),
-        n_train=record.n_train,
-    )
-
-
 def contribution(record, states, test_dataset, per_test=False):
     """Contribution report from final-step hypergradient states.
 
@@ -222,7 +193,7 @@ def contribution(record, states, test_dataset, per_test=False):
     modes = {s.mode for s in states.values()}
     tag = modes.pop() if len(modes) == 1 else "mixed"
     nabla = np.stack([s.nabla for s in states.values()])
-    return _report(record, test_dataset, list(states), rows @ nabla.T, tag, per_test)
+    return reports.from_loss_derivatives(tag, list(states), rows @ nabla.T, record.n_train)
 
 
 class _Steps:
@@ -317,7 +288,7 @@ def _contribution(record, dataset, indices, test_dataset, per_test, use_hessian)
     rows = models.test_gradients(record.model, record.final_params, test_dataset, per_test)
     index, acc = _adjoint(record, dataset, indices, rows, use_hessian)
     method = "exact" if use_hessian else "approx"
-    return _report(record, test_dataset, index.tolist(), acc, method, per_test)
+    return reports.from_loss_derivatives(method, index.tolist(), acc, record.n_train)
 
 
 def contribution_exact(record, dataset, indices, test_dataset, per_test=False):

@@ -11,12 +11,13 @@ tiny models) by a dense solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, models
-from .exceptions import ConvergenceError, ScalingError
+from . import data, models, reports
+from .exceptions import ConfigError, ConvergenceError, ScalingError
 
 NEUMANN_DIVERGENCE_FACTOR = 1e6
 _METHOD_TAGS = {
@@ -40,19 +41,16 @@ class InverseHvpConfig:
 
     def __post_init__(self):
         if self.method not in _METHOD_TAGS:
-            raise ValueError(f"unknown inverse-HVP method {self.method!r}")
+            raise ConfigError(f"unknown inverse-HVP method {self.method!r}")
         if self.damping < 0.0:
-            raise ValueError("damping must be >= 0")
-
-
-@dataclass
-class InfluenceReport:
-    method: str  # influence_cg | influence_neumann | influence_dense
-    values: dict  # train index -> IF(z_i, test subset)
-    scaled_values: dict  # train index -> -IF / N, comparable to C(i)
-    pair_values: dict | None
-    diagnostics: dict
-    n_train: int
+            raise ConfigError("damping must be >= 0")
+        if self.cg_max_iters < 1 or not self.cg_tolerance > 0.0:
+            raise ConfigError("cg_max_iters must be >= 1 and cg_tolerance > 0")
+        if self.neumann_depth < 1 or self.neumann_repeats < 1:
+            raise ConfigError("neumann_depth and neumann_repeats must be >= 1")
+        scale = self.neumann_scale
+        if scale is not None and not (math.isfinite(scale) and scale > 0.0):
+            raise ConfigError(f"neumann_scale = {scale!r} must be None or finite and > 0")
 
 
 def _shifted(model, params, rows, weights, shift):
@@ -174,54 +172,23 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
 
 def influence(model, final_params, train_dataset, test_dataset, train_indices,
               config=InverseHvpConfig(), weight_decay=0.0, per_test=False):
-    """IF(z_i, test subset) for each requested training index.
+    """Influence contributions on the C(i) scale for each requested training index.
 
     One inverse HVP gives s_test = (H + shift I)^{-1} g_test, and
-    ``values[i]`` = -g_i^T s_test, which equals -g_test^T H^{-1} g_i because H
-    is symmetric; its sign follows the upweighting direction. With
-    ``per_test`` the test-row gradients join the same solve, and
-    ``pair_values[(i, j)]`` = -g_i^T s_j. ``scaled_values`` holds -IF/N, the
-    first-order estimate of the test-loss change from removing the sample,
-    which is the quantity comparable (in scale and sign) to trajectory
-    contributions C(i). ``diagnostics`` are those of the one solve.
+    IF_i = -g_i^T s_test, which equals -g_test^T H^{-1} g_i because H is
+    symmetric: the derivative of the test loss in the sample's upweighting.
+    ``values[i]`` is C(i) = -IF_i / N, the first-order estimate of the
+    test-loss change from removing the sample, comparable in scale and sign
+    to trajectory contributions. With ``per_test`` the test-row gradients
+    join the same solve, and ``pair_values[(i, j)]`` = g_i^T s_j / N.
     """
-    n = len(train_dataset)
-    index = data.training_indices(train_indices, n)
+    index = data.training_indices(train_indices, len(train_dataset))
     rhs = models.test_gradients(model, final_params, test_dataset, per_test)
-    S, diagnostics = inverse_hvp(model, final_params, train_dataset, rhs, config, weight_decay)
+    S, _ = inverse_hvp(model, final_params, train_dataset, rhs, config, weight_decay)
     rows = (train_dataset.features[index], train_dataset.labels[index])
-    # per_sample_gradients needs at least one row. Column 0 of the scores is
-    # against g_test, column 1 + j against test row j.
+    # per_sample_gradients needs at least one row. Row 0 of the derivatives is
+    # against g_test, row 1 + j against test row j.
     G = models.per_sample_gradients(model, final_params, rows) if index.size else S[:0]
-    scores = -(G @ S.T)
-    keys = index.tolist()
-    values = {i: float(row[0]) for i, row in zip(keys, scores)}
-    scaled = {i: -v / n for i, v in values.items()}
-    pairs = None
-    if per_test:
-        pairs = {(i, j): float(x) for i, row in zip(keys, scores)
-                 for j, x in enumerate(row[1:])}
-    return InfluenceReport(
-        method=_METHOD_TAGS[config.method],
-        values=values,
-        scaled_values=scaled,
-        pair_values=pairs,
-        diagnostics=diagnostics,
-        n_train=n,
-    )
-
-
-def as_contribution_report(report, test_tag="test"):
-    """View an influence report on the C(i) scale (-IF / N) for comparisons."""
-    from .hypergrad import ContributionReport
-
-    pair = None
-    if report.pair_values is not None:
-        pair = {k: -v / report.n_train for k, v in report.pair_values.items()}
-    return ContributionReport(
-        method=report.method,
-        values=dict(report.scaled_values),
-        pair_values=pair,
-        test_tag=test_tag,
-        n_train=report.n_train,
+    return reports.from_loss_derivatives(
+        _METHOD_TAGS[config.method], index.tolist(), -(G @ S.T).T, len(train_dataset)
     )

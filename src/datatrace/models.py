@@ -101,7 +101,10 @@ def _xy(dataset):
     if isinstance(dataset, LabeledDataset):
         return dataset.features, dataset.labels
     X, Y = dataset
-    return np.asarray(X, dtype=np.float64).reshape(len(X), -1), np.asarray(Y)
+    X = np.asarray(X, dtype=np.float64)
+    # -1 cannot be inferred from zero rows.
+    n = len(X)
+    return X.reshape(n, -1 if n else int(np.prod(X.shape[1:], dtype=np.int64))), np.asarray(Y)
 
 
 def _targets(spec, Y, n):

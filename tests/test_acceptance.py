@@ -306,9 +306,8 @@ def test_criterion_07_influence_baseline_consistency():
     )
     inf = dt.influence(rspec, rrec.final_params, rtrain, rtest,
                        list(range(len(rtrain))), weight_decay=0.01)
-    scaled = dt.as_contribution_report(inf)
     signs_agree = all(
-        np.sign(exact.values[i]) == np.sign(scaled.values[i])
+        np.sign(exact.values[i]) == np.sign(inf.values[i])
         for i in range(len(rtrain))
     )
     elapsed = time.time() - t0
@@ -334,9 +333,7 @@ def test_criterion_08_trajectory_methods_beat_influence_ranking():
     idx = list(range(50))
     exact = dt.contribution(rec, dt.track_exact(rec, train, idx), test)
     approx = dt.contribution(rec, dt.track_approx(rec, train, idx), test)
-    inf = dt.as_contribution_report(
-        dt.influence(spec, rec.final_params, train, test, idx, weight_decay=0.01)
-    )
+    inf = dt.influence(spec, rec.final_params, train, test, idx, weight_decay=0.01)
     rho_approx = dt.compare_methods(exact, approx).spearman_rho
     rho_inf = dt.compare_methods(exact, inf).spearman_rho
     elapsed = time.time() - t0
@@ -394,11 +391,9 @@ def test_criterion_10_clustering_and_comparison_plumbing():
     jaccard_ok = ev.mean_correct == 1.0 and ev.mean_flipped == 1.0
 
     # textbook rank arithmetic: one adjacent transposition in 5 ranks
-    from datatrace.hypergrad import ContributionReport
-
     def _rep(vals, method):
-        return ContributionReport(method=method, values=dict(enumerate(vals)),
-                                  pair_values=None, test_tag="t", n_train=len(vals))
+        return dt.ContributionReport(method=method, values=dict(enumerate(vals)),
+                                     pair_values=None)
 
     ref = _rep([1.0, 2.0, 3.0, 4.0, 5.0], "exact")
     swapped = dt.compare_methods(ref, _rep([1.0, 3.0, 2.0, 4.0, 5.0], "approx"))

@@ -8,12 +8,11 @@ import pytest
 
 import datatrace as dt
 from datatrace import attribution
-from datatrace.hypergrad import ContributionReport
+from datatrace.reports import ContributionReport
 
 
 def _report(values, method="exact"):
-    return ContributionReport(method=method, values=dict(values),
-                              pair_values=None, test_tag="test", n_train=len(values))
+    return ContributionReport(method=method, values=dict(values), pair_values=None)
 
 
 def test_distribution_stats():

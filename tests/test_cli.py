@@ -94,6 +94,7 @@ def test_config_hash_is_pinned(text, digest):
 _names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", max_size=12)
 _counts = st.integers(0, 10**9)
 _reals = st.floats(allow_nan=False, allow_infinity=False)
+_positive_reals = st.floats(0.0, exclude_min=True, allow_infinity=False)
 _rates = st.floats(0.0, 1.0, exclude_min=True)
 _widths = st.integers(1, 1000)
 _schedules = st.one_of(
@@ -141,9 +142,10 @@ _experiments = st.builds(
     noise=st.builds(cli.NoiseConfig, fraction=_reals, seed=_counts),
     inverse_hvp=st.builds(
         cli.InverseHvpConfig,
-        damping=st.floats(0.0, 1e6), cg_max_iters=_counts, cg_tolerance=_reals,
-        neumann_depth=_counts, neumann_repeats=_counts,
-        neumann_scale=st.none() | _reals, seed=_counts,
+        damping=st.floats(0.0, 1e6), cg_max_iters=st.integers(1, 10**9),
+        cg_tolerance=_positive_reals, neumann_depth=st.integers(1, 10**9),
+        neumann_repeats=st.integers(1, 10**9),
+        neumann_scale=st.none() | _positive_reals, seed=_counts,
         include_regularizer_in_hessian=st.booleans(),
     ),
     oracle_delta=_reals,
@@ -277,11 +279,16 @@ def test_oracle_subcommand(small_config, tmp_path):
 
 
 def test_run_refuses_an_empty_test_split(small_config, tmp_path):
-    with pytest.raises(ValueError, match="empty test subset"):
-        cli.main([
-            "run", "--config", small_config, "--output", str(tmp_path / "e"),
-            "--set", "dataset.test_per_class=0",
-        ])
+    empty = ["--config", small_config, "--set", "dataset.test_per_class=0"]
+    # clean needs a noise fraction; the others accept one.
+    for command in ("run", "clean", "track", "influence", "oracle"):
+        out = tmp_path / command
+        with pytest.raises(ValueError, match="empty test subset"):
+            cli.main([command, *empty, "--output", str(out), "--noise-fraction", "0.3"])
+        assert not out.exists()
+    # Neither reads the test split.
+    for command in ("train", "bound-trace"):
+        assert cli.main([command, *empty, "--output", str(tmp_path / command)]) == 0
 
 
 def test_clean_subcommand_reports_recovery(small_config, tmp_path):

@@ -8,8 +8,12 @@ import pytest
 import datatrace as dt
 from datatrace import trainer
 from datatrace.exceptions import ConfigError, IdxFormatError
-from datatrace.hypergrad import ContributionReport
-from datatrace.reports import oracle_results_to_report, read_report_csv, write_report_csv
+from datatrace.reports import (
+    ContributionReport,
+    oracle_results_to_report,
+    read_report_csv,
+    write_report_csv,
+)
 from datatrace.oracle import OracleResult
 from conftest import gaussian_pair
 
@@ -131,8 +135,6 @@ def test_report_csv_round_trip(tmp_path):
         method="exact",
         values={0: 1.0 / 3.0, 2: -0.25},
         pair_values={(0, 0): 0.5, (0, 1): 1.0 / 6.0, (2, 0): -0.1, (2, 1): -0.4},
-        test_tag="test",
-        n_train=2,
     )
     p = str(tmp_path / "r.csv")
     write_report_csv(rep, p)
@@ -220,8 +222,9 @@ def test_empty_test_subset_is_refused_before_any_training(entry, count_calls):
     empty = test.subset([])
     assert empty.features.shape == (0, 4)
     calls = count_calls((trainer, "train"))
-    with pytest.raises(ValueError, match="empty test subset"):
-        TEST_SIDE_ENTRIES[entry](rec, train, empty)
+    for subset in (empty, (empty.features, empty.labels)):
+        with pytest.raises(ValueError, match="empty test subset"):
+            TEST_SIDE_ENTRIES[entry](rec, train, subset)
     assert calls == {"train": 0}
 
 

@@ -33,8 +33,10 @@ def _sign_flip_probe():
 
 
 def test_closed_form_on_identity_hessian_probe():
-    # H^er = I here, so IF = -g_test . g_i / (1 + lambda + damping) exactly
+    # H^er = I here, so IF = -g_test . g_i / (1 + lambda + damping) exactly,
+    # and C(i) = -IF / n
     spec, train, test, rec = _sign_flip_probe()
+    n = len(train)
     lam, damping = 0.01, 0.01
     g_test = dt.test_loss_gradient(spec, rec.final_params, test)
     rep = dt.influence(
@@ -45,7 +47,7 @@ def test_closed_form_on_identity_hessian_probe():
     for i in range(len(train)):
         g_i = dt.per_sample_gradient(spec, rec.final_params, train.features[i], train.labels[i])
         closed = -(g_test @ g_i) / (1.0 + lam + damping)
-        assert abs(rep.values[i] - closed) <= 1e-9
+        assert abs(rep.values[i] - -closed / n) <= 1e-9 / n
 
 
 def test_influence_signs_match_exact_contributions_on_ridge_probe():
@@ -53,9 +55,8 @@ def test_influence_signs_match_exact_contributions_on_ridge_probe():
     exact = dt.contribution(rec, dt.track_exact(rec, train, list(range(len(train)))), test)
     inf = dt.influence(spec, rec.final_params, train, test, list(range(len(train))),
                        weight_decay=0.01)
-    scaled = dt.as_contribution_report(inf)
     for i in range(len(train)):
-        assert np.sign(exact.values[i]) == np.sign(scaled.values[i])
+        assert np.sign(exact.values[i]) == np.sign(inf.values[i])
 
 
 def test_zero_gradient_sample_has_zero_influence():
@@ -142,6 +143,23 @@ def test_config_validation():
         dt.InverseHvpConfig(damping=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cg_max_iters", 0),
+    ("cg_tolerance", 0.0),
+    ("cg_tolerance", float("nan")),
+    ("neumann_depth", -1),
+    ("neumann_depth", 0),
+    ("neumann_repeats", 0),
+    ("neumann_scale", 0.0),
+    ("neumann_scale", -1.0),
+    ("neumann_scale", float("inf")),
+    ("neumann_scale", float("nan")),
+])
+def test_out_of_range_solver_settings_are_refused(field, value):
+    with pytest.raises(ConfigError, match=field):
+        dt.InverseHvpConfig(**{field: value})
+
+
 def test_influence_ranking_correlates_with_leave_one_out():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     train, test = gaussian_pair(dim=4, per_class=10)
@@ -152,7 +170,7 @@ def test_influence_ranking_correlates_with_leave_one_out():
     inf = dt.influence(spec, rec.final_params, train, test, idx, weight_decay=0.01)
     loo = [dt.leave_one_out(spec, train, cfg, i, test, nominal=rec).loo_delta
            for i in idx]
-    rho = scipy_stats.spearmanr([inf.scaled_values[i] for i in idx], loo).statistic
+    rho = scipy_stats.spearmanr([inf.values[i] for i in idx], loo).statistic
     assert rho >= 0.9
 
 
@@ -186,9 +204,10 @@ def mlp_probe():
 
 @pytest.mark.parametrize("method, rtol", [("dense", 1e-10), ("conjugate_gradient", 1e-6)])
 def test_test_side_solve_equals_per_sample_definition(mlp_probe, method, rtol):
-    # IF_i = -g_test^T H^-1 g_i, one solve per training sample, is the
-    # definition; influence() solves once on the test side instead.
+    # C(i) = -IF_i / n with IF_i = -g_test^T H^-1 g_i, one solve per training
+    # sample, is the definition; influence() solves once on the test side instead.
     spec, train, test, w = mlp_probe
+    n = len(train)
     config = dt.InverseHvpConfig(method=method)
     idx = list(range(len(train)))
     rep = dt.influence(spec, w, train, test, idx, config=config,
@@ -198,9 +217,9 @@ def test_test_side_solve_equals_per_sample_definition(mlp_probe, method, rtol):
     for i in idx:
         g_i = dt.per_sample_gradient(spec, w, train.features[i], train.labels[i])
         ihvp, _ = dt.inverse_hvp(spec, w, train, g_i, config, weight_decay=0.01)
-        np.testing.assert_allclose(rep.values[i], -(g_test @ ihvp), rtol=rtol, atol=0)
+        np.testing.assert_allclose(rep.values[i], (g_test @ ihvp) / n, rtol=rtol, atol=0)
         got = [rep.pair_values[(i, j)] for j in range(len(test))]
-        np.testing.assert_allclose(got, -(G_test @ ihvp), rtol=rtol, atol=0)
+        np.testing.assert_allclose(got, (G_test @ ihvp) / n, rtol=rtol, atol=0)
     assert len(rep.pair_values) == len(train) * len(test)
 
 
@@ -241,7 +260,7 @@ def test_training_index_validated(index):
 def test_no_training_indices_gives_empty_report(mlp_probe):
     spec, train, test, w = mlp_probe
     rep = dt.influence(spec, w, train, test, [], weight_decay=0.01, per_test=True)
-    assert rep.values == rep.scaled_values == rep.pair_values == {}
+    assert rep.values == rep.pair_values == {}
 
 
 def test_neumann_scale_too_small_raises_scaling_error(mlp_probe):
