@@ -7,6 +7,12 @@ IF_i = -g_i^T s_test with s_test = (H_T + shift I)^{-1} g_test (Koh & Liang,
 computed by damped conjugate gradient, by the stochastic Neumann-series
 iteration with single-sample Hessians (LiSSA; Agarwal et al., 2017), or (for
 tiny models) by a dense solve.
+
+The Neumann chains are independent, so they run in lockstep: the scale is one
+stacked power iteration over the probes' single-sample Hessians, and every
+repeat's r iterates advance together with one paired HVP per series step, each
+repeat on its own drawn sample. A solve makes 50 + depth HVP calls, and every
+value is bit-identical to running the chains one after another.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ class InverseHvpConfig:
     def __post_init__(self):
         if self.method not in _METHOD_TAGS:
             raise ConfigError(f"unknown inverse-HVP method {self.method!r}")
-        if self.damping < 0.0:
-            raise ConfigError("damping must be >= 0")
+        if not (math.isfinite(self.damping) and self.damping >= 0.0):
+            raise ConfigError(f"damping = {self.damping!r} must be finite and >= 0")
         if self.cg_max_iters < 1 or not self.cg_tolerance > 0.0:
             raise ConfigError("cg_max_iters must be >= 1 and cg_tolerance > 0")
         if self.neumann_depth < 1 or self.neumann_repeats < 1:
@@ -90,45 +96,53 @@ def _cg(matvec, v, tol, max_iters):
     )
 
 
+def _sample_sets(dataset, samples):
+    """Each sample as its own one-row set, in the paired form that
+    ``hessian_vector_product`` takes: ``(X (K, 1, in), Y (K, 1))`` and (K, 1) weights."""
+    X, Y = dataset.features, dataset.labels
+    return (X[samples][:, None], Y[samples][:, None]), np.ones((len(samples), 1))
+
+
 def _neumann_scale(model, params, dataset, shift, config):
     if config.neumann_scale is not None:
         return float(config.neumann_scale)
     # The iteration applies single-sample Hessians, whose spectra can exceed
     # the mean Hessian's, so the scale must bound the largest per-sample
-    # eigenvalue seen over a probe subset.
+    # eigenvalue seen over a probe subset. One stacked power iteration runs
+    # the probes' operators side by side.
     n = len(dataset)
     rng = np.random.default_rng([int(config.seed), 0x5CA1])
     probe = rng.choice(n, size=min(16, n), replace=False)
-    dim = np.size(params)
-    X, Y = dataset.features, dataset.labels
-    max_eig = 0.0
-    for d in probe:
-        matvec = _shifted(model, params, (X[d : d + 1], Y[d : d + 1]), np.array([1.0]), shift)
-        eig = models.power_iteration_max_eig(matvec, dim=dim, iterations=50, seed=config.seed)
-        max_eig = max(max_eig, eig)
+    matvec = _shifted(model, params, *_sample_sets(dataset, probe), shift)
+    eigs = models.power_iteration_max_eig(
+        matvec, dim=(probe.size, np.size(params)), iterations=50, seed=config.seed
+    )
     # 1.1 headroom so the scaled operator has spectral radius < 1.
-    return 1.1 * max(max_eig, 1e-12)
+    return 1.1 * max(float(eigs.max()), 1e-12)
 
 
 def _neumann(model, params, dataset, V, shift, scale, config):
-    """Neumann-series estimates of every row of V, shape (repeats, r, P)."""
+    """Neumann-series estimates of every row of V, shape (repeats, r, P).
+
+    The repeats x r iterates advance in lockstep, one paired HVP per step:
+    each repeat draws its own sample per step from ``Generator([seed, rep])``
+    and applies that sample's Hessian to its r iterates.
+    """
     n = len(dataset)
+    repeats, r = config.neumann_repeats, len(V)
+    rngs = [np.random.default_rng([int(config.seed), rep]) for rep in range(repeats)]
+    V = np.tile(V, (repeats, 1))
     vnorm = np.maximum(np.linalg.norm(V, axis=1), 1.0)
-    estimates = np.zeros((config.neumann_repeats,) + V.shape)
-    X, Y = dataset.features, dataset.labels
-    for rep in range(config.neumann_repeats):
-        rng = np.random.default_rng([int(config.seed), rep])
-        R = V.copy()
-        for _ in range(config.neumann_depth):
-            d = int(rng.integers(n))
-            hr = _shifted(model, params, (X[d : d + 1], Y[d : d + 1]), np.array([1.0]), shift)(R)
-            R = V + R - hr / scale
-            if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
-                raise ScalingError(
-                    f"Neumann iterate diverged (scale {scale}); increase the scale"
-                )
-        estimates[rep] = R / scale
-    return estimates
+    R = V.copy()
+    for _ in range(config.neumann_depth):
+        drawn = np.repeat([int(rng.integers(n)) for rng in rngs], r)
+        hr = _shifted(model, params, *_sample_sets(dataset, drawn), shift)(R)
+        R = V + R - hr / scale
+        if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
+            raise ScalingError(
+                f"Neumann iterate diverged (scale {scale}); increase the scale"
+            )
+    return (R / scale).reshape(repeats, r, -1)
 
 
 def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):

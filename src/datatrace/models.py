@@ -9,6 +9,7 @@ nothing mutates its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,36 +98,42 @@ def _unpack(spec, flat):
     return Ws, bs
 
 
-def _xy(dataset):
+def _xy(dataset, sample_axes=1):
+    """(X, Y) with X flattened to ``(*samples, features)``.
+
+    The first ``sample_axes`` axes of X index samples: one for a row set, two
+    for K row sets of b rows each.
+    """
     if isinstance(dataset, LabeledDataset):
         return dataset.features, dataset.labels
     X, Y = dataset
     X = np.asarray(X, dtype=np.float64)
-    # -1 cannot be inferred from zero rows.
-    n = len(X)
-    return X.reshape(n, -1 if n else int(np.prod(X.shape[1:], dtype=np.int64))), np.asarray(Y)
+    # An explicit width: -1 cannot be inferred from zero rows.
+    shape = X.shape
+    return X.reshape(shape[:sample_axes] + (math.prod(shape[sample_axes:]),)), np.asarray(Y)
 
 
-def _targets(spec, Y, n):
-    """Canonicalize labels: int class indices for CE, (n, out) floats for SE."""
+def _targets(spec, Y, samples):
+    """Canonicalize labels of the ``samples``-shaped rows: int class indices for
+    CE, ``(*samples, out)`` floats for SE."""
     if spec.loss == "cross_entropy":
         Y = np.asarray(Y)
         if not np.issubdtype(Y.dtype, np.integer):
             raise ShapeError("cross_entropy labels must be integer class indices")
         if Y.size and (Y.min() < 0 or Y.max() >= spec.output_dim):
             raise ShapeError("class index outside the output range")
-        return Y.reshape(n)
-    T = np.asarray(Y, dtype=np.float64).reshape(n, -1)
-    if T.shape[1] != spec.output_dim:
+        return Y.reshape(samples)
+    T = np.asarray(Y, dtype=np.float64).reshape(*samples, -1)
+    if T.shape[-1] != spec.output_dim:
         raise ShapeError(
-            f"squared_error target width {T.shape[1]} != output {spec.output_dim}"
+            f"squared_error target width {T.shape[-1]} != output {spec.output_dim}"
         )
     return T
 
 
 def _check_inputs(spec, X):
-    if X.shape[1] != spec.input_dim:
-        raise ShapeError(f"input width {X.shape[1]} != model input {spec.input_dim}")
+    if X.shape[-1] != spec.input_dim:
+        raise ShapeError(f"input width {X.shape[-1]} != model input {spec.input_dim}")
 
 
 def _act(spec, z):
@@ -145,7 +152,8 @@ def _forward(spec, flat, X):
     """Returns (Zs, As): pre-activations per layer and inputs to each layer.
 
     A ``(..., P)`` stack of parameters gives ``(..., n, width)`` stacks over
-    the shared input X, one ``np.matmul`` product per parameter vector.
+    the shared input X, one ``np.matmul`` product per parameter vector; a
+    ``(K, b, in)`` stack of inputs gives ``(K, b, width)`` stacks the same way.
     """
     Ws, bs = _unpack(spec, flat)
     As = [X]
@@ -161,18 +169,21 @@ def _forward(spec, flat, X):
 def _losses_and_delta(spec, logits, targets):
     """Per-sample losses plus the loss gradient w.r.t. the logits.
 
-    ``logits`` may be a ``(..., n, out)`` stack over shared targets.
+    ``logits`` may be a ``(..., n, out)`` stack over shared ``(n,)`` targets,
+    or a ``(K, n, out)`` stack paired with ``(K, n)`` targets.
     """
     if spec.loss == "cross_entropy":
-        rows = np.arange(logits.shape[-2])
+        target = (..., np.arange(targets.shape[-1]), targets)
+        if targets.ndim == 2:
+            target = (np.arange(len(targets))[:, None],) + target[1:]
         zmax = logits.max(axis=-1, keepdims=True)
         ez = np.exp(logits - zmax)
         sez = ez.sum(axis=-1, keepdims=True)
         lse = np.log(sez[..., 0]) + zmax[..., 0]
-        losses = lse - logits[..., rows, targets]
+        losses = lse - logits[target]
         soft = ez / sez
         delta = soft.copy()
-        delta[..., rows, targets] -= 1.0
+        delta[target] -= 1.0
         return losses, delta, soft
     resid = logits - targets
     losses = 0.5 * (resid**2).sum(axis=-1)
@@ -187,7 +198,7 @@ def sample_losses(spec, params, dataset):
     if flat.ndim != 1:  # test_loss would average a stack's rows together
         raise ShapeError(f"parameters of shape {flat.shape}, expected one vector")
     Zs, _ = _forward(spec, flat, X)
-    targets = _targets(spec, Y, len(X))
+    targets = _targets(spec, Y, X.shape[:-1])
     losses, _, _ = _losses_and_delta(spec, Zs[-1], targets)
     if not np.all(np.isfinite(losses)):
         raise NumericError("non-finite loss value")
@@ -234,7 +245,7 @@ def per_sample_gradients(spec, params, dataset):
     _check_inputs(spec, X)
     flat = as_flat(params)
     Zs, As = _forward(spec, flat, X)
-    targets = _targets(spec, Y, len(X))
+    targets = _targets(spec, Y, X.shape[:-1])
     _, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
     G = _backprop_pack(spec, flat, Zs, As, delta, per_sample=True)
     if not np.all(np.isfinite(G)):
@@ -265,7 +276,7 @@ def loss_and_gradient(spec, params, dataset, weights):
         )
     _check_inputs(spec, X)
     Zs, As = _forward(spec, flat, X)
-    targets = _targets(spec, Y, len(X))
+    targets = _targets(spec, Y, X.shape[:-1])
     losses, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
     g = _backprop_pack(spec, flat, Zs, As, delta, weights=weights)
     if not np.all(np.isfinite(g)):
@@ -283,9 +294,12 @@ def batch_gradient(spec, params, dataset, weights):
 def _hvp_exact(spec, flat, X, targets, weights, V):
     """R-operator Hessian-vector products, batched over the rows of V (k, P).
 
-    Directional derivatives are carried as (k, n, width) stacks and every
+    The rows X (n, in) with weights (n,) are shared by every vector; K row
+    sets X (K, b, in) with (K, b) weights pair with the K rows of V.
+    Directional derivatives are carried as (k, b, width) stacks and every
     contraction is an ``np.matmul`` over the stack, one product per vector,
-    so a stack gives the same bits as its rows one at a time.
+    so a stack gives the same bits as its rows (and their row sets) one at a
+    time.
     """
     Ws, _ = _unpack(spec, flat)
     VWs, Vbs = _unpack(spec, V)
@@ -296,7 +310,7 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
     RAs = [None]
     RZ = None
     for l in range(spec.n_layers):
-        RZ = As[l] @ VWs[l].swapaxes(1, 2) + Vbs[l][:, None, :]
+        RZ = As[l] @ VWs[l].swapaxes(-1, -2) + Vbs[l][:, None, :]
         if RAs[l] is not None:
             RZ += RAs[l] @ Ws[l].T
         if l < spec.n_layers - 1:
@@ -305,19 +319,20 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
     _, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
     if spec.loss == "cross_entropy":
         sRZ = soft * RZ
-        RD = sRZ - soft * sRZ.sum(axis=2, keepdims=True)
+        RD = sRZ - soft * sRZ.sum(axis=-1, keepdims=True)
     else:
         RD = RZ
 
     out = np.zeros(V.shape)
     HWs, Hbs = _unpack(spec, out)
     D = delta
+    w = weights[..., None]
     for l in reversed(range(spec.n_layers)):
-        RDt = RD.swapaxes(1, 2)
-        HWs[l][:] = RDt @ (weights[:, None] * As[l])
+        RDt = RD.swapaxes(-1, -2)
+        HWs[l][:] = RDt @ (w * As[l])
         if RAs[l] is not None:
-            HWs[l] += (weights[:, None] * D).T @ RAs[l]
-        Hbs[l][:] = RDt @ weights
+            HWs[l] += (w * D).swapaxes(-1, -2) @ RAs[l]
+        Hbs[l][:] = (RDt @ w)[..., 0]
         if l > 0:
             ag = _act_grad(spec, Zs[l - 1])
             RD = (RD @ Ws[l] + D @ VWs[l]) * ag
@@ -329,27 +344,37 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     """H^er v for the weighted empirical risk (no regularizer).
 
     ``v`` may be a single flat vector or a (k, P) stack; the result has the
-    same shape. ``finite_difference`` mode uses a central difference of the
-    batch gradient with step r = 1e-4 / max(1, ||v||).
+    same shape. K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)``
+    weights pair row for row with a (K, P) ``v``: row k is H(set k) v_k,
+    bit-equal to the call on set k alone. ``finite_difference`` mode (shared
+    rows only) uses a central difference of the batch gradient with step
+    r = 1e-4 / max(1, ||v||).
     """
-    X, Y = _xy(dataset)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim not in (1, 2):
+        raise ShapeError(f"weights of shape {weights.shape}, expected (n,) or (K, b)")
+    X, Y = _xy(dataset, weights.ndim)
     _check_inputs(spec, X)
     flat = as_flat(params)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(X):
-        raise ShapeError(f"{len(weights)} weights for {len(X)} samples")
+    if weights.shape != X.shape[:-1]:
+        raise ShapeError(f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]}")
     V = as_flat(v)
     single = V.ndim == 1
     V = np.atleast_2d(V)
     if V.shape[1] != flat.size:
         raise ShapeError(f"vector length {V.shape[1]} != parameter count {flat.size}")
+    paired = weights.ndim == 2
+    if paired and V.shape != (len(weights), flat.size):
+        raise ShapeError(f"{len(weights)} row sets for vectors of shape {V.shape}")
 
     if mode == "exact":
-        targets = _targets(spec, Y, len(X))
+        targets = _targets(spec, Y, X.shape[:-1])
         out = _hvp_exact(spec, flat, X, targets, weights, V)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite Hessian-vector product")
     elif mode == "finite_difference":
+        if paired:
+            raise ValueError("finite_difference mode takes shared rows only")
         out = np.empty_like(V)
         for i, vec in enumerate(V):
             r = 1e-4 / max(1.0, float(np.linalg.norm(vec)))
@@ -374,21 +399,31 @@ def dense_hessian(spec, params, dataset, weights):
 
 
 def power_iteration_max_eig(matvec, dim, iterations=200, seed=0):
-    """Largest |eigenvalue| of a symmetric operator by power iteration."""
+    """Largest |eigenvalue| of a symmetric operator by power iteration.
+
+    ``dim`` is the operator's size, or ``(K, size)`` for a stack of K
+    operators: ``matvec`` then maps a (K, size) stack row by row, and the
+    result is an array of K eigenvalues, row k bit-equal to operator k run
+    alone. Every row starts from the same seeded vector. An operator that
+    maps its iterate to zero reads 0.0.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    stacked = np.ndim(dim) == 1
+    K, size = dim if stacked else (1, dim)
     rng = np.random.default_rng([int(seed), 0xE16])
-    v = rng.standard_normal(dim)
+    v = rng.standard_normal(size)
     v /= np.linalg.norm(v)
-    lam = 0.0
+    V = np.tile(v, (K, 1))
     for _ in range(iterations):
-        hv = np.asarray(matvec(v))
-        nrm = float(np.linalg.norm(hv))
-        if nrm == 0.0:
-            return 0.0
-        lam = nrm
-        v = hv / nrm
-    return lam
+        HV = np.asarray(matvec(V if stacked else V[0])).reshape(K, size)
+        # The 1-D norm of each row: norm(axis=1) differs from it in the last ulp.
+        lam = np.array([np.linalg.norm(row) for row in HV])
+        if not lam.any():
+            break
+        # A zero row stays zero, and so does its eigenvalue.
+        V = HV / np.where(lam == 0.0, 1.0, lam)[:, None]
+    return lam if stacked else float(lam[0])
 
 
 def check_test_subset(dataset):
@@ -430,6 +465,6 @@ def accuracy(spec, params, dataset):
     _check_inputs(spec, X)
     if spec.loss != "cross_entropy":
         raise ShapeError(f"accuracy needs class-index targets, not {spec.loss} targets")
-    targets = _targets(spec, Y, len(X))
+    targets = _targets(spec, Y, X.shape[:-1])
     Zs, _ = _forward(spec, as_flat(params), X)
     return float((Zs[-1].argmax(axis=1) == targets).mean())

@@ -10,11 +10,13 @@ the trajectory trackers are validated against.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data, models, trainer
+from .exceptions import ConfigError
 
 MAX_ORACLE_SAMPLES = 200
 MAX_ORACLE_STEPS = 5000
@@ -80,8 +82,8 @@ def finite_difference_hypergradient(
     perturbed around those of ``nominal``, and the 4 perturbed runs (2
     without ``richardson``) advance together in one stacked replay.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigError(f"delta = {delta!r} must be finite and > 0")
     (index,) = data.training_indices([index], len(dataset)).tolist()
     _guard(dataset, test_dataset, config, force)
     if nominal is None:

@@ -278,6 +278,15 @@ def test_oracle_subcommand(small_config, tmp_path):
     assert sorted(rep.values) == [0, 3]
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_oracle_refuses_a_non_finite_delta(small_config, tmp_path, delta):
+    with pytest.raises(ConfigError, match="delta"):
+        cli.main([
+            "oracle", "--config", small_config, "--output", str(tmp_path / "orc"),
+            "--methods", "oracle_fd", "--set", f"oracle.delta={delta}",
+        ])
+
+
 def test_run_refuses_an_empty_test_split(small_config, tmp_path):
     empty = ["--config", small_config, "--set", "dataset.test_per_class=0"]
     # clean needs a noise fraction; the others accept one.

@@ -144,6 +144,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
+    ("damping", float("nan")),
+    ("damping", float("inf")),
     ("cg_max_iters", 0),
     ("cg_tolerance", 0.0),
     ("cg_tolerance", float("nan")),
@@ -226,7 +228,7 @@ def test_test_side_solve_equals_per_sample_definition(mlp_probe, method, rtol):
 @pytest.mark.parametrize("method", ["dense", "conjugate_gradient", "neumann"])
 def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatch, method):
     spec, train, test, w = mlp_probe
-    calls = {"inverse_hvp": 0, "power_iteration_max_eig": 0}
+    calls = {"inverse_hvp": 0, "power_iteration_max_eig": 0, "hessian_vector_product": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -239,12 +241,65 @@ def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatc
 
     counted(influence_module, "inverse_hvp")
     counted(models, "power_iteration_max_eig")
+    counted(models, "hessian_vector_product")
     config = dt.InverseHvpConfig(method=method, neumann_depth=20, neumann_repeats=2)
     rep = dt.influence(spec, w, train, test, list(range(20)), config=config,
                        weight_decay=0.01)
     assert len(rep.values) == 20
     assert calls["inverse_hvp"] == 1
-    assert calls["power_iteration_max_eig"] <= 16
+    if method == "neumann":
+        # One stacked power iteration of 50 steps for the 16 scale probes, then
+        # one paired HVP per series step for all repeats.
+        assert calls["power_iteration_max_eig"] == 1
+        assert calls["hessian_vector_product"] == 50 + config.neumann_depth
+    else:
+        assert calls["power_iteration_max_eig"] == 0
+
+
+def _logistic_probe():
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=10, test_per_class=3)
+    cfg = dt.TrainingConfig(epochs=50, batch_size=0, initial_lr=0.1,
+                            weight_decay=0.01, seed=1)
+    return spec, train, test, dt.train(spec, train, cfg).final_params
+
+
+# float.hex() of the Neumann solver's results as the one-chain-at-a-time
+# solver computed them: the scale and the repeat spread of the per_test
+# solve, C(i) for i = 0, 3, 11 without and with per_test, and C(i, j) for
+# (0, 0), (3, 1), (11, 2). The lockstep solver must give the same bits.
+NEUMANN_PINS = {
+    "mlp": (
+        ("0x1.6ac699c30fa91p+3", "0x1.8be30d42e4815p+0"),
+        ("0x1.f177e43316ba7p-7", "0x1.4295094e4a45ap-7", "-0x1.0cd2d23722481p-6"),
+        ("0x1.f177e43316ba5p-7", "0x1.4295094e4a45ap-7", "-0x1.0cd2d23722481p-6"),
+        ("0x1.10fdf00cb32cbp-5", "0x1.66652c8ac658cp-5", "-0x1.75a60c7d67dcdp-5"),
+    ),
+    "logistic": (
+        ("0x1.270782ed5249fp+1", "0x1.1a73b50a18bf3p+2"),
+        ("0x1.e4f2ab7a432d5p-10", "0x1.7384e8fc0e486p-9", "0x1.4ba65b3c11edfp-4"),
+        ("0x1.e4f2ab7a432d3p-10", "0x1.7384e8fc0e486p-9", "0x1.4ba65b3c11edfp-4"),
+        ("0x1.67952ff6d32b6p-9", "0x1.0bf330dcbdd44p-8", "-0x1.17721ecb767c5p-3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NEUMANN_PINS))
+def test_neumann_results_are_pinned_bit_for_bit(mlp_probe, probe):
+    spec, train, test, w = mlp_probe if probe == "mlp" else _logistic_probe()
+    diag_pin, values_pin, per_test_pin, pairs_pin = NEUMANN_PINS[probe]
+    config = dt.InverseHvpConfig(method="neumann", neumann_depth=40, neumann_repeats=3, seed=5)
+    idx = [0, 3, 11]
+    rhs = models.test_gradients(spec, w, test, per_test=True)
+    _, diag = dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
+    assert (diag["neumann_scale"].hex(), diag["neumann_repeat_std"].hex()) == diag_pin
+    plain = dt.influence(spec, w, train, test, idx, config=config, weight_decay=0.01)
+    assert tuple(plain.values[i].hex() for i in idx) == values_pin
+    rep = dt.influence(spec, w, train, test, idx, config=config, weight_decay=0.01,
+                       per_test=True)
+    assert tuple(rep.values[i].hex() for i in idx) == per_test_pin
+    pairs = ((0, 0), (3, 1), (11, 2))
+    assert tuple(rep.pair_values[pair].hex() for pair in pairs) == pairs_pin
 
 
 @pytest.mark.parametrize("index", [-1, 20, 1.5])

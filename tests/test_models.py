@@ -251,6 +251,38 @@ def test_power_iteration_on_known_matrix():
     assert abs(lam - 5.0) <= 1e-8
 
 
+def test_stacked_power_iteration_rows_equal_each_operator_alone():
+    spec, params, (X, Y) = _probe("mlp", (4, 6, 3), "cross_entropy", 6, 2)
+
+    def shifted(rows, weights):
+        return lambda v: dt.hessian_vector_product(spec, params, rows, weights, v) + 0.1 * v
+
+    stacked = shifted((X[:, None], Y[:, None]), np.ones((6, 1)))
+    eigs = dt.power_iteration_max_eig(stacked, dim=(6, params.size), iterations=40, seed=3)
+    assert eigs.shape == (6,)
+    for j in range(6):
+        alone = shifted((X[j : j + 1], Y[j : j + 1]), np.ones(1))
+        assert eigs[j] == dt.power_iteration_max_eig(alone, dim=params.size, iterations=40, seed=3)
+    # an operator that maps its iterate to zero reads 0.0 and leaves the others be
+    D = np.array([[3.0, -5.0, 1.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.5]])
+    eigs = dt.power_iteration_max_eig(lambda V: D * V, dim=(3, 3), iterations=300, seed=0)
+    for d, eig in zip(D, eigs):
+        assert eig == dt.power_iteration_max_eig(lambda v: d * v, dim=3, iterations=300, seed=0)
+    assert eigs[1] == 0.0 and abs(eigs[0] - 5.0) <= 1e-8
+
+
+def test_paired_row_sets_must_match_the_vectors():
+    spec, params, (X, Y) = _probe("mlp", (4, 6, 3), "cross_entropy", 6, 2)
+    sets, W = (X.reshape(3, 2, 4), Y.reshape(3, 2)), np.ones((3, 2))
+    V = np.ones((3, params.size))
+    with pytest.raises(ShapeError):
+        dt.hessian_vector_product(spec, params, sets, W, V[:2])
+    with pytest.raises(ShapeError):
+        dt.hessian_vector_product(spec, params, sets, W[:, :1], V)
+    with pytest.raises(ValueError, match="shared rows"):
+        dt.hessian_vector_product(spec, params, sets, W, V, mode="finite_difference")
+
+
 def test_shape_mismatch_raises():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     params = dt.init_params(spec, 0)
@@ -285,13 +317,13 @@ def _hvp_cases(draw):
     widths = (draw(st.integers(1, 5)), *hidden, draw(st.integers(1, 4)))
     spec = dt.ModelSpec(kind, widths, draw(st.sampled_from(models.ACTIVATIONS)), loss)
     _, params, rows = _probe(kind, widths, loss, draw(st.integers(1, 9)), draw(st.integers(0, 2**16)))
-    return spec, params, rows, draw(st.integers(2, 5))
+    return spec, params, rows, draw(st.integers(2, 5)), draw(st.integers(1, 4))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_hvp_cases())
 def test_exact_hvp_properties_on_random_architectures(case):
-    spec, params, rows, k = case  # k >= 2 vectors in the stack
+    spec, params, rows, k, b = case  # k >= 2 vectors in the stack, b >= 1 rows per set
     n = len(rows[0])
     # A central difference across a ReLU kink measures a different slope.
     Zs, _ = models._forward(spec, params, rows[0])
@@ -306,6 +338,15 @@ def test_exact_hvp_properties_on_random_architectures(case):
     # a stack equals its rows done one by one
     for row, hv in zip(V, HV):
         assert np.array_equal(dt.hessian_vector_product(spec, params, rows, weights, row), hv)
+    # k row sets paired with the k vectors: row j is H(set j) v_j, bit-equal
+    # to set j alone
+    X, Y = rows
+    sets = np.random.default_rng(b).integers(n, size=(k, b))
+    W = np.random.default_rng(b + 1).uniform(0.5, 1.5, (k, b)) / b
+    paired = dt.hessian_vector_product(spec, params, (X[sets], Y[sets]), W, V)
+    for j, (s, w) in enumerate(zip(sets, W)):
+        assert np.array_equal(dt.hessian_vector_product(spec, params, (X[s], Y[s]), w, V[j]),
+                              paired[j])
     # so does a stack of parameters with its weights in loss_and_gradient
     stack = params + 0.1 * V
     W = weights * np.arange(1, k + 1)[:, None]

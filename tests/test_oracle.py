@@ -6,6 +6,7 @@ import pytest
 import datatrace as dt
 from datatrace import oracle as oracle_mod
 from datatrace import trainer
+from datatrace.exceptions import ConfigError
 from conftest import gaussian_pair, ridge_probe
 
 
@@ -74,6 +75,19 @@ def test_cost_guard_blocks_large_jobs_unless_forced():
         dt.finite_difference_hypergradient(spec, train, cfg, 0, test)
     res = dt.finite_difference_hypergradient(spec, train, cfg, 0, test, force=True)
     assert np.isfinite(res.value)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_step_out_of_range_is_refused_before_training(count_calls, delta):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=8)
+    cfg = dt.TrainingConfig(epochs=40, batch_size=0, initial_lr=0.1,
+                            weight_decay=0.01, seed=2)
+    calls = count_calls((trainer, "train"))
+    # ConfigError is a ValueError, the type the delta <= 0 contract names.
+    with pytest.raises(ConfigError, match="delta"):
+        dt.finite_difference_hypergradient(spec, train, cfg, 0, test, delta=delta)
+    assert calls == {"train": 0}
 
 
 def test_step_guard_counts_the_short_last_batch():
