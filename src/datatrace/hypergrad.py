@@ -10,8 +10,10 @@ identical batch order and learning rates as the original run.
   recurrence is linear in its state and C(i) is one linear functional of
   it, so one backward (adjoint) pass gives C(i) for every requested sample
   with one HVP per step, whatever their number (none in approx mode). The
-  pass keeps (w, velocity) checkpoints every ceil(sqrt(T)) steps and re-runs
-  one segment at a time, so its parameter memory is O(sqrt(T) * P).
+  record's snapshots, with the momentum buffer beside each, are the
+  checkpoints: the intervals between them are re-run in lockstep groups of
+  G, last group first, one paired model evaluation per step, so the pass
+  re-runs T / G steps and keeps at most 4 * ceil(sqrt(T)) parameter vectors.
 - Forward mode (``track_exact``, ``track_approx``, ``error_trace``): carries
   the full vectors nabla_{t,i}, one HVP vector per tracked sample per step,
   for callers that need the vectors themselves (the error bound).
@@ -20,12 +22,12 @@ identical batch order and learning rates as the original run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data, models, reports, trainer
-from .exceptions import ConfigError, DivergenceError, ReplayDivergenceError
+from .exceptions import ConfigError, DivergenceError
 
 
 @dataclass
@@ -107,7 +109,17 @@ class _Tracker:
         }
 
 
+def _one_run(record):
+    """ConfigError for a stacked record (one run per row of its data weights)."""
+    if record.data_weights.ndim != 1:
+        raise ConfigError(
+            f"tracking takes one run, not a stack of data weights of shape "
+            f"{record.data_weights.shape}"
+        )
+
+
 def _track(record, dataset, tracked_indices, use_hessian):
+    _one_run(record)
     tracker = _Tracker(record, tracked_indices, use_hessian)
     trainer.replay(record, dataset, step_hook=tracker)
     assert use_hessian or tracker.hvp_calls == 0
@@ -132,6 +144,7 @@ def error_trace(record, dataset, indices, record_stride=1):
     computed once per step. M_w is each index's own running max of ||nabla||;
     L does not depend on the index, so its power iteration runs once.
     """
+    _one_run(record)
     if record.config.weight_decay <= 0.0:
         raise ConfigError("the approximation-error bound requires weight_decay > 0")
     if record_stride < 1:
@@ -196,21 +209,56 @@ def contribution(record, states, test_dataset, per_test=False):
     return reports.from_loss_derivatives(tag, list(states), rows @ nabla.T, record.n_train)
 
 
-class _Steps:
-    """Step hook keeping the context of every ``stride``-th step, from the first.
+def _groups(record):
+    """The intervals between snapshots as lockstep groups ``(starts, length)``, in step order.
 
-    A context holds read-only views of that step's pre-update parameters and
-    momentum buffer, which ``train`` never writes again, so keeping it costs
-    those two arrays and no copy.
+    A group is G consecutive intervals of one length L whose batches have
+    equal sizes step for step, with
+        G = max(1, min(ceil(sqrt(T)), floor(4 * ceil(sqrt(T)) / L))).
+    The re-run of a group keeps G * L <= 4 * ceil(sqrt(T)) parameter vectors
+    (``_checkpoints`` bounds L by that), as many as ceil(sqrt(T)) checkpoints
+    plus one ceil(sqrt(T))-step segment would hold, w and velocity each, so
+    parameter memory stays O(sqrt(T) * P), while a full-batch record (L = 1)
+    re-runs in ceil(sqrt(T)) groups. Larger groups cut little more time and
+    cost measurable peak memory.
     """
+    root = math.isqrt(record.steps - 1) + 1
+    sizes = [len(batch) for batch in record.batches]
+    marks = sorted(record.snapshots)
+    groups = []
+    for start, end in zip(marks, marks[1:]):
+        if groups:
+            starts, length = groups[-1]
+            if (
+                end - start == length
+                and len(starts) < max(1, min(root, 4 * root // length))
+                and sizes[start:end] == sizes[starts[0] : starts[0] + length]
+            ):
+                starts.append(start)
+                continue
+        groups.append(([start], end - start))
+    return groups
 
-    def __init__(self, stride=1):
-        self.stride = stride
-        self.kept = []
 
-    def __call__(self, ctx):
-        if (ctx.step - 1) % self.stride == 0:
-            self.kept.append(ctx)
+def _checkpoints(record, dataset):
+    """The record with a snapshot at least every 4 * ceil(sqrt(T)) steps, each with its velocity.
+
+    ``train`` keeps the buffer beside each snapshot; a record loaded from
+    disk has none. With momentum 0 the buffer is overwritten at every step
+    (v = 0 * v + g), so zeros serve. Otherwise, or when two snapshots lie
+    further apart, one checked replay fills them, with a snapshot every
+    ceil(sqrt(T)) steps in the second case.
+    """
+    root = math.isqrt(record.steps - 1) + 1
+    if max(np.diff(sorted(record.snapshots))) > 4 * root:
+        finer = replace(record.config, snapshot_stride=root)
+        return trainer.replay(replace(record, config=finer), dataset)
+    if all(step in record.velocities for step in record.snapshots):
+        return record
+    if record.config.momentum == 0.0:
+        zeros = np.zeros_like(record.final_params)
+        return replace(record, velocities=dict.fromkeys(record.snapshots, zeros))
+    return trainer.replay(record, dataset)
 
 
 def _adjoint(record, dataset, indices, rows, use_hessian):
@@ -225,49 +273,28 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
         alpha <- alpha + lam * beta~ [+ H_batch beta~]
         beta  <- p * beta~
     The Hessian term is kept when ``use_hessian`` (exact) and dropped
-    otherwise (approx). One checked replay keeps (w, velocity) every
-    S = ceil(sqrt(T)) steps; each segment is then re-run from its checkpoint,
-    last first, against the replay's divergence reference (its first loss),
-    and must end bit-identical to the next checkpoint.
+    otherwise (approx). The walk reads w_t at every step from re-runs of the
+    intervals between the record's snapshots (``trainer.rerun``): the groups
+    of ``_groups``, last first, each advancing its intervals in lockstep from
+    their snapshots and momentum buffers (see ``_checkpoints``). Each re-run
+    must end bit-identical to the next snapshot and recompute the recorded
+    losses, so the re-runs are the replay's check; a group's re-run is
+    released before the next.
     """
     index = data.training_indices(indices, record.n_train)
     if index.size == 0:
         raise ValueError("no training indices given")
+    record = _checkpoints(record, dataset)
     cfg = record.config
-    n, T = record.n_train, record.steps
-    stride = math.isqrt(T - 1) + 1
+    n = record.n_train
     position = np.full(n, -1)
     position[index] = np.arange(index.size)
-
-    checkpoints = _Steps(stride)
-    replayed = trainer.replay(record, dataset, step_hook=checkpoints)
-    ends = [ctx.params for ctx in checkpoints.kept[1:]] + [record.final_params]
 
     alpha = np.array(rows, dtype=np.float64, ndmin=2)
     beta = np.zeros_like(alpha)
     acc = np.zeros((alpha.shape[0], index.size))
-    for start, end in reversed(list(zip(checkpoints.kept, ends))):
-        first = start.step - 1
-        segment = _Steps()
-        try:
-            rerun = trainer.train(
-                record.model,
-                dataset,
-                cfg,
-                data_weights=record.data_weights,
-                step_hook=segment,
-                init=start.params,
-                velocity=start.velocity,
-                batches=record.batches[first : first + stride],
-                lrs=record.lrs[first : first + stride],
-                reference_loss=replayed.losses[0],
-            )
-        except DivergenceError as err:
-            # The checked replay passed these steps against the same reference.
-            raise ReplayDivergenceError(first + err.step) from err
-        if not np.array_equal(rerun.final_params, end):
-            raise ReplayDivergenceError(first + rerun.steps)
-        for ctx in reversed(segment.kept):
+    for starts, length in reversed(_groups(record)):
+        for ctx in reversed(trainer.rerun(record, dataset, starts, length)):
             beta = beta - ctx.lr * alpha
             rank = position[ctx.batch]
             hit = rank >= 0
@@ -278,13 +305,13 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
             if use_hessian:
                 alpha = alpha + ctx.batch_hvp(beta)
             if not np.all(np.isfinite(alpha)):
-                step = first + ctx.step
-                raise DivergenceError(step, f"adjoint diverged at step {step}")
+                raise DivergenceError(ctx.step, f"adjoint diverged at step {ctx.step}")
             beta = cfg.momentum * beta
     return index, acc
 
 
 def _contribution(record, dataset, indices, test_dataset, per_test, use_hessian):
+    _one_run(record)
     rows = models.test_gradients(record.model, record.final_params, test_dataset, per_test)
     index, acc = _adjoint(record, dataset, indices, rows, use_hessian)
     method = "exact" if use_hessian else "approx"

@@ -261,17 +261,21 @@ def loss_and_gradient(spec, params, dataset, weights):
     """Per-sample losses and the weighted sum of their gradients, from one forward pass.
 
     Returns ``(losses, g)``; ``g`` is the empirical-risk part only. A
-    ``(R, P)`` stack of parameters takes ``(R, n)`` weights and gives
-    ``(R, n)`` losses and an ``(R, P)`` stack of gradients, row r bit-equal to
-    the call with row r alone. Raises NumericError for a non-finite gradient,
-    then for a non-finite loss.
+    ``(R, P)`` stack of parameters takes ``(R, n)`` weights over the shared
+    rows and gives ``(R, n)`` losses and an ``(R, P)`` stack of gradients.
+    K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)`` weights pair row
+    for row with a ``(K, P)`` stack and give ``(K, b)`` losses. Either way row
+    r is bit-equal to the call with row r (and its row set) alone. Raises
+    NumericError for a non-finite gradient, then for a non-finite loss.
     """
-    X, Y = _xy(dataset)
     weights = np.asarray(weights, dtype=np.float64)
     flat = as_flat(params)
-    if weights.shape != flat.shape[:-1] + (len(X),):
+    sets = flat.ndim == 2 and not isinstance(dataset, LabeledDataset) and np.ndim(dataset[0]) == 3
+    X, Y = _xy(dataset, 1 + sets)
+    runs = flat.shape[:-1]
+    if weights.shape != runs + X.shape[-2:-1] or X.shape[:-2] not in ((), runs):
         raise ShapeError(
-            f"weights of shape {weights.shape} for {len(X)} samples and "
+            f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]} and "
             f"parameters of shape {flat.shape}"
         )
     _check_inputs(spec, X)

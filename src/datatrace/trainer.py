@@ -165,6 +165,9 @@ class TrajectoryRecord:
     losses: np.ndarray  # regularized batch loss at w_{t-1}
     snapshots: dict  # step -> flat params (0 and T always present)
     final_params: np.ndarray
+    # step -> momentum buffer after that step, beside each snapshot; in memory
+    # only, so a loaded record has none (see ``hypergrad``)
+    velocities: dict = field(default_factory=dict)
 
     @property
     def steps(self):
@@ -181,21 +184,19 @@ class TrajectoryRecord:
 class StepContext:
     """Read-only view of one training step, handed to step hooks.
 
-    Exposes the pre-update parameters and momentum buffer, the batch rows
-    ``(X, Y)``, and access to per-sample gradients and batch HVPs evaluated at
-    those parameters.
+    Exposes the pre-update parameters and momentum buffer (None where the
+    caller keeps none), the batch rows ``(X, Y)``, and access to per-sample
+    gradients and batch HVPs evaluated at those parameters.
     """
 
-    def __init__(self, model, dataset, w, velocity, step, lr, batch, rows):
+    def __init__(self, model, dataset, w, step, lr, batch, rows, velocity=None):
         self.model = model
         self.dataset = dataset
         # ``train`` rebinds its parameters and momentum buffer every step and
         # never writes them in place, so read-only views stay the pre-update
         # values.
-        self.params = w.view()
-        self.params.setflags(write=False)
-        self.velocity = velocity.view()
-        self.velocity.setflags(write=False)
+        self.params = _read_only(w)
+        self.velocity = None if velocity is None else _read_only(velocity)
         self.step = step
         self.lr = lr
         self.batch = batch
@@ -214,12 +215,80 @@ class StepContext:
         return models.hessian_vector_product(self.model, self.params, self.rows, weights, v)
 
 
+def _read_only(array):
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 def _recorded_loss(weights, batch_losses, w, lam):
     """The regularized objective of one run at w: weighted losses plus 0.5 * lam * ||w||^2.
 
     A step records it on its batch; the plateau monitor reads it on the full dataset.
     """
     return float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
+
+
+def _divergence_limit(reference):
+    """The largest |loss| that does not diverge against a reference loss (per row of a stack)."""
+    return np.minimum(DIVERGENCE_FACTOR * (np.abs(reference) + 1e-12), _FLOAT_MAX)
+
+
+def _first(values, flags):
+    """The value (one per row, or one for all rows) of the first flagged row."""
+    flags = np.ravel(flags)
+    return np.broadcast_to(np.ravel(values), flags.shape)[flags][0]
+
+
+def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit, step_hook=None):
+    """One (momentum) gradient step; returns ``(w, velocity, loss, limit)`` after it.
+
+    ``w`` and ``velocity`` hold one run's vectors or an (R, P) stack. A stack
+    either runs R rows of data weights ``eps`` (R, n) on one shared batch, or
+    pairs row r with its own ``batch[r]`` of an (R, b) batch, rate ``lr[r]``
+    of an (R, 1) column and ``step[r]`` over one (n,) ``eps``. A batch member weighs
+    1/b + n * eps_i / b, the ridge term ``weight_decay * w`` joins the
+    gradient, and each row records its regularized batch loss on its own.
+    ``limit`` is the largest |loss| that does not diverge (None: set from this
+    step's loss). Raises ConfigError when lr * weight_decay leaves (0, 1) and
+    DivergenceError past the limit, naming the first such row's step;
+    ``step_hook`` sees the step before the update.
+    """
+    lam = config.weight_decay
+    rate = lr * lam
+    outside = (rate <= 0.0) | (rate >= 1.0)  # a bool for one rate, an array for a column
+    if lam > 0.0 and (outside.any() if isinstance(outside, np.ndarray) else outside):
+        raise ConfigError(
+            f"lr*weight_decay = {_first(rate, outside)} outside (0, 1) "
+            f"at step {_first(step, outside)}"
+        )
+    X, Y = dataset.features, dataset.labels
+    rows = (X[batch], Y[batch])
+    b = rows[0].shape[-2]
+    # take keeps each row contiguous (``eps[..., batch]`` would not), so
+    # a row's dot product below runs on the strides of a single run.
+    weights = 1.0 / b + len(X) * eps.take(batch, axis=-1) / b
+    batch_losses, g = models.loss_and_gradient(model, w, rows, weights)
+    if lam > 0.0:
+        g = g + lam * w
+
+    if w.ndim > 1:  # row by row, so each row records the loss of its run alone
+        loss = np.array([_recorded_loss(*row, lam) for row in zip(weights, batch_losses, w)])
+    else:
+        loss = _recorded_loss(weights, batch_losses, w, lam)
+    if limit is None:
+        limit = _divergence_limit(loss)
+    # The limit is finite, so a NaN or infinite loss fails the comparison too.
+    within = np.abs(loss) <= limit
+    if not within.all():
+        raise DivergenceError(int(_first(step, ~within)))
+
+    if step_hook is not None:
+        step_hook(StepContext(model, dataset, w, step, lr, batch, rows, velocity))
+
+    velocity = config.momentum * velocity + g
+    w = w - lr * velocity
+    return w, velocity, loss, limit
 
 
 def train(
@@ -242,7 +311,8 @@ def train(
     called after the step gradient is computed and before the update.
     ``init``/``velocity`` are the starting parameters and momentum buffer
     (default: seeded initialization and zero); a wrong length raises
-    ShapeError. ``batches``/``lrs`` override
+    ShapeError. The record keeps the momentum buffer beside each snapshot
+    (``velocities``). ``batches``/``lrs`` override
     the derived schedule (used by replay). The run diverges when a batch loss
     exceeds ``DIVERGENCE_FACTOR`` times ``reference_loss`` (default: the
     first step's loss), so a run resumed mid-trajectory can keep the
@@ -250,15 +320,14 @@ def train(
     ConfigError.
 
     An ``(R, n)`` stack of data weights runs R trajectories in lockstep on
-    the shared batches and rates: the parameters, momentum buffer, snapshots
-    and final parameters gain a leading R axis, the losses are ``(R, T)``,
-    and row r is bit-identical to the run with weights row r alone (each row
+    the shared batches and rates: the parameters, momentum buffer, snapshots,
+    velocities and final parameters gain a leading R axis, the losses are
+    ``(R, T)``, and row r is bit-identical to the run with weights row r alone (each row
     diverges against its own first loss). A stack takes no ``step_hook``, and
     under ``ReduceOnPlateauSchedule`` it needs recorded ``lrs``, because that
     rate follows each run's own loss; both raise ConfigError.
     """
     n = len(dataset)
-    X, Y = dataset.features, dataset.labels
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
     if eps.ndim not in (1, 2) or eps.shape[-1] != n:
         raise ConfigError(f"data weights of shape {eps.shape} for {n} samples")
@@ -284,7 +353,6 @@ def train(
         raise ShapeError(f"init of shape {w.shape} for {P} parameters")
     w = np.broadcast_to(w, lead + w.shape[-1:]).copy()
     lam = config.weight_decay
-    p = config.momentum
     velocity = np.zeros_like(w) if velocity is None else models.as_flat(velocity).copy()
     if velocity.shape != w.shape:
         raise ShapeError(f"velocity of shape {velocity.shape} for parameters of shape {w.shape}")
@@ -298,7 +366,8 @@ def train(
     out_lrs = np.empty(total_steps)
     out_losses = np.empty(lead + (total_steps,))
     snapshots = {0: w.copy()}
-    limit = None  # the largest |loss| that does not diverge, per row
+    velocities = {0: velocity.copy()}
+    limit = None if reference_loss is None else _divergence_limit(reference_loss)
 
     for t in range(1, total_steps + 1):
         batch = batches[t - 1]
@@ -306,39 +375,14 @@ def train(
             if t == (sched.epoch - 1) * steps_per_epoch + 1:  # start of epoch sched.epoch
                 rate *= sched.factor
         lr = rate if lrs is None else float(lrs[t - 1])
-        if lam > 0.0 and not 0.0 < lr * lam < 1.0:
-            raise ConfigError(f"lr*weight_decay = {lr * lam} outside (0, 1) at step {t}")
-
-        b = len(batch)
-        rows = (X[batch], Y[batch])
-        # take keeps each row contiguous (``eps[..., batch]`` would not), so
-        # a row's dot product below runs on the strides of a single run.
-        weights = 1.0 / b + n * eps.take(batch, axis=-1) / b
-        batch_losses, g = models.loss_and_gradient(model, w, rows, weights)
-        if lam > 0.0:
-            g = g + lam * w
-
-        if lead:  # row by row, so each row records the loss of its run alone
-            loss = np.array([_recorded_loss(*row, lam) for row in zip(weights, batch_losses, w)])
-        else:
-            loss = _recorded_loss(weights, batch_losses, w, lam)
-        out_losses[..., t - 1] = loss
+        w, velocity, out_losses[..., t - 1], limit = _step(
+            model, dataset, eps, batch, w, velocity, lr, t, config, limit, step_hook
+        )
         out_lrs[t - 1] = lr
-        if limit is None:
-            reference = loss if reference_loss is None else reference_loss
-            limit = np.minimum(DIVERGENCE_FACTOR * (np.abs(reference) + 1e-12), _FLOAT_MAX)
-        # The limit is finite, so a NaN or infinite loss fails the comparison too.
-        if not (np.abs(loss) <= limit).all():
-            raise DivergenceError(t)
-
-        if step_hook is not None:
-            step_hook(StepContext(model, dataset, w, velocity, t, lr, batch, rows))
-
-        velocity = p * velocity + g
-        w = w - lr * velocity
 
         if t % stride == 0 or t == total_steps:
             snapshots[t] = w.copy()
+            velocities[t] = velocity.copy()
 
         if isinstance(sched, ExponentialSchedule):
             rate *= sched.c  # a running product keeps lr_{t+1} = c * lr_t exact
@@ -366,16 +410,25 @@ def train(
         losses=out_losses,
         snapshots=snapshots,
         final_params=w.copy(),
+        velocities=velocities,
     )
+
+
+def _check_losses(record, steps, losses):
+    """ReplayDivergenceError at the first of ``steps`` whose loss differs from the recorded one."""
+    differs = losses != record.losses[steps - 1]  # a NaN differs from itself too
+    if differs.any():
+        raise ReplayDivergenceError(int(steps[differs].min()))
 
 
 def replay(record, dataset, data_weights=None, step_hook=None):
     """Re-run a recorded trajectory with the identical batch order and rates.
 
     With unchanged weights the replay must be bit-identical, so every
-    recorded snapshot is checked and ReplayDivergenceError names the first
-    bad step. Perturbed weights (the oracle's case) skip the check; an
-    ``(R, n)`` stack of them replays R runs in lockstep (see ``train``).
+    recorded snapshot, then every recorded loss, is checked and
+    ReplayDivergenceError names the first bad step. Perturbed weights (the
+    oracle's case) skip the check; an ``(R, n)`` stack of them replays R runs
+    in lockstep (see ``train``).
     """
     weights = record.data_weights if data_weights is None else np.asarray(data_weights)
     perturbed = not np.array_equal(weights, record.data_weights)
@@ -395,7 +448,57 @@ def replay(record, dataset, data_weights=None, step_hook=None):
                 record.snapshots[step], new.snapshots[step]
             ):
                 raise ReplayDivergenceError(step)
+        _check_losses(record, np.arange(1, record.steps + 1), new.losses)
     return new
+
+
+def rerun(record, dataset, starts, length):
+    """Re-run ``length`` recorded steps from each snapshot step in ``starts``, in lockstep.
+
+    Row r starts from the snapshot at s_r = ``starts[r]`` and the momentum
+    buffer beside it (``record.velocities``), and takes the recorded batches
+    and rates of steps s_r + 1 .. s_r + length; their batches must have equal
+    sizes step for step. Each step of all rows is one paired model
+    evaluation (``_step``, as in ``train``), and every row diverges against
+    the run's reference loss ``losses[0]``. Returns the context of each step
+    (without its momentum buffer), in step order.
+
+    Every row must end bit-identical to the snapshot at s_r + length (rows
+    checked last first), and every recomputed loss must equal the recorded
+    one. Otherwise ReplayDivergenceError names that snapshot's step, or the
+    first step whose loss differs or where a row diverged; a non-finite
+    ``losses[0]`` names step 1.
+    """
+    if not np.isfinite(record.losses[0]):
+        raise ReplayDivergenceError(1, f"the recorded loss of step 1 is {record.losses[0]}")
+    starts = np.asarray(starts)
+    w = np.stack([record.snapshots[s] for s in starts])
+    velocity = np.stack([record.velocities[s] for s in starts])
+    limit = _divergence_limit(record.losses[0])
+    steps = starts[:, None] + np.arange(1, length + 1)  # (rows, length)
+    losses = np.empty(steps.shape)
+    kept = []
+    for j in range(length):
+        batch = np.stack([record.batches[t - 1] for t in steps[:, j]])
+        kept.append((w, batch))
+        try:
+            w, velocity, losses[:, j], _ = _step(
+                record.model, dataset, record.data_weights, batch, w, velocity,
+                record.lrs[steps[:, j, None] - 1], steps[:, j], record.config, limit,
+            )
+        except DivergenceError as err:
+            raise ReplayDivergenceError(err.step) from err
+    for r in reversed(range(len(starts))):
+        if not np.array_equal(w[r], record.snapshots[steps[r, -1]]):
+            raise ReplayDivergenceError(int(steps[r, -1]))
+    _check_losses(record, steps, losses)
+    X, Y = dataset.features, dataset.labels
+    return [
+        StepContext(record.model, dataset, params[r], int(t), float(record.lrs[t - 1]),
+                    batch[r], (X[batch[r]], Y[batch[r]]))
+        for r in range(len(starts))
+        for t, (params, batch) in zip(steps[r], kept)
+    ]
 
 
 # ---------------------------------------------------------------------------

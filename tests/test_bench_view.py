@@ -50,3 +50,38 @@ def test_compute_runs_every_convex_all_stage_with_one_oracle_index(convex_all):
         assert report.method == stage.method
         assert sorted(report.values) == sorted(indices.tolist())
         assert np.all(np.isfinite(list(report.values.values())))
+
+
+# C(i) of mlp-minibatch seed 3 over its 16 tracked indices, as float.hex,
+# recorded when the adjoint re-ran one segment at a time after a checked replay.
+MLP_MINIBATCH_PINS = {
+    "approx": {
+        70: "0x1.0e956cad8b433p-9", 93: "0x1.199a929635e8cp-7",
+        173: "0x1.9ee49ff0be075p-6", 202: "-0x1.fa2f8f377f2e3p-8",
+        223: "-0x1.418fffa08b8e0p-6", 236: "-0x1.8adbf8aaf8a66p-8",
+        248: "-0x1.710bb133b1ac1p-8", 265: "-0x1.c0d0dbb8b6185p-10",
+        276: "0x1.460e87e17790ep-7", 277: "0x1.a07d5f9c0aed4p-8",
+        352: "-0x1.47caba5a096f4p-6", 398: "-0x1.db54c4d0812b4p-6",
+        411: "0x1.3d7da50e542a9p-8", 453: "0x1.ccf47ef69dca2p-6",
+        454: "0x1.d26054c691198p-7", 472: "0x1.bea682538ed68p-7",
+    },
+    "exact": {
+        70: "0x1.4fe388c3c8db8p-10", 93: "0x1.7b9f1fe47f77cp-9",
+        173: "0x1.321518db459cbp-10", 202: "0x1.cd7bf10c5b589p-16",
+        223: "-0x1.307ceb9e07bbfp-9", 236: "-0x1.5d2124871b948p-11",
+        248: "0x1.6d4a1e11ea076p-9", 265: "-0x1.1b24646c923dcp-12",
+        276: "0x1.e8b45cea8a404p-10", 277: "0x1.83ed57dad383bp-9",
+        352: "-0x1.b0e85437fe11bp-8", 398: "-0x1.5c948b7a6ea0cp-9",
+        411: "0x1.8f17a0ab120dep-12", 453: "0x1.53d1b2f43fd85p-15",
+        454: "0x1.3c19b1f25498ep-12", 472: "-0x1.ca8c06f7bef23p-13",
+    },
+}
+
+
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_compute_keeps_mlp_minibatch_values_bit_for_bit(method):
+    inputs = workloads.setup(workloads.WORKLOADS["mlp-minibatch"], seed=3)
+    record = trainer.train(inputs.cfg.model, inputs.train, inputs.cfg.training)
+    stage = next(stage for stage in inputs.stages if stage.method == method)
+    report = workloads.compute(inputs, method, record, stage.indices)
+    assert {i: v.hex() for i, v in report.values.items()} == MLP_MINIBATCH_PINS[method]

@@ -1,5 +1,7 @@
 """Hypergradient tracking: recurrences, contributions, error traces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -267,11 +269,14 @@ SCHEDULES = [
 ]
 
 
-def _adjoint_probe(batch_size, momentum, schedule=dt.ConstantSchedule()):
+def _adjoint_probe(batch_size, momentum, schedule=dt.ConstantSchedule(), test_per_class=3,
+                   **config):
     spec = dt.ModelSpec("mlp", (4, 5, 2))
-    train, test = gaussian_pair(dim=4, per_class=10, test_per_class=3)
-    cfg = dt.TrainingConfig(epochs=6, batch_size=batch_size, initial_lr=0.05,
-                            schedule=schedule, momentum=momentum, weight_decay=0.01, seed=3)
+    train, test = gaussian_pair(dim=4, per_class=10, test_per_class=test_per_class)
+    cfg = dt.TrainingConfig(**{
+        "epochs": 6, "batch_size": batch_size, "initial_lr": 0.05, "schedule": schedule,
+        "momentum": momentum, "weight_decay": 0.01, "seed": 3, **config,
+    })
     return train, test, dt.train(spec, train, cfg)
 
 
@@ -296,15 +301,15 @@ def test_adjoint_matches_forward_tracking(batch_size, momentum, schedule):
 
 def test_adjoint_keeps_the_runs_divergence_reference():
     # Separable data, no weight decay, batch size 1: late batch losses reach
-    # 0 while others in the same segment stay near 0.2, so a segment re-run
-    # must not measure divergence against its own first loss.
+    # 0 while others in the same interval stay near 0.2, so the re-run of an
+    # interval must not measure divergence against its own first loss.
     x = np.array([[8.0], [-8.0], [0.2], [-0.2], [9.0], [-9.0]])
     train = dt.LabeledDataset(x, np.array([1, 0, 1, 0, 1, 0]), 2, "train")
     test = dt.LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, 0]), 2, "test")
     spec = dt.ModelSpec("logistic_regression", (1, 2))
     cfg = dt.TrainingConfig(epochs=8, batch_size=1, initial_lr=0.5, seed=0)
     rec = dt.train(spec, train, cfg)
-    S = 7  # ceil(sqrt(48)) steps per segment
+    S = 6  # steps between the per-epoch snapshots
     assert any(
         rec.losses[k : k + S].max() > 1e6 * (rec.losses[k] + 1e-12)
         for k in range(0, rec.steps, S)
@@ -332,49 +337,178 @@ def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_cal
         assert (report.pair_values is None) == (not per_test)
 
 
-def test_adjoint_keeps_at_most_sqrt_t_step_contexts(monkeypatch):
-    from datatrace import hypergrad
+@pytest.mark.parametrize("config, snapshots, kept", [
+    # intervals of L = 4 steps in groups of G = min(5, 4 * 5 // 4) = 5, last
+    # group first: 4 * ceil(sqrt(24)) = 20 vectors at most
+    (dict(batch_size=5), [0, 4, 8, 12, 16, 20, 24], [4, 20]),
+    # one 40-step interval is longer than 4 * ceil(sqrt(40)) = 28: a replay
+    # snapshots every 7 steps, grouped as 7 * 4 | 7 | 5
+    (dict(batch_size=1, epochs=2, snapshot_stride=40), [0, 40], [5, 7, 28]),
+], ids=["per-epoch-snapshots", "one-long-interval"])
+def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
+    config, snapshots, kept, monkeypatch
+):
+    from datatrace import trainer as trainer_mod
 
+    original = trainer_mod.rerun
     made = []
 
-    class Counted(hypergrad._Steps):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def counted(*args):
+        contexts = original(*args)
+        made.append(len(contexts))  # one parameter vector per step context
+        return contexts
 
-    monkeypatch.setattr(hypergrad, "_Steps", Counted)
-    train, test, rec = _adjoint_probe(5, 0.9)
-    assert rec.steps == 24
-    dt.contribution_exact(rec, train, [1, 2], test)
-    # one checkpoint pass, then five segments of at most ceil(sqrt(24)) = 5 steps
-    assert [len(steps.kept) for steps in made] == [5, 4, 5, 5, 5, 5]
+    train, test, rec = _adjoint_probe(momentum=0.9, **config)
+    assert sorted(rec.snapshots) == snapshots
+    forward = dt.contribution(rec, dt.track_exact(rec, train, [1, 2]), test, per_test=True)
+    monkeypatch.setattr(trainer_mod, "rerun", counted)
+    reverse = dt.contribution_exact(rec, train, [1, 2], test, per_test=True)
+    assert made == kept
+    for got, want in ((reverse.values, forward.values),
+                      (reverse.pair_values, forward.pair_values)):
+        assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("field, step", [
-    ("init", 20),  # the segment over steps 16..20 ends off its checkpoint
-    ("velocity", 20),
-    ("reference_loss", 16),  # its first step "diverges"; the step counts from step 1
+    ("snapshots", 20),  # the interval 16..20 starts off its snapshot
+    ("velocities", 20),
 ])
-def test_corrupted_checkpoint_fails_the_segment_rerun(field, step, monkeypatch):
-    from datatrace import trainer as trainer_mod
-
+def test_perturbed_snapshot_or_velocity_fails_its_interval_rerun(field, step):
     train, test, rec = _adjoint_probe(5, 0.9)
-    original = trainer_mod.train
-    reruns = 0
-
-    def corrupting(*args, **kwargs):
-        nonlocal reruns
-        if kwargs.get("velocity") is not None:
-            reruns += 1
-            if reruns == 2:  # the second segment from the end
-                kwargs[field] = 1e-30 if field == "reference_loss" else kwargs[field] + 1e-9
-        return original(*args, **kwargs)
-
     dt.contribution_exact(rec, train, [1], test)
-    monkeypatch.setattr(trainer_mod, "train", corrupting)
+    getattr(rec, field)[16] = getattr(rec, field)[16] + 1e-9
     with pytest.raises(ReplayDivergenceError) as err:
         dt.contribution_exact(rec, train, [1], test)
     assert err.value.step == step
+
+
+@pytest.mark.parametrize("source", ["memory", "disk"])
+@pytest.mark.parametrize("estimator", ["replay", "contribution_exact", "contribution_approx"])
+@pytest.mark.parametrize("step, value", [(1, np.nan), (11, 0.5)])
+def test_damaged_recorded_loss_is_caught(step, value, estimator, source, tmp_path):
+    train, test, rec = _adjoint_probe(5, 0.9)
+    losses = rec.losses.copy()
+    assert losses[step - 1] != value
+    losses[step - 1] = value
+    if source == "memory":
+        rec = replace(rec, losses=losses)
+    else:  # without velocities: the replay that fills them checks the losses
+        dt.save_trajectory(rec, str(tmp_path))
+        losses.astype("<f8").tofile(tmp_path / "losses.bin")
+        rec = dt.load_trajectory(str(tmp_path))
+    with pytest.raises(ReplayDivergenceError) as err:
+        if estimator == "replay":
+            dt.replay(rec, train)
+        else:
+            getattr(dt, estimator)(rec, train, [1, 2], test)
+    assert err.value.step == step
+
+
+@pytest.mark.parametrize("entry", [
+    "track_exact", "track_approx", "error_trace", "contribution_exact", "contribution_approx",
+])
+def test_tracking_refuses_a_stacked_record(entry, count_calls):
+    from datatrace import models as models_mod
+
+    train, test, rec = _adjoint_probe(5, 0.9)
+    stacked = dt.replay(rec, train, data_weights=np.zeros((3, len(train))))
+    extra = (test,) if entry.startswith("contribution") else ()
+    calls = count_calls((models_mod, "loss_and_gradient"), (models_mod, "per_sample_gradients"))
+    with pytest.raises(ConfigError, match="stack of data weights"):
+        getattr(dt, entry)(stacked, train, [1], *extra)
+    assert calls == {"loss_and_gradient": 0, "per_sample_gradients": 0}
+
+
+# Probes whose snapshot intervals group in several ways (20 samples, 24
+# steps unless noted), with their groups as (intervals, length) per group.
+GROUPING_PROBES = {
+    # a short last interval: 7, 7 | 7 | 3
+    "stride7": (dict(batch_size=5, snapshot_stride=7), [(2, 7), (1, 7), (1, 3)]),
+    # a short last batch (6, 6, 6, 2) in every interval
+    "short_batch": (dict(batch_size=6), [(5, 4), (1, 4)]),
+    # L = 1, so every snapshot is checked: 30 steps in groups of ceil(sqrt(30))
+    "full_batch": (dict(batch_size=0, epochs=30), [(6, 1)] * 5),
+    "plateau": (dict(batch_size=5, schedule=dt.ReduceOnPlateauSchedule(
+        0.5, patience=1, rel_threshold=0.2)), [(5, 4), (1, 4)]),
+    "exponential": (dict(batch_size=5, schedule=dt.ExponentialSchedule(0.97)),
+                    [(5, 4), (1, 4)]),
+}
+
+# C(17), C(3), then C(i, j) in key order over two test samples, as float.hex,
+# recorded when the adjoint re-ran one segment at a time after a checked replay.
+ADJOINT_PINS = {
+    ("stride7", "exact"): (
+        "0x1.561e154df15bap-7", "-0x1.69cc6e6695d82p-7", "-0x1.48600dc1d526ep-6",
+        "-0x1.0b63052605883p-9", "-0x1.0d9d6a4840bebp-7", "0x1.dcecca7211bb0p-6",
+    ),
+    ("stride7", "approx"): (
+        "0x1.564da34d96c9ep-7", "0x1.531078a45cdcap-6", "0x1.28572aad215a3p-4",
+        "-0x1.fb3bb96bcbafdp-6", "-0x1.3c018d0c2ddf5p-5", "0x1.e7285eb2f9443p-5",
+    ),
+    ("short_batch", "exact"): (
+        "0x1.9d50037a1f72dp-8", "-0x1.363789768f50cp-7", "-0x1.2d0fbf3203238p-6",
+        "-0x1.24f9489185b50p-11", "-0x1.aa873b7d4060ep-8", "0x1.3949d09c5fd1ap-6",
+    ),
+    ("short_batch", "approx"): (
+        "0x1.3adc21c0620b3p-8", "0x1.38212a79eb53ep-6", "0x1.fbb36d052bf40p-5",
+        "-0x1.8724851681407p-6", "-0x1.ff6dfa476a412p-6", "0x1.4e6e0593cda36p-5",
+    ),
+    ("full_batch", "exact"): (
+        "0x1.3bfc733f4609fp-8", "-0x1.918d2b25c3ed3p-7", "-0x1.84d4824ba7545p-6",
+        "-0x1.97151b439317bp-11", "-0x1.5feabb3c28d38p-7", "0x1.4df3973db76ecp-6",
+    ),
+    ("full_batch", "approx"): (
+        "0x1.b70a3e6b386e0p-9", "0x1.da78120bf4383p-6", "0x1.5573ce4fb2ee2p-4",
+        "-0x1.a0df1526e3483p-6", "-0x1.7e310b4ffe073p-5", "0x1.b512531d6514dp-5",
+    ),
+    ("plateau", "exact"): (
+        "0x1.9f28fa100674ep-7", "-0x1.43aa4c2629dddp-8", "-0x1.abc47583290cdp-14",
+        "-0x1.4052c33b238b9p-7", "-0x1.e8c0a74589545p-7", "0x1.49c4a6d9658f7p-5",
+    ),
+    ("plateau", "approx"): (
+        "0x1.f446e98467538p-7", "-0x1.949746addb6a6p-13", "0x1.6159fd97b16abp-5",
+        "-0x1.64832c250d218p-5", "-0x1.e5a3b2bda19b6p-6", "0x1.ecf54e2104776p-5",
+    ),
+    ("exponential", "exact"): (
+        "0x1.a442fbf68dec8p-7", "-0x1.bea6903cc4e56p-8", "-0x1.34779b06e88eap-7",
+        "-0x1.145dea6bb8ae0p-8", "-0x1.6f1af1a1f7fc2p-7", "0x1.2de83a63c4f53p-5",
+    ),
+    ("exponential", "approx"): (
+        "0x1.d961d12dac90bp-7", "0x1.661196d2ae289p-7", "0x1.fb1949d49725dp-5",
+        "-0x1.48107e6b4011ap-5", "-0x1.1a3d9636141a4p-5", "0x1.03773f6675316p-4",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("probe", [*GROUPING_PROBES, "loaded"])
+def test_adjoint_values_are_pinned_bit_for_bit(probe, mode, tmp_path):
+    from datatrace.hypergrad import _groups
+
+    config, groups = GROUPING_PROBES["short_batch" if probe == "loaded" else probe]
+    train, test, rec = _adjoint_probe(momentum=0.9, test_per_class=1, **config)
+    assert [(len(starts), length) for starts, length in _groups(rec)] == groups
+    if probe == "loaded":  # momentum 0.9 without velocities: equal to the record in memory
+        dt.save_trajectory(rec, str(tmp_path))
+        rec = dt.load_trajectory(str(tmp_path))
+        assert rec.velocities == {}
+        probe = "short_batch"
+    report = getattr(dt, f"contribution_{mode}")(rec, train, [17, 3], test, per_test=True)
+    pairs = report.pair_values
+    got = [*report.values.values(), *(pairs[key] for key in sorted(pairs))]
+    assert [value.hex() for value in got] == list(ADJOINT_PINS[probe, mode])
+
+
+@pytest.mark.parametrize("batch_size", [0, 6])
+def test_loaded_record_without_momentum_gives_the_in_memory_values(batch_size, tmp_path):
+    # No momentum buffers on disk: with momentum 0 the re-runs start from zeros.
+    train, test, rec = _adjoint_probe(batch_size, 0.0)
+    dt.save_trajectory(rec, str(tmp_path))
+    loaded = dt.load_trajectory(str(tmp_path))
+    for adjoint in (dt.contribution_exact, dt.contribution_approx):
+        want = adjoint(rec, train, range(len(train)), test, per_test=True)
+        got = adjoint(loaded, train, range(len(train)), test, per_test=True)
+        assert got.values == want.values and got.pair_values == want.pair_values
 
 
 def test_non_finite_adjoint_raises_divergence():

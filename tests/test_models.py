@@ -359,3 +359,22 @@ def test_exact_hvp_properties_on_random_architectures(case):
     g = dt.batch_gradient(spec, params, rows, weights)
     for f, hv in zip(fd, HV):
         assert np.linalg.norm(f - hv) <= 1e-6 * np.linalg.norm(hv) + 1e-9 * np.linalg.norm(g) + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_hvp_cases(), st.integers(1, 5))
+def test_loss_and_gradient_row_sets_are_bit_equal_to_each_set_alone(case, K):
+    spec, params, (X, Y), _, b = case  # K row sets of b >= 1 rows each
+    rng = np.random.default_rng([K, b, len(X)])
+    stack = params + 0.1 * rng.standard_normal((K, params.size))
+    sets = rng.integers(len(X), size=(K, b))
+    W = rng.uniform(0.5, 1.5, (K, b)) / b
+    losses, G = models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)
+    assert losses.shape == (K, b) and G.shape == (K, params.size)
+    for p, s, w, loss, g in zip(stack, sets, W, losses, G):
+        one_loss, one_g = models.loss_and_gradient(spec, p, (X[s], Y[s]), w)
+        assert np.array_equal(one_loss, loss) and np.array_equal(one_g, g)
+    # the weights and the parameters must pair with the row sets
+    for bad_stack, bad_W in ((stack, W[:, :-1]), (stack, W[None]), (np.vstack([stack, stack]), W)):
+        with pytest.raises(ShapeError, match="weights of shape"):
+            models.loss_and_gradient(spec, bad_stack, (X[sets], Y[sets]), bad_W)

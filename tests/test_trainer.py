@@ -417,6 +417,27 @@ def test_snapshot_stride():
     assert set(rec.snapshots) == {0, 3, 6, 9, 12, 15, 16}
 
 
+def test_lockstep_rerun_matches_the_run_step_for_step():
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=4, batch_size=6, initial_lr=0.05, momentum=0.9,
+                            schedule=dt.ExponentialSchedule(0.95), weight_decay=0.01, seed=5)
+    seen = {}
+    rec = dt.train(spec, ds, cfg, step_hook=lambda ctx: seen.setdefault(ctx.step, ctx))
+    # the momentum buffer beside each snapshot is the one the next step starts from
+    assert sorted(rec.velocities) == sorted(rec.snapshots) == [0, 4, 8, 12, 16]
+    for step in (4, 8, 12):
+        assert np.array_equal(rec.velocities[step], seen[step + 1].velocity)
+    contexts = trainer.rerun(rec, ds, [4, 8, 12], 4)
+    assert [ctx.step for ctx in contexts] == list(range(5, 17))
+    for ctx in contexts:
+        want = seen[ctx.step]
+        assert ctx.lr == want.lr and ctx.velocity is None
+        assert np.array_equal(ctx.batch, want.batch)
+        assert np.array_equal(ctx.params, want.params)
+        assert all(np.array_equal(a, b) for a, b in zip(ctx.rows, want.rows))
+
+
 def test_each_training_step_evaluates_the_model_once(monkeypatch):
     spec = dt.ModelSpec("mlp", (4, 5, 2))
     train_ds, test_ds = gaussian_pair(per_class=10, dim=4, test_per_class=5)
@@ -443,7 +464,8 @@ def test_each_training_step_evaluates_the_model_once(monkeypatch):
     indices = [0, 3, 7]
     dt.contribution_exact(rec, train_ds, indices, test_ds)
     hit_steps = sum(bool(np.isin(indices, batch).any()) for batch in rec.batches)
-    # The checked replay and the segment re-runs take one forward per step
-    # each; the backward pass one per HVP, one per step whose batch holds an
-    # index, and one for g_test.
-    assert calls == {"subset": 0, "forward": 3 * T + hit_steps + 1, "sample_losses": 0}
+    # The three 4-step intervals between snapshots re-run as one lockstep
+    # group, one forward per step for all three; the backward pass takes one
+    # per HVP, one per step whose batch holds an index, and one for g_test.
+    assert sorted(rec.snapshots) == [0, 4, 8, 12]
+    assert calls == {"subset": 0, "forward": 4 + T + hit_steps + 1, "sample_losses": 0}
