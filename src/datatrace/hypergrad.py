@@ -3,17 +3,16 @@
 The contribution of training sample i is C(i) = -(1/n) g_test(w_T)^T nabla_{T,i},
 with nabla_{t,i} = d w_t / d eps_i carried by a recurrence over the steps, in
 two modes: exact (with the batch Hessian term) and approx (without it). Both
-ride trajectory replays through the trainer's step hook, so they see the
-identical batch order and learning rates as the original run.
+read the steps from ``_walk``: the record's snapshots, with the momentum
+buffer beside each, are the checkpoints, and the intervals between them are
+re-run in lockstep groups of G with the original batches and learning rates,
+one paired model evaluation per step, so a walk re-runs T / G steps and
+keeps at most 4 * ceil(sqrt(T)) parameter vectors.
 
 - Reverse mode (``contribution_exact``, ``contribution_approx``): the
   recurrence is linear in its state and C(i) is one linear functional of
   it, so one backward (adjoint) pass gives C(i) for every requested sample
-  with one HVP per step, whatever their number (none in approx mode). The
-  record's snapshots, with the momentum buffer beside each, are the
-  checkpoints: the intervals between them are re-run in lockstep groups of
-  G, last group first, one paired model evaluation per step, so the pass
-  re-runs T / G steps and keeps at most 4 * ceil(sqrt(T)) parameter vectors.
+  with one HVP per step, whatever their number (none in approx mode).
 - Forward mode (``track_exact``, ``track_approx``, ``error_trace``): carries
   the full vectors nabla_{t,i}, one HVP vector per tracked sample per step,
   for callers that need the vectors themselves (the error bound).
@@ -59,7 +58,7 @@ class ApproxErrorTrace:
 
 
 class _Tracker:
-    """Step hook carrying d w_t / d eps_i for every tracked sample.
+    """d w_t / d eps_i for every tracked sample, advanced one walked step at a time.
 
     Per step, with momentum p, weight decay lam and batch size b:
         mom   <- p * mom [+ H_batch nabla] + lam * nabla + (n / b) * g_i [i in batch]
@@ -97,9 +96,6 @@ class _Tracker:
         if not np.all(np.isfinite(self.nabla)):
             raise DivergenceError(ctx.step, f"hypergradient diverged at step {ctx.step}")
 
-    def __call__(self, ctx):
-        self.advance(ctx, self.source(ctx))
-
     def states(self):
         mode = "exact" if self.use_hessian else "approx"
         step = self.record.steps
@@ -121,7 +117,8 @@ def _one_run(record):
 def _track(record, dataset, tracked_indices, use_hessian):
     _one_run(record)
     tracker = _Tracker(record, tracked_indices, use_hessian)
-    trainer.replay(record, dataset, step_hook=tracker)
+    for ctx in _walk(record, dataset):
+        tracker.advance(ctx, tracker.source(ctx))
     assert use_hessian or tracker.hvp_calls == 0
     return tracker.states()
 
@@ -137,7 +134,7 @@ def track_approx(record, dataset, tracked_indices):
 
 
 def error_trace(record, dataset, indices, record_stride=1):
-    """Step both modes over every index through one replay; error norms against the bound.
+    """Step both modes over every index in one walk; error norms against the bound.
 
     Returns ``{index: ApproxErrorTrace}`` over the distinct indices in
     first-seen order. Both trackers step on the same per-sample gradients,
@@ -153,9 +150,7 @@ def error_trace(record, dataset, indices, record_stride=1):
     approx = _Tracker(record, indices, use_hessian=False)
     steps, errors = [], []
     m_w = np.zeros(exact.index.size)
-
-    def step(ctx):
-        nonlocal m_w
+    for ctx in _walk(record, dataset):
         source = exact.source(ctx)
         exact.advance(ctx, source)
         approx.advance(ctx, source)
@@ -164,8 +159,6 @@ def error_trace(record, dataset, indices, record_stride=1):
             steps.append(ctx.step)
             # The 1-D norm of each row: norm(axis=1) differs from it in the last ulp.
             errors.append([float(np.linalg.norm(d)) for d in exact.nabla - approx.nabla])
-
-    trainer.replay(record, dataset, step_hook=step)
 
     n = record.n_train
     w_T = record.final_params
@@ -261,6 +254,21 @@ def _checkpoints(record, dataset):
     return trainer.replay(record, dataset)
 
 
+def _walk(record, dataset, backward=False):
+    """The context of every step of the record, in step order or (``backward``) reversed.
+
+    The groups of ``_groups`` re-run in lockstep from the snapshots and
+    momentum buffers of ``_checkpoints`` (``trainer.rerun``). Each re-run
+    must end bit-identical to the next snapshot and recompute the recorded
+    losses before its contexts are yielded, so the walk is the replay's
+    check, and a group's contexts are released before the next re-run.
+    """
+    record = _checkpoints(record, dataset)
+    order = reversed if backward else iter
+    for starts, length in order(_groups(record)):
+        yield from order(trainer.rerun(record, dataset, starts, length))
+
+
 def _adjoint(record, dataset, indices, rows, use_hessian):
     """``rows @ nabla_{T,i}`` for each distinct index i, by one backward pass.
 
@@ -273,18 +281,11 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
         alpha <- alpha + lam * beta~ [+ H_batch beta~]
         beta  <- p * beta~
     The Hessian term is kept when ``use_hessian`` (exact) and dropped
-    otherwise (approx). The walk reads w_t at every step from re-runs of the
-    intervals between the record's snapshots (``trainer.rerun``): the groups
-    of ``_groups``, last first, each advancing its intervals in lockstep from
-    their snapshots and momentum buffers (see ``_checkpoints``). Each re-run
-    must end bit-identical to the next snapshot and recompute the recorded
-    losses, so the re-runs are the replay's check; a group's re-run is
-    released before the next.
+    otherwise (approx). The steps come from ``_walk``, last first.
     """
     index = data.training_indices(indices, record.n_train)
     if index.size == 0:
         raise ValueError("no training indices given")
-    record = _checkpoints(record, dataset)
     cfg = record.config
     n = record.n_train
     position = np.full(n, -1)
@@ -293,20 +294,19 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
     alpha = np.array(rows, dtype=np.float64, ndmin=2)
     beta = np.zeros_like(alpha)
     acc = np.zeros((alpha.shape[0], index.size))
-    for starts, length in reversed(_groups(record)):
-        for ctx in reversed(trainer.rerun(record, dataset, starts, length)):
-            beta = beta - ctx.lr * alpha
-            rank = position[ctx.batch]
-            hit = rank >= 0
-            if hit.any():
-                G = ctx.per_sample_gradients(ctx.batch[hit])
-                acc[:, rank[hit]] += (n / len(ctx.batch)) * (beta @ G.T)
-            alpha = alpha + cfg.weight_decay * beta
-            if use_hessian:
-                alpha = alpha + ctx.batch_hvp(beta)
-            if not np.all(np.isfinite(alpha)):
-                raise DivergenceError(ctx.step, f"adjoint diverged at step {ctx.step}")
-            beta = cfg.momentum * beta
+    for ctx in _walk(record, dataset, backward=True):
+        beta = beta - ctx.lr * alpha
+        rank = position[ctx.batch]
+        hit = rank >= 0
+        if hit.any():
+            G = ctx.per_sample_gradients(ctx.batch[hit])
+            acc[:, rank[hit]] += (n / len(ctx.batch)) * (beta @ G.T)
+        alpha = alpha + cfg.weight_decay * beta
+        if use_hessian:
+            alpha = alpha + ctx.batch_hvp(beta)
+        if not np.all(np.isfinite(alpha)):
+            raise DivergenceError(ctx.step, f"adjoint diverged at step {ctx.step}")
+        beta = cfg.momentum * beta
     return index, acc
 
 

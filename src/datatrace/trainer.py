@@ -182,21 +182,18 @@ class TrajectoryRecord:
 
 
 class StepContext:
-    """Read-only view of one training step, handed to step hooks.
+    """Read-only view of one re-run training step (see ``rerun``).
 
-    Exposes the pre-update parameters and momentum buffer (None where the
-    caller keeps none), the batch rows ``(X, Y)``, and access to per-sample
-    gradients and batch HVPs evaluated at those parameters.
+    Exposes the pre-update parameters, the batch rows ``(X, Y)``, and access
+    to per-sample gradients and batch HVPs evaluated at those parameters.
     """
 
-    def __init__(self, model, dataset, w, step, lr, batch, rows, velocity=None):
+    def __init__(self, model, dataset, w, step, lr, batch, rows):
         self.model = model
         self.dataset = dataset
-        # ``train`` rebinds its parameters and momentum buffer every step and
-        # never writes them in place, so read-only views stay the pre-update
-        # values.
+        # ``_step`` rebinds the parameters every step and never writes them
+        # in place, so a read-only view stays the pre-update values.
         self.params = _read_only(w)
-        self.velocity = None if velocity is None else _read_only(velocity)
         self.step = step
         self.lr = lr
         self.batch = batch
@@ -240,7 +237,7 @@ def _first(values, flags):
     return np.broadcast_to(np.ravel(values), flags.shape)[flags][0]
 
 
-def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit, step_hook=None):
+def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
     """One (momentum) gradient step; returns ``(w, velocity, loss, limit)`` after it.
 
     ``w`` and ``velocity`` hold one run's vectors or an (R, P) stack. A stack
@@ -251,8 +248,7 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit, step
     gradient, and each row records its regularized batch loss on its own.
     ``limit`` is the largest |loss| that does not diverge (None: set from this
     step's loss). Raises ConfigError when lr * weight_decay leaves (0, 1) and
-    DivergenceError past the limit, naming the first such row's step;
-    ``step_hook`` sees the step before the update.
+    DivergenceError past the limit, naming the first such row's step.
     """
     lam = config.weight_decay
     rate = lr * lam
@@ -283,59 +279,37 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit, step
     if not within.all():
         raise DivergenceError(int(_first(step, ~within)))
 
-    if step_hook is not None:
-        step_hook(StepContext(model, dataset, w, step, lr, batch, rows, velocity))
-
     velocity = config.momentum * velocity + g
     w = w - lr * velocity
     return w, velocity, loss, limit
 
 
-def train(
-    model,
-    dataset,
-    config,
-    data_weights=None,
-    step_hook=None,
-    init=None,
-    velocity=None,
-    batches=None,
-    lrs=None,
-    reference_loss=None,
-):
+def train(model, dataset, config, data_weights=None, init=None, batches=None, lrs=None):
     """Run (momentum) gradient descent and record the trajectory.
 
     ``data_weights`` are the per-sample offsets to the 1/N coefficients;
     a sample in a batch of size b contributes with weight 1/b + N*eps_i/b,
-    the ridge term ``weight_decay * w`` is added on top. ``step_hook`` is
-    called after the step gradient is computed and before the update.
-    ``init``/``velocity`` are the starting parameters and momentum buffer
-    (default: seeded initialization and zero); a wrong length raises
-    ShapeError. The record keeps the momentum buffer beside each snapshot
-    (``velocities``). ``batches``/``lrs`` override
-    the derived schedule (used by replay). The run diverges when a batch loss
-    exceeds ``DIVERGENCE_FACTOR`` times ``reference_loss`` (default: the
-    first step's loss), so a run resumed mid-trajectory can keep the
-    original run's reference; a non-finite ``reference_loss`` raises
-    ConfigError.
+    the ridge term ``weight_decay * w`` is added on top. ``init`` is the
+    starting parameters (default: seeded initialization; a wrong length
+    raises ShapeError), and the momentum buffer starts at zero. The record
+    keeps the momentum buffer beside each snapshot (``velocities``).
+    ``batches``/``lrs`` override the derived schedule (used by replay). The
+    run diverges when a batch loss exceeds ``DIVERGENCE_FACTOR`` times the
+    first step's loss.
 
     An ``(R, n)`` stack of data weights runs R trajectories in lockstep on
     the shared batches and rates: the parameters, momentum buffer, snapshots,
     velocities and final parameters gain a leading R axis, the losses are
     ``(R, T)``, and row r is bit-identical to the run with weights row r alone (each row
-    diverges against its own first loss). A stack takes no ``step_hook``, and
-    under ``ReduceOnPlateauSchedule`` it needs recorded ``lrs``, because that
-    rate follows each run's own loss; both raise ConfigError.
+    diverges against its own first loss). Under ``ReduceOnPlateauSchedule`` a
+    stack needs recorded ``lrs``, because that rate follows each run's own
+    loss; ConfigError otherwise.
     """
     n = len(dataset)
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
     if eps.ndim not in (1, 2) or eps.shape[-1] != n:
         raise ConfigError(f"data weights of shape {eps.shape} for {n} samples")
-    if reference_loss is not None and not np.isfinite(reference_loss):
-        raise ConfigError(f"reference_loss must be finite (got {reference_loss})")
     lead = eps.shape[:-1]  # (R,) for a stack of R runs, () for one run
-    if lead and step_hook is not None:
-        raise ConfigError("a stack of data weights takes no step_hook")
     if lead and lrs is None and isinstance(config.schedule, ReduceOnPlateauSchedule):
         raise ConfigError(
             "reduce_on_plateau follows each run's own loss: a stack of data weights needs lrs"
@@ -353,9 +327,7 @@ def train(
         raise ShapeError(f"init of shape {w.shape} for {P} parameters")
     w = np.broadcast_to(w, lead + w.shape[-1:]).copy()
     lam = config.weight_decay
-    velocity = np.zeros_like(w) if velocity is None else models.as_flat(velocity).copy()
-    if velocity.shape != w.shape:
-        raise ShapeError(f"velocity of shape {velocity.shape} for parameters of shape {w.shape}")
+    velocity = np.zeros_like(w)
 
     # One running rate, which each schedule updates at its own event.
     sched = config.schedule
@@ -367,7 +339,7 @@ def train(
     out_losses = np.empty(lead + (total_steps,))
     snapshots = {0: w.copy()}
     velocities = {0: velocity.copy()}
-    limit = None if reference_loss is None else _divergence_limit(reference_loss)
+    limit = None
 
     for t in range(1, total_steps + 1):
         batch = batches[t - 1]
@@ -376,7 +348,7 @@ def train(
                 rate *= sched.factor
         lr = rate if lrs is None else float(lrs[t - 1])
         w, velocity, out_losses[..., t - 1], limit = _step(
-            model, dataset, eps, batch, w, velocity, lr, t, config, limit, step_hook
+            model, dataset, eps, batch, w, velocity, lr, t, config, limit
         )
         out_lrs[t - 1] = lr
 
@@ -421,7 +393,7 @@ def _check_losses(record, steps, losses):
         raise ReplayDivergenceError(int(steps[differs].min()))
 
 
-def replay(record, dataset, data_weights=None, step_hook=None):
+def replay(record, dataset, data_weights=None):
     """Re-run a recorded trajectory with the identical batch order and rates.
 
     With unchanged weights the replay must be bit-identical, so every
@@ -437,7 +409,6 @@ def replay(record, dataset, data_weights=None, step_hook=None):
         dataset,
         record.config,
         data_weights=weights,
-        step_hook=step_hook,
         init=record.snapshots[0],
         batches=record.batches,
         lrs=record.lrs,

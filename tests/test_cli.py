@@ -344,19 +344,31 @@ def test_bound_trace_emits_trace_csv(small_config, tmp_path):
 
 
 def test_bound_trace_runs_one_replay_for_repeated_explicit_indices(
-    small_config, tmp_path, count_calls
+    small_config, tmp_path, count_calls, monkeypatch
 ):
     from datatrace import models as models_mod
     from datatrace import trainer as trainer_mod
+    from datatrace.hypergrad import _groups
 
     calls = count_calls((trainer_mod, "replay"), (models_mod, "power_iteration_max_eig"))
+    rerun, reruns = trainer_mod.rerun, []
+
+    def counted(record, dataset, starts, length):
+        reruns.append((record, list(starts), length))
+        return rerun(record, dataset, starts, length)
+
+    monkeypatch.setattr(trainer_mod, "rerun", counted)
     out = str(tmp_path / "bt")
     cli.main([
         "bound-trace", "--config", small_config, "--output", out,
         "--set", "tracking.selection=explicit",
         "--set", "tracking.indices=3,1,3,7",
     ])
-    assert calls == {"replay": 1, "power_iteration_max_eig": 1}
+    # one walk: one re-run per lockstep group of the trained record
+    assert calls == {"replay": 0, "power_iteration_max_eig": 1}
+    record = reruns[0][0]
+    assert [(starts, length) for _, starts, length in reruns] == _groups(record)
+    assert all(r is record for r, _, _ in reruns)
     rows = [l.split(",") for l in Path(out, "bound_trace.csv").read_text().splitlines()[1:]]
     # 20 full-batch steps per index, in sorted index order, each index once
     assert [int(r[0]) for r in rows] == [1] * 20 + [3] * 20 + [7] * 20

@@ -97,17 +97,21 @@ def test_full_batch_equals_batch_size_n_tracking():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_approx_mode_never_calls_hvp():
-    from datatrace.hypergrad import _Tracker
-    from datatrace import trainer as trainer_mod
+def test_approx_mode_never_calls_hvp(count_calls):
+    from datatrace import models as models_mod
+    from datatrace.hypergrad import _Tracker, _walk
 
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     train, _ = gaussian_pair(dim=4, per_class=8)
     cfg = dt.TrainingConfig(epochs=5, batch_size=4, initial_lr=0.05, seed=4)
     rec = dt.train(spec, train, cfg)
+    calls = count_calls((models_mod, "hessian_vector_product"))
     tracker = _Tracker(rec, [0], use_hessian=False)
-    trainer_mod.replay(rec, train, step_hook=tracker)
+    for ctx in _walk(rec, train):
+        tracker.advance(ctx, tracker.source(ctx))
     assert tracker.hvp_calls == 0
+    dt.track_approx(rec, train, [0])
+    assert calls["hessian_vector_product"] == 0
 
 
 def test_ridge_probe_contribution_signs():
@@ -170,6 +174,7 @@ def test_error_trace_final_error_equals_exact_minus_approx():
 def test_error_trace_over_several_indices_matches_single_traces(count_calls):
     from datatrace import models as models_mod
     from datatrace import trainer as trainer_mod
+    from datatrace.hypergrad import _groups
 
     spec = dt.ModelSpec("mlp", (4, 5, 2))
     train, _ = gaussian_pair(dim=4, per_class=10)
@@ -178,9 +183,12 @@ def test_error_trace_over_several_indices_matches_single_traces(count_calls):
     rec = dt.train(spec, train, cfg)
     solo = {i: dt.error_trace(rec, train, [i], record_stride=4)[i] for i in (2, 7, 11)}
 
-    calls = count_calls((trainer_mod, "replay"), (models_mod, "power_iteration_max_eig"))
+    calls = count_calls(
+        (trainer_mod, "replay"), (trainer_mod, "rerun"), (models_mod, "power_iteration_max_eig")
+    )
     joint = dt.error_trace(rec, train, [2, 7, 11], record_stride=4)
-    assert calls == {"replay": 1, "power_iteration_max_eig": 1}
+    # one walk: one re-run per lockstep group
+    assert calls == {"replay": 0, "rerun": len(_groups(rec)), "power_iteration_max_eig": 1}
 
     assert list(joint) == [2, 7, 11]
     assert len({trace.lipschitz_estimate for trace in joint.values()}) == 1
@@ -330,11 +338,16 @@ def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_cal
     train, test, rec = _adjoint_probe(5, 0.9)
     adjoint = getattr(dt, f"contribution_{mode}")
     calls = count_calls((models_mod, "hessian_vector_product"))
+    hvps = rec.steps if mode == "exact" else 0
     for indices, per_test in (([4], False), (list(range(len(train))), True)):
         calls["hessian_vector_product"] = 0
         report = adjoint(rec, train, indices, test, per_test=per_test)
-        assert calls["hessian_vector_product"] == (rec.steps if mode == "exact" else 0)
+        assert calls["hessian_vector_product"] == hvps
         assert (report.pair_values is None) == (not per_test)
+    # forward mode: one HVP per step for all tracked samples, none in approx mode
+    calls["hessian_vector_product"] = 0
+    getattr(dt, f"track_{mode}")(rec, train, [4, 9])
+    assert calls["hessian_vector_product"] == hvps
 
 
 @pytest.mark.parametrize("config, snapshots, kept", [
@@ -374,16 +387,28 @@ def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
     ("velocities", 20),
 ])
 def test_perturbed_snapshot_or_velocity_fails_its_interval_rerun(field, step):
+    # Forward mode walks the same intervals, so it names the same step.
     train, test, rec = _adjoint_probe(5, 0.9)
-    dt.contribution_exact(rec, train, [1], test)
+    runs = [
+        lambda: dt.contribution_exact(rec, train, [1], test),
+        lambda: dt.track_exact(rec, train, [1]),
+        lambda: dt.track_approx(rec, train, [1]),
+        lambda: dt.error_trace(rec, train, [1]),
+    ]
+    for run in runs:
+        run()
     getattr(rec, field)[16] = getattr(rec, field)[16] + 1e-9
-    with pytest.raises(ReplayDivergenceError) as err:
-        dt.contribution_exact(rec, train, [1], test)
-    assert err.value.step == step
+    for run in runs:
+        with pytest.raises(ReplayDivergenceError) as err:
+            run()
+        assert err.value.step == step
 
 
 @pytest.mark.parametrize("source", ["memory", "disk"])
-@pytest.mark.parametrize("estimator", ["replay", "contribution_exact", "contribution_approx"])
+@pytest.mark.parametrize("estimator", [
+    "replay", "contribution_exact", "contribution_approx", "track_exact", "track_approx",
+    "error_trace",
+])
 @pytest.mark.parametrize("step, value", [(1, np.nan), (11, 0.5)])
 def test_damaged_recorded_loss_is_caught(step, value, estimator, source, tmp_path):
     train, test, rec = _adjoint_probe(5, 0.9)
@@ -400,7 +425,8 @@ def test_damaged_recorded_loss_is_caught(step, value, estimator, source, tmp_pat
         if estimator == "replay":
             dt.replay(rec, train)
         else:
-            getattr(dt, estimator)(rec, train, [1, 2], test)
+            extra = (test,) if estimator.startswith("contribution") else ()
+            getattr(dt, estimator)(rec, train, [1, 2], *extra)
     assert err.value.step == step
 
 

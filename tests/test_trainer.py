@@ -67,29 +67,6 @@ def test_replay_is_bit_identical_and_detects_tampering():
         dt.replay(rec, ds)
 
 
-def test_training_resumes_from_a_step_with_its_velocity():
-    spec = dt.ModelSpec("mlp", (4, 5, 2))
-    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
-    cfg = dt.TrainingConfig(epochs=4, batch_size=6, initial_lr=0.05, momentum=0.9,
-                            schedule=dt.ExponentialSchedule(0.95), weight_decay=0.01, seed=5)
-    seen = {}
-
-    def keep(ctx):
-        seen[ctx.step] = ctx
-        with pytest.raises(ValueError):
-            ctx.velocity[0] = 1.0  # read-only, like ctx.params
-
-    rec = dt.train(spec, ds, cfg, step_hook=keep)
-    mid = seen[7]  # holds w_6 and the momentum buffer after step 6, mid-epoch
-    rest = dt.train(spec, ds, cfg, init=mid.params, velocity=mid.velocity,
-                    batches=rec.batches[6:], lrs=rec.lrs[6:])
-    assert np.array_equal(rest.final_params, rec.final_params)
-    with pytest.raises(dt.ShapeError):
-        dt.train(spec, ds, cfg, velocity=np.zeros(3))
-    with pytest.raises(dt.ShapeError, match="init"):
-        dt.train(spec, ds, cfg, init=np.zeros(3))
-
-
 def test_replay_with_perturbed_weights_skips_check():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
@@ -140,8 +117,6 @@ def test_weight_stack_refusals():
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
     cfg = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.1, seed=5)
     stack = np.zeros((2, len(ds)))
-    with pytest.raises(ConfigError, match="step_hook"):
-        dt.train(spec, ds, cfg, data_weights=stack, step_hook=lambda ctx: None)
     plateau = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.1, seed=5,
                                 schedule=dt.ReduceOnPlateauSchedule(0.5))
     with pytest.raises(ConfigError, match="lrs"):
@@ -154,15 +129,6 @@ def test_weight_stack_refusals():
     for bad in (np.zeros((2, len(ds) + 1)), np.zeros((1, 2, len(ds)))):
         with pytest.raises(ConfigError, match="data weights of shape"):
             dt.train(spec, ds, cfg, data_weights=bad)
-
-
-@pytest.mark.parametrize("reference", [np.nan, np.inf, -np.inf])
-def test_non_finite_reference_loss_is_refused(reference):
-    spec = dt.ModelSpec("logistic_regression", (4, 2))
-    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
-    cfg = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.1, seed=5)
-    with pytest.raises(ConfigError, match="reference_loss"):
-        dt.train(spec, ds, cfg, reference_loss=reference)
 
 
 def test_stack_diverges_at_its_diverging_rows_step():
@@ -422,20 +388,29 @@ def test_lockstep_rerun_matches_the_run_step_for_step():
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
     cfg = dt.TrainingConfig(epochs=4, batch_size=6, initial_lr=0.05, momentum=0.9,
                             schedule=dt.ExponentialSchedule(0.95), weight_decay=0.01, seed=5)
-    seen = {}
-    rec = dt.train(spec, ds, cfg, step_hook=lambda ctx: seen.setdefault(ctx.step, ctx))
-    # the momentum buffer beside each snapshot is the one the next step starts from
+    rec = dt.train(spec, ds, cfg)
+
+    def prefix(steps):  # the run's first ``steps`` steps, run again from w_0
+        return dt.train(spec, ds, cfg, init=rec.snapshots[0],
+                        batches=rec.batches[:steps], lrs=rec.lrs[:steps])
+
+    # the momentum buffer beside each snapshot is the one the run holds there
     assert sorted(rec.velocities) == sorted(rec.snapshots) == [0, 4, 8, 12, 16]
     for step in (4, 8, 12):
-        assert np.array_equal(rec.velocities[step], seen[step + 1].velocity)
+        assert np.array_equal(rec.velocities[step], prefix(step).velocities[step])
     contexts = trainer.rerun(rec, ds, [4, 8, 12], 4)
     assert [ctx.step for ctx in contexts] == list(range(5, 17))
     for ctx in contexts:
-        want = seen[ctx.step]
-        assert ctx.lr == want.lr and ctx.velocity is None
-        assert np.array_equal(ctx.batch, want.batch)
-        assert np.array_equal(ctx.params, want.params)
-        assert all(np.array_equal(a, b) for a, b in zip(ctx.rows, want.rows))
+        t = ctx.step
+        assert ctx.lr == rec.lrs[t - 1]
+        assert np.array_equal(ctx.batch, rec.batches[t - 1])
+        assert np.array_equal(ctx.params, prefix(t - 1).final_params)
+        with pytest.raises(ValueError):
+            ctx.params[0] = 1.0  # read-only
+        want = (ds.features[ctx.batch], ds.labels[ctx.batch])
+        assert all(np.array_equal(a, b) for a, b in zip(ctx.rows, want))
+    with pytest.raises(dt.ShapeError, match="init"):
+        dt.train(spec, ds, cfg, init=np.zeros(3))
 
 
 def test_each_training_step_evaluates_the_model_once(monkeypatch):
@@ -460,12 +435,18 @@ def test_each_training_step_evaluates_the_model_once(monkeypatch):
     dt.replay(rec, train_ds)
     assert calls == {"subset": 0, "forward": 2 * T, "sample_losses": 0}
 
-    calls.update(forward=0)
     indices = [0, 3, 7]
-    dt.contribution_exact(rec, train_ds, indices, test_ds)
     hit_steps = sum(bool(np.isin(indices, batch).any()) for batch in rec.batches)
+    assert sorted(rec.snapshots) == [0, 4, 8, 12] and hit_steps == 7
     # The three 4-step intervals between snapshots re-run as one lockstep
-    # group, one forward per step for all three; the backward pass takes one
-    # per HVP, one per step whose batch holds an index, and one for g_test.
-    assert sorted(rec.snapshots) == [0, 4, 8, 12]
-    assert calls == {"subset": 0, "forward": 4 + T + hit_steps + 1, "sample_losses": 0}
+    # group, one forward per step for all three; each walk adds one per HVP
+    # and one per step whose batch holds an index, and the backward pass
+    # one for g_test.
+    for run, forward in (
+        (lambda: dt.contribution_exact(rec, train_ds, indices, test_ds), 4 + T + hit_steps + 1),
+        (lambda: dt.track_exact(rec, train_ds, indices), 4 + T + hit_steps),
+        (lambda: dt.track_approx(rec, train_ds, indices), 4 + hit_steps),
+    ):
+        calls.update(forward=0)
+        run()
+        assert calls == {"subset": 0, "forward": forward, "sample_losses": 0}
