@@ -4,10 +4,11 @@ The contribution of training sample i is C(i) = -(1/n) g_test(w_T)^T nabla_{T,i}
 with nabla_{t,i} = d w_t / d eps_i carried by a recurrence over the steps, in
 two modes: exact (with the batch Hessian term) and approx (without it). Both
 read the steps from ``_walk``: the record's snapshots, with the momentum
-buffer beside each, are the checkpoints, and the intervals between them are
-re-run in lockstep groups of G with the original batches and learning rates,
-one paired model evaluation per step, so a walk re-runs T / G steps and
-keeps at most 4 * ceil(sqrt(T)) parameter vectors.
+buffer beside each (kept by ``train`` and on disk alike), are the checkpoints,
+and the intervals between them are re-run in lockstep groups of G with the
+original batches and learning rates, one paired model evaluation per step,
+so a walk re-runs T / G steps and keeps at most 4 * ceil(sqrt(T)) parameter
+vectors.
 
 - Reverse mode (``contribution_exact``, ``contribution_approx``): the
   recurrence is linear in its state and C(i) is one linear functional of
@@ -198,8 +199,8 @@ def contribution(record, states, test_dataset, per_test=False):
         raise ValueError("no hypergradient states given")
     modes = {s.mode for s in states.values()}
     tag = modes.pop() if len(modes) == 1 else "mixed"
-    nabla = np.stack([s.nabla for s in states.values()])
-    return reports.from_loss_derivatives(tag, list(states), rows @ nabla.T, record.n_train)
+    dloss = models.row_dots(rows, np.stack([s.nabla for s in states.values()]))
+    return reports.from_loss_derivatives(tag, list(states), dloss, record.n_train)
 
 
 def _groups(record):
@@ -234,24 +235,17 @@ def _groups(record):
 
 
 def _checkpoints(record, dataset):
-    """The record with a snapshot at least every 4 * ceil(sqrt(T)) steps, each with its velocity.
+    """The record with a snapshot at least every 4 * ceil(sqrt(T)) steps.
 
-    ``train`` keeps the buffer beside each snapshot; a record loaded from
-    disk has none. With momentum 0 the buffer is overwritten at every step
-    (v = 0 * v + g), so zeros serve. Otherwise, or when two snapshots lie
-    further apart, one checked replay fills them, with a snapshot every
-    ceil(sqrt(T)) steps in the second case.
+    Each snapshot has its momentum buffer beside it (``train`` keeps them and
+    the on-disk form holds them). Where two snapshots lie further apart, one
+    checked replay re-snapshots the record every ceil(sqrt(T)) steps.
     """
     root = math.isqrt(record.steps - 1) + 1
-    if max(np.diff(sorted(record.snapshots))) > 4 * root:
-        finer = replace(record.config, snapshot_stride=root)
-        return trainer.replay(replace(record, config=finer), dataset)
-    if all(step in record.velocities for step in record.snapshots):
+    if max(np.diff(sorted(record.snapshots))) <= 4 * root:
         return record
-    if record.config.momentum == 0.0:
-        zeros = np.zeros_like(record.final_params)
-        return replace(record, velocities=dict.fromkeys(record.snapshots, zeros))
-    return trainer.replay(record, dataset)
+    finer = replace(record.config, snapshot_stride=root)
+    return trainer.replay(replace(record, config=finer), dataset)
 
 
 def _walk(record, dataset, backward=False):
@@ -300,7 +294,7 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
         hit = rank >= 0
         if hit.any():
             G = ctx.per_sample_gradients(ctx.batch[hit])
-            acc[:, rank[hit]] += (n / len(ctx.batch)) * (beta @ G.T)
+            acc[:, rank[hit]] += (n / len(ctx.batch)) * models.row_dots(beta, G)
         alpha = alpha + cfg.weight_decay * beta
         if use_hessian:
             alpha = alpha + ctx.batch_hvp(beta)

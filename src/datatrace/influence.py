@@ -150,7 +150,8 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
 
     ``v`` may be a flat vector or an (r, P) stack; the result has the same
     shape. The solver is set up once per call (dense builds H once, Neumann
-    estimates its scale once) and CG solves the rows one by one. For a stack,
+    estimates its scale once). CG and the dense solve take the rows one by
+    one, so each row's result has the bits of its solve alone. For a stack,
     ``cg_residual`` is the largest row residual and ``cg_iterations`` the total.
     """
     V = np.asarray(v, dtype=np.float64)
@@ -179,7 +180,7 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
     else:
         H = models.dense_hessian(model, params, dataset, uniform)
         H = H + shift * np.eye(H.shape[0])
-        X = np.linalg.solve(H, V.T).T
+        X = np.linalg.solve(H, V[:, :, None])[..., 0]
         diag = {}
     return (X[0] if single else X), diag
 
@@ -204,5 +205,5 @@ def influence(model, final_params, train_dataset, test_dataset, train_indices,
     # against g_test, row 1 + j against test row j.
     G = models.per_sample_gradients(model, final_params, rows) if index.size else S[:0]
     return reports.from_loss_derivatives(
-        _METHOD_TAGS[config.method], index.tolist(), -(G @ S.T).T, len(train_dataset)
+        _METHOD_TAGS[config.method], index.tolist(), -models.row_dots(S, G), len(train_dataset)
     )

@@ -463,6 +463,12 @@ def test_gradients(spec, params, dataset, per_test=False):
     return rows
 
 
+def row_dots(rows, vectors):
+    """``rows @ vectors.T`` row by row, so each row sums as it would alone (one product
+    over all rows sums in another order, and C(i) would depend on ``per_test``)."""
+    return (rows[:, None, :] @ vectors.T)[:, 0]
+
+
 def accuracy(spec, params, dataset):
     """Fraction of samples whose largest output is their class index."""
     X, Y = _xy(dataset)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
+import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,9 +152,15 @@ def build_batch_schedule(n, batch_size, epochs, seed):
     return batches
 
 
+# The dtype of each array of a record's on-disk form (see ``TrajectoryRecord._arrays``).
+_DTYPES = dict(steps="<i8", snapshots="<f8", velocities="<f8", lrs="<f8", losses="<f8",
+               weights="<f8", batch_sizes="<i8", batches="<i4")
+
+
 @dataclass
 class TrajectoryRecord:
-    """Everything needed to replay a run deterministically."""
+    """Everything needed to replay a run deterministically; ``save_trajectory`` writes
+    all of it, and ``load_trajectory`` reads it back field for field."""
 
     model: ModelSpec
     config: TrainingConfig
@@ -165,19 +171,41 @@ class TrajectoryRecord:
     losses: np.ndarray  # regularized batch loss at w_{t-1}
     snapshots: dict  # step -> flat params (0 and T always present)
     final_params: np.ndarray
-    # step -> momentum buffer after that step, beside each snapshot; in memory
-    # only, so a loaded record has none (see ``hypergrad``)
-    velocities: dict = field(default_factory=dict)
+    velocities: dict  # step -> momentum buffer after that step, beside each snapshot
 
     @property
     def steps(self):
         return len(self.batches)
 
+    def _text(self):
+        """The [model] and [training] sections of ``config.txt``."""
+        return "\n".join([
+            configtext.write_section("model", self.model),
+            configtext.write_section("training", self.config),
+        ])
+
+    def _arrays(self):
+        """``{name: array}`` of the on-disk form: snapshots and buffers stacked in
+        step order, the batches flat beside their sizes."""
+        steps = sorted(self.snapshots)
+        arrays = {
+            "steps": steps,
+            "snapshots": [self.snapshots[t] for t in steps],
+            "velocities": [self.velocities[t] for t in steps],
+            "lrs": self.lrs,
+            "losses": self.losses,
+            "weights": self.data_weights,
+            "batch_sizes": [len(batch) for batch in self.batches],
+            "batches": np.concatenate(self.batches),
+        }
+        return {name: np.asarray(a, dtype=_DTYPES[name]) for name, a in arrays.items()}
+
     def checksum(self):
-        h = hashlib.sha256()
-        for step in sorted(self.snapshots):
-            h.update(struct.pack("<q", step))
-            h.update(self.snapshots[step].tobytes())
+        """SHA-256 of the config text and of every array with its dtype and shape."""
+        h = hashlib.sha256(self._text().encode())
+        for name, array in self._arrays().items():
+            h.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+            h.update(array.tobytes())
         return h.hexdigest()
 
 
@@ -473,123 +501,92 @@ def rerun(record, dataset, starts, length):
 
 
 # ---------------------------------------------------------------------------
-# On-disk form: config as text, snapshots/rates as little-endian blobs,
-# batch schedule as 32-bit index lists.
+# On-disk form: ``config.txt`` holds the [model] and [training] sections and
+# the record's checksum, and each array of the record is one ``name.npy``
+# file, whose header carries its dtype and shape.
 
 
 def save_trajectory(record, directory):
+    """Write the record as ``config.txt`` and one ``.npy`` file per array (see ``_DTYPES``)."""
     if record.data_weights.ndim != 1:
         raise ConfigError("the on-disk form holds one run, not a stack of data weights")
     os.makedirs(directory, exist_ok=True)
-    meta = {
-        "n_train": record.n_train,
-        "param_count": record.final_params.size,
-        "checksum": record.checksum(),
-    }
-    text = "\n".join([
-        configtext.write_section("model", record.model),
-        configtext.write_section("training", record.config),
-        configtext.write_section("meta", meta),
-    ])
+    meta = configtext.write_section("meta", {"checksum": record.checksum()})
     with open(os.path.join(directory, "config.txt"), "w") as fh:
-        fh.write(text)
-
-    with open(os.path.join(directory, "snapshots.bin"), "wb") as blob, open(
-        os.path.join(directory, "snapshots.idx"), "w"
-    ) as idx:
-        offset = 0
-        for step in sorted(record.snapshots):
-            arr = record.snapshots[step].astype("<f8")
-            blob.write(arr.tobytes())
-            idx.write(f"{step} {offset} {arr.size}\n")
-            offset += arr.size
-
-    record.lrs.astype("<f8").tofile(os.path.join(directory, "lrs.bin"))
-    record.losses.astype("<f8").tofile(os.path.join(directory, "losses.bin"))
-    record.data_weights.astype("<f8").tofile(os.path.join(directory, "weights.bin"))
-    with open(os.path.join(directory, "schedule.bin"), "wb") as fh:
-        for batch in record.batches:
-            fh.write(struct.pack("<I", len(batch)))
-            fh.write(np.asarray(batch, dtype="<i4").tobytes())
+        fh.write(record._text() + "\n" + meta)
+    for name, array in record._arrays().items():
+        np.save(os.path.join(directory, f"{name}.npy"), array, allow_pickle=False)
 
 
-def _read_floats(directory, name, count):
-    """The ``count`` little-endian float64 values of one blob; ConfigError otherwise."""
-    path = os.path.join(directory, name)
-    size = os.path.getsize(path)
-    if size != 8 * count:
-        raise ConfigError(f"{name} holds {size} bytes, expected {8 * count}")
-    return np.fromfile(path, dtype="<f8")
+def _load(directory, name, shape):
+    """The array of ``name.npy``; ConfigError for a missing or unreadable file, or another
+    dtype or ``shape`` (where None takes any length)."""
+    dtype = _DTYPES[name]
+    try:
+        array = np.load(os.path.join(directory, f"{name}.npy"), allow_pickle=False)
+    except (OSError, ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+        # (a damaged header fails numpy's parser with any of these)
+        raise ConfigError(f"{name}.npy: {exc!r}") from exc
+    if array.dtype != dtype or array.ndim != len(shape) or any(
+        want not in (None, got) for want, got in zip(shape, array.shape)
+    ):
+        raise ConfigError(f"{name}.npy holds {array.dtype} {array.shape}, expected {dtype} {shape}")
+    return array
 
 
 def load_trajectory(directory):
-    """Read back a ``save_trajectory`` directory.
+    """Read back a ``save_trajectory`` directory as the record that was saved.
 
-    Raises ConfigError for a missing meta key, a blob of the wrong length
-    (a truncated or mismatched file) or a snapshot step repeated or outside
-    [0, T], and ReplayDivergenceError when the snapshots do not match the
-    stored checksum.
+    Raises ConfigError, naming the file, for a missing or unreadable file, an
+    array of another dtype or shape (a truncated or mismatched file), an
+    empty batch, a batch index outside [0, n) (n from the data weights) or
+    snapshot steps repeated, outside [0, T] or without 0 and T. Then
+    ReplayDivergenceError when the record does not match the stored checksum.
     """
-    with open(os.path.join(directory, "config.txt")) as fh:
-        sections = configtext.parse_sections(fh.read())
+    try:
+        with open(os.path.join(directory, "config.txt")) as fh:
+            sections = configtext.parse_sections(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config.txt: {exc}") from exc
     model = configtext.read_section("model", sections.get("model", {}), ModelSpec)
     config = configtext.read_section("training", sections.get("training", {}), TrainingConfig)
-    meta = sections.get("meta", {})
-    for key in ("n_train", "param_count"):
-        if key not in meta:
-            raise ConfigError(f"missing config key meta.{key}")
-    n_train = int(meta["n_train"])
-    param_count = int(meta["param_count"])
+    stored = sections.get("meta", {}).get("checksum")
+    if stored is None:
+        raise ConfigError("config.txt: missing config key meta.checksum")
 
-    snapshots = {}
-    blob = np.fromfile(os.path.join(directory, "snapshots.bin"), dtype="<f8")
-    with open(os.path.join(directory, "snapshots.idx")) as idx:
-        for line in idx:
-            step, offset, count = (int(x) for x in line.split())
-            if step in snapshots:
-                raise ConfigError(f"snapshots.idx lists step {step} twice")
-            snapshots[step] = blob[offset : offset + count].copy()
-            if count != param_count or snapshots[step].size != count:
-                raise ConfigError(
-                    f"snapshots.bin: step {step} holds {snapshots[step].size} values, "
-                    f"expected {param_count}"
-                )
-
-    with open(os.path.join(directory, "schedule.bin"), "rb") as fh:
-        raw = fh.read()
-    batches, at = [], 0
-    while at < len(raw):
-        count = int.from_bytes(raw[at : at + 4], "little")
-        end = at + 4 + 4 * count
-        if count == 0 or end > len(raw):
-            raise ConfigError(f"schedule.bin: batch {len(batches) + 1} is empty or truncated")
-        batch = np.frombuffer(raw, dtype="<i4", count=count, offset=at + 4).copy()
-        if np.any((batch < 0) | (batch >= n_train)):
-            raise ConfigError(f"schedule.bin: batch {len(batches) + 1} indexes outside n_train")
-        batches.append(batch)
-        at = end
-    T = len(batches)
-    if not {0, T} <= set(snapshots):
-        raise ConfigError("snapshots.idx lacks step 0 or the final step")
-    outside = [step for step in snapshots if not 0 <= step <= T]
-    if outside:
-        raise ConfigError(f"snapshots.idx: step {outside[0]} outside [0, {T}]")
-    lrs = _read_floats(directory, "lrs.bin", T)
-    losses = _read_floats(directory, "losses.bin", T)
-    weights = _read_floats(directory, "weights.bin", n_train)
-
+    sizes, flat, weights, steps = (
+        _load(directory, name, (None,)) for name in ("batch_sizes", "batches", "weights", "steps")
+    )
+    T, n = sizes.size, weights.size
+    if T == 0 or sizes.min() < 1:
+        raise ConfigError("batch_sizes.npy: no batches, or an empty one")
+    if flat.size != sizes.sum():
+        raise ConfigError(f"batches.npy holds {flat.size} indices; the sizes sum to {sizes.sum()}")
+    if flat.min() < 0 or flat.max() >= n:
+        raise ConfigError(f"batches.npy: an index outside [0, {n})")
+    lrs, losses = (_load(directory, name, (T,)) for name in ("lrs", "losses"))
+    steps = steps.tolist()
+    if not {0, T} <= set(steps):
+        raise ConfigError("steps.npy lacks step 0 or the final step")
+    if len(set(steps)) < len(steps):
+        raise ConfigError("steps.npy repeats a step")
+    if min(steps) < 0 or max(steps) > T:
+        raise ConfigError(f"steps.npy: a step outside [0, {T}]")
+    shape = (len(steps), models.param_count(model))
+    snapshots, velocities = (_load(directory, name, shape) for name in ("snapshots", "velocities"))
+    snapshots = dict(zip(steps, snapshots))
     record = TrajectoryRecord(
         model=model,
         config=config,
-        n_train=n_train,
+        n_train=n,
         data_weights=weights,
-        batches=batches,
+        batches=np.split(flat, np.cumsum(sizes)[:-1]),
         lrs=lrs,
         losses=losses,
         snapshots=snapshots,
         final_params=snapshots[T].copy(),
+        velocities=dict(zip(steps, velocities)),
     )
-    stored = meta.get("checksum")
-    if stored and stored != record.checksum():
+    if record.checksum() != stored:
         raise ReplayDivergenceError(-1, "stored trajectory checksum mismatch")
     return record

@@ -225,10 +225,10 @@ def test_run_outputs_are_byte_identical_across_reruns(small_config, tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     cli.main(["run", "--config", small_config, "--output", out1])
     cli.main(["run", "--config", small_config, "--output", out2])
-    names = sorted(
-        n for n in os.listdir(out1) if os.path.isfile(os.path.join(out1, n))
-    )
+    names = sorted(str(p.relative_to(out1)) for p in Path(out1).rglob("*") if p.is_file())
+    assert sorted(str(p.relative_to(out2)) for p in Path(out2).rglob("*") if p.is_file()) == names
     assert "manifest.json" in names and "contrib_exact.csv" in names
+    assert "trajectory/config.txt" in names and "trajectory/velocities.npy" in names
     for n in names:
         a = Path(out1, n).read_bytes()
         b = Path(out2, n).read_bytes()

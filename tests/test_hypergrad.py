@@ -415,12 +415,13 @@ def test_damaged_recorded_loss_is_caught(step, value, estimator, source, tmp_pat
     losses = rec.losses.copy()
     assert losses[step - 1] != value
     losses[step - 1] = value
-    if source == "memory":
-        rec = replace(rec, losses=losses)
-    else:  # without velocities: the replay that fills them checks the losses
+    if source == "disk":  # refused at load, before any estimator runs
         dt.save_trajectory(rec, str(tmp_path))
-        losses.astype("<f8").tofile(tmp_path / "losses.bin")
-        rec = dt.load_trajectory(str(tmp_path))
+        np.save(tmp_path / "losses.npy", losses)
+        with pytest.raises(ReplayDivergenceError, match="checksum"):
+            dt.load_trajectory(str(tmp_path))
+        return
+    rec = replace(rec, losses=losses)
     with pytest.raises(ReplayDivergenceError) as err:
         if estimator == "replay":
             dt.replay(rec, train)
@@ -461,47 +462,48 @@ GROUPING_PROBES = {
 }
 
 # C(17), C(3), then C(i, j) in key order over two test samples, as float.hex,
-# recorded when the adjoint re-ran one segment at a time after a checked replay.
+# with each row of the adjoint's state contracted on its own, so C(17) and
+# C(3) are the bits of the run without ``per_test``.
 ADJOINT_PINS = {
     ("stride7", "exact"): (
-        "0x1.561e154df15bap-7", "-0x1.69cc6e6695d82p-7", "-0x1.48600dc1d526ep-6",
-        "-0x1.0b63052605883p-9", "-0x1.0d9d6a4840bebp-7", "0x1.dcecca7211bb0p-6",
+        "0x1.561e154df15bap-7", "-0x1.69cc6e6695d83p-7", "-0x1.48600dc1d526fp-6",
+        "-0x1.0b63052605885p-9", "-0x1.0d9d6a4840bebp-7", "0x1.dcecca7211bb0p-6",
     ),
     ("stride7", "approx"): (
-        "0x1.564da34d96c9ep-7", "0x1.531078a45cdcap-6", "0x1.28572aad215a3p-4",
+        "0x1.564da34d96c9ep-7", "0x1.531078a45cdcap-6", "0x1.28572aad215a4p-4",
         "-0x1.fb3bb96bcbafdp-6", "-0x1.3c018d0c2ddf5p-5", "0x1.e7285eb2f9443p-5",
     ),
     ("short_batch", "exact"): (
-        "0x1.9d50037a1f72dp-8", "-0x1.363789768f50cp-7", "-0x1.2d0fbf3203238p-6",
-        "-0x1.24f9489185b50p-11", "-0x1.aa873b7d4060ep-8", "0x1.3949d09c5fd1ap-6",
+        "0x1.9d50037a1f72dp-8", "-0x1.363789768f50dp-7", "-0x1.2d0fbf3203236p-6",
+        "-0x1.24f9489185b4ap-11", "-0x1.aa873b7d4060ep-8", "0x1.3949d09c5fd1ap-6",
     ),
     ("short_batch", "approx"): (
-        "0x1.3adc21c0620b3p-8", "0x1.38212a79eb53ep-6", "0x1.fbb36d052bf40p-5",
+        "0x1.3adc21c0620b3p-8", "0x1.38212a79eb53dp-6", "0x1.fbb36d052bf40p-5",
         "-0x1.8724851681407p-6", "-0x1.ff6dfa476a412p-6", "0x1.4e6e0593cda36p-5",
     ),
     ("full_batch", "exact"): (
-        "0x1.3bfc733f4609fp-8", "-0x1.918d2b25c3ed3p-7", "-0x1.84d4824ba7545p-6",
-        "-0x1.97151b439317bp-11", "-0x1.5feabb3c28d38p-7", "0x1.4df3973db76ecp-6",
+        "0x1.3bfc733f4609fp-8", "-0x1.918d2b25c3ed4p-7", "-0x1.84d4824ba7544p-6",
+        "-0x1.97151b4393177p-11", "-0x1.5feabb3c28d38p-7", "0x1.4df3973db76ecp-6",
     ),
     ("full_batch", "approx"): (
-        "0x1.b70a3e6b386e0p-9", "0x1.da78120bf4383p-6", "0x1.5573ce4fb2ee2p-4",
-        "-0x1.a0df1526e3483p-6", "-0x1.7e310b4ffe073p-5", "0x1.b512531d6514dp-5",
+        "0x1.b70a3e6b386e5p-9", "0x1.da78120bf4380p-6", "0x1.5573ce4fb2ee2p-4",
+        "-0x1.a0df1526e3485p-6", "-0x1.7e310b4ffe073p-5", "0x1.b512531d65150p-5",
     ),
     ("plateau", "exact"): (
-        "0x1.9f28fa100674ep-7", "-0x1.43aa4c2629dddp-8", "-0x1.abc47583290cdp-14",
-        "-0x1.4052c33b238b9p-7", "-0x1.e8c0a74589545p-7", "0x1.49c4a6d9658f7p-5",
+        "0x1.9f28fa100674ep-7", "-0x1.43aa4c2629ddcp-8", "-0x1.abc4758329066p-14",
+        "-0x1.4052c33b238b8p-7", "-0x1.e8c0a74589545p-7", "0x1.49c4a6d9658f7p-5",
     ),
     ("plateau", "approx"): (
-        "0x1.f446e98467538p-7", "-0x1.949746addb6a6p-13", "0x1.6159fd97b16abp-5",
+        "0x1.f446e98467538p-7", "-0x1.949746addb70dp-13", "0x1.6159fd97b16abp-5",
         "-0x1.64832c250d218p-5", "-0x1.e5a3b2bda19b6p-6", "0x1.ecf54e2104776p-5",
     ),
     ("exponential", "exact"): (
-        "0x1.a442fbf68dec8p-7", "-0x1.bea6903cc4e56p-8", "-0x1.34779b06e88eap-7",
-        "-0x1.145dea6bb8ae0p-8", "-0x1.6f1af1a1f7fc2p-7", "0x1.2de83a63c4f53p-5",
+        "0x1.a442fbf68dec8p-7", "-0x1.bea6903cc4e56p-8", "-0x1.34779b06e88e8p-7",
+        "-0x1.145dea6bb8adfp-8", "-0x1.6f1af1a1f7fc2p-7", "0x1.2de83a63c4f53p-5",
     ),
     ("exponential", "approx"): (
-        "0x1.d961d12dac90bp-7", "0x1.661196d2ae289p-7", "0x1.fb1949d49725dp-5",
-        "-0x1.48107e6b4011ap-5", "-0x1.1a3d9636141a4p-5", "0x1.03773f6675316p-4",
+        "0x1.d961d12dac90bp-7", "0x1.661196d2ae28ep-7", "0x1.fb1949d49725dp-5",
+        "-0x1.48107e6b40119p-5", "-0x1.1a3d9636141a4p-5", "0x1.03773f6675316p-4",
     ),
 }
 
@@ -514,11 +516,12 @@ def test_adjoint_values_are_pinned_bit_for_bit(probe, mode, tmp_path):
     config, groups = GROUPING_PROBES["short_batch" if probe == "loaded" else probe]
     train, test, rec = _adjoint_probe(momentum=0.9, test_per_class=1, **config)
     assert [(len(starts), length) for starts, length in _groups(rec)] == groups
-    if probe == "loaded":  # momentum 0.9 without velocities: equal to the record in memory
+    if probe == "loaded":  # momentum 0.9, buffers read from disk: equal to the record in memory
         dt.save_trajectory(rec, str(tmp_path))
-        rec = dt.load_trajectory(str(tmp_path))
-        assert rec.velocities == {}
-        probe = "short_batch"
+        loaded = dt.load_trajectory(str(tmp_path))
+        assert loaded.velocities.keys() == rec.velocities.keys()
+        assert all(np.array_equal(loaded.velocities[t], rec.velocities[t]) for t in rec.velocities)
+        rec, probe = loaded, "short_batch"
     report = getattr(dt, f"contribution_{mode}")(rec, train, [17, 3], test, per_test=True)
     pairs = report.pair_values
     got = [*report.values.values(), *(pairs[key] for key in sorted(pairs))]
@@ -527,7 +530,6 @@ def test_adjoint_values_are_pinned_bit_for_bit(probe, mode, tmp_path):
 
 @pytest.mark.parametrize("batch_size", [0, 6])
 def test_loaded_record_without_momentum_gives_the_in_memory_values(batch_size, tmp_path):
-    # No momentum buffers on disk: with momentum 0 the re-runs start from zeros.
     train, test, rec = _adjoint_probe(batch_size, 0.0)
     dt.save_trajectory(rec, str(tmp_path))
     loaded = dt.load_trajectory(str(tmp_path))
@@ -535,6 +537,49 @@ def test_loaded_record_without_momentum_gives_the_in_memory_values(batch_size, t
         want = adjoint(rec, train, range(len(train)), test, per_test=True)
         got = adjoint(loaded, train, range(len(train)), test, per_test=True)
         assert got.values == want.values and got.pair_values == want.pair_values
+
+
+def test_loaded_record_with_momentum_walks_without_training(tmp_path, count_calls):
+    # The buffers are on disk, so no estimator replays the run to fill them.
+    from datatrace import trainer as trainer_mod
+
+    train, test, rec = _adjoint_probe(5, 0.9)
+    dt.save_trajectory(rec, str(tmp_path))
+    loaded = dt.load_trajectory(str(tmp_path))
+    calls = count_calls((trainer_mod, "train"))
+    for adjoint in (dt.contribution_exact, dt.contribution_approx):
+        want = adjoint(rec, train, [1, 7, 19], test, per_test=True)
+        got = adjoint(loaded, train, [1, 7, 19], test, per_test=True)
+        assert got.values == want.values and got.pair_values == want.pair_values
+    for track in (dt.track_exact, dt.track_approx):
+        want, got = track(rec, train, [1, 7]), track(loaded, train, [1, 7])
+        assert all(np.array_equal(got[i].nabla, want[i].nabla) for i in (1, 7))
+    want, got = dt.error_trace(rec, train, [1, 7]), dt.error_trace(loaded, train, [1, 7])
+    for i in (1, 7):
+        assert np.array_equal(got[i].error_norms, want[i].error_norms)
+        assert np.array_equal(got[i].bounds, want[i].bounds)
+    assert calls == {"train": 0}
+
+
+@pytest.mark.parametrize("batch_size", [0, 5])
+def test_contribution_does_not_depend_on_per_test(batch_size):
+    # Each row of the test side is contracted on its own, so asking for the
+    # pairs leaves C(i) bit for bit as it is.
+    train, test, rec = _adjoint_probe(batch_size, 0.9)
+    index = list(range(len(train)))
+    runs = {
+        "exact": lambda per_test: dt.contribution_exact(rec, train, index, test, per_test),
+        "approx": lambda per_test: dt.contribution_approx(rec, train, index, test, per_test),
+    }
+    for track in (dt.track_exact, dt.track_approx):
+        states = track(rec, train, index)
+        runs[track.__name__] = lambda per_test, s=states: dt.contribution(rec, s, test, per_test)
+    for name, run in runs.items():
+        plain, paired = run(False), run(True)
+        assert plain.pair_values is None and paired.pair_values, name
+        assert [v.hex() for v in paired.values.values()] == [
+            v.hex() for v in plain.values.values()
+        ], name
 
 
 def test_non_finite_adjoint_raises_divergence():

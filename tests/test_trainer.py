@@ -1,7 +1,10 @@
 """Trainer: trajectories, schedules, replay, on-disk round trips."""
 
+import functools
+import hashlib
 import os
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datatrace as dt
-from datatrace import models, trainer
+from datatrace import configtext, models, trainer
 from datatrace.exceptions import ConfigError, DivergenceError, ReplayDivergenceError
 from conftest import bias_only_probe, gaussian_pair, ridge_probe
 
@@ -267,10 +270,7 @@ def test_trajectory_save_load_round_trip(tmp_path):
     dt.save_trajectory(rec, d)
     back = dt.load_trajectory(d)
     assert back.checksum() == rec.checksum()
-    assert np.array_equal(back.final_params, rec.final_params)
-    assert np.array_equal(back.lrs, rec.lrs)
-    assert all(np.array_equal(a, b) for a, b in zip(back.batches, rec.batches))
-    assert back.config == rec.config
+    _assert_same_record(back, rec)
     # every [model] and [training] key is required, and no other is accepted
     path = Path(d, "config.txt")
     text = path.read_text()
@@ -288,10 +288,10 @@ def test_trajectory_save_load_round_trip(tmp_path):
     const_dir = str(tmp_path / "const")
     dt.save_trajectory(dt.train(spec, ds, none_cfg), const_dir)
     assert dt.load_trajectory(const_dir).config == none_cfg
-    # corrupting the snapshot blob is caught by the stored checksum
-    blob = Path(d, "snapshots.bin")
+    # corrupting a snapshot value is caught by the stored checksum
+    blob = Path(d, "snapshots.npy")
     raw = bytearray(blob.read_bytes())
-    raw[8] ^= 0xFF
+    raw[-8] ^= 0xFF
     blob.write_bytes(bytes(raw))
     with pytest.raises(ReplayDivergenceError):
         dt.load_trajectory(d)
@@ -332,46 +332,179 @@ def test_trajectory_save_load_round_trips_and_replays(run):
     with tempfile.TemporaryDirectory() as d:
         dt.save_trajectory(rec, d)
         back = dt.load_trajectory(d)
-    assert (back.model, back.config, back.n_train) == (rec.model, rec.config, rec.n_train)
-    assert back.snapshots.keys() == rec.snapshots.keys()
-    assert all(np.array_equal(back.snapshots[t], rec.snapshots[t]) for t in rec.snapshots)
-    assert len(back.batches) == len(rec.batches)
-    assert all(np.array_equal(a, b) for a, b in zip(back.batches, rec.batches))
-    for field in ("lrs", "losses", "data_weights", "final_params"):
-        assert np.array_equal(getattr(back, field), getattr(rec, field)), field
+    _assert_same_record(back, rec)
     again = dt.replay(back, ds)  # checks every snapshot bit for bit
     assert np.array_equal(again.final_params, rec.final_params)
     assert np.array_equal(again.losses, rec.losses)
 
 
-@pytest.mark.parametrize("name, cut", [
-    ("schedule.bin", 2),  # inside the last batch's last index
-    ("schedule.bin", 4),  # one whole index short
-    ("lrs.bin", 8),
-    ("losses.bin", 8),
-    ("weights.bin", 8),
-    ("snapshots.bin", 8),
-    ("snapshots.idx", len("12 30 10\n")),  # the final step's line
-    # An extra line, loaded without the optional checksum: T = 12.
-    pytest.param("snapshots.idx", b"19 0 10\n", id="snapshots.idx-beyond-T"),
-    pytest.param("snapshots.idx", b"8 0 10\n", id="snapshots.idx-repeated"),
-])
-def test_damaged_trajectory_file_raises_config_error(tmp_path, name, cut):
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_record(got, want):
+    """Field for field and bit for bit, momentum buffers included."""
+    assert (got.model, got.config, got.n_train) == (want.model, want.config, want.n_train)
+    for field in ("data_weights", "lrs", "losses", "final_params"):
+        assert _same_array(getattr(got, field), getattr(want, field)), field
+    assert len(got.batches) == len(want.batches)
+    assert all(map(_same_array, got.batches, want.batches))
+    for field in ("snapshots", "velocities"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert list(g) == list(w) and all(_same_array(g[t], w[t]) for t in w), field
+
+
+def _damage_probe(momentum=0.0):
+    """A 12-step record: logistic, 20 samples, batches 6, 6, 6, 2, snapshots at 0, 4, 8, 12."""
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
-    cfg = dt.TrainingConfig(epochs=3, batch_size=6, initial_lr=0.05, seed=0)
-    d = str(tmp_path / "traj")
-    dt.save_trajectory(dt.train(spec, ds, cfg), d)
-    path = Path(d, name)
-    assert name != "snapshots.idx" or path.read_text().endswith("\n8 20 10\n12 30 10\n")
-    if isinstance(cut, bytes):
-        path.write_bytes(path.read_bytes() + cut)
-        config = Path(d, "config.txt")
-        config.write_text(re.sub(r"checksum = \w+\n", "", config.read_text()))
+    cfg = dt.TrainingConfig(epochs=3, batch_size=6, initial_lr=0.05, momentum=momentum, seed=0)
+    return dt.train(spec, ds, cfg)
+
+
+def _replaced(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# One damaged file of the ``_damage_probe`` record per case: an int cuts that
+# many bytes off the end, None deletes the file, and a function re-saves the
+# array it returns. The first nine ids name the same damage to the raw files
+# the on-disk form held before its ``.npy`` arrays.
+DAMAGES = {
+    "schedule.bin-2": ("batches.npy", 2),  # inside the last index
+    "schedule.bin-4": ("batches.npy", lambda a: a[:-1]),  # one whole index short
+    "lrs.bin-8": ("lrs.npy", lambda a: a[:-1]),
+    "losses.bin-8": ("losses.npy", lambda a: a[:-1]),
+    "weights.bin-8": ("weights.npy", 8),
+    "snapshots.bin-8": ("snapshots.npy", 8),
+    "snapshots.idx-9": ("steps.npy", lambda a: a[:-1]),  # without the final step
+    "snapshots.idx-beyond-T": ("steps.npy", lambda a: _replaced(a, 2, 19)),
+    "snapshots.idx-repeated": ("steps.npy", lambda a: _replaced(a, 1, 8)),
+    "empty-batch": ("batch_sizes.npy", lambda a: _replaced(a, 3, 0)),
+    "index-outside-n": ("batches.npy", lambda a: _replaced(a, 0, 20)),
+    "float32-rates": ("lrs.npy", lambda a: a.astype(np.float32)),
+    "short-velocities": ("velocities.npy", lambda a: a[:, :-1]),
+    "no-velocities": ("velocities.npy", None),
+    "no-config": ("config.txt", None),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGES)
+def test_damaged_trajectory_file_raises_config_error(tmp_path, case):
+    name, damage = DAMAGES[case]
+    d = tmp_path / "traj"
+    dt.save_trajectory(_damage_probe(), str(d))
+    assert np.load(d / "steps.npy").tolist() == [0, 4, 8, 12]
+    path = d / name
+    if damage is None:
+        path.unlink()
+    elif isinstance(damage, int):
+        path.write_bytes(path.read_bytes()[:-damage])
     else:
-        path.write_bytes(path.read_bytes()[:-cut])
+        np.save(path, damage(np.load(path)))
     with pytest.raises(ConfigError, match=re.escape(name)):
-        dt.load_trajectory(d)
+        dt.load_trajectory(str(d))
+
+
+def _trajectory_files(directory):
+    return {name: Path(directory, name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def _save_parent_format(rec, directory):
+    """The raw form that held no momentum buffers: float64 blobs, a snapshot index,
+    length-prefixed batches and a checksum over the snapshots alone."""
+    os.makedirs(directory)
+    steps, P = sorted(rec.snapshots), rec.final_params.size
+    digest = hashlib.sha256()
+    for t in steps:
+        digest.update(struct.pack("<q", t) + rec.snapshots[t].tobytes())
+    meta = {"n_train": rec.n_train, "param_count": P, "checksum": digest.hexdigest()}
+    Path(directory, "config.txt").write_text(
+        rec._text() + "\n" + configtext.write_section("meta", meta))
+    np.concatenate([rec.snapshots[t] for t in steps]).tofile(Path(directory, "snapshots.bin"))
+    Path(directory, "snapshots.idx").write_text(
+        "".join(f"{t} {k * P} {P}\n" for k, t in enumerate(steps)))
+    for name, array in (("lrs", rec.lrs), ("losses", rec.losses), ("weights", rec.data_weights)):
+        array.tofile(Path(directory, f"{name}.bin"))
+    Path(directory, "schedule.bin").write_bytes(b"".join(
+        struct.pack("<I", len(b)) + b.astype("<i4").tobytes() for b in rec.batches))
+
+
+@functools.cache
+def _saved_probe():
+    """A momentum-0.9 ``_damage_probe`` record and its saved files, ``{name: bytes}``."""
+    rec = _damage_probe(momentum=0.9)
+    with tempfile.TemporaryDirectory() as d:
+        dt.save_trajectory(rec, d)
+        return rec, _trajectory_files(d)
+
+
+def _changed_file_loads_or_is_refused(directory, name, changed):
+    """Load ``directory`` with file ``name`` holding ``changed``, then restore it. Either
+    the record loads bit for bit as it was saved, or a typed error refuses it."""
+    rec, files = _saved_probe()
+    path = Path(directory, name)
+    path.write_bytes(changed)
+    try:
+        _assert_same_record(dt.load_trajectory(directory), rec)
+    except (ConfigError, ReplayDivergenceError):
+        pass
+    finally:
+        path.write_bytes(files[name])
+
+
+def test_every_text_byte_change_loads_the_record_or_is_refused(tmp_path):
+    # Each byte of config.txt and of each .npy header with its lowest bit
+    # flipped (a neighbouring digit or letter, a space into "!"). The array
+    # data behind the headers is left to the random changes below.
+    rec, files = _saved_probe()
+    dt.save_trajectory(rec, str(tmp_path))
+    assert _trajectory_files(tmp_path) == files
+    for name, raw in files.items():
+        text = len(raw) if name == "config.txt" else 10 + int.from_bytes(raw[8:10], "little")
+        for at in range(text):
+            changed = bytearray(raw)
+            changed[at] ^= 0x01
+            _changed_file_loads_or_is_refused(str(tmp_path), name, bytes(changed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_single_byte_change_loads_the_record_or_is_refused(data):
+    rec, files = _saved_probe()
+    name = data.draw(st.sampled_from(sorted(files)))
+    at = data.draw(st.integers(0, len(files[name]) - 1))
+    changed = bytearray(files[name])
+    changed[at] = data.draw(st.integers(0, 255).filter(lambda v: v != changed[at]))
+    with tempfile.TemporaryDirectory() as d:
+        dt.save_trajectory(rec, d)
+        _changed_file_loads_or_is_refused(d, name, bytes(changed))
+
+
+def test_doubled_rate_and_parent_format_are_refused(tmp_path):
+    rec = _damage_probe(momentum=0.9)
+    d = tmp_path / "traj"
+    dt.save_trajectory(rec, str(d))
+    lrs = np.load(d / "lrs.npy")
+    np.save(d / "lrs.npy", _replaced(lrs, 3, 2 * lrs[3]))
+    with pytest.raises(ReplayDivergenceError, match="checksum"):
+        dt.load_trajectory(str(d))
+    _save_parent_format(rec, tmp_path / "parent")
+    with pytest.raises(ConfigError, match=r"\.npy"):
+        dt.load_trajectory(str(tmp_path / "parent"))
+
+
+def test_saving_a_loaded_record_writes_the_same_bytes(tmp_path):
+    rec = _damage_probe(momentum=0.9)
+    dt.save_trajectory(rec, str(tmp_path / "a"))
+    dt.save_trajectory(dt.load_trajectory(str(tmp_path / "a")), str(tmp_path / "b"))
+    first, second = _trajectory_files(tmp_path / "a"), _trajectory_files(tmp_path / "b")
+    assert list(first) == ["batch_sizes.npy", "batches.npy", "config.txt", "losses.npy",
+                           "lrs.npy", "snapshots.npy", "steps.npy", "velocities.npy",
+                           "weights.npy"]
+    assert first == second
 
 
 def test_snapshot_stride():
