@@ -173,6 +173,9 @@ def _read_idx_header(fh, path, expected_magic, expected_dims):
         if len(raw) < 4:
             raise IdxFormatError(f"{path}: truncated dimension header")
         dims.append(struct.unpack(">i", raw)[0])
+    # A negative count would reach ``fh.read``, where -1 reads the whole body.
+    if min(dims) < 0:
+        raise IdxFormatError(f"{path}: negative dimension in header {dims}")
     return dims
 
 
@@ -212,8 +215,13 @@ def write_idx(image_path, label_path, images, labels):
 
 
 def load_csv(path, class_count, split_tag="train"):
-    """CSV with feature columns followed by an integer label column."""
+    """CSV with feature columns followed by an integer label column.
+
+    Raises ConfigError for a label that is not a finite integer (the cast to
+    int64 would truncate 1.9 to 1).
+    """
     table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    inputs = table[:, :-1]
-    labels = table[:, -1].astype(np.int64)
-    return LabeledDataset(inputs, labels, class_count, split_tag)
+    inputs, labels = table[:, :-1], table[:, -1]
+    if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+        raise ConfigError(f"{path}: label column holds a value that is not a finite integer")
+    return LabeledDataset(inputs, labels.astype(np.int64), class_count, split_tag)

@@ -6,6 +6,7 @@ It is not part of this suite, so these tests fail here when a library change
 would break what it uses.
 """
 
+import hashlib
 import os
 import sys
 
@@ -85,3 +86,79 @@ def test_compute_keeps_mlp_minibatch_values_bit_for_bit(method):
     stage = next(stage for stage in inputs.stages if stage.method == method)
     report = workloads.compute(inputs, method, record, stage.indices)
     assert {i: v.hex() for i, v in report.values.items()} == MLP_MINIBATCH_PINS[method]
+
+
+# C(i) of convex-all seed 3 as float.hex, recorded before the model kernel
+# folded its class-axis reductions over columns (the row-heavy C = 2 path).
+# approx and exact track all 400 samples: every 50th index is written out
+# and a SHA-256 over "i:hex" of all of them, in index order, covers the rest.
+CONVEX_ALL_PINS = {
+    "approx": (
+        {
+            0: "0x1.118fd5626221fp-12", 50: "0x1.c79f9be8cb468p-12",
+            100: "0x1.50b549c37df91p-11", 150: "0x1.3cb709db52fd6p-12",
+            200: "0x1.4f68a53f9757ap-12", 250: "-0x1.25923d9a431d3p-9",
+            300: "-0x1.c2d056c60284cp-12", 350: "0x1.8ce522f1f2924p-10",
+        },
+        "68c10f02451c01bb7b3c1b156ec3e59b853194a6f70f9f5737a233232732380e",
+    ),
+    "exact": (
+        {
+            0: "0x1.36ee5fdbc1777p-15", 50: "0x1.fa782674246bbp-14",
+            100: "0x1.4be0c5b3ede1cp-12", 150: "0x1.80b73d4e83b3fp-15",
+            200: "0x1.31cffe2658be5p-14", 250: "-0x1.175e1e92846c3p-10",
+            300: "-0x1.88f2d37c64580p-13", 350: "0x1.09643336838dap-13",
+        },
+        "22142e2bb0faf6c16a661a449caef68cb21cbffb83562307bca3ae17a7e77e86",
+    ),
+    "oracle_fd": (
+        {
+            61: "0x1.a1eada8398f80p-12", 119: "0x1.68473b1fb90aap-13",
+            184: "0x1.7793a69044a00p-12", 359: "0x1.ad67f9c5dd956p-15",
+        },
+        "8cddcd0ae14ded37048e55c5114114287dea8805f6629fef106d5774a7f8f4fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(CONVEX_ALL_PINS))
+def test_compute_keeps_convex_all_values_bit_for_bit(convex_all, method):
+    inputs, record = convex_all
+    stage = next(stage for stage in inputs.stages if stage.method == method)
+    report = workloads.compute(inputs, method, record, stage.indices)
+    hexes = {int(i): v.hex() for i, v in report.values.items()}
+    shown, digest = CONVEX_ALL_PINS[method]
+    assert {i: hexes[i] for i in shown} == shown
+    text = " ".join(f"{i}:{h}" for i, h in sorted(hexes.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# C(i) of influence-mlp seed 3 on a fixed subset of its 200 samples, as
+# float.hex, recorded at the same point.
+INFLUENCE_MLP_SUBSET = [0, 7, 42, 99, 150, 199]
+INFLUENCE_MLP_PINS = {
+    "influence_dense": {
+        0: "0x1.89a5ffc3711bcp-19", 7: "0x1.0c8ed8273891ep-15",
+        42: "0x1.290519d8b908ap-14", 99: "0x1.508e4b4020f80p-13",
+        150: "0x1.013f88ead33c4p-10", 199: "-0x1.1b9d005516983p-13",
+    },
+    "influence_cg": {
+        0: "0x1.89a5ffc380843p-19", 7: "0x1.0c8ed82734280p-15",
+        42: "0x1.290519d8c5603p-14", 99: "0x1.508e4b4005f2fp-13",
+        150: "0x1.013f88ead8314p-10", 199: "-0x1.1b9d00553fc83p-13",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def influence_mlp():
+    inputs = workloads.setup(workloads.WORKLOADS["influence-mlp"], seed=3)
+    cfg = inputs.cfg
+    return inputs, trainer.train(cfg.model, inputs.train, cfg.training)
+
+
+@pytest.mark.parametrize("method", sorted(INFLUENCE_MLP_PINS))
+def test_compute_keeps_influence_mlp_values_bit_for_bit(influence_mlp, method):
+    inputs, record = influence_mlp
+    report = workloads.compute(inputs, method, record, np.array(INFLUENCE_MLP_SUBSET))
+    assert {i: v.hex() for i, v in report.values.items()} == INFLUENCE_MLP_PINS[method]

@@ -121,6 +121,30 @@ def test_idx_truncated_pixels_rejected(tmp_path):
         dt.load_idx(ip, lp)
 
 
+def _write_idx_headers(tmp_path, dims, labels):
+    """An IDX pair with the given header counts over a 3-byte body each."""
+    ip, lp = str(tmp_path / "img"), str(tmp_path / "lbl")
+    with open(ip, "wb") as fh:
+        fh.write(struct.pack(">iiii", 0x00000803, *dims))
+        fh.write(bytes(3))
+    with open(lp, "wb") as fh:
+        fh.write(struct.pack(">ii", 0x00000801, labels))
+        fh.write(bytes(3))
+    return ip, lp
+
+
+@pytest.mark.parametrize("dims, labels", [
+    ((-1, 1, 1), 3),  # read(-1) would load the 3-byte body as 3 samples
+    ((-2, 1, 1), 3),  # read(-2) would raise an untyped ValueError
+    ((3, -1, -1), 3),  # a positive product of negative sides
+    ((3, 1, 1), -1),  # a negative label count
+])
+def test_idx_negative_dimension_rejected(tmp_path, dims, labels):
+    ip, lp = _write_idx_headers(tmp_path, dims, labels)
+    with pytest.raises(IdxFormatError, match="negative dimension"):
+        dt.load_idx(ip, lp, class_count=2)
+
+
 def test_csv_loader(tmp_path):
     p = str(tmp_path / "d.csv")
     with open(p, "w") as fh:
@@ -128,6 +152,15 @@ def test_csv_loader(tmp_path):
     ds = dt.load_csv(p, class_count=2)
     assert ds.features.shape == (2, 2)
     assert list(ds.labels) == [0, 1]
+
+
+@pytest.mark.parametrize("label", ["1.9", "nan", "inf", "-inf"])
+def test_csv_label_that_is_not_a_finite_integer_rejected(tmp_path, label):
+    p = str(tmp_path / "d.csv")
+    with open(p, "w") as fh:
+        fh.write(f"0.5,1.5,0\n-0.5,2.5,{label}\n")
+    with pytest.raises(ConfigError, match="d.csv: label column"):
+        dt.load_csv(p, class_count=2)
 
 
 def test_report_csv_round_trip(tmp_path):

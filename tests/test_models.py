@@ -170,6 +170,51 @@ def test_loss_and_gradient_checks_the_gradient_before_the_loss(kind, widths, los
         models.loss_and_gradient(spec, params, rows, weights)
 
 
+
+def _class_axis_arrays(C, rng):
+    """(rows, C) and (4, rows / 4, C) arrays on both sides of the fold threshold.
+
+    Values span many binades and are sprinkled with signed zeros and
+    infinities; some rows are all -0.0, which numpy's sum turns into +0.0.
+    """
+    edge = models._FOLD_ROWS_PER_CLASS * C  # the first row count that folds
+    shapes = [(rows, C) for rows in (1, edge - 1, edge, edge + 5)]
+    shapes += [(4, rows, C) for rows in (1, edge // 4 - 1, edge // 4, edge // 4 + 3)]
+    specials = np.array([0.0, -0.0, np.inf, -np.inf])
+    for shape in shapes:
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        mask = rng.random(shape) < 0.2
+        a[mask] = rng.choice(specials, mask.sum())
+        a.reshape(-1, C)[::7] = -0.0
+        yield a
+
+
+@pytest.mark.parametrize("C", range(1, 41))
+def test_class_reduce_has_the_bits_of_numpys_reduce(C):
+    rng = np.random.default_rng(C)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; huge sums
+        for a in _class_axis_arrays(C, rng):
+            assert models._class_reduce(np.maximum, a).tobytes() == a.max(-1).tobytes()
+            assert models._class_reduce(np.add, a).tobytes() == a.sum(-1).tobytes()
+
+
+@pytest.mark.parametrize("loss", models.LOSSES)
+@pytest.mark.parametrize("n", [8, 4 * models._FOLD_ROWS_PER_CLASS])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_row_raises_numeric_error_on_either_side_of_the_fold(loss, n, bad):
+    spec, params, (X, Y) = _probe("logistic_regression", (3, 2), loss, n, 6)
+    X = X.copy()
+    X[n // 2] = bad
+    weights = np.full(n, 1.0 / n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericError):
+            models.loss_and_gradient(spec, params, (X, Y), weights)
+        with pytest.raises(NumericError, match="loss"):
+            dt.sample_losses(spec, params, (X, Y))
+        with pytest.raises(NumericError, match="Hessian-vector"):
+            dt.hessian_vector_product(spec, params, (X, Y), weights, np.ones(params.size))
+
+
 def test_cross_entropy_stable_for_large_logits():
     spec = dt.ModelSpec("logistic_regression", (2, 2))
     params = np.array([500.0, 0.0, -500.0, 0.0, 0.0, 0.0])
