@@ -55,6 +55,7 @@ from .models import (
     dense_hessian,
     hessian_vector_product,
     init_params,
+    linearize,
     loss_and_gradient,
     per_sample_gradient,
     per_sample_gradients,

@@ -197,6 +197,8 @@ def load_idx(image_path, label_path, class_count=10, split_tag="train"):
         raise IdxFormatError(
             f"image count {n} does not match label count {m}"
         )
+    if m and labels.max() >= class_count:
+        raise IdxFormatError(f"{label_path}: label {labels.max()} outside [0, {class_count})")
     inputs = pixels.astype(np.float64) / 255.0
     return LabeledDataset(inputs, labels, class_count, split_tag)
 
@@ -218,10 +220,12 @@ def load_csv(path, class_count, split_tag="train"):
     """CSV with feature columns followed by an integer label column.
 
     Raises ConfigError for a label that is not a finite integer (the cast to
-    int64 would truncate 1.9 to 1).
+    int64 would truncate 1.9 to 1) or lies outside [0, class_count).
     """
     table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     inputs, labels = table[:, :-1], table[:, -1]
     if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
         raise ConfigError(f"{path}: label column holds a value that is not a finite integer")
+    if np.any((labels < 0) | (labels >= class_count)):
+        raise ConfigError(f"{path}: label column holds a value outside [0, {class_count})")
     return LabeledDataset(inputs, labels.astype(np.int64), class_count, split_tag)

@@ -2,7 +2,7 @@
 
 
 class ShapeError(ValueError):
-    """Input dimensions do not match the model or each other."""
+    """Inputs do not match the model or each other: dimensions, or a linearization's parameters."""
 
 
 class NumericError(FloatingPointError):

@@ -164,8 +164,9 @@ def error_trace(record, dataset, indices, record_stride=1):
     n = record.n_train
     w_T = record.final_params
     uniform = np.full(n, 1.0 / n)
+    lin = models.linearize(record.model, w_T, dataset)
     L = models.power_iteration_max_eig(
-        lambda v: models.hessian_vector_product(record.model, w_T, dataset, uniform, v),
+        lambda v: models.hessian_vector_product(record.model, w_T, lin, uniform, v),
         dim=w_T.size,
         seed=record.config.seed,
     )

@@ -13,6 +13,12 @@ stacked power iteration over the probes' single-sample Hessians, and every
 repeat's r iterates advance together with one paired HVP per series step, each
 repeat on its own drawn sample. A solve makes 50 + depth HVP calls, and every
 value is bit-identical to running the chains one after another.
+
+Every HVP of a solve is taken at the same final parameters, so each solve
+linearizes its rows once (``models.linearize``: the forward pass, softmax and
+deltas) and each HVP runs only the vector-dependent R-forward and R-backward:
+CG on the training set, the Neumann scale on its probes, and the series on
+the distinct samples it draws, all drawn up front.
 """
 
 from __future__ import annotations
@@ -59,11 +65,12 @@ class InverseHvpConfig:
             raise ConfigError(f"neumann_scale = {scale!r} must be None or finite and > 0")
 
 
-def _shifted(model, params, rows, weights, shift):
-    """The operator v -> (H + shift I) v, H the weighted empirical-risk Hessian on ``rows``."""
+def _shifted(model, params, lin, weights, shift):
+    """The operator v -> (H + shift I) v, H the weighted empirical-risk Hessian of the
+    rows that ``lin`` linearizes at ``params``."""
 
     def matvec(v):
-        return models.hessian_vector_product(model, params, rows, weights, v) + shift * v
+        return models.hessian_vector_product(model, params, lin, weights, v) + shift * v
 
     return matvec
 
@@ -96,11 +103,11 @@ def _cg(matvec, v, tol, max_iters):
     )
 
 
-def _sample_sets(dataset, samples):
-    """Each sample as its own one-row set, in the paired form that
-    ``hessian_vector_product`` takes: ``(X (K, 1, in), Y (K, 1))`` and (K, 1) weights."""
+def _sample_sets(model, params, dataset, samples):
+    """Each sample as its own one-row set, linearized in the paired form that
+    ``hessian_vector_product`` takes with (K, 1) weights."""
     X, Y = dataset.features, dataset.labels
-    return (X[samples][:, None], Y[samples][:, None]), np.ones((len(samples), 1))
+    return models.linearize(model, params, (X[samples][:, None], Y[samples][:, None]))
 
 
 def _neumann_scale(model, params, dataset, shift, config):
@@ -113,7 +120,8 @@ def _neumann_scale(model, params, dataset, shift, config):
     n = len(dataset)
     rng = np.random.default_rng([int(config.seed), 0x5CA1])
     probe = rng.choice(n, size=min(16, n), replace=False)
-    matvec = _shifted(model, params, *_sample_sets(dataset, probe), shift)
+    lin = _sample_sets(model, params, dataset, probe)
+    matvec = _shifted(model, params, lin, np.ones((probe.size, 1)), shift)
     eigs = models.power_iteration_max_eig(
         matvec, dim=(probe.size, np.size(params)), iterations=50, seed=config.seed
     )
@@ -126,17 +134,22 @@ def _neumann(model, params, dataset, V, shift, scale, config):
 
     The repeats x r iterates advance in lockstep, one paired HVP per step:
     each repeat draws its own sample per step from ``Generator([seed, rep])``
-    and applies that sample's Hessian to its r iterates.
+    and applies that sample's Hessian to its r iterates. The draws are made
+    up front and their distinct samples linearized once; each step gathers
+    its samples' sets from that linearization.
     """
     n = len(dataset)
     repeats, r = config.neumann_repeats, len(V)
     rngs = [np.random.default_rng([int(config.seed), rep]) for rep in range(repeats)]
+    draws = np.array([[int(rng.integers(n)) for rng in rngs] for _ in range(config.neumann_depth)])
+    samples, sets = np.unique(draws, return_inverse=True)
+    lin = _sample_sets(model, params, dataset, samples)
+    ones = np.ones((repeats * r, 1))
     V = np.tile(V, (repeats, 1))
     vnorm = np.maximum(np.linalg.norm(V, axis=1), 1.0)
     R = V.copy()
-    for _ in range(config.neumann_depth):
-        drawn = np.repeat([int(rng.integers(n)) for rng in rngs], r)
-        hr = _shifted(model, params, *_sample_sets(dataset, drawn), shift)(R)
+    for step in sets.reshape(draws.shape):
+        hr = _shifted(model, params, lin.gather(np.repeat(step, r)), ones, shift)(R)
         R = V + R - hr / scale
         if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
             raise ScalingError(
@@ -164,7 +177,7 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
         shift += weight_decay
     uniform = np.full(len(dataset), 1.0 / len(dataset))
     if config.method == "conjugate_gradient":
-        matvec = _shifted(model, params, dataset, uniform, shift)
+        matvec = _shifted(model, params, models.linearize(model, params, dataset), uniform, shift)
         runs = [_cg(matvec, row, config.cg_tolerance, config.cg_max_iters) for row in V]
         X = np.array([x for x, _, _ in runs])
         diag = {

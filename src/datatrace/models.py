@@ -6,6 +6,13 @@ R-operator (forward-over-reverse double differentiation); a central-difference
 variant is kept for quantifying its truncation error. All operations are pure:
 nothing mutates its arguments.
 
+The R-operator comes in two halves. ``linearize`` does, once per rows and
+parameters, everything that does not depend on the vector: the forward
+pass, the softmax, the activation derivatives and the backpropagated deltas
+(and the label checks). ``hessian_vector_product`` then runs only the
+R-forward and R-backward along each vector; given raw rows, it linearizes
+them first, so both give the same bits.
+
 Reductions over the class axis (the softmax's max and sum, the squared
 error's sum, the R-operator's sum over classes) go through ``_class_reduce``.
 On many rows of at most 7 classes it folds over the class columns, one array
@@ -221,13 +228,19 @@ def _losses_and_delta(spec, logits, targets):
     return losses, resid, None
 
 
+def _one_vector(params):
+    """Parameters as one flat float64 vector; ShapeError for a stack."""
+    flat = as_flat(params)
+    if flat.ndim != 1:
+        raise ShapeError(f"parameters of shape {flat.shape}, expected one vector")
+    return flat
+
+
 def sample_losses(spec, params, dataset):
     """Per-sample losses for every row of the dataset, at one parameter vector."""
     X, Y = _xy(dataset)
     _check_inputs(spec, X)
-    flat = as_flat(params)
-    if flat.ndim != 1:  # test_loss would average a stack's rows together
-        raise ShapeError(f"parameters of shape {flat.shape}, expected one vector")
+    flat = _one_vector(params)  # test_loss would average a stack's rows together
     Zs, _ = _forward(spec, flat, X)
     targets = _targets(spec, Y, X.shape[:-1])
     losses, _, _ = _losses_and_delta(spec, Zs[-1], targets)
@@ -274,7 +287,7 @@ def per_sample_gradients(spec, params, dataset):
     """(n, P) matrix of per-sample loss gradients."""
     X, Y = _xy(dataset)
     _check_inputs(spec, X)
-    flat = as_flat(params)
+    flat = _one_vector(params)
     Zs, As = _forward(spec, flat, X)
     targets = _targets(spec, Y, X.shape[:-1])
     _, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
@@ -326,20 +339,90 @@ def batch_gradient(spec, params, dataset, weights):
     return loss_and_gradient(spec, params, dataset, weights)[1]
 
 
-def _hvp_exact(spec, flat, X, targets, weights, V):
-    """R-operator Hessian-vector products, batched over the rows of V (k, P).
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """The v-independent half of the R-operator on some rows, at one parameter vector.
 
-    The rows X (n, in) with weights (n,) are shared by every vector; K row
-    sets X (K, b, in) with (K, b) weights pair with the K rows of V.
-    Directional derivatives are carried as (k, b, width) stacks and every
-    contraction is an ``np.matmul`` over the stack, one product per vector,
-    so a stack gives the same bits as its rows (and their row sets) one at a
-    time.
+    Built by ``linearize``; ``hessian_vector_product`` takes it in place of
+    its rows and runs only the R-forward and R-backward along each vector.
+    ``samples`` is ``(n,)`` for shared rows or ``(K, b)`` for K row sets.
+    Per layer l it holds the layer's input ``inputs[l]`` and, for a hidden
+    layer, the activation derivative ``act_grads[l]`` at its pre-activation;
+    ``deltas[l]`` is the loss gradient w.r.t. layer l's output for the layers
+    l >= 1 that read it (None at layer 0). ``soft`` is the softmax for
+    cross-entropy, None for squared error.
     """
+
+    spec: ModelSpec
+    params: np.ndarray
+    samples: tuple
+    inputs: list
+    act_grads: list
+    deltas: list
+    soft: np.ndarray | None
+
+    def gather(self, sets):
+        """The linearization of the listed row sets, in that order (repeats allowed)."""
+        sets = np.asarray(sets, dtype=np.int64)
+        if len(self.samples) != 2 or sets.ndim != 1:
+            raise ShapeError("gather takes a list of row sets of a paired linearization")
+
+        def take(a):
+            return None if a is None else a.take(sets, axis=0)
+
+        return Linearization(
+            self.spec,
+            self.params,
+            (len(sets), self.samples[1]),
+            [take(a) for a in self.inputs],
+            [take(a) for a in self.act_grads],
+            [take(a) for a in self.deltas],
+            take(self.soft),
+        )
+
+
+def linearize(spec, params, rows):
+    """The forward pass, softmax, activation derivatives and deltas of ``rows`` at ``params``.
+
+    ``rows`` is a ``LabeledDataset`` or ``(X (n, in), Y)`` of shared rows, or
+    K row sets ``(X (K, b, in), Y (K, b))``. The labels are checked here. The
+    result holds a copy of the parameters, so ``hessian_vector_product``
+    refuses it at any other parameters.
+    """
+    sets = not isinstance(rows, LabeledDataset) and np.ndim(rows[0]) == 3
+    X, Y = _xy(rows, 1 + sets)
+    _check_inputs(spec, X)
+    return _linearize(spec, as_flat(params).copy(), X, Y)
+
+
+def _linearize(spec, flat, X, Y):
+    """``linearize`` on rows already in ``_xy``'s form, at parameters it keeps as given."""
+    targets = _targets(spec, Y, X.shape[:-1])
+    Zs, As = _forward(spec, flat, X)
+    _, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
     Ws, _ = _unpack(spec, flat)
+    act_grads = [_act_grad(spec, z) for z in Zs[:-1]]
+    deltas = [None] * spec.n_layers
+    for l in reversed(range(1, spec.n_layers)):
+        deltas[l] = delta
+        if l > 1:
+            delta = (delta @ Ws[l]) * act_grads[l - 1]
+    return Linearization(spec, flat, X.shape[:-1], As, act_grads, deltas, soft)
+
+
+def _hvp_exact(lin, weights, V):
+    """R-operator Hessian-vector products along the rows of V (k, P), on a linearization.
+
+    Shared rows with weights (n,) serve every vector; K row sets with (K, b)
+    weights pair with the K rows of V. Directional derivatives are carried as
+    (k, b, width) stacks and every contraction is an ``np.matmul`` over the
+    stack, one product per vector, so a stack gives the same bits as its rows
+    (and their row sets) one at a time.
+    """
+    spec, As, ags, Ds = lin.spec, lin.inputs, lin.act_grads, lin.deltas
+    Ws, _ = _unpack(spec, lin.params)
     VWs, Vbs = _unpack(spec, V)
 
-    Zs, As = _forward(spec, flat, X)
     # R-forward: directional derivatives of activations. RAs[l] pairs with
     # As[l]; the network input does not depend on the parameters.
     RAs = [None]
@@ -349,29 +432,25 @@ def _hvp_exact(spec, flat, X, targets, weights, V):
         if RAs[l] is not None:
             RZ += RAs[l] @ Ws[l].T
         if l < spec.n_layers - 1:
-            RAs.append(_act_grad(spec, Zs[l]) * RZ)
+            RAs.append(ags[l] * RZ)
 
-    _, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
-    if spec.loss == "cross_entropy":
-        sRZ = soft * RZ
-        RD = sRZ - soft * _class_reduce(np.add, sRZ)[..., None]
+    if lin.soft is not None:
+        sRZ = lin.soft * RZ
+        RD = sRZ - lin.soft * _class_reduce(np.add, sRZ)[..., None]
     else:
         RD = RZ
 
     out = np.zeros(V.shape)
     HWs, Hbs = _unpack(spec, out)
-    D = delta
     w = weights[..., None]
     for l in reversed(range(spec.n_layers)):
         RDt = RD.swapaxes(-1, -2)
         HWs[l][:] = RDt @ (w * As[l])
         if RAs[l] is not None:
-            HWs[l] += (w * D).swapaxes(-1, -2) @ RAs[l]
+            HWs[l] += (w * Ds[l]).swapaxes(-1, -2) @ RAs[l]
         Hbs[l][:] = (RDt @ w)[..., 0]
         if l > 0:
-            ag = _act_grad(spec, Zs[l - 1])
-            RD = (RD @ Ws[l] + D @ VWs[l]) * ag
-            D = (D @ Ws[l]) * ag
+            RD = (RD @ Ws[l] + Ds[l] @ VWs[l]) * ags[l - 1]
     return out
 
 
@@ -381,18 +460,28 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     ``v`` may be a single flat vector or a (k, P) stack; the result has the
     same shape. K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)``
     weights pair row for row with a (K, P) ``v``: row k is H(set k) v_k,
-    bit-equal to the call on set k alone. ``finite_difference`` mode (shared
-    rows only) uses a central difference of the batch gradient with step
-    r = 1e-4 / max(1, ||v||).
+    bit-equal to the call on set k alone. A ``Linearization`` of the rows
+    at ``params`` (from ``linearize``) may stand in for them, with the same
+    bits: only the R-forward and R-backward then run. One built for another
+    spec or at other parameters raises ShapeError. ``finite_difference``
+    mode (shared rows only) uses a central difference of the batch gradient
+    with step r = 1e-4 / max(1, ||v||).
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim not in (1, 2):
-        raise ShapeError(f"weights of shape {weights.shape}, expected (n,) or (K, b)")
-    X, Y = _xy(dataset, weights.ndim)
-    _check_inputs(spec, X)
     flat = as_flat(params)
-    if weights.shape != X.shape[:-1]:
-        raise ShapeError(f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]}")
+    lin = dataset if isinstance(dataset, Linearization) else None
+    if lin is not None:
+        if lin.spec != spec or lin.params.tobytes() != flat.tobytes():
+            raise ShapeError("linearization built for another model or at other parameters")
+        samples = lin.samples
+    else:
+        if weights.ndim not in (1, 2):
+            raise ShapeError(f"weights of shape {weights.shape}, expected (n,) or (K, b)")
+        X, Y = _xy(dataset, weights.ndim)
+        _check_inputs(spec, X)
+        samples = X.shape[:-1]
+    if weights.shape != samples:
+        raise ShapeError(f"weights of shape {weights.shape} for samples of shape {samples}")
     V = as_flat(v)
     single = V.ndim == 1
     V = np.atleast_2d(V)
@@ -403,12 +492,13 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
         raise ShapeError(f"{len(weights)} row sets for vectors of shape {V.shape}")
 
     if mode == "exact":
-        targets = _targets(spec, Y, X.shape[:-1])
-        out = _hvp_exact(spec, flat, X, targets, weights, V)
+        if lin is None:
+            lin = _linearize(spec, flat, X, Y)
+        out = _hvp_exact(lin, weights, V)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite Hessian-vector product")
     elif mode == "finite_difference":
-        if paired:
+        if paired or lin is not None:
             raise ValueError("finite_difference mode takes shared rows only")
         out = np.empty_like(V)
         for i, vec in enumerate(V):
@@ -507,5 +597,5 @@ def accuracy(spec, params, dataset):
     if spec.loss != "cross_entropy":
         raise ShapeError(f"accuracy needs class-index targets, not {spec.loss} targets")
     targets = _targets(spec, Y, X.shape[:-1])
-    Zs, _ = _forward(spec, as_flat(params), X)
+    Zs, _ = _forward(spec, _one_vector(params), X)
     return float((Zs[-1].argmax(axis=1) == targets).mean())

@@ -145,6 +145,24 @@ def test_idx_negative_dimension_rejected(tmp_path, dims, labels):
         dt.load_idx(ip, lp, class_count=2)
 
 
+def test_idx_label_outside_the_classes_rejected_naming_the_label_file(tmp_path):
+    # IDX labels are unsigned bytes, so a label of class_count is the only way out.
+    ip, lp = str(tmp_path / "img"), str(tmp_path / "lbl")
+    dt.write_idx(ip, lp, np.zeros((2, 2, 2), dtype=np.uint8), [0, 2])
+    with pytest.raises(IdxFormatError, match=f"{lp}: label 2 outside"):
+        dt.load_idx(ip, lp, class_count=2)
+    assert list(dt.load_idx(ip, lp, class_count=3).labels) == [0, 2]
+
+
+@pytest.mark.parametrize("label", ["2", "-1"])
+def test_csv_label_outside_the_classes_rejected_naming_the_file(tmp_path, label):
+    p = str(tmp_path / "d.csv")
+    with open(p, "w") as fh:
+        fh.write(f"0.5,1.5,0\n-0.5,2.5,{label}\n")
+    with pytest.raises(ConfigError, match="d.csv: label column holds a value outside"):
+        dt.load_csv(p, class_count=2)
+
+
 def test_csv_loader(tmp_path):
     p = str(tmp_path / "d.csv")
     with open(p, "w") as fh:

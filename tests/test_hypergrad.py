@@ -184,11 +184,17 @@ def test_error_trace_over_several_indices_matches_single_traces(count_calls):
     solo = {i: dt.error_trace(rec, train, [i], record_stride=4)[i] for i in (2, 7, 11)}
 
     calls = count_calls(
-        (trainer_mod, "replay"), (trainer_mod, "rerun"), (models_mod, "power_iteration_max_eig")
+        (trainer_mod, "replay"),
+        (trainer_mod, "rerun"),
+        (models_mod, "power_iteration_max_eig"),
+        (models_mod, "linearize"),
     )
     joint = dt.error_trace(rec, train, [2, 7, 11], record_stride=4)
-    # one walk: one re-run per lockstep group
-    assert calls == {"replay": 0, "rerun": len(_groups(rec)), "power_iteration_max_eig": 1}
+    # one walk: one re-run per lockstep group; the power iteration applies H
+    # at w_T from one linearization
+    assert calls == {
+        "replay": 0, "rerun": len(_groups(rec)), "power_iteration_max_eig": 1, "linearize": 1
+    }
 
     assert list(joint) == [2, 7, 11]
     assert len({trace.lipschitz_estimate for trace in joint.values()}) == 1

@@ -256,6 +256,27 @@ def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatc
         assert calls["power_iteration_max_eig"] == 0
 
 
+@pytest.mark.parametrize("method, linearizations", [
+    ("conjugate_gradient", {1}),
+    ("neumann", {2}),  # the scale's probe sets, then the distinct drawn samples
+    ("dense", {0, 1}),
+])
+def test_each_solve_linearizes_its_rows_once(mlp_probe, count_calls, method, linearizations):
+    spec, train, test, w = mlp_probe
+    calls = count_calls((models, "linearize"), (models, "hessian_vector_product"))
+    config = dt.InverseHvpConfig(method=method, neumann_depth=20, neumann_repeats=2)
+    rhs = models.test_gradients(spec, w, test, per_test=True)
+    _, diag = dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
+    assert calls["linearize"] in linearizations
+    if method == "conjugate_gradient":
+        assert calls["hessian_vector_product"] == diag["cg_iterations"]
+    if method == "neumann":  # a given scale needs no probes
+        calls["linearize"] = 0
+        fixed = dt.InverseHvpConfig(method="neumann", neumann_depth=20, neumann_scale=10.0)
+        dt.inverse_hvp(spec, w, train, rhs, fixed, weight_decay=0.01)
+        assert calls["linearize"] == 1
+
+
 def _logistic_probe():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     train, test = gaussian_pair(dim=4, per_class=10, test_per_class=3)

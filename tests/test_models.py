@@ -343,6 +343,20 @@ def test_shape_mismatch_raises():
         dt.accuracy(se_spec, dt.init_params(se_spec, 0), (np.zeros((3, 4)), np.zeros((3, 2))))
 
 
+def test_a_parameter_stack_is_refused_where_one_vector_is_read(monkeypatch):
+    spec = dt.ModelSpec("logistic_regression", (2, 2))
+    ds = dt.LabeledDataset([[2.0, 0.0], [-2.0, 0.0]], [0, 1], 2)
+    stack = np.tile([1.0, 0.0, -1.0, 0.0, 0.0, 0.0], (3, 1))
+
+    def no_forward(*args):
+        raise AssertionError("forward pass on a parameter stack")
+
+    monkeypatch.setattr(models, "_forward", no_forward)
+    for read in (dt.accuracy, dt.per_sample_gradients, dt.sample_losses):
+        with pytest.raises(ShapeError, match="expected one vector"):
+            read(spec, stack, ds)
+
+
 def test_accuracy_and_test_loss():
     spec = dt.ModelSpec("logistic_regression", (2, 2))
     # weights that classify by the first coordinate's sign
@@ -423,3 +437,51 @@ def test_loss_and_gradient_row_sets_are_bit_equal_to_each_set_alone(case, K):
     for bad_stack, bad_W in ((stack, W[:, :-1]), (stack, W[None]), (np.vstack([stack, stack]), W)):
         with pytest.raises(ShapeError, match="weights of shape"):
             models.loss_and_gradient(spec, bad_stack, (X[sets], Y[sets]), bad_W)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_hvp_cases())
+def test_a_linearization_gives_the_bits_of_its_rows(case):
+    spec, params, (X, Y), k, b = case  # k >= 2 vectors, b >= 1 rows per set
+    n = len(X)
+    rng = np.random.default_rng([n, k, b])
+    V = rng.standard_normal((k, params.size))
+    sets = rng.integers(n, size=(k, b))
+    picks = rng.integers(n, size=k)
+    picks[-1] = picks[0]  # a gather may repeat a set
+    shared = models.linearize(spec, params, (X, Y))
+    paired = models.linearize(spec, params, (X[sets], Y[sets]))
+    one_row_sets = models.linearize(spec, params, (X[:, None], Y[:, None]))
+    cases = [
+        # (rows, their linearization, weights, vectors)
+        ((X, Y), shared, rng.uniform(0.5, 1.5, n) / n, (V, V[0])),
+        ((X[sets], Y[sets]), paired, rng.uniform(0.5, 1.5, (k, b)) / b, (V,)),
+        ((X[sets[1:2]], Y[sets[1:2]]), paired.gather([1]), rng.uniform(0.5, 1.5, (1, b)), (V[1],)),
+        ((X[picks][:, None], Y[picks][:, None]), one_row_sets.gather(picks), np.ones((k, 1)), (V,)),
+    ]
+    for rows, lin, weights, vectors in cases:
+        for v in vectors:
+            want = dt.hessian_vector_product(spec, params, rows, weights, v)
+            got = dt.hessian_vector_product(spec, params, lin, weights, v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # a linearization holds its own copy of the parameters, and serves no others
+    weights = np.full(n, 1.0 / n)
+    moved = params.copy()
+    lin = models.linearize(spec, moved, (X, Y))
+    moved[-1] = np.nextafter(moved[-1], np.inf)
+    other = "identity" if spec.activation == "relu" else "relu"
+    other_spec = dt.ModelSpec(spec.kind, spec.layer_widths, other, spec.loss)
+    for call_spec, call_params in ((spec, moved), (other_spec, params)):
+        with pytest.raises(ShapeError, match="linearization"):
+            dt.hessian_vector_product(call_spec, call_params, lin, weights, V[0])
+    with pytest.raises(ShapeError, match="weights of shape"):
+        dt.hessian_vector_product(spec, params, lin, weights[None], V[0])
+    with pytest.raises(ShapeError, match="gather"):
+        shared.gather([0])
+    with pytest.raises(ValueError, match="shared rows"):
+        dt.hessian_vector_product(spec, params, lin, weights, V[0], mode="finite_difference")
+    bad = V[0].copy()
+    bad[0] = np.nan
+    with pytest.raises(NumericError, match="Hessian-vector"):
+        dt.hessian_vector_product(spec, params, lin, weights, bad)
