@@ -4,6 +4,10 @@ Distribution statistics, influential-example ranking, inter-class
 contribution matrices, method-vs-method comparisons (sign-error rate and
 Spearman rank correlation), noisy-label cleaning, and sign-vector clustering
 scored by Jaccard index.
+
+Spearman's rho is computed in numpy: average ranks, then the ``np.corrcoef``
+call that ``scipy.stats.spearmanr`` makes on them, so a defined rho has
+scipy's bits and numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import reports
 
@@ -95,16 +98,46 @@ def inter_class_matrix(pair_values, train_labels, test_labels, class_count):
     return InterClassMatrix(raw, normalized, list(range(class_count)), degenerate)
 
 
+def _average_ranks(x):
+    """1-based ranks of ``x``; tied values share the mean of their positions."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(starts, append=len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman_rho(a, b):
+    """Spearman's rank correlation of two equal-length 1-D arrays.
+
+    NaN, without a warning, where rho is undefined: fewer than 2 samples, a
+    constant side, or a NaN value.
+    """
+    if len(a) < 2 or np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    if (a == a[0]).all() or (b == b[0]).all():
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def compare_methods(reference_report, candidate_report):
-    """Sign-error rate and Spearman rho of the candidate against a gold standard."""
+    """Sign-error rate and Spearman rho of the candidate against a gold standard.
+
+    ``spearman_rho`` is NaN where rho is undefined (see ``_spearman_rho``).
+    """
     ref_items = _sorted_items(reference_report)
+    if not ref_items:
+        raise ValueError("empty contribution report")
     cand = candidate_report.values
     if sorted(cand) != [i for i, _ in ref_items]:
         raise ValueError("reports cover different training-index sets")
     ref = np.array([v for _, v in ref_items])
     can = np.array([cand[i] for i, _ in ref_items])
     sign_err = float(np.mean(np.sign(ref) != np.sign(can)))
-    rho = float(_scipy_stats.spearmanr(ref, can).statistic)
+    rho = _spearman_rho(ref, can)
     return MethodComparison(
         reference=reference_report.method,
         candidate=candidate_report.method,
@@ -224,11 +257,13 @@ def write_matrix_csv(matrix, path):
 
 
 def write_comparison_json(comparison, path):
+    """The comparison as JSON; an undefined (NaN) rho is written as ``null``."""
+    rho = comparison.spearman_rho
     payload = {
         "reference": comparison.reference,
         "candidate": comparison.candidate,
         "sign_error_rate": comparison.sign_error_rate,
-        "spearman_rho": comparison.spearman_rho,
+        "spearman_rho": None if np.isnan(rho) else rho,
         "n_compared": comparison.n_compared,
     }
     reports.write_json(payload, path)

@@ -45,10 +45,14 @@ def from_loss_derivatives(method, index, dloss, n_train):
 
 
 def write_json(payload, path):
-    """``payload`` as JSON with sorted keys, two-space indents and a final newline."""
+    """``payload`` as JSON with sorted keys, two-space indents and a final newline.
+
+    A NaN or infinite float raises ``ValueError``, before the file is opened:
+    strict JSON has no token for it.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -1,14 +1,21 @@
 """Attribution analytics: stats, comparisons, cleaning, clustering."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 import datatrace as dt
-from datatrace import attribution
+from datatrace import attribution, reports
 from datatrace.reports import ContributionReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _report(values, method="exact"):
@@ -51,6 +58,78 @@ def test_compare_rejects_mismatched_index_sets():
     cand = _report({0: 1.0, 2: 2.0})
     with pytest.raises(ValueError):
         dt.compare_methods(ref, cand)
+
+
+def _rho(a, b):
+    """compare_methods' rho of candidate ``b`` against reference ``a``."""
+    ref = _report(dict(enumerate(np.asarray(a).tolist())))
+    cand = _report(dict(enumerate(np.asarray(b).tolist())), method="approx")
+    return dt.compare_methods(ref, cand).spearman_rho
+
+
+def _rho_cases():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 7, 150, 400):
+        for _ in range(5):
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            yield f"n{n}-distinct", a, b
+            # rounding to one decimal makes ties on both sides
+            yield f"n{n}-ties", np.round(a, 1), np.round(b, 1)
+            yield f"n{n}-permuted", a, rng.permutation(a)
+            yield f"n{n}-identical", a, a.copy()
+    yield "integer-ties", np.array([1.0, 2, 2, 3, 3, 3, 4]), np.array([3.0, 1, 4, 1, 5, 9, 2])
+
+
+RHO_CASES = list(_rho_cases())
+
+
+@pytest.mark.parametrize("a,b", [c[1:] for c in RHO_CASES], ids=[c[0] for c in RHO_CASES])
+def test_rho_has_the_bits_of_scipy(a, b):
+    expected = float(scipy_stats.spearmanr(a, b).statistic)
+    assert _rho(a, b).hex() == expected.hex()
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([1.0], [2.0]),
+        ([0.3, -1.2, 2.5], [0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [0.3, -1.2, 2.5]),
+        ([0.3, float("nan"), 2.5], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [0.3, float("nan"), 2.5]),
+    ],
+    ids=["n1", "constant-candidate", "constant-reference", "nan-reference", "nan-candidate"],
+)
+def test_undefined_rho_is_nan_without_a_warning(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_rho(a, b))
+
+
+def test_compare_rejects_empty_reports():
+    with pytest.raises(ValueError, match="empty"):
+        dt.compare_methods(_report({}), _report({}, method="approx"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_non_finite_floats_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        reports.write_json({"x": value}, path)
+    assert not path.exists()
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, datatrace, datatrace.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_clean_dataset_discards_floor_fraction_with_index_ties():

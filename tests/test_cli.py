@@ -257,6 +257,43 @@ def test_track_and_compare_subcommands(small_config, tmp_path):
     assert payload["candidate"] == "approx"
 
 
+def _write_contrib_csv(path, method, values):
+    rows = "".join(f"{method},{i},ALL,{v!r}\n" for i, v in enumerate(values))
+    path.write_text("method,train_index,test_index_or_ALL,contribution\n" + rows)
+    return str(path)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_compare_writes_null_for_a_constant_candidate(tmp_path):
+    ref = _write_contrib_csv(tmp_path / "ref.csv", "exact", [0.3, -1.2, 2.5])
+    cand = _write_contrib_csv(tmp_path / "cand.csv", "approx", [0.0, 0.0, 0.0])
+    result = tmp_path / "cmp.json"
+    cli.main(["compare", "--reference", ref, "--candidate", cand, "--output", str(result)])
+    payload = json.loads(result.read_text(), parse_constant=_refuse_constant)
+    assert payload["spearman_rho"] is None
+    assert payload["n_compared"] == 3
+
+
+def test_compare_output_bytes_are_pinned(tmp_path):
+    # Bytes written when rho came from scipy.stats.spearmanr; one tie per side.
+    ref = _write_contrib_csv(tmp_path / "ref.csv", "exact", [0.3, -1.2, 2.5, 0.7, -0.1, 0.7])
+    cand = _write_contrib_csv(tmp_path / "cand.csv", "approx", [0.2, -0.9, 1.5, 2.0, 0.1, 0.4])
+    result = tmp_path / "cmp.json"
+    cli.main(["compare", "--reference", ref, "--candidate", cand, "--output", str(result)])
+    assert result.read_text() == (
+        "{\n"
+        '  "candidate": "approx",\n'
+        '  "n_compared": 6,\n'
+        '  "reference": "exact",\n'
+        '  "sign_error_rate": 0.16666666666666666,\n'
+        '  "spearman_rho": 0.898645105261295\n'
+        "}\n"
+    )
+
+
 def test_influence_subcommand(small_config, tmp_path):
     out = str(tmp_path / "inf")
     cli.main([
