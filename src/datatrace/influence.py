@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, models, reports
-from .exceptions import ConfigError, ConvergenceError, ScalingError
+from .exceptions import ConfigError, ConvergenceError, ScalingError, ShapeError
 
 NEUMANN_DIVERGENCE_FACTOR = 1e6
 _METHOD_TAGS = {
@@ -141,7 +141,7 @@ def _neumann(model, params, dataset, V, shift, scale, config):
     n = len(dataset)
     repeats, r = config.neumann_repeats, len(V)
     rngs = [np.random.default_rng([int(config.seed), rep]) for rep in range(repeats)]
-    draws = np.array([[int(rng.integers(n)) for rng in rngs] for _ in range(config.neumann_depth)])
+    draws = np.stack([rng.integers(n, size=config.neumann_depth) for rng in rngs], axis=1)
     samples, sets = np.unique(draws, return_inverse=True)
     lin = _sample_sets(model, params, dataset, samples)
     ones = np.ones((repeats * r, 1))
@@ -171,7 +171,7 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
     single = V.ndim == 1
     V = np.atleast_2d(V)
     if V.shape[1] != np.size(params):
-        raise ValueError("vector length does not match parameter count")
+        raise ShapeError(f"vector length {V.shape[1]} != parameter count {np.size(params)}")
     shift = config.damping
     if config.include_regularizer_in_hessian:
         shift += weight_decay

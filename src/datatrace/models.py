@@ -6,12 +6,19 @@ R-operator (forward-over-reverse double differentiation); a central-difference
 variant is kept for quantifying its truncation error. All operations are pure:
 nothing mutates its arguments.
 
-The R-operator comes in two halves. ``linearize`` does, once per rows and
-parameters, everything that does not depend on the vector: the forward
-pass, the softmax, the activation derivatives and the backpropagated deltas
-(and the label checks). ``hessian_vector_product`` then runs only the
-R-forward and R-backward along each vector; given raw rows, it linearizes
-them first, so both give the same bits.
+Every evaluation of the model on rows is one linearization (``linearize``):
+the label checks, the forward pass, the per-sample losses, the softmax, the
+activation derivatives and the loss gradient w.r.t. every layer's output
+(its delta). ``sample_losses`` returns its losses; the weighted batch
+gradient and the per-sample gradients pack its deltas against the layers'
+inputs. It is also the vector-independent half of the R-operator:
+``hessian_vector_product`` runs only the R-forward and R-backward along each
+vector on it, so a linearization built once serves every vector, with the
+bits of the rows themselves.
+
+Rows are shared ``(X (n, ...), Y)`` rows, flattened past the first axis, or
+K row sets ``(X (K, b, in), Y (K, b, ...))`` where an entry point pairs sets
+with a stack (``_xy`` decides which).
 
 Reductions over the class axis (the softmax's max and sum, the squared
 error's sum, the R-operator's sum over classes) go through ``_class_reduce``.
@@ -120,19 +127,27 @@ def _unpack(spec, flat):
     return Ws, bs
 
 
-def _xy(dataset, sample_axes=1):
-    """(X, Y) with X flattened to ``(*samples, features)``.
+def _xy(spec, dataset, sets=False):
+    """(X, Y) with X flattened to ``(*samples, in)``; ShapeError for another input width.
 
-    The first ``sample_axes`` axes of X index samples: one for a row set, two
-    for K row sets of b rows each.
+    Where ``sets`` allows them, ``(X, Y)`` are K row sets of b rows when X
+    has three axes, the last the model's input width, and Y's leading axes
+    are X's first two. Anything else is shared rows, each flattened past the
+    first axis, so image rows ``(n, h, w)`` read as n rows of h * w inputs.
     """
     if isinstance(dataset, LabeledDataset):
-        return dataset.features, dataset.labels
-    X, Y = dataset
-    X = np.asarray(X, dtype=np.float64)
-    # An explicit width: -1 cannot be inferred from zero rows.
-    shape = X.shape
-    return X.reshape(shape[:sample_axes] + (math.prod(shape[sample_axes:]),)), np.asarray(Y)
+        X, Y = dataset.features, dataset.labels
+    else:
+        X, Y = dataset
+        X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
+        shape = X.shape
+        paired = sets and len(shape) == 3 and shape[2] == spec.input_dim and Y.shape[:2] == shape[:2]
+        axes = 1 + paired
+        # An explicit width: -1 cannot be inferred from zero rows.
+        X = X.reshape(shape[:axes] + (math.prod(shape[axes:]),))
+    if X.shape[-1] != spec.input_dim:
+        raise ShapeError(f"input width {X.shape[-1]} != model input {spec.input_dim}")
+    return X, Y
 
 
 def _targets(spec, Y, samples):
@@ -151,11 +166,6 @@ def _targets(spec, Y, samples):
             f"squared_error target width {T.shape[-1]} != output {spec.output_dim}"
         )
     return T
-
-
-def _check_inputs(spec, X):
-    if X.shape[-1] != spec.input_dim:
-        raise ShapeError(f"input width {X.shape[-1]} != model input {spec.input_dim}")
 
 
 def _act(spec, z):
@@ -238,12 +248,9 @@ def _one_vector(params):
 
 def sample_losses(spec, params, dataset):
     """Per-sample losses for every row of the dataset, at one parameter vector."""
-    X, Y = _xy(dataset)
-    _check_inputs(spec, X)
+    X, Y = _xy(spec, dataset)
     flat = _one_vector(params)  # test_loss would average a stack's rows together
-    Zs, _ = _forward(spec, flat, X)
-    targets = _targets(spec, Y, X.shape[:-1])
-    losses, _, _ = _losses_and_delta(spec, Zs[-1], targets)
+    losses = _linearize(spec, flat, X, Y).losses
     if not np.all(np.isfinite(losses)):
         raise NumericError("non-finite loss value")
     return losses
@@ -253,56 +260,48 @@ def per_sample_loss(spec, params, x, y):
     return float(sample_losses(spec, params, ([x], [y]))[0])
 
 
-def _backprop_pack(spec, flat, Zs, As, delta, weights=None, per_sample=False):
-    """Reverse pass. Packs gradients into flat vectors in layout order.
-
-    With ``per_sample`` returns an (n, P) matrix of per-sample gradients;
-    otherwise the weighted sum (weights default to all ones), which for a
-    ``(..., P)`` stack of parameters and ``(..., n)`` weights is a
-    ``(..., P)`` stack.
-    """
-    Ws, _ = _unpack(spec, flat)
-    n = delta.shape[-2]
-    if per_sample:
-        out = np.zeros((n, flat.size))
-    else:
-        out = np.zeros(flat.shape)
-        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    GWs, Gbs = _unpack(spec, out)
-    D = delta
-    for l in reversed(range(spec.n_layers)):
-        if per_sample:
-            GWs[l][:] = np.einsum("no,ni->noi", D, As[l])
-            Gbs[l][:] = D
-        else:
-            wD = D * w[..., None]
-            GWs[l][:] = wD.swapaxes(-1, -2) @ As[l]
-            Gbs[l][:] = wD.sum(axis=-2)
-        if l > 0:
-            D = (D @ Ws[l]) * _act_grad(spec, Zs[l - 1])
-    return out
+def _sample_gradients(lin):
+    """(n, P) matrix of the per-sample gradients of a shared-rows linearization."""
+    G = np.zeros((lin.samples[0], lin.params.size))
+    GWs, Gbs = _unpack(lin.spec, G)
+    for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
+        GW[:] = np.einsum("no,ni->noi", D, A)
+        Gb[:] = D
+    if not np.all(np.isfinite(G)):
+        raise NumericError("non-finite gradient")
+    return G
 
 
 def per_sample_gradients(spec, params, dataset):
     """(n, P) matrix of per-sample loss gradients."""
-    X, Y = _xy(dataset)
-    _check_inputs(spec, X)
-    flat = _one_vector(params)
-    Zs, As = _forward(spec, flat, X)
-    targets = _targets(spec, Y, X.shape[:-1])
-    _, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
-    G = _backprop_pack(spec, flat, Zs, As, delta, per_sample=True)
-    if not np.all(np.isfinite(G)):
-        raise NumericError("non-finite gradient")
-    return G
+    X, Y = _xy(spec, dataset)
+    return _sample_gradients(_linearize(spec, _one_vector(params), X, Y))
 
 
 def per_sample_gradient(spec, params, x, y):
     return per_sample_gradients(spec, params, ([x], [y]))[0]
 
 
+def _loss_and_gradient(lin, weights):
+    """A linearization's losses and the ``weights``-weighted sum of its per-sample gradients.
+
+    Raises NumericError for a non-finite gradient, then for a non-finite loss.
+    """
+    g = np.zeros(lin.params.shape)
+    GWs, Gbs = _unpack(lin.spec, g)
+    for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
+        wD = D * weights[..., None]
+        GW[:] = wD.swapaxes(-1, -2) @ A
+        Gb[:] = wD.sum(axis=-2)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite gradient")
+    if not np.all(np.isfinite(lin.losses)):
+        raise NumericError("non-finite loss value")
+    return lin.losses, g
+
+
 def loss_and_gradient(spec, params, dataset, weights):
-    """Per-sample losses and the weighted sum of their gradients, from one forward pass.
+    """Per-sample losses and the weighted sum of their gradients, from one linearization.
 
     Returns ``(losses, g)``; ``g`` is the empirical-risk part only. A
     ``(R, P)`` stack of parameters takes ``(R, n)`` weights over the shared
@@ -314,24 +313,14 @@ def loss_and_gradient(spec, params, dataset, weights):
     """
     weights = np.asarray(weights, dtype=np.float64)
     flat = as_flat(params)
-    sets = flat.ndim == 2 and not isinstance(dataset, LabeledDataset) and np.ndim(dataset[0]) == 3
-    X, Y = _xy(dataset, 1 + sets)
+    X, Y = _xy(spec, dataset, sets=True)
     runs = flat.shape[:-1]
     if weights.shape != runs + X.shape[-2:-1] or X.shape[:-2] not in ((), runs):
         raise ShapeError(
             f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]} and "
             f"parameters of shape {flat.shape}"
         )
-    _check_inputs(spec, X)
-    Zs, As = _forward(spec, flat, X)
-    targets = _targets(spec, Y, X.shape[:-1])
-    losses, delta, _ = _losses_and_delta(spec, Zs[-1], targets)
-    g = _backprop_pack(spec, flat, Zs, As, delta, weights=weights)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient")
-    if not np.all(np.isfinite(losses)):
-        raise NumericError("non-finite loss value")
-    return losses, g
+    return _loss_and_gradient(_linearize(spec, flat, X, Y), weights)
 
 
 def batch_gradient(spec, params, dataset, weights):
@@ -341,21 +330,23 @@ def batch_gradient(spec, params, dataset, weights):
 
 @dataclass(frozen=True, eq=False)
 class Linearization:
-    """The v-independent half of the R-operator on some rows, at one parameter vector.
+    """One evaluation of the model on some rows: everything but a vector's half of the R-operator.
 
-    Built by ``linearize``; ``hessian_vector_product`` takes it in place of
-    its rows and runs only the R-forward and R-backward along each vector.
-    ``samples`` is ``(n,)`` for shared rows or ``(K, b)`` for K row sets.
-    Per layer l it holds the layer's input ``inputs[l]`` and, for a hidden
-    layer, the activation derivative ``act_grads[l]`` at its pre-activation;
-    ``deltas[l]`` is the loss gradient w.r.t. layer l's output for the layers
-    l >= 1 that read it (None at layer 0). ``soft`` is the softmax for
-    cross-entropy, None for squared error.
+    Built by ``linearize``. ``samples`` is ``(n,)`` for shared rows or
+    ``(K, b)`` for K row sets, and ``losses`` the per-sample losses of that
+    shape. Per layer l it holds the layer's input ``inputs[l]``, the loss
+    gradient ``deltas[l]`` w.r.t. the layer's output and, for a hidden layer,
+    the activation derivative ``act_grads[l]`` at its pre-activation.
+    ``soft`` is the softmax for cross-entropy, None for squared error. The
+    losses, gradients and per-sample gradients are read off it, and
+    ``hessian_vector_product`` takes it in place of its rows and runs only
+    the R-forward and R-backward along each vector.
     """
 
     spec: ModelSpec
     params: np.ndarray
     samples: tuple
+    losses: np.ndarray
     inputs: list
     act_grads: list
     deltas: list
@@ -374,6 +365,7 @@ class Linearization:
             self.spec,
             self.params,
             (len(sets), self.samples[1]),
+            take(self.losses),
             [take(a) for a in self.inputs],
             [take(a) for a in self.act_grads],
             [take(a) for a in self.deltas],
@@ -382,32 +374,32 @@ class Linearization:
 
 
 def linearize(spec, params, rows):
-    """The forward pass, softmax, activation derivatives and deltas of ``rows`` at ``params``.
+    """The losses, forward pass, softmax, activation derivatives and deltas of ``rows`` at ``params``.
 
-    ``rows`` is a ``LabeledDataset`` or ``(X (n, in), Y)`` of shared rows, or
+    ``rows`` is a ``LabeledDataset`` or ``(X (n, ...), Y)`` of shared rows, or
     K row sets ``(X (K, b, in), Y (K, b))``. The labels are checked here. The
     result holds a copy of the parameters, so ``hessian_vector_product``
     refuses it at any other parameters.
     """
-    sets = not isinstance(rows, LabeledDataset) and np.ndim(rows[0]) == 3
-    X, Y = _xy(rows, 1 + sets)
-    _check_inputs(spec, X)
+    X, Y = _xy(spec, rows, sets=True)
     return _linearize(spec, as_flat(params).copy(), X, Y)
 
 
 def _linearize(spec, flat, X, Y):
-    """``linearize`` on rows already in ``_xy``'s form, at parameters it keeps as given."""
+    """``linearize`` on rows already in ``_xy``'s form, at parameters it keeps as given.
+
+    An ``(R, P)`` stack of parameters gives ``(R, n)`` stacks over shared rows
+    and pairs row for row with R row sets, as in ``loss_and_gradient``.
+    """
     targets = _targets(spec, Y, X.shape[:-1])
     Zs, As = _forward(spec, flat, X)
-    _, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
+    losses, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
     Ws, _ = _unpack(spec, flat)
     act_grads = [_act_grad(spec, z) for z in Zs[:-1]]
-    deltas = [None] * spec.n_layers
+    deltas = [None] * (spec.n_layers - 1) + [delta]
     for l in reversed(range(1, spec.n_layers)):
-        deltas[l] = delta
-        if l > 1:
-            delta = (delta @ Ws[l]) * act_grads[l - 1]
-    return Linearization(spec, flat, X.shape[:-1], As, act_grads, deltas, soft)
+        deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
+    return Linearization(spec, flat, X.shape[:-1], losses, As, act_grads, deltas, soft)
 
 
 def _hvp_exact(lin, weights, V):
@@ -475,10 +467,7 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
             raise ShapeError("linearization built for another model or at other parameters")
         samples = lin.samples
     else:
-        if weights.ndim not in (1, 2):
-            raise ShapeError(f"weights of shape {weights.shape}, expected (n,) or (K, b)")
-        X, Y = _xy(dataset, weights.ndim)
-        _check_inputs(spec, X)
+        X, Y = _xy(spec, dataset, sets=True)
         samples = X.shape[:-1]
     if weights.shape != samples:
         raise ShapeError(f"weights of shape {weights.shape} for samples of shape {samples}")
@@ -553,7 +542,7 @@ def power_iteration_max_eig(matvec, dim, iterations=200, seed=0):
 
 def check_test_subset(dataset):
     """The row count of a test subset; ValueError for none, whose mean loss is undefined."""
-    m = len(_xy(dataset)[0])
+    m = len(dataset) if isinstance(dataset, LabeledDataset) else len(dataset[0])
     if m == 0:
         raise ValueError("empty test subset")
     return m
@@ -567,8 +556,7 @@ def test_loss(spec, params, dataset):
 
 def test_loss_gradient(spec, params, dataset):
     """g_test: the gradient of ``test_loss``."""
-    m = check_test_subset(dataset)
-    return batch_gradient(spec, params, dataset, np.full(m, 1.0 / m))
+    return test_gradients(spec, params, dataset)[0]
 
 
 def test_gradients(spec, params, dataset, per_test=False):
@@ -576,11 +564,14 @@ def test_gradients(spec, params, dataset, per_test=False):
 
     The test side of trajectory contributions and influence functions (the
     retraining oracle reads ``test_loss``); all of them refuse an empty test
-    subset through ``check_test_subset``.
+    subset through ``check_test_subset``. Both come from one linearization.
     """
-    rows = test_loss_gradient(spec, params, dataset)[None]
+    m = check_test_subset(dataset)
+    X, Y = _xy(spec, dataset)
+    lin = _linearize(spec, _one_vector(params), X, Y)
+    rows = _loss_and_gradient(lin, np.full(m, 1.0 / m))[1][None]
     if per_test:
-        rows = np.concatenate([rows, per_sample_gradients(spec, params, dataset)])
+        rows = np.concatenate([rows, _sample_gradients(lin)])
     return rows
 
 
@@ -592,8 +583,7 @@ def row_dots(rows, vectors):
 
 def accuracy(spec, params, dataset):
     """Fraction of samples whose largest output is their class index."""
-    X, Y = _xy(dataset)
-    _check_inputs(spec, X)
+    X, Y = _xy(spec, dataset)
     if spec.loss != "cross_entropy":
         raise ShapeError(f"accuracy needs class-index targets, not {spec.loss} targets")
     targets = _targets(spec, Y, X.shape[:-1])

@@ -341,6 +341,63 @@ def test_shape_mismatch_raises():
     se_spec = dt.ModelSpec("logistic_regression", (4, 2), loss="squared_error")
     with pytest.raises(ShapeError):
         dt.accuracy(se_spec, dt.init_params(se_spec, 0), (np.zeros((3, 4)), np.zeros((3, 2))))
+    # a vector of the wrong length: the same typed error from the HVP and its inverse
+    short = np.ones(params.size - 1)
+    with pytest.raises(ShapeError, match="parameter count"):
+        dt.hessian_vector_product(spec, params, ds, np.full(len(ds), 1.0 / len(ds)), short)
+    with pytest.raises(ShapeError, match="parameter count"):
+        dt.inverse_hvp(spec, params, ds, short, dt.InverseHvpConfig())
+
+
+@pytest.mark.parametrize("widths, loss", [((4, 6, 3), "cross_entropy"), ((4, 6, 2), "squared_error")])
+def test_image_rows_are_shared_rows_at_every_entry_point(widths, loss):
+    # (6, 2, 2) images of a 4-input model; with squared error the labels
+    # (6, 2) lead with the images' first two axes, but 2 is not the input width
+    spec, params, (X, Y) = _probe("mlp", widths, loss, 6, 5)
+    images = (X.reshape(6, 2, 2), Y)
+    weights = np.linspace(0.5, 1.5, 6)
+    v = np.random.default_rng(1).standard_normal(params.size)
+    lin = models.linearize(spec, params, images)
+    assert lin.samples == (6,)
+    want = dt.hessian_vector_product(spec, params, (X, Y), weights, v)
+    for rows in (images, lin):
+        assert np.array_equal(dt.hessian_vector_product(spec, params, rows, weights, v), want)
+    assert np.array_equal(dt.per_sample_gradients(spec, params, images),
+                          dt.per_sample_gradients(spec, params, (X, Y)))
+    stack = params + 0.1 * np.random.default_rng(2).standard_normal((3, params.size))
+    W = weights * np.arange(1, 4)[:, None]
+    for got, want in zip(models.loss_and_gradient(spec, stack, images, W),
+                         models.loss_and_gradient(spec, stack, (X, Y), W)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_each_entry_point_evaluates_the_model_once(count_calls):
+    spec, params, rows = _probe("mlp", (4, 6, 3), "cross_entropy", 5, 1)
+    weights = np.full(5, 0.2)
+    stack = params + np.zeros((2, 1))
+    calls = count_calls((models, "_forward"))
+    reads = {
+        "loss_and_gradient": lambda: models.loss_and_gradient(spec, params, rows, weights),
+        "stacked loss_and_gradient": lambda: models.loss_and_gradient(
+            spec, stack, rows, np.tile(weights, (2, 1))
+        ),
+        "per_sample_gradients": lambda: models.per_sample_gradients(spec, params, rows),
+        "sample_losses": lambda: models.sample_losses(spec, params, rows),
+        "linearize": lambda: models.linearize(spec, params, rows),
+        "test_gradients": lambda: models.test_gradients(spec, params, rows, per_test=True),
+    }
+    out = {}
+    for name, read in reads.items():
+        calls["_forward"] = 0
+        out[name] = read()
+        assert calls["_forward"] == 1, name
+    # each reads the same evaluation
+    losses, g = out["loss_and_gradient"]
+    assert np.array_equal(out["sample_losses"], losses)
+    assert np.array_equal(out["linearize"].losses, losses)
+    assert np.array_equal(out["stacked loss_and_gradient"][1], np.stack([g, g]))
+    assert np.array_equal(out["test_gradients"][0], g)
+    assert np.array_equal(out["test_gradients"][1:], out["per_sample_gradients"])
 
 
 def test_a_parameter_stack_is_refused_where_one_vector_is_read(monkeypatch):
