@@ -24,7 +24,7 @@ config = dt.TrainingConfig(
 
 # Training records the full trajectory (every step's parameters are
 # reproducible from the seed and batch schedule), which tracking replays:
-# one backward pass over the steps gives C(i) for every sample at once.
+# one pass over the steps gives C(i) for every sample at once.
 record = dt.train(spec, train, config)
 print(f"trained {record.steps} steps, "
       f"final test accuracy {dt.accuracy(spec, record.final_params, test):.3f}")
@@ -34,8 +34,9 @@ indices = list(range(len(train)))
 # Exact mode propagates the Hessian-vector term at every step.
 exact = dt.contribution_exact(record, train, indices, test)
 
-# Approx mode drops the Hessian term: one backprop per step instead of a
-# Hessian-vector product, at a small cost in fidelity.
+# Approx mode drops the Hessian term: C(i) is a sum of closed-form step
+# weights times g_test . g_i(w_t), with no Hessian-vector product and no
+# backward pass, at a small cost in fidelity.
 approx = dt.contribution_approx(record, train, indices, test)
 
 stats = dt.distribution_stats(exact, k=3)

@@ -30,7 +30,7 @@ record = dt.train(spec, noisy, config)
 before = dt.accuracy(spec, record.final_params, test)
 
 indices = list(range(len(noisy)))
-# One backward pass gives C(i) and every C(i, j) for all samples at once.
+# One pass over the steps gives C(i) and every C(i, j) for all samples at once.
 report = dt.contribution_approx(record, noisy, indices, test, per_test=True)
 
 retained = dt.clean_dataset(report, 0.3)

@@ -2,21 +2,31 @@
 
 The contribution of training sample i is C(i) = -(1/n) g_test(w_T)^T nabla_{T,i},
 with nabla_{t,i} = d w_t / d eps_i carried by a recurrence over the steps, in
-two modes: exact (with the batch Hessian term) and approx (without it). Both
-read the steps from ``_walk``: the record's snapshots, with the momentum
-buffer beside each (kept by ``train`` and on disk alike), are the checkpoints,
-and the intervals between them are re-run in lockstep groups of G with the
-original batches and learning rates, one paired model evaluation per step,
-so a walk re-runs T / G steps and keeps at most 4 * ceil(sqrt(T)) parameter
-vectors.
+two modes: exact (with the batch Hessian term) and approx (without it). The
+steps come from re-runs of the record's intervals: the snapshots, with the
+momentum buffer beside each (kept by ``train`` and on disk alike), are the
+checkpoints, and the intervals between them are re-run in lockstep groups
+with the original batches and learning rates, one paired model evaluation
+per step, which is the only evaluation of the model a walked step makes.
 
-- Reverse mode (``contribution_exact``, ``contribution_approx``): the
-  recurrence is linear in its state and C(i) is one linear functional of
-  it, so one backward (adjoint) pass gives C(i) for every requested sample
-  with one HVP per step, whatever their number (none in approx mode).
+- Exact reverse mode (``contribution_exact``): the recurrence is linear in
+  its state and C(i) is one linear functional of it, so one backward
+  (adjoint) pass over ``_walk`` gives C(i) for every requested sample with
+  one HVP per step, whatever their number. Its re-run groups keep at most
+  4 * ceil(sqrt(T)) steps' states: the hidden outputs, output delta,
+  softmax and W_1 .. W_{L-1} of a step, never its parameters or rows. Each
+  HVP and each C(i) term (a directional derivative) reads the kept state.
+- Approx (``contribution_approx``): forward and closed-form, with no
+  backward walk. Without the Hessian the adjoint stays a scalar multiple of
+  the test rows, so C(i) is a sum over the steps whose batch holds i of a
+  step weight c_t (one O(T) scalar pass) times rows . g_i(w_t). The sum does
+  not depend on step order, so intervals of equal length and batch-size
+  pattern re-run together wherever they lie, and each term is read from its
+  step's own linearization as the step is made; nothing is kept.
 - Forward mode (``track_exact``, ``track_approx``, ``error_trace``): carries
-  the full vectors nabla_{t,i}, one HVP vector per tracked sample per step,
-  for callers that need the vectors themselves (the error bound).
+  the full vectors nabla_{t,i} over ``_walk``, one HVP vector per tracked
+  sample per step, for callers that need the vectors themselves (the error
+  bound).
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ class _Tracker:
         self.record = record
         self.use_hessian = use_hessian
         self.index = data.training_indices(tracked, record.n_train)
+        self.position = _positions(self.index, record.n_train)
         P = record.final_params.size
         self.nabla = np.zeros((self.index.size, P))
         self.mom = np.zeros((self.index.size, P))
@@ -79,11 +90,12 @@ class _Tracker:
 
     def source(self, ctx):
         """(n / b) * g_i on the rows of tracked samples in the step's batch, zero elsewhere."""
-        hit = np.isin(self.index, ctx.batch)
+        rank = self.position[ctx.batch]
+        hit = rank >= 0
         source = np.zeros_like(self.nabla)
         if hit.any():
-            G = ctx.per_sample_gradients(self.index[hit])
-            source[hit] = (self.record.n_train / len(ctx.batch)) * G
+            G = ctx.sample_gradients(hit)
+            source[rank[hit]] = (self.record.n_train / len(ctx.batch)) * G
         return source
 
     def advance(self, ctx, source):
@@ -104,6 +116,13 @@ class _Tracker:
             i: HypergradState(i, mode, self.nabla[r].copy(), self.mom[r].copy(), step)
             for r, i in enumerate(self.index.tolist())
         }
+
+
+def _positions(index, n):
+    """An (n,) lookup: the rank of each sample in ``index``, -1 for the others."""
+    position = np.full(n, -1)
+    position[index] = np.arange(index.size)
+    return position
 
 
 def _one_run(record):
@@ -139,8 +158,9 @@ def error_trace(record, dataset, indices, record_stride=1):
 
     Returns ``{index: ApproxErrorTrace}`` over the distinct indices in
     first-seen order. Both trackers step on the same per-sample gradients,
-    computed once per step. M_w is each index's own running max of ||nabla||;
-    L does not depend on the index, so its power iteration runs once.
+    read once per step from the walk's kept state. M_w is each index's own
+    running max of ||nabla||; L does not depend on the index, so its power
+    iteration runs once.
     """
     _one_run(record)
     if record.config.weight_decay <= 0.0:
@@ -210,12 +230,12 @@ def _groups(record):
     A group is G consecutive intervals of one length L whose batches have
     equal sizes step for step, with
         G = max(1, min(ceil(sqrt(T)), floor(4 * ceil(sqrt(T)) / L))).
-    The re-run of a group keeps G * L <= 4 * ceil(sqrt(T)) parameter vectors
-    (``_checkpoints`` bounds L by that), as many as ceil(sqrt(T)) checkpoints
-    plus one ceil(sqrt(T))-step segment would hold, w and velocity each, so
-    parameter memory stays O(sqrt(T) * P), while a full-batch record (L = 1)
-    re-runs in ceil(sqrt(T)) groups. Larger groups cut little more time and
-    cost measurable peak memory.
+    The re-run of a group keeps G * L <= 4 * ceil(sqrt(T)) steps' states
+    (``_checkpoints`` bounds L by that; see ``models.KeptState``), as many
+    as ceil(sqrt(T)) checkpoints plus one ceil(sqrt(T))-step segment would
+    hold, so memory stays O(sqrt(T)) states, while a full-batch record
+    (L = 1) re-runs in ceil(sqrt(T)) groups. Larger groups cut little more
+    time and cost measurable peak memory.
     """
     root = math.isqrt(record.steps - 1) + 1
     sizes = [len(batch) for batch in record.batches]
@@ -233,6 +253,32 @@ def _groups(record):
                 continue
         groups.append(([start], end - start))
     return groups
+
+
+def _pattern_groups(record):
+    """The intervals between snapshots as forward lockstep groups ``(starts, length)``.
+
+    Intervals of equal length whose batches have equal sizes step for step
+    group together, adjacent or not, into ceil(count / W) groups of sizes
+    that differ by at most one, with W = max(1, ceil(sqrt(T)) // 2), in the
+    step order of each group's last interval. Such a group keeps no step,
+    but each of its steps holds about eight parameter vectors per row at
+    once (w, velocity, the gradient, the update's temporaries and the step's
+    linearization), so W rows stay within the 4 * ceil(sqrt(T)) vectors that
+    a group of ``_groups`` keeps.
+    """
+    width = max(1, (math.isqrt(record.steps - 1) + 1) // 2)
+    sizes = [len(batch) for batch in record.batches]
+    marks = sorted(record.snapshots)
+    patterns = {}
+    for start, end in zip(marks, marks[1:]):
+        patterns.setdefault((end - start, *sizes[start:end]), []).append(start)
+    groups = [
+        (part.tolist(), key[0])
+        for key, starts in patterns.items()
+        for part in np.array_split(starts, -(-len(starts) // width))
+    ]
+    return sorted(groups, key=lambda group: group[0][-1])
 
 
 def _checkpoints(record, dataset):
@@ -264,8 +310,15 @@ def _walk(record, dataset, backward=False):
         yield from order(trainer.rerun(record, dataset, starts, length))
 
 
-def _adjoint(record, dataset, indices, rows, use_hessian):
-    """``rows @ nabla_{T,i}`` for each distinct index i, by one backward pass.
+def _training_index(record, indices):
+    index = data.training_indices(indices, record.n_train)
+    if index.size == 0:
+        raise ValueError("no training indices given")
+    return index
+
+
+def _adjoint(record, dataset, indices, rows):
+    """``rows @ nabla_{T,i}`` of the exact recurrence for each distinct index i, by one backward pass.
 
     Returns ``(index, acc)``: the distinct indices in first-seen order and an
     array of shape ``(len(rows), len(index))``. Walking the steps backwards
@@ -273,18 +326,15 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
     size b:
         beta~  = beta - lr * alpha
         acc[:, i in batch] += (n / b) * beta~ @ g_i
-        alpha <- alpha + lam * beta~ [+ H_batch beta~]
+        alpha <- alpha + lam * beta~ + H_batch beta~
         beta  <- p * beta~
-    The Hessian term is kept when ``use_hessian`` (exact) and dropped
-    otherwise (approx). The steps come from ``_walk``, last first.
+    The steps come from ``_walk``, last first; each beta~ @ g_i is a
+    directional derivative and each HVP reads the step's kept state.
     """
-    index = data.training_indices(indices, record.n_train)
-    if index.size == 0:
-        raise ValueError("no training indices given")
+    index = _training_index(record, indices)
     cfg = record.config
     n = record.n_train
-    position = np.full(n, -1)
-    position[index] = np.arange(index.size)
+    position = _positions(index, n)
 
     alpha = np.array(rows, dtype=np.float64, ndmin=2)
     beta = np.zeros_like(alpha)
@@ -294,22 +344,72 @@ def _adjoint(record, dataset, indices, rows, use_hessian):
         rank = position[ctx.batch]
         hit = rank >= 0
         if hit.any():
-            G = ctx.per_sample_gradients(ctx.batch[hit])
-            acc[:, rank[hit]] += (n / len(ctx.batch)) * models.row_dots(beta, G)
-        alpha = alpha + cfg.weight_decay * beta
-        if use_hessian:
-            alpha = alpha + ctx.batch_hvp(beta)
+            acc[:, rank[hit]] += (n / len(ctx.batch)) * ctx.gradient_dots(hit, beta)
+        alpha = alpha + cfg.weight_decay * beta + ctx.batch_hvp(beta)
         if not np.all(np.isfinite(alpha)):
             raise DivergenceError(ctx.step, f"adjoint diverged at step {ctx.step}")
         beta = cfg.momentum * beta
     return index, acc
 
 
-def _contribution(record, dataset, indices, test_dataset, per_test, use_hessian):
+def _step_weights(record):
+    """The approx recurrence's weight c_t of each step t (index t - 1), by one scalar pass.
+
+    Without the Hessian term the adjoint's alpha and beta stay a * rows and
+    b * rows. From a = 1, b = 0, walking t = T .. 1 with momentum p, weight
+    decay lam and batch size b_t:
+        b~  = b - lr_t * a
+        c_t = (n / b_t) * b~
+        a  <- a + lam * b~
+        b  <- p * b~
+    """
+    cfg = record.config
+    n = record.n_train
+    weights = np.empty(record.steps)
+    a, b = 1.0, 0.0
+    for t in reversed(range(record.steps)):
+        b = b - record.lrs[t] * a
+        weights[t] = n / len(record.batches[t]) * b
+        a = a + cfg.weight_decay * b
+        b = cfg.momentum * b
+    return weights
+
+
+def _approx(record, dataset, indices, rows):
+    """``rows @ nabla_{T,i}`` of the approx recurrence for each distinct index i, as ``_adjoint``.
+
+    acc[:, i] = sum over the steps t whose batch holds i of
+    c_t * rows @ g_i(w_t) (``_step_weights``), in no particular step order:
+    the groups of ``_pattern_groups`` re-run (``trainer.lockstep``), last
+    group first as in ``_adjoint``, so a damaged record fails at the step
+    that the exact walk names, and each step's terms are directional
+    derivatives read from its own paired linearization as it is made,
+    before the re-run's checks. A sample can sit in the batches of several
+    rows of one step, so the terms add with ``np.add.at``.
+    """
+    index = _training_index(record, indices)
+    position = _positions(index, record.n_train)
+    weights = _step_weights(record)
+    rows = np.array(rows, dtype=np.float64, ndmin=2)
+    acc = np.zeros((rows.shape[0], index.size))
+
+    def visit(steps, batch, lin):
+        rank = position[batch]
+        hit = rank >= 0
+        if hit.any():
+            c = np.broadcast_to(weights[steps - 1, None], hit.shape)[hit]
+            np.add.at(acc, (slice(None), rank[hit]), c * models.gradient_dots(lin, rows, hit))
+
+    for starts, length in reversed(_pattern_groups(record)):
+        trainer.lockstep(record, dataset, starts, length, visit)
+    return index, acc
+
+
+def _contribution(record, dataset, indices, test_dataset, per_test, method):
     _one_run(record)
     rows = models.test_gradients(record.model, record.final_params, test_dataset, per_test)
-    index, acc = _adjoint(record, dataset, indices, rows, use_hessian)
-    method = "exact" if use_hessian else "approx"
+    walk = _adjoint if method == "exact" else _approx
+    index, acc = walk(record, dataset, indices, rows)
     return reports.from_loss_derivatives(method, index.tolist(), acc, record.n_train)
 
 
@@ -320,13 +420,14 @@ def contribution_exact(record, dataset, indices, test_dataset, per_test=False):
     test_dataset, per_test)`` to rounding, at a cost of one HVP per step
     whatever the number of indices; ``per_test`` adds C(i, j) per test sample.
     """
-    return _contribution(record, dataset, indices, test_dataset, per_test, use_hessian=True)
+    return _contribution(record, dataset, indices, test_dataset, per_test, "exact")
 
 
 def contribution_approx(record, dataset, indices, test_dataset, per_test=False):
-    """C(i) of the Hessian-free recurrence for each index; no HVPs occur.
+    """C(i) of the Hessian-free recurrence for each index, forward, with no HVPs.
 
     Equals ``contribution(record, track_approx(record, dataset, indices),
-    test_dataset, per_test)`` to rounding.
+    test_dataset, per_test)`` to rounding. The re-run groups intervals of
+    equal batch-size pattern wherever they lie, and nothing is kept per step.
     """
-    return _contribution(record, dataset, indices, test_dataset, per_test, use_hessian=False)
+    return _contribution(record, dataset, indices, test_dataset, per_test, "approx")

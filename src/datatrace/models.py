@@ -14,7 +14,12 @@ gradient and the per-sample gradients pack its deltas against the layers'
 inputs. It is also the vector-independent half of the R-operator:
 ``hessian_vector_product`` runs only the R-forward and R-backward along each
 vector on it, so a linearization built once serves every vector, with the
-bits of the rows themselves.
+bits of the rows themselves. What a trajectory walk keeps of a training
+step's linearization (``keep``) is only what the batch's rows cannot give
+back; a ``KeptState`` with those rows gives the step's HVPs (with the bits
+of the rows themselves), per-sample gradients and gradient dot products
+(``gradient_dots``: each C(i) term as a directional derivative, with no
+gradient matrix) without evaluating the model again.
 
 Rows are shared ``(X (n, ...), Y)`` rows, flattened past the first axis, or
 K row sets ``(X (K, b, in), Y (K, b, ...))`` where an entry point pairs sets
@@ -262,7 +267,7 @@ def per_sample_loss(spec, params, x, y):
 
 def _sample_gradients(lin):
     """(n, P) matrix of the per-sample gradients of a shared-rows linearization."""
-    G = np.zeros((lin.samples[0], lin.params.size))
+    G = np.zeros((lin.samples[0], param_count(lin.spec)))
     GWs, Gbs = _unpack(lin.spec, G)
     for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
         GW[:] = np.einsum("no,ni->noi", D, A)
@@ -311,6 +316,16 @@ def loss_and_gradient(spec, params, dataset, weights):
     r is bit-equal to the call with row r (and its row set) alone. Raises
     NumericError for a non-finite gradient, then for a non-finite loss.
     """
+    lin, g = linearized_gradient(spec, params, dataset, weights)
+    return lin.losses, g
+
+
+def linearized_gradient(spec, params, dataset, weights):
+    """``loss_and_gradient`` with the linearization it reads: ``(lin, g)``, the losses in ``lin``.
+
+    The linearization holds the parameters as given, not a copy (a training
+    step rebinds its parameters and never writes them in place).
+    """
     weights = np.asarray(weights, dtype=np.float64)
     flat = as_flat(params)
     X, Y = _xy(spec, dataset, sets=True)
@@ -320,7 +335,8 @@ def loss_and_gradient(spec, params, dataset, weights):
             f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]} and "
             f"parameters of shape {flat.shape}"
         )
-    return _loss_and_gradient(_linearize(spec, flat, X, Y), weights)
+    lin = _linearize(spec, flat, X, Y)
+    return lin, _loss_and_gradient(lin, weights)[1]
 
 
 def batch_gradient(spec, params, dataset, weights):
@@ -334,23 +350,27 @@ class Linearization:
 
     Built by ``linearize``. ``samples`` is ``(n,)`` for shared rows or
     ``(K, b)`` for K row sets, and ``losses`` the per-sample losses of that
-    shape. Per layer l it holds the layer's input ``inputs[l]``, the loss
-    gradient ``deltas[l]`` w.r.t. the layer's output and, for a hidden layer,
-    the activation derivative ``act_grads[l]`` at its pre-activation.
-    ``soft`` is the softmax for cross-entropy, None for squared error. The
-    losses, gradients and per-sample gradients are read off it, and
+    shape. Per layer l it holds the layer's input ``inputs[l]``, its weight
+    matrix ``matrices[l]`` (a view of the parameters), the loss gradient
+    ``deltas[l]`` w.r.t. the layer's output and, for a hidden layer, the
+    activation derivative ``act_grads[l]`` at its pre-activation. ``soft``
+    is the softmax for cross-entropy, None for squared error. The losses,
+    gradients and per-sample gradients are read off it, and
     ``hessian_vector_product`` takes it in place of its rows and runs only
-    the R-forward and R-backward along each vector.
+    the R-forward and R-backward along each vector. One given back from a
+    ``KeptState`` has no parameters or losses, and None for each weight
+    matrix and delta that its reader does not need.
     """
 
     spec: ModelSpec
-    params: np.ndarray
+    params: np.ndarray | None
     samples: tuple
-    losses: np.ndarray
+    losses: np.ndarray | None
     inputs: list
     act_grads: list
     deltas: list
     soft: np.ndarray | None
+    matrices: list
 
     def gather(self, sets):
         """The linearization of the listed row sets, in that order (repeats allowed)."""
@@ -370,6 +390,7 @@ class Linearization:
             [take(a) for a in self.act_grads],
             [take(a) for a in self.deltas],
             take(self.soft),
+            self.matrices,
         )
 
 
@@ -399,7 +420,7 @@ def _linearize(spec, flat, X, Y):
     deltas = [None] * (spec.n_layers - 1) + [delta]
     for l in reversed(range(1, spec.n_layers)):
         deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
-    return Linearization(spec, flat, X.shape[:-1], losses, As, act_grads, deltas, soft)
+    return Linearization(spec, flat, X.shape[:-1], losses, As, act_grads, deltas, soft, Ws)
 
 
 def _hvp_exact(lin, weights, V):
@@ -411,8 +432,7 @@ def _hvp_exact(lin, weights, V):
     stack, one product per vector, so a stack gives the same bits as its rows
     (and their row sets) one at a time.
     """
-    spec, As, ags, Ds = lin.spec, lin.inputs, lin.act_grads, lin.deltas
-    Ws, _ = _unpack(spec, lin.params)
+    spec, As, ags, Ds, Ws = lin.spec, lin.inputs, lin.act_grads, lin.deltas, lin.matrices
     VWs, Vbs = _unpack(spec, V)
 
     # R-forward: directional derivatives of activations. RAs[l] pairs with
@@ -444,6 +464,107 @@ def _hvp_exact(lin, weights, V):
         if l > 0:
             RD = (RD @ Ws[l] + Ds[l] @ VWs[l]) * ags[l - 1]
     return out
+
+
+def gradient_dots(lin, V, hit=None):
+    """``V @ g_i`` for the per-sample gradients g_i of a linearization's samples, shape (k, h).
+
+    The samples are all of a shared-rows linearization, or those the mask
+    or index ``hit`` picks over ``lin.samples``, in that order. Each value
+    is a directional derivative, sum_l rowdot(D_l, A_l V_Wl^T + V_bl) (the
+    R-forward's first term against each layer's delta), so no (h, P)
+    gradient matrix is built.
+    """
+    VWs, Vbs = _unpack(lin.spec, V)
+    out = 0.0
+    for A, D, VW, Vb in zip(lin.inputs, lin.deltas, VWs, Vbs):
+        if hit is not None:
+            A, D = A[hit], D[hit]
+        RZ = A @ VW.swapaxes(-1, -2) + Vb[:, None, :]
+        out = out + np.einsum("kho,ho->kh", RZ, D)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class KeptState:
+    """What a trajectory walk keeps of one training step's linearization (``keep``).
+
+    Only what the batch's rows cannot give back: the hidden layers' outputs
+    ``hidden`` (A_1 .. A_{L-1}), their weight matrices ``matrices`` (W_1 ..
+    W_{L-1}, copies, so the parameter vector is not kept), the output delta
+    and the softmax for cross-entropy (None for squared error). Each array
+    has the leading axis of a paired linearization's row sets until ``row``
+    picks one. With the inputs of its rows it gives back the linearization
+    it was kept from (``_restore``): an activation derivative from the
+    layer's output (ReLU: a(z) > 0 exactly where z > 0; identity: ones) and
+    the hidden deltas from the output delta, layer 0's only for the rows a
+    per-sample read picks, since the R-operator never reads it.
+    """
+
+    spec: ModelSpec
+    hidden: tuple
+    matrices: tuple
+    delta: np.ndarray
+    soft: np.ndarray | None
+
+    def row(self, r):
+        """The state of paired row set r alone (views)."""
+        return KeptState(
+            self.spec,
+            tuple(A[r] for A in self.hidden),
+            tuple(W[r] for W in self.matrices),
+            self.delta[r],
+            None if self.soft is None else self.soft[r],
+        )
+
+    def hvp(self, X, weights, V):
+        """R-operator products H V (k, P) on the state's rows, whose inputs are X; weights (b,).
+
+        Only the R-forward and R-backward run, with the bits of
+        ``hessian_vector_product`` on the raw rows at the step's parameters.
+        """
+        return _hvp_exact(_restore(self, X), weights, V)
+
+    def gradient_dots(self, X, hit, V):
+        """``gradient_dots`` of the rows ``hit`` picks, whose inputs are X."""
+        return gradient_dots(_restore(self, X, hit), V)
+
+    def sample_gradients(self, X, hit):
+        """(h, P) per-sample gradients of the rows ``hit`` picks, whose inputs are X."""
+        return _sample_gradients(_restore(self, X, hit))
+
+
+def keep(lin):
+    """The ``KeptState`` of a linearization: it references the hidden outputs, output delta
+    and softmax, and copies W_1 .. W_{L-1} so that the parameters can be released."""
+    return KeptState(
+        lin.spec, tuple(lin.inputs[1:]), tuple(W.copy() for W in lin.matrices[1:]),
+        lin.deltas[-1], lin.soft,
+    )
+
+
+def _restore(state, X, hit=None):
+    """The linearization a ``KeptState`` was kept from, on its rows' inputs X.
+
+    With ``hit`` (a mask or index over the state's rows; X then holds those
+    rows' inputs only) it covers those rows, with every layer's delta;
+    without, every row, without layer 0's delta, which the R-operator does
+    not read.
+    """
+    spec = state.spec
+    hidden, delta, soft = state.hidden, state.delta, state.soft
+    if hit is not None:
+        hidden = [A[hit] for A in hidden]
+        delta = delta[hit]
+        soft = None if soft is None else soft[hit]
+    Ws = [None, *state.matrices]
+    act_grads = [_act_grad(spec, A) for A in hidden]
+    deltas = [None] * (spec.n_layers - 1) + [delta]
+    for l in reversed(range(1 if hit is not None else 2, spec.n_layers)):
+        deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
+    return Linearization(
+        spec, None, X.shape[:-1], None, [X, *hidden], act_grads, deltas, soft, Ws
+    )
 
 
 def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):

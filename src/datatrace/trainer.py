@@ -210,40 +210,33 @@ class TrajectoryRecord:
 
 
 class StepContext:
-    """Read-only view of one re-run training step (see ``rerun``).
+    """One re-run training step (see ``rerun``): its step, rate and batch.
 
-    Exposes the pre-update parameters, the batch rows ``(X, Y)``, and access
-    to per-sample gradients and batch HVPs evaluated at those parameters.
+    It gives the per-sample gradients, their dot products with vectors and
+    the batch HVPs at the step's pre-update parameters, read from what the
+    re-run kept of the step's linearization (``models.KeptState``) and the
+    batch's rows of ``features``; none of them evaluates the model again.
     """
 
-    def __init__(self, model, dataset, w, step, lr, batch, rows):
-        self.model = model
-        self.dataset = dataset
-        # ``_step`` rebinds the parameters every step and never writes them
-        # in place, so a read-only view stays the pre-update values.
-        self.params = _read_only(w)
+    def __init__(self, step, lr, batch, state, features):
         self.step = step
         self.lr = lr
         self.batch = batch
-        self.rows = rows
+        self.state = state
+        self.features = features
 
-    def per_sample_gradients(self, indices):
-        """Gradients of the listed samples at the pre-update parameters."""
-        indices = np.asarray(indices, dtype=np.int64)
-        rows = (self.dataset.features[indices], self.dataset.labels[indices])
-        return models.per_sample_gradients(self.model, self.params, rows)
+    def sample_gradients(self, hit):
+        """(h, P) gradients of the batch members that the mask or index ``hit`` picks."""
+        return self.state.sample_gradients(self.features[self.batch[hit]], hit)
 
-    def batch_hvp(self, v):
-        """H^er of the regularizer-free batch-mean loss times v."""
+    def gradient_dots(self, hit, V):
+        """(k, h): each row of V (k, P) dotted with the gradient of each member ``hit`` picks."""
+        return self.state.gradient_dots(self.features[self.batch[hit]], hit, V)
+
+    def batch_hvp(self, V):
+        """H^er of the regularizer-free batch-mean loss times V (k, P)."""
         b = len(self.batch)
-        weights = np.full(b, 1.0 / b)
-        return models.hessian_vector_product(self.model, self.params, self.rows, weights, v)
-
-
-def _read_only(array):
-    view = array.view()
-    view.setflags(write=False)
-    return view
+        return self.state.hvp(self.features[self.batch], np.full(b, 1.0 / b), V)
 
 
 def _recorded_loss(weights, batch_losses, w, lam):
@@ -266,7 +259,7 @@ def _first(values, flags):
 
 
 def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
-    """One (momentum) gradient step; returns ``(w, velocity, loss, limit)`` after it.
+    """One (momentum) gradient step; returns ``(w, velocity, loss, limit, lin)`` after it.
 
     ``w`` and ``velocity`` hold one run's vectors or an (R, P) stack. A stack
     either runs R rows of data weights ``eps`` (R, n) on one shared batch, or
@@ -277,6 +270,7 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
     ``limit`` is the largest |loss| that does not diverge (None: set from this
     step's loss). Raises ConfigError when lr * weight_decay leaves (0, 1) and
     DivergenceError past the limit, naming the first such row's step.
+    ``lin`` is the step's linearization at the pre-update parameters.
     """
     lam = config.weight_decay
     rate = lr * lam
@@ -292,7 +286,8 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
     # take keeps each row contiguous (``eps[..., batch]`` would not), so
     # a row's dot product below runs on the strides of a single run.
     weights = 1.0 / b + len(X) * eps.take(batch, axis=-1) / b
-    batch_losses, g = models.loss_and_gradient(model, w, rows, weights)
+    lin, g = models.linearized_gradient(model, w, rows, weights)
+    batch_losses = lin.losses
     if lam > 0.0:
         g = g + lam * w
 
@@ -309,7 +304,7 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
 
     velocity = config.momentum * velocity + g
     w = w - lr * velocity
-    return w, velocity, loss, limit
+    return w, velocity, loss, limit, lin
 
 
 def train(model, dataset, config, data_weights=None, init=None, batches=None, lrs=None):
@@ -375,9 +370,10 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
             if t == (sched.epoch - 1) * steps_per_epoch + 1:  # start of epoch sched.epoch
                 rate *= sched.factor
         lr = rate if lrs is None else float(lrs[t - 1])
+        # (the step's linearization is released at once: only re-runs read it)
         w, velocity, out_losses[..., t - 1], limit = _step(
             model, dataset, eps, batch, w, velocity, lr, t, config, limit
-        )
+        )[:4]
         out_lrs[t - 1] = lr
 
         if t % stride == 0 or t == total_steps:
@@ -451,7 +447,7 @@ def replay(record, dataset, data_weights=None):
     return new
 
 
-def rerun(record, dataset, starts, length):
+def lockstep(record, dataset, starts, length, visit):
     """Re-run ``length`` recorded steps from each snapshot step in ``starts``, in lockstep.
 
     Row r starts from the snapshot at s_r = ``starts[r]`` and the momentum
@@ -459,14 +455,16 @@ def rerun(record, dataset, starts, length):
     and rates of steps s_r + 1 .. s_r + length; their batches must have equal
     sizes step for step. Each step of all rows is one paired model
     evaluation (``_step``, as in ``train``), and every row diverges against
-    the run's reference loss ``losses[0]``. Returns the context of each step
-    (without its momentum buffer), in step order.
+    the run's reference loss ``losses[0]``. As each step is made, with its
+    losses within the limit, ``visit(steps, batch, lin)`` receives the rows'
+    (G,) step numbers, their (G, b) batches and the paired linearization at
+    the pre-step parameters; nothing else of the step is kept.
 
-    Every row must end bit-identical to the snapshot at s_r + length (rows
-    checked last first), and every recomputed loss must equal the recorded
-    one. Otherwise ReplayDivergenceError names that snapshot's step, or the
-    first step whose loss differs or where a row diverged; a non-finite
-    ``losses[0]`` names step 1.
+    Then every row must end bit-identical to the snapshot at s_r + length
+    (rows checked last first), and every recomputed loss must equal the
+    recorded one. Otherwise ReplayDivergenceError names that snapshot's
+    step, or the first step whose loss differs or where a row diverged; a
+    non-finite ``losses[0]`` names step 1 before any step is made.
     """
     if not np.isfinite(record.losses[0]):
         raise ReplayDivergenceError(1, f"the recorded loss of step 1 is {record.losses[0]}")
@@ -476,27 +474,41 @@ def rerun(record, dataset, starts, length):
     limit = _divergence_limit(record.losses[0])
     steps = starts[:, None] + np.arange(1, length + 1)  # (rows, length)
     losses = np.empty(steps.shape)
-    kept = []
     for j in range(length):
         batch = np.stack([record.batches[t - 1] for t in steps[:, j]])
-        kept.append((w, batch))
         try:
-            w, velocity, losses[:, j], _ = _step(
+            w, velocity, losses[:, j], _, lin = _step(
                 record.model, dataset, record.data_weights, batch, w, velocity,
                 record.lrs[steps[:, j, None] - 1], steps[:, j], record.config, limit,
             )
         except DivergenceError as err:
             raise ReplayDivergenceError(err.step) from err
+        visit(steps[:, j], batch, lin)
+        del lin  # before the next step builds its own
     for r in reversed(range(len(starts))):
         if not np.array_equal(w[r], record.snapshots[steps[r, -1]]):
             raise ReplayDivergenceError(int(steps[r, -1]))
     _check_losses(record, steps, losses)
-    X, Y = dataset.features, dataset.labels
+
+
+def rerun(record, dataset, starts, length):
+    """``lockstep``, keeping each step's ``models.KeptState``; the context of every step, in step order.
+
+    Per row and step only what the batch's rows cannot give back is kept:
+    the hidden layers' outputs, the output delta, the softmax and W_1 ..
+    W_{L-1}, never the parameter vector or the rows themselves. The
+    contexts are returned only once every check of ``lockstep`` has passed.
+    """
+    kept = []
+    lockstep(
+        record, dataset, starts, length,
+        lambda steps, batch, lin: kept.append((steps, batch, models.keep(lin))),
+    )
+    features = dataset.features
     return [
-        StepContext(record.model, dataset, params[r], int(t), float(record.lrs[t - 1]),
-                    batch[r], (X[batch[r]], Y[batch[r]]))
+        StepContext(int(steps[r]), float(record.lrs[steps[r] - 1]), batch[r], state.row(r), features)
         for r in range(len(starts))
-        for t, (params, batch) in zip(steps[r], kept)
+        for steps, batch, state in kept
     ]
 
 

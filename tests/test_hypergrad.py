@@ -102,16 +102,17 @@ def test_approx_mode_never_calls_hvp(count_calls):
     from datatrace.hypergrad import _Tracker, _walk
 
     spec = dt.ModelSpec("logistic_regression", (4, 2))
-    train, _ = gaussian_pair(dim=4, per_class=8)
+    train, test = gaussian_pair(dim=4, per_class=8)
     cfg = dt.TrainingConfig(epochs=5, batch_size=4, initial_lr=0.05, seed=4)
     rec = dt.train(spec, train, cfg)
-    calls = count_calls((models_mod, "hessian_vector_product"))
+    calls = count_calls((models_mod, "hessian_vector_product"), (models_mod, "_hvp_exact"))
     tracker = _Tracker(rec, [0], use_hessian=False)
     for ctx in _walk(rec, train):
         tracker.advance(ctx, tracker.source(ctx))
     assert tracker.hvp_calls == 0
     dt.track_approx(rec, train, [0])
-    assert calls["hessian_vector_product"] == 0
+    dt.contribution_approx(rec, train, [0], test)
+    assert calls == {"hessian_vector_product": 0, "_hvp_exact": 0}
 
 
 def test_ridge_probe_contribution_signs():
@@ -220,9 +221,10 @@ def test_error_trace_computes_per_sample_gradients_once_per_step(count_calls):
     hit_steps = sum(bool(np.isin(tracked, batch).any()) for batch in rec.batches)
     assert 0 < hit_steps < rec.steps
 
-    calls = count_calls((models_mod, "per_sample_gradients"))
+    # from the walk's kept state: the model is not evaluated again
+    calls = count_calls((models_mod, "per_sample_gradients"), (models_mod, "_sample_gradients"))
     dt.error_trace(rec, train, tracked)
-    assert calls == {"per_sample_gradients": hit_steps}
+    assert calls == {"per_sample_gradients": 0, "_sample_gradients": hit_steps}
 
 
 @pytest.mark.parametrize("track", ["track_exact", "track_approx"])
@@ -284,8 +286,7 @@ SCHEDULES = [
 
 
 def _adjoint_probe(batch_size, momentum, schedule=dt.ConstantSchedule(), test_per_class=3,
-                   **config):
-    spec = dt.ModelSpec("mlp", (4, 5, 2))
+                   spec=dt.ModelSpec("mlp", (4, 5, 2)), **config):
     train, test = gaussian_pair(dim=4, per_class=10, test_per_class=test_per_class)
     cfg = dt.TrainingConfig(**{
         "epochs": 6, "batch_size": batch_size, "initial_lr": 0.05, "schedule": schedule,
@@ -343,17 +344,18 @@ def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_cal
 
     train, test, rec = _adjoint_probe(5, 0.9)
     adjoint = getattr(dt, f"contribution_{mode}")
-    calls = count_calls((models_mod, "hessian_vector_product"))
+    # each HVP reads the re-run's kept state: the R-operator alone, no raw-row call
+    calls = count_calls((models_mod, "hessian_vector_product"), (models_mod, "_hvp_exact"))
     hvps = rec.steps if mode == "exact" else 0
     for indices, per_test in (([4], False), (list(range(len(train))), True)):
-        calls["hessian_vector_product"] = 0
+        calls.update(hessian_vector_product=0, _hvp_exact=0)
         report = adjoint(rec, train, indices, test, per_test=per_test)
-        assert calls["hessian_vector_product"] == hvps
+        assert calls == {"hessian_vector_product": 0, "_hvp_exact": hvps}
         assert (report.pair_values is None) == (not per_test)
     # forward mode: one HVP per step for all tracked samples, none in approx mode
-    calls["hessian_vector_product"] = 0
+    calls.update(hessian_vector_product=0, _hvp_exact=0)
     getattr(dt, f"track_{mode}")(rec, train, [4, 9])
-    assert calls["hessian_vector_product"] == hvps
+    assert calls == {"hessian_vector_product": 0, "_hvp_exact": hvps}
 
 
 @pytest.mark.parametrize("config, snapshots, kept", [
@@ -363,7 +365,10 @@ def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_cal
     # one 40-step interval is longer than 4 * ceil(sqrt(40)) = 28: a replay
     # snapshots every 7 steps, grouped as 7 * 4 | 7 | 5
     (dict(batch_size=1, epochs=2, snapshot_stride=40), [0, 40], [5, 7, 28]),
-], ids=["per-epoch-snapshots", "one-long-interval"])
+    # full batch, L = 1: 6 steps in groups of min(3, 4 * 3) = 3
+    (dict(batch_size=0, spec=dt.ModelSpec("logistic_regression", (4, 2))),
+     [0, 1, 2, 3, 4, 5, 6], [3, 3]),
+], ids=["per-epoch-snapshots", "one-long-interval", "logistic-full-batch"])
 def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
     config, snapshots, kept, monkeypatch
 ):
@@ -372,9 +377,17 @@ def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
     original = trainer_mod.rerun
     made = []
 
-    def counted(*args):
-        contexts = original(*args)
-        made.append(len(contexts))  # one parameter vector per step context
+    def counted(record, dataset, starts, length):
+        contexts = original(record, dataset, starts, length)
+        made.append(len(contexts))  # one kept step state per context
+        # Each state keeps no more floats than a parameter vector plus a copy
+        # of the step's rows (inputs and labels), which the walk kept before.
+        P = record.final_params.size
+        for ctx in contexts:
+            state = ctx.state
+            kept = [*state.hidden, *state.matrices, state.delta, state.soft]
+            rows = dataset.features[ctx.batch].size + dataset.labels[ctx.batch].size
+            assert sum(a.size for a in kept if a is not None) <= P + rows
         return contexts
 
     train, test, rec = _adjoint_probe(momentum=0.9, **config)
@@ -393,10 +406,13 @@ def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
     ("velocities", 20),
 ])
 def test_perturbed_snapshot_or_velocity_fails_its_interval_rerun(field, step):
-    # Forward mode walks the same intervals, so it names the same step.
+    # Forward mode walks the same intervals, so it names the same step, and
+    # so does approx, which reads each re-run step before the re-run's checks
+    # and walks its own groups last first.
     train, test, rec = _adjoint_probe(5, 0.9)
     runs = [
         lambda: dt.contribution_exact(rec, train, [1], test),
+        lambda: dt.contribution_approx(rec, train, [1], test),
         lambda: dt.track_exact(rec, train, [1]),
         lambda: dt.track_approx(rec, train, [1]),
         lambda: dt.error_trace(rec, train, [1]),
@@ -469,47 +485,50 @@ GROUPING_PROBES = {
 
 # C(17), C(3), then C(i, j) in key order over two test samples, as float.hex,
 # with each row of the adjoint's state contracted on its own, so C(17) and
-# C(3) are the bits of the run without ``per_test``.
+# C(3) are the bits of the run without ``per_test``. Recorded when each C(i)
+# term became a directional derivative read from the re-run and approx a
+# forward walk on closed-form step weights (within 2.8e-14 relative of the
+# values before).
 ADJOINT_PINS = {
     ("stride7", "exact"): (
-        "0x1.561e154df15bap-7", "-0x1.69cc6e6695d83p-7", "-0x1.48600dc1d526fp-6",
-        "-0x1.0b63052605885p-9", "-0x1.0d9d6a4840bebp-7", "0x1.dcecca7211bb0p-6",
+        "0x1.561e154df15bap-7", "-0x1.69cc6e6695d85p-7", "-0x1.48600dc1d5273p-6",
+        "-0x1.0b63052605880p-9", "-0x1.0d9d6a4840beap-7", "0x1.dcecca7211bb0p-6",
     ),
     ("stride7", "approx"): (
-        "0x1.564da34d96c9ep-7", "0x1.531078a45cdcap-6", "0x1.28572aad215a4p-4",
-        "-0x1.fb3bb96bcbafdp-6", "-0x1.3c018d0c2ddf5p-5", "0x1.e7285eb2f9443p-5",
+        "0x1.564da34d96c9fp-7", "0x1.531078a45cdcap-6", "0x1.28572aad215a5p-4",
+        "-0x1.fb3bb96bcbafep-6", "-0x1.3c018d0c2ddf6p-5", "0x1.e7285eb2f9448p-5",
     ),
     ("short_batch", "exact"): (
-        "0x1.9d50037a1f72dp-8", "-0x1.363789768f50dp-7", "-0x1.2d0fbf3203236p-6",
-        "-0x1.24f9489185b4ap-11", "-0x1.aa873b7d4060ep-8", "0x1.3949d09c5fd1ap-6",
+        "0x1.9d50037a1f72dp-8", "-0x1.363789768f50dp-7", "-0x1.2d0fbf3203235p-6",
+        "-0x1.24f9489185b56p-11", "-0x1.aa873b7d4060ep-8", "0x1.3949d09c5fd1ap-6",
     ),
     ("short_batch", "approx"): (
-        "0x1.3adc21c0620b3p-8", "0x1.38212a79eb53dp-6", "0x1.fbb36d052bf40p-5",
-        "-0x1.8724851681407p-6", "-0x1.ff6dfa476a412p-6", "0x1.4e6e0593cda36p-5",
+        "0x1.3adc21c0620b6p-8", "0x1.38212a79eb53ep-6", "0x1.fbb36d052bf42p-5",
+        "-0x1.8724851681408p-6", "-0x1.ff6dfa476a415p-6", "0x1.4e6e0593cda38p-5",
     ),
     ("full_batch", "exact"): (
-        "0x1.3bfc733f4609fp-8", "-0x1.918d2b25c3ed4p-7", "-0x1.84d4824ba7544p-6",
-        "-0x1.97151b4393177p-11", "-0x1.5feabb3c28d38p-7", "0x1.4df3973db76ecp-6",
+        "0x1.3bfc733f4609ep-8", "-0x1.918d2b25c3ed4p-7", "-0x1.84d4824ba7546p-6",
+        "-0x1.97151b4393178p-11", "-0x1.5feabb3c28d38p-7", "0x1.4df3973db76ecp-6",
     ),
     ("full_batch", "approx"): (
-        "0x1.b70a3e6b386e5p-9", "0x1.da78120bf4380p-6", "0x1.5573ce4fb2ee2p-4",
-        "-0x1.a0df1526e3485p-6", "-0x1.7e310b4ffe073p-5", "0x1.b512531d65150p-5",
+        "0x1.b70a3e6b386e6p-9", "0x1.da78120bf4388p-6", "0x1.5573ce4fb2ee6p-4",
+        "-0x1.a0df1526e3486p-6", "-0x1.7e310b4ffe076p-5", "0x1.b512531d65155p-5",
     ),
     ("plateau", "exact"): (
-        "0x1.9f28fa100674ep-7", "-0x1.43aa4c2629ddcp-8", "-0x1.abc4758329066p-14",
-        "-0x1.4052c33b238b8p-7", "-0x1.e8c0a74589545p-7", "0x1.49c4a6d9658f7p-5",
+        "0x1.9f28fa100674ep-7", "-0x1.43aa4c2629ddap-8", "-0x1.abc4758329133p-14",
+        "-0x1.4052c33b238b6p-7", "-0x1.e8c0a74589545p-7", "0x1.49c4a6d9658f6p-5",
     ),
     ("plateau", "approx"): (
-        "0x1.f446e98467538p-7", "-0x1.949746addb70dp-13", "0x1.6159fd97b16abp-5",
-        "-0x1.64832c250d218p-5", "-0x1.e5a3b2bda19b6p-6", "0x1.ecf54e2104776p-5",
+        "0x1.f446e9846753ap-7", "-0x1.949746addb7c6p-13", "0x1.6159fd97b16aap-5",
+        "-0x1.64832c250d21ap-5", "-0x1.e5a3b2bda19b6p-6", "0x1.ecf54e210477ap-5",
     ),
     ("exponential", "exact"): (
-        "0x1.a442fbf68dec8p-7", "-0x1.bea6903cc4e56p-8", "-0x1.34779b06e88e8p-7",
+        "0x1.a442fbf68decap-7", "-0x1.bea6903cc4e52p-8", "-0x1.34779b06e88e5p-7",
         "-0x1.145dea6bb8adfp-8", "-0x1.6f1af1a1f7fc2p-7", "0x1.2de83a63c4f53p-5",
     ),
     ("exponential", "approx"): (
-        "0x1.d961d12dac90bp-7", "0x1.661196d2ae28ep-7", "0x1.fb1949d49725dp-5",
-        "-0x1.48107e6b40119p-5", "-0x1.1a3d9636141a4p-5", "0x1.03773f6675316p-4",
+        "0x1.d961d12dac90bp-7", "0x1.661196d2ae290p-7", "0x1.fb1949d497263p-5",
+        "-0x1.48107e6b4011ap-5", "-0x1.1a3d9636141a7p-5", "0x1.03773f6675316p-4",
     ),
 }
 
@@ -593,7 +612,36 @@ def test_non_finite_adjoint_raises_divergence():
 
     train, _, rec = _adjoint_probe(0, 0.0)
     rows = np.full((1, rec.final_params.size), np.inf)
-    # (the exact mode's HVP raises NumericError on such input first)
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
-        _adjoint(rec, train, [0], rows, use_hessian=False)
+        _adjoint(rec, train, [0], rows)
     assert err.value.step == rec.steps
+
+
+def test_approx_groups_equal_pattern_intervals_that_are_not_adjacent(count_calls):
+    # Stride 3 on batches of 6, 6, 6, 2: the patterns of the 3-step intervals
+    # repeat every fourth interval, so no two adjacent intervals share one.
+    from datatrace import trainer as trainer_mod
+    from datatrace.hypergrad import _groups, _pattern_groups
+
+    train, test, rec = _adjoint_probe(6, 0.9, snapshot_stride=3, epochs=6)
+    T = rec.steps
+    assert T == 24 and sorted(rec.snapshots) == list(range(0, 25, 3))
+    # exact: every group is one interval, so every step is one model evaluation
+    assert [(len(starts), length) for starts, length in _groups(rec)] == [(1, 3)] * 8
+    # approx: intervals one pattern period (12 steps) apart pair up
+    assert _pattern_groups(rec) == [([0, 12], 3), ([3, 15], 3), ([6, 18], 3), ([9, 21], 3)]
+
+    calls = count_calls((trainer_mod, "_step"))
+    reverse = dt.contribution_approx(rec, train, range(len(train)), test, per_test=True)
+    assert calls["_step"] == T // 2
+    calls["_step"] = 0
+    dt.contribution_exact(rec, train, [0], test)
+    assert calls["_step"] == T
+
+    forward = dt.contribution(rec, dt.track_approx(rec, train, range(len(train))), test,
+                              per_test=True)
+    for got, want in ((reverse.values, forward.values),
+                      (reverse.pair_values, forward.pair_values)):
+        assert list(got) == list(want)
+        assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
+

@@ -496,6 +496,35 @@ def test_loss_and_gradient_row_sets_are_bit_equal_to_each_set_alone(case, K):
             models.loss_and_gradient(spec, bad_stack, (X[sets], Y[sets]), bad_W)
 
 
+@pytest.mark.parametrize("activation", models.ACTIVATIONS)
+@pytest.mark.parametrize("loss", models.LOSSES)
+@pytest.mark.parametrize("kind, widths", [("mlp", (4, 6, 5, 3)), ("logistic_regression", (4, 3))])
+def test_a_kept_state_gives_the_hvp_bits_of_its_raw_rows(kind, widths, loss, activation):
+    # A walk keeps of each step's paired linearization only what its rows
+    # cannot give back; from that and the rows' inputs each HVP runs the
+    # R-operator alone, with the bits of the raw rows at the step's parameters.
+    _, params, (X, Y) = _probe(kind, widths, loss, 9, 5)
+    spec = dt.ModelSpec(kind, widths, activation, loss)
+    rng = np.random.default_rng(1)
+    K, b = 3, 4
+    stack = params + 0.1 * rng.standard_normal((K, params.size))
+    sets = rng.integers(len(X), size=(K, b))
+    W = np.full((K, b), 1.0 / b)
+    lin, g = models.linearized_gradient(spec, stack, (X[sets], Y[sets]), W)
+    assert np.array_equal(g, models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)[1])
+    kept = models.keep(lin)
+    V = rng.standard_normal((2, params.size))
+    hit = np.array([True, False, True, True])
+    for r in range(K):
+        state, rows = kept.row(r), (X[sets[r]], Y[sets[r]])
+        want = dt.hessian_vector_product(spec, stack[r], rows, W[r], V)
+        assert state.hvp(X[sets[r]], W[r], V).tobytes() == want.tobytes()
+        G = dt.per_sample_gradients(spec, stack[r], rows)[hit]
+        assert np.allclose(state.sample_gradients(X[sets[r]][hit], hit), G, rtol=1e-12, atol=1e-14)
+        dots = state.gradient_dots(X[sets[r]][hit], hit, V)
+        assert np.allclose(dots, V @ G.T, rtol=1e-12, atol=1e-14)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_hvp_cases())
 def test_a_linearization_gives_the_bits_of_its_rows(case):

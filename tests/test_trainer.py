@@ -533,15 +533,25 @@ def test_lockstep_rerun_matches_the_run_step_for_step():
         assert np.array_equal(rec.velocities[step], prefix(step).velocities[step])
     contexts = trainer.rerun(rec, ds, [4, 8, 12], 4)
     assert [ctx.step for ctx in contexts] == list(range(5, 17))
+    v = np.random.default_rng(0).standard_normal((2, rec.final_params.size))
     for ctx in contexts:
         t = ctx.step
         assert ctx.lr == rec.lrs[t - 1]
         assert np.array_equal(ctx.batch, rec.batches[t - 1])
-        assert np.array_equal(ctx.params, prefix(t - 1).final_params)
-        with pytest.raises(ValueError):
-            ctx.params[0] = 1.0  # read-only
-        want = (ds.features[ctx.batch], ds.labels[ctx.batch])
-        assert all(np.array_equal(a, b) for a, b in zip(ctx.rows, want))
+        # the kept state is the linearization of the batch at the run's w_{t-1}
+        w = prefix(t - 1).final_params
+        rows = (ds.features[ctx.batch], ds.labels[ctx.batch])
+        lin = models.linearize(spec, w, rows)
+        assert np.array_equal(ctx.state.hidden[0], lin.inputs[1])
+        assert np.array_equal(ctx.state.matrices[0], lin.matrices[1])
+        assert np.array_equal(ctx.state.delta, lin.deltas[-1])
+        assert np.array_equal(ctx.state.soft, lin.soft)
+        weights = np.full(len(ctx.batch), 1.0 / len(ctx.batch))
+        want = dt.hessian_vector_product(spec, w, rows, weights, v)
+        assert ctx.batch_hvp(v).tobytes() == want.tobytes()
+        assert np.allclose(ctx.sample_gradients([1, 0]),
+                           dt.per_sample_gradients(spec, w, (rows[0][[1, 0]], rows[1][[1, 0]])),
+                           rtol=1e-12, atol=1e-15)
     with pytest.raises(dt.ShapeError, match="init"):
         dt.train(spec, ds, cfg, init=np.zeros(3))
 
@@ -572,14 +582,33 @@ def test_each_training_step_evaluates_the_model_once(monkeypatch):
     hit_steps = sum(bool(np.isin(indices, batch).any()) for batch in rec.batches)
     assert sorted(rec.snapshots) == [0, 4, 8, 12] and hit_steps == 7
     # The three 4-step intervals between snapshots re-run as one lockstep
-    # group, one forward per step for all three; each walk adds one per HVP
-    # and one per step whose batch holds an index, and the backward pass
-    # one for g_test.
-    for run, forward in (
-        (lambda: dt.contribution_exact(rec, train_ds, indices, test_ds), 4 + T + hit_steps + 1),
-        (lambda: dt.track_exact(rec, train_ds, indices), 4 + T + hit_steps),
-        (lambda: dt.track_approx(rec, train_ds, indices), 4 + hit_steps),
+    # group, one forward per step for all three, and the contributions add
+    # one for g_test. Each HVP (one per step) and each read of the
+    # gradients of the indices in a step's batch (one per such step) comes
+    # from that step's linearization, with no forward of its own. approx
+    # re-runs its own groups (here 4 + 4 steps) and reads the hits of all
+    # rows of a lockstep step at once.
+    from datatrace.hypergrad import _pattern_groups
+
+    kernels = ("_hvp_exact", "_sample_gradients", "gradient_dots")
+    for name in kernels:
+        monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
+    groups = _pattern_groups(rec)
+    assert groups == [([0, 4], 4), ([8], 4)]
+    lockstep_hits = sum(
+        bool(np.isin(indices, np.concatenate([rec.batches[s + j] for s in starts])).any())
+        for starts, length in groups
+        for j in range(length)
+    )
+    for run, counts in (
+        (lambda: dt.contribution_exact(rec, train_ds, indices, test_ds), (4 + 1, T, 0, hit_steps)),
+        (lambda: dt.contribution_approx(rec, train_ds, indices, test_ds),
+         (8 + 1, 0, 0, lockstep_hits)),
+        (lambda: dt.track_exact(rec, train_ds, indices), (4, T, hit_steps, 0)),
+        (lambda: dt.track_approx(rec, train_ds, indices), (4, 0, hit_steps, 0)),
     ):
-        calls.update(forward=0)
+        calls.update(dict.fromkeys(("forward", *kernels), 0))
         run()
-        assert calls == {"subset": 0, "forward": forward, "sample_losses": 0}
+        forward, *reads = counts
+        assert calls == {"subset": 0, "forward": forward, "sample_losses": 0,
+                         **dict(zip(kernels, reads))}
