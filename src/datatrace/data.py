@@ -71,10 +71,12 @@ class LabeledDataset:
 def training_indices(indices, n_train):
     """The distinct training indices in first-seen order, as an int64 array.
 
-    Raises ConfigError for an index that is negative, >= n_train or
-    fractional.
+    Raises ConfigError for an index that is negative, >= n_train,
+    fractional or a boolean (a mask is not a list of indices).
     """
     indices = list(indices)
+    if any(isinstance(i, (bool, np.bool_)) for i in indices):
+        raise ConfigError("training index given as a boolean; pass indices, not a mask")
     index = np.asarray(indices, dtype=np.int64)
     # The cast truncates a fractional index, so compare with the originals too.
     if np.any((index < 0) | (index >= n_train) | (index != indices)):

@@ -13,9 +13,11 @@ per step, which is the only evaluation of the model a walked step makes.
   its state and C(i) is one linear functional of it, so one backward
   (adjoint) pass over ``_walk`` gives C(i) for every requested sample with
   one HVP per step, whatever their number. Its re-run groups keep at most
-  4 * ceil(sqrt(T)) steps' states: the hidden outputs, output delta,
-  softmax and W_1 .. W_{L-1} of a step, never its parameters or rows. Each
-  HVP and each C(i) term (a directional derivative) reads the kept state.
+  4 * ceil(sqrt(T)) steps' states: the batch weights, hidden outputs,
+  output delta, softmax and W_1 .. W_{L-1} of a step (``models.keep``),
+  never its parameters or rows. Each HVP is of the loss under the weights
+  the step trained with (1/b + n * eps_i / b), and it and each C(i) term (a
+  directional derivative) read the kept state.
 - Approx (``contribution_approx``): forward and closed-form, with no
   backward walk. Without the Hessian the adjoint stays a scalar multiple of
   the test rows, so C(i) is a sum over the steps whose batch holds i of a
@@ -56,8 +58,9 @@ class ApproxErrorTrace:
     """Exact-vs-approx error norms alongside the analytic bound.
 
     bound_t = L * M_w * lr_1 / (lr_t * weight_decay), with L estimated by
-    power iteration on the final empirical-risk Hessian and M_w the measured
-    running max of ||nabla_t|| over the exact run.
+    power iteration on the final Hessian of the run's empirical risk (sample
+    weights 1/n + eps_i) and M_w the measured running max of ||nabla_t||
+    over the exact run.
     """
 
     sample_index: int
@@ -81,7 +84,7 @@ class _Tracker:
     def __init__(self, record, tracked, use_hessian):
         self.record = record
         self.use_hessian = use_hessian
-        self.index = data.training_indices(tracked, record.n_train)
+        self.index = _training_index(record, tracked)
         self.position = _positions(self.index, record.n_train)
         P = record.final_params.size
         self.nabla = np.zeros((self.index.size, P))
@@ -181,12 +184,11 @@ def error_trace(record, dataset, indices, record_stride=1):
             # The 1-D norm of each row: norm(axis=1) differs from it in the last ulp.
             errors.append([float(np.linalg.norm(d)) for d in exact.nabla - approx.nabla])
 
-    n = record.n_train
     w_T = record.final_params
-    uniform = np.full(n, 1.0 / n)
+    weights = 1.0 / record.n_train + record.data_weights  # the run's, as the plateau monitor's
     lin = models.linearize(record.model, w_T, dataset)
     L = models.power_iteration_max_eig(
-        lambda v: models.hessian_vector_product(record.model, w_T, lin, uniform, v),
+        lambda v: models.hessian_vector_product(record.model, w_T, lin, weights, v),
         dim=w_T.size,
         seed=record.config.seed,
     )
@@ -231,7 +233,7 @@ def _groups(record):
     equal sizes step for step, with
         G = max(1, min(ceil(sqrt(T)), floor(4 * ceil(sqrt(T)) / L))).
     The re-run of a group keeps G * L <= 4 * ceil(sqrt(T)) steps' states
-    (``_checkpoints`` bounds L by that; see ``models.KeptState``), as many
+    (``_checkpoints`` bounds L by that; see ``trainer.rerun``), as many
     as ceil(sqrt(T)) checkpoints plus one ceil(sqrt(T))-step segment would
     hold, so memory stays O(sqrt(T)) states, while a full-batch record
     (L = 1) re-runs in ceil(sqrt(T)) groups. Larger groups cut little more
@@ -389,15 +391,15 @@ def _approx(record, dataset, indices, rows):
     """
     index = _training_index(record, indices)
     position = _positions(index, record.n_train)
-    weights = _step_weights(record)
+    step_weights = _step_weights(record)
     rows = np.array(rows, dtype=np.float64, ndmin=2)
     acc = np.zeros((rows.shape[0], index.size))
 
-    def visit(steps, batch, lin):
+    def visit(steps, batch, weights, lin):
         rank = position[batch]
         hit = rank >= 0
         if hit.any():
-            c = np.broadcast_to(weights[steps - 1, None], hit.shape)[hit]
+            c = np.broadcast_to(step_weights[steps - 1, None], hit.shape)[hit]
             np.add.at(acc, (slice(None), rank[hit]), c * models.gradient_dots(lin, rows, hit))
 
     for starts, length in reversed(_pattern_groups(record)):

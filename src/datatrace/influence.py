@@ -135,7 +135,7 @@ def _neumann(model, params, dataset, V, shift, scale, config):
     The repeats x r iterates advance in lockstep, one paired HVP per step:
     each repeat draws its own sample per step from ``Generator([seed, rep])``
     and applies that sample's Hessian to its r iterates. The draws are made
-    up front and their distinct samples linearized once; each step gathers
+    up front and their distinct samples linearized once; each step takes
     its samples' sets from that linearization.
     """
     n = len(dataset)
@@ -149,7 +149,7 @@ def _neumann(model, params, dataset, V, shift, scale, config):
     vnorm = np.maximum(np.linalg.norm(V, axis=1), 1.0)
     R = V.copy()
     for step in sets.reshape(draws.shape):
-        hr = _shifted(model, params, lin.gather(np.repeat(step, r)), ones, shift)(R)
+        hr = _shifted(model, params, lin.take(np.repeat(step, r)), ones, shift)(R)
         R = V + R - hr / scale
         if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
             raise ScalingError(

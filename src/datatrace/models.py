@@ -14,12 +14,13 @@ gradient and the per-sample gradients pack its deltas against the layers'
 inputs. It is also the vector-independent half of the R-operator:
 ``hessian_vector_product`` runs only the R-forward and R-backward along each
 vector on it, so a linearization built once serves every vector, with the
-bits of the rows themselves. What a trajectory walk keeps of a training
-step's linearization (``keep``) is only what the batch's rows cannot give
-back; a ``KeptState`` with those rows gives the step's HVPs (with the bits
-of the rows themselves), per-sample gradients and gradient dot products
-(``gradient_dots``: each C(i) term as a directional derivative, with no
-gradient matrix) without evaluating the model again.
+bits of the rows themselves. A trajectory walk keeps of each training
+step's linearization (``keep``) only what the batch's rows cannot give back,
+still as a ``Linearization``; ``restore`` rebuilds the rest from the rows'
+inputs, so the step's HVPs (with the bits of the rows themselves), per-sample
+gradients and gradient dot products (``gradient_dots``: each C(i) term as a
+directional derivative, with no gradient matrix) need no second evaluation
+of the model.
 
 Rows are shared ``(X (n, ...), Y)`` rows, flattened past the first axis, or
 K row sets ``(X (K, b, in), Y (K, b, ...))`` where an entry point pairs sets
@@ -357,9 +358,9 @@ class Linearization:
     is the softmax for cross-entropy, None for squared error. The losses,
     gradients and per-sample gradients are read off it, and
     ``hessian_vector_product`` takes it in place of its rows and runs only
-    the R-forward and R-backward along each vector. One given back from a
-    ``KeptState`` has no parameters or losses, and None for each weight
-    matrix and delta that its reader does not need.
+    the R-forward and R-backward along each vector. One from ``keep`` or
+    ``restore`` has no parameters or losses, and None for each array that
+    its reader does not need.
     """
 
     spec: ModelSpec
@@ -367,30 +368,36 @@ class Linearization:
     samples: tuple
     losses: np.ndarray | None
     inputs: list
-    act_grads: list
+    act_grads: list | None
     deltas: list
     soft: np.ndarray | None
     matrices: list
 
-    def gather(self, sets):
-        """The linearization of the listed row sets, in that order (repeats allowed)."""
-        sets = np.asarray(sets, dtype=np.int64)
-        if len(self.samples) != 2 or sets.ndim != 1:
-            raise ShapeError("gather takes a list of row sets of a paired linearization")
+    def take(self, sets):
+        """The linearization of the listed row sets of a paired one, in that order (repeats
+        allowed), or of the one set ``sets`` (an int) as views.
 
-        def take(a):
-            return None if a is None else a.take(sets, axis=0)
+        The parameters and weight matrices go with the sets when the matrices
+        have the set axis (a stack paired with the sets) and are shared otherwise.
+        """
+        one = isinstance(sets, (int, np.integer))
+        sets = sets if one else np.asarray(sets, dtype=np.int64)
+        if len(self.samples) != 2 or not one and sets.ndim != 1:
+            raise ShapeError("take picks row sets of a paired linearization")
 
+        def pick(a):
+            return a if a is None else a[sets] if one else a.take(sets, axis=0)
+
+        def picks(arrays):
+            return None if arrays is None else [pick(a) for a in arrays]
+
+        params, matrices = self.params, self.matrices
+        if matrices[-1] is not None and matrices[-1].ndim == 3:
+            params, matrices = pick(params), picks(matrices)
+        samples = self.samples[1:] if one else (len(sets), self.samples[1])
         return Linearization(
-            self.spec,
-            self.params,
-            (len(sets), self.samples[1]),
-            take(self.losses),
-            [take(a) for a in self.inputs],
-            [take(a) for a in self.act_grads],
-            [take(a) for a in self.deltas],
-            take(self.soft),
-            self.matrices,
+            self.spec, params, samples, pick(self.losses), picks(self.inputs),
+            picks(self.act_grads), picks(self.deltas), pick(self.soft), matrices,
         )
 
 
@@ -417,10 +424,17 @@ def _linearize(spec, flat, X, Y):
     losses, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
     Ws, _ = _unpack(spec, flat)
     act_grads = [_act_grad(spec, z) for z in Zs[:-1]]
-    deltas = [None] * (spec.n_layers - 1) + [delta]
-    for l in reversed(range(1, spec.n_layers)):
-        deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
+    deltas = _deltas(Ws, act_grads, delta, 0)
     return Linearization(spec, flat, X.shape[:-1], losses, As, act_grads, deltas, soft, Ws)
+
+
+def _deltas(Ws, act_grads, delta, last):
+    """The loss gradient w.r.t. each layer's output, from the output delta down to layer
+    ``last``; None below it."""
+    deltas = [None] * len(act_grads) + [delta]
+    for l in reversed(range(last + 1, len(deltas))):
+        deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
+    return deltas
 
 
 def _hvp_exact(lin, weights, V):
@@ -485,85 +499,41 @@ def gradient_dots(lin, V, hit=None):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class KeptState:
-    """What a trajectory walk keeps of one training step's linearization (``keep``).
-
-    Only what the batch's rows cannot give back: the hidden layers' outputs
-    ``hidden`` (A_1 .. A_{L-1}), their weight matrices ``matrices`` (W_1 ..
-    W_{L-1}, copies, so the parameter vector is not kept), the output delta
-    and the softmax for cross-entropy (None for squared error). Each array
-    has the leading axis of a paired linearization's row sets until ``row``
-    picks one. With the inputs of its rows it gives back the linearization
-    it was kept from (``_restore``): an activation derivative from the
-    layer's output (ReLU: a(z) > 0 exactly where z > 0; identity: ones) and
-    the hidden deltas from the output delta, layer 0's only for the rows a
-    per-sample read picks, since the R-operator never reads it.
-    """
-
-    spec: ModelSpec
-    hidden: tuple
-    matrices: tuple
-    delta: np.ndarray
-    soft: np.ndarray | None
-
-    def row(self, r):
-        """The state of paired row set r alone (views)."""
-        return KeptState(
-            self.spec,
-            tuple(A[r] for A in self.hidden),
-            tuple(W[r] for W in self.matrices),
-            self.delta[r],
-            None if self.soft is None else self.soft[r],
-        )
-
-    def hvp(self, X, weights, V):
-        """R-operator products H V (k, P) on the state's rows, whose inputs are X; weights (b,).
-
-        Only the R-forward and R-backward run, with the bits of
-        ``hessian_vector_product`` on the raw rows at the step's parameters.
-        """
-        return _hvp_exact(_restore(self, X), weights, V)
-
-    def gradient_dots(self, X, hit, V):
-        """``gradient_dots`` of the rows ``hit`` picks, whose inputs are X."""
-        return gradient_dots(_restore(self, X, hit), V)
-
-    def sample_gradients(self, X, hit):
-        """(h, P) per-sample gradients of the rows ``hit`` picks, whose inputs are X."""
-        return _sample_gradients(_restore(self, X, hit))
-
-
 def keep(lin):
-    """The ``KeptState`` of a linearization: it references the hidden outputs, output delta
-    and softmax, and copies W_1 .. W_{L-1} so that the parameters can be released."""
-    return KeptState(
-        lin.spec, tuple(lin.inputs[1:]), tuple(W.copy() for W in lin.matrices[1:]),
-        lin.deltas[-1], lin.soft,
+    """What a trajectory walk keeps of a linearization: only what its rows cannot give back.
+
+    That is the hidden layers' outputs (``inputs[1:]``), copies of their
+    weight matrices W_1 .. W_{L-1} (so the parameters can be released), the
+    output delta and the softmax; every other field is None. ``restore``
+    gives back the linearization with the inputs of its rows.
+    """
+    deltas = [None] * (lin.spec.n_layers - 1) + [lin.deltas[-1]]
+    matrices = [None, *(W.copy() for W in lin.matrices[1:])]
+    return Linearization(
+        lin.spec, None, lin.samples, None, [None, *lin.inputs[1:]], None, deltas, lin.soft, matrices
     )
 
 
-def _restore(state, X, hit=None):
-    """The linearization a ``KeptState`` was kept from, on its rows' inputs X.
+def restore(kept, X, hit=None):
+    """The linearization that ``keep`` kept, on its rows' inputs X.
 
-    With ``hit`` (a mask or index over the state's rows; X then holds those
-    rows' inputs only) it covers those rows, with every layer's delta;
+    An activation derivative comes from the layer's output (ReLU: a(z) > 0
+    exactly where z > 0; identity: ones), the hidden deltas from the output
+    delta. With ``hit`` (a mask or index over the kept rows; X then holds
+    those rows' inputs only) it covers those rows, with every layer's delta;
     without, every row, without layer 0's delta, which the R-operator does
     not read.
     """
-    spec = state.spec
-    hidden, delta, soft = state.hidden, state.delta, state.soft
+    spec = kept.spec
+    hidden, delta, soft = kept.inputs[1:], kept.deltas[-1], kept.soft
     if hit is not None:
         hidden = [A[hit] for A in hidden]
         delta = delta[hit]
         soft = None if soft is None else soft[hit]
-    Ws = [None, *state.matrices]
     act_grads = [_act_grad(spec, A) for A in hidden]
-    deltas = [None] * (spec.n_layers - 1) + [delta]
-    for l in reversed(range(1 if hit is not None else 2, spec.n_layers)):
-        deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
+    deltas = _deltas(kept.matrices, act_grads, delta, 0 if hit is not None else 1)
     return Linearization(
-        spec, None, X.shape[:-1], None, [X, *hidden], act_grads, deltas, soft, Ws
+        spec, None, X.shape[:-1], None, [X, *hidden], act_grads, deltas, soft, kept.matrices
     )
 
 
@@ -584,6 +554,8 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     flat = as_flat(params)
     lin = dataset if isinstance(dataset, Linearization) else None
     if lin is not None:
+        if lin.params is None:
+            raise ShapeError("linearization without parameters (from keep or restore)")
         if lin.spec != spec or lin.params.tobytes() != flat.tobytes():
             raise ShapeError("linearization built for another model or at other parameters")
         samples = lin.samples

@@ -210,33 +210,38 @@ class TrajectoryRecord:
 
 
 class StepContext:
-    """One re-run training step (see ``rerun``): its step, rate and batch.
+    """One re-run training step (see ``rerun``): its step, rate, batch and batch weights.
 
     It gives the per-sample gradients, their dot products with vectors and
-    the batch HVPs at the step's pre-update parameters, read from what the
-    re-run kept of the step's linearization (``models.KeptState``) and the
-    batch's rows of ``features``; none of them evaluates the model again.
+    the HVPs of the step's weighted batch loss at its pre-update parameters,
+    from what the re-run kept of the step's linearization (``models.keep``)
+    and the batch's rows of ``features`` (``models.restore``); none of them
+    evaluates the model again.
     """
 
-    def __init__(self, step, lr, batch, state, features):
+    def __init__(self, step, lr, batch, weights, kept, features):
         self.step = step
         self.lr = lr
         self.batch = batch
-        self.state = state
+        self.weights = weights
+        self.kept = kept
         self.features = features
+
+    def _restore(self, hit=None):
+        rows = self.batch if hit is None else self.batch[hit]
+        return models.restore(self.kept, self.features[rows], hit)
 
     def sample_gradients(self, hit):
         """(h, P) gradients of the batch members that the mask or index ``hit`` picks."""
-        return self.state.sample_gradients(self.features[self.batch[hit]], hit)
+        return models._sample_gradients(self._restore(hit))
 
     def gradient_dots(self, hit, V):
         """(k, h): each row of V (k, P) dotted with the gradient of each member ``hit`` picks."""
-        return self.state.gradient_dots(self.features[self.batch[hit]], hit, V)
+        return models.gradient_dots(self._restore(hit), V)
 
     def batch_hvp(self, V):
-        """H^er of the regularizer-free batch-mean loss times V (k, P)."""
-        b = len(self.batch)
-        return self.state.hvp(self.features[self.batch], np.full(b, 1.0 / b), V)
+        """H^er of the regularizer-free batch loss, under the step's weights, times V (k, P)."""
+        return models._hvp_exact(self._restore(), self.weights, V)
 
 
 def _recorded_loss(weights, batch_losses, w, lam):
@@ -259,7 +264,7 @@ def _first(values, flags):
 
 
 def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
-    """One (momentum) gradient step; returns ``(w, velocity, loss, limit, lin)`` after it.
+    """One (momentum) gradient step; returns ``(w, velocity, loss, limit, weights, lin)`` after it.
 
     ``w`` and ``velocity`` hold one run's vectors or an (R, P) stack. A stack
     either runs R rows of data weights ``eps`` (R, n) on one shared batch, or
@@ -270,7 +275,8 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
     ``limit`` is the largest |loss| that does not diverge (None: set from this
     step's loss). Raises ConfigError when lr * weight_decay leaves (0, 1) and
     DivergenceError past the limit, naming the first such row's step.
-    ``lin`` is the step's linearization at the pre-update parameters.
+    ``weights`` are the batch members' weights and ``lin`` the step's
+    linearization at the pre-update parameters.
     """
     lam = config.weight_decay
     rate = lr * lam
@@ -304,7 +310,7 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
 
     velocity = config.momentum * velocity + g
     w = w - lr * velocity
-    return w, velocity, loss, limit, lin
+    return w, velocity, loss, limit, weights, lin
 
 
 def train(model, dataset, config, data_weights=None, init=None, batches=None, lrs=None):
@@ -456,9 +462,10 @@ def lockstep(record, dataset, starts, length, visit):
     sizes step for step. Each step of all rows is one paired model
     evaluation (``_step``, as in ``train``), and every row diverges against
     the run's reference loss ``losses[0]``. As each step is made, with its
-    losses within the limit, ``visit(steps, batch, lin)`` receives the rows'
-    (G,) step numbers, their (G, b) batches and the paired linearization at
-    the pre-step parameters; nothing else of the step is kept.
+    losses within the limit, ``visit(steps, batch, weights, lin)`` receives
+    the rows' (G,) step numbers, their (G, b) batches, the (G, b) weights of
+    their members and the paired linearization at the pre-step parameters;
+    nothing else of the step is kept.
 
     Then every row must end bit-identical to the snapshot at s_r + length
     (rows checked last first), and every recomputed loss must equal the
@@ -477,13 +484,13 @@ def lockstep(record, dataset, starts, length, visit):
     for j in range(length):
         batch = np.stack([record.batches[t - 1] for t in steps[:, j]])
         try:
-            w, velocity, losses[:, j], _, lin = _step(
+            w, velocity, losses[:, j], _, weights, lin = _step(
                 record.model, dataset, record.data_weights, batch, w, velocity,
                 record.lrs[steps[:, j, None] - 1], steps[:, j], record.config, limit,
             )
         except DivergenceError as err:
             raise ReplayDivergenceError(err.step) from err
-        visit(steps[:, j], batch, lin)
+        visit(steps[:, j], batch, weights, lin)
         del lin  # before the next step builds its own
     for r in reversed(range(len(starts))):
         if not np.array_equal(w[r], record.snapshots[steps[r, -1]]):
@@ -492,23 +499,26 @@ def lockstep(record, dataset, starts, length, visit):
 
 
 def rerun(record, dataset, starts, length):
-    """``lockstep``, keeping each step's ``models.KeptState``; the context of every step, in step order.
+    """``lockstep``, keeping each step's weights and ``models.keep``; the context of every
+    step, in step order.
 
     Per row and step only what the batch's rows cannot give back is kept:
-    the hidden layers' outputs, the output delta, the softmax and W_1 ..
-    W_{L-1}, never the parameter vector or the rows themselves. The
-    contexts are returned only once every check of ``lockstep`` has passed.
+    the members' weights, the hidden layers' outputs, the output delta, the
+    softmax and W_1 .. W_{L-1}, never the parameter vector or the rows
+    themselves. The contexts are returned only once every check of
+    ``lockstep`` has passed.
     """
     kept = []
     lockstep(
         record, dataset, starts, length,
-        lambda steps, batch, lin: kept.append((steps, batch, models.keep(lin))),
+        lambda steps, batch, weights, lin: kept.append((steps, batch, weights, models.keep(lin))),
     )
     features = dataset.features
     return [
-        StepContext(int(steps[r]), float(record.lrs[steps[r] - 1]), batch[r], state.row(r), features)
+        StepContext(int(steps[r]), float(record.lrs[steps[r] - 1]), batch[r], weights[r],
+                    state.take(r), features)
         for r in range(len(starts))
-        for steps, batch, state in kept
+        for steps, batch, weights, state in kept
     ]
 
 

@@ -229,7 +229,7 @@ INDEX_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [-1, "n", 1.5])
+@pytest.mark.parametrize("bad", [-1, "n", 1.5, True, np.True_])
 @pytest.mark.parametrize("entry", list(INDEX_ENTRIES))
 def test_training_index_contract(entry, bad):
     spec = dt.ModelSpec("logistic_regression", (4, 2))

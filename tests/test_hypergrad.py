@@ -261,17 +261,32 @@ def test_tracking_rejects_a_dataset_other_than_the_trained_one(entry):
         track(rec, other, [0], *extra)
 
 
-def test_tracked_index_validated():
+def test_tracked_index_validated(monkeypatch):
+    from datatrace import trainer as trainer_mod
+
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     train, test = gaussian_pair(dim=4, per_class=5)
-    cfg = dt.TrainingConfig(epochs=3, batch_size=0, initial_lr=0.05, seed=0)
+    # (weight decay, so that error_trace reaches its index check)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=0, initial_lr=0.05, weight_decay=0.01, seed=0)
     rec = dt.train(spec, train, cfg)
     with pytest.raises(ConfigError):
         dt.track_exact(rec, train, [len(train)])
     with pytest.raises(ConfigError):
         dt.contribution_exact(rec, train, [len(train)], test)
-    with pytest.raises(ValueError, match="no training indices"):
-        dt.contribution_approx(rec, train, [], test)
+    # an empty list is refused before any re-run, by every entry that walks
+    def no_rerun(*args):
+        raise AssertionError("re-run before the index check")
+
+    monkeypatch.setattr(trainer_mod, "lockstep", no_rerun)
+    for walk in (
+        lambda: dt.contribution_approx(rec, train, [], test),
+        lambda: dt.contribution_exact(rec, train, [], test),
+        lambda: dt.track_exact(rec, train, []),
+        lambda: dt.track_approx(rec, train, []),
+        lambda: dt.error_trace(rec, train, []),
+    ):
+        with pytest.raises(ValueError, match="no training indices"):
+            walk()
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +353,37 @@ def test_adjoint_keeps_the_runs_divergence_reference():
             assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
 
 
+def test_exact_walk_on_a_weighted_record_matches_the_oracle():
+    # A record trained with data weights eps: each step's Hessian term is of
+    # the loss under its members' weights 1/b + n * eps_i / b, as trained.
+    # With the uniform 1/b instead, C(i) here is 27-53 % off the oracle.
+    train = dt.synth_gaussian(2, 15, 3, 1.5, 1)
+    test = dt.synth_gaussian(2, 5, 3, 1.5, 2)
+    spec = dt.ModelSpec("mlp", (3, 6, 2), "identity")
+    cfg = dt.TrainingConfig(epochs=20, batch_size=0, initial_lr=0.1, weight_decay=0.01,
+                            momentum=0.5)
+    eps = np.random.default_rng(0).uniform(-1 / 30, 1 / 30, 30) * 0.9
+    rec = dt.train(spec, train, cfg, data_weights=eps)
+    indices = [0, 5, 9]
+    oracle = dt.oracle_results_to_report(
+        [dt.finite_difference_hypergradient(spec, train, cfg, i, test, delta=1e-5, nominal=rec)
+         for i in indices],
+        len(train),
+    ).values
+    reverse = dt.contribution_exact(rec, train, indices, test).values
+    forward = dt.contribution(rec, dt.track_exact(rec, train, indices), test).values
+    for i in indices:
+        assert reverse[i] == pytest.approx(oracle[i], rel=1e-6, abs=0.0)
+        assert forward[i] == pytest.approx(oracle[i], rel=1e-6, abs=0.0)
+    # the bound's power iteration weights H with the run's 1/n + eps_i too
+    weights = 1.0 / len(train) + eps
+    L = dt.power_iteration_max_eig(
+        lambda v: dt.hessian_vector_product(spec, rec.final_params, train, weights, v),
+        dim=rec.final_params.size, seed=cfg.seed,
+    )
+    assert dt.error_trace(rec, train, [0])[0].lipschitz_estimate == L
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_calls):
     from datatrace import models as models_mod
@@ -380,12 +426,14 @@ def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
     def counted(record, dataset, starts, length):
         contexts = original(record, dataset, starts, length)
         made.append(len(contexts))  # one kept step state per context
-        # Each state keeps no more floats than a parameter vector plus a copy
-        # of the step's rows (inputs and labels), which the walk kept before.
+        # Each state, with the step's batch weights, keeps no more floats than
+        # a parameter vector plus a copy of the step's rows (inputs and
+        # labels), which the walk kept before.
         P = record.final_params.size
         for ctx in contexts:
-            state = ctx.state
-            kept = [*state.hidden, *state.matrices, state.delta, state.soft]
+            state = ctx.kept
+            assert state.params is state.losses is state.act_grads is None
+            kept = [ctx.weights, *state.inputs, *state.matrices, *state.deltas, state.soft]
             rows = dataset.features[ctx.batch].size + dataset.labels[ctx.batch].size
             assert sum(a.size for a in kept if a is not None) <= P + rows
         return contexts

@@ -501,8 +501,9 @@ def test_loss_and_gradient_row_sets_are_bit_equal_to_each_set_alone(case, K):
 @pytest.mark.parametrize("kind, widths", [("mlp", (4, 6, 5, 3)), ("logistic_regression", (4, 3))])
 def test_a_kept_state_gives_the_hvp_bits_of_its_raw_rows(kind, widths, loss, activation):
     # A walk keeps of each step's paired linearization only what its rows
-    # cannot give back; from that and the rows' inputs each HVP runs the
-    # R-operator alone, with the bits of the raw rows at the step's parameters.
+    # cannot give back; restored from that and the rows' inputs, each HVP
+    # runs the R-operator alone, with the bits of the raw rows at the step's
+    # parameters under any weights.
     _, params, (X, Y) = _probe(kind, widths, loss, 9, 5)
     spec = dt.ModelSpec(kind, widths, activation, loss)
     rng = np.random.default_rng(1)
@@ -513,15 +514,19 @@ def test_a_kept_state_gives_the_hvp_bits_of_its_raw_rows(kind, widths, loss, act
     lin, g = models.linearized_gradient(spec, stack, (X[sets], Y[sets]), W)
     assert np.array_equal(g, models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)[1])
     kept = models.keep(lin)
+    assert kept.params is kept.losses is kept.act_grads is None
     V = rng.standard_normal((2, params.size))
+    W = rng.uniform(0.5, 1.5, (K, b)) / b
     hit = np.array([True, False, True, True])
     for r in range(K):
-        state, rows = kept.row(r), (X[sets[r]], Y[sets[r]])
+        state, rows = kept.take(r), (X[sets[r]], Y[sets[r]])
         want = dt.hessian_vector_product(spec, stack[r], rows, W[r], V)
-        assert state.hvp(X[sets[r]], W[r], V).tobytes() == want.tobytes()
+        got = models._hvp_exact(models.restore(state, X[sets[r]]), W[r], V)
+        assert got.tobytes() == want.tobytes()
         G = dt.per_sample_gradients(spec, stack[r], rows)[hit]
-        assert np.allclose(state.sample_gradients(X[sets[r]][hit], hit), G, rtol=1e-12, atol=1e-14)
-        dots = state.gradient_dots(X[sets[r]][hit], hit, V)
+        picked = models.restore(state, X[sets[r]][hit], hit)
+        assert np.allclose(models._sample_gradients(picked), G, rtol=1e-12, atol=1e-14)
+        dots = models.gradient_dots(picked, V)
         assert np.allclose(dots, V @ G.T, rtol=1e-12, atol=1e-14)
 
 
@@ -534,7 +539,7 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
     V = rng.standard_normal((k, params.size))
     sets = rng.integers(n, size=(k, b))
     picks = rng.integers(n, size=k)
-    picks[-1] = picks[0]  # a gather may repeat a set
+    picks[-1] = picks[0]  # a take may repeat a set
     shared = models.linearize(spec, params, (X, Y))
     paired = models.linearize(spec, params, (X[sets], Y[sets]))
     one_row_sets = models.linearize(spec, params, (X[:, None], Y[:, None]))
@@ -542,8 +547,9 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
         # (rows, their linearization, weights, vectors)
         ((X, Y), shared, rng.uniform(0.5, 1.5, n) / n, (V, V[0])),
         ((X[sets], Y[sets]), paired, rng.uniform(0.5, 1.5, (k, b)) / b, (V,)),
-        ((X[sets[1:2]], Y[sets[1:2]]), paired.gather([1]), rng.uniform(0.5, 1.5, (1, b)), (V[1],)),
-        ((X[picks][:, None], Y[picks][:, None]), one_row_sets.gather(picks), np.ones((k, 1)), (V,)),
+        ((X[sets[1:2]], Y[sets[1:2]]), paired.take([1]), rng.uniform(0.5, 1.5, (1, b)), (V[1],)),
+        ((X[sets[1]], Y[sets[1]]), paired.take(1), rng.uniform(0.5, 1.5, b) / b, (V[1], V)),
+        ((X[picks][:, None], Y[picks][:, None]), one_row_sets.take(picks), np.ones((k, 1)), (V,)),
     ]
     for rows, lin, weights, vectors in cases:
         for v in vectors:
@@ -563,8 +569,12 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
             dt.hessian_vector_product(call_spec, call_params, lin, weights, V[0])
     with pytest.raises(ShapeError, match="weights of shape"):
         dt.hessian_vector_product(spec, params, lin, weights[None], V[0])
-    with pytest.raises(ShapeError, match="gather"):
-        shared.gather([0])
+    with pytest.raises(ShapeError, match="take"):
+        shared.take([0])
+    # one from keep or restore has no parameters to check against
+    for bare in (models.keep(lin), models.restore(models.keep(lin), X)):
+        with pytest.raises(ShapeError, match="linearization"):
+            dt.hessian_vector_product(spec, params, bare, weights, V[0])
     with pytest.raises(ValueError, match="shared rows"):
         dt.hessian_vector_product(spec, params, lin, weights, V[0], mode="finite_difference")
     bad = V[0].copy()

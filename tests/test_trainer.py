@@ -542,11 +542,13 @@ def test_lockstep_rerun_matches_the_run_step_for_step():
         w = prefix(t - 1).final_params
         rows = (ds.features[ctx.batch], ds.labels[ctx.batch])
         lin = models.linearize(spec, w, rows)
-        assert np.array_equal(ctx.state.hidden[0], lin.inputs[1])
-        assert np.array_equal(ctx.state.matrices[0], lin.matrices[1])
-        assert np.array_equal(ctx.state.delta, lin.deltas[-1])
-        assert np.array_equal(ctx.state.soft, lin.soft)
+        assert np.array_equal(ctx.kept.inputs[1], lin.inputs[1])
+        assert np.array_equal(ctx.kept.matrices[1], lin.matrices[1])
+        assert np.array_equal(ctx.kept.deltas[-1], lin.deltas[-1])
+        assert np.array_equal(ctx.kept.soft, lin.soft)
+        # and the weights are those the step trained with (here eps = 0)
         weights = np.full(len(ctx.batch), 1.0 / len(ctx.batch))
+        assert ctx.weights.tobytes() == weights.tobytes()
         want = dt.hessian_vector_product(spec, w, rows, weights, v)
         assert ctx.batch_hvp(v).tobytes() == want.tobytes()
         assert np.allclose(ctx.sample_gradients([1, 0]),
