@@ -84,7 +84,7 @@ class _Tracker:
     def __init__(self, record, tracked, use_hessian):
         self.record = record
         self.use_hessian = use_hessian
-        self.index = _training_index(record, tracked)
+        self.index = data.training_indices(tracked, record.n_train, allow_empty=False)
         self.position = _positions(self.index, record.n_train)
         P = record.final_params.size
         self.nabla = np.zeros((self.index.size, P))
@@ -312,13 +312,6 @@ def _walk(record, dataset, backward=False):
         yield from order(trainer.rerun(record, dataset, starts, length))
 
 
-def _training_index(record, indices):
-    index = data.training_indices(indices, record.n_train)
-    if index.size == 0:
-        raise ValueError("no training indices given")
-    return index
-
-
 def _adjoint(record, dataset, indices, rows):
     """``rows @ nabla_{T,i}`` of the exact recurrence for each distinct index i, by one backward pass.
 
@@ -333,7 +326,7 @@ def _adjoint(record, dataset, indices, rows):
     The steps come from ``_walk``, last first; each beta~ @ g_i is a
     directional derivative and each HVP reads the step's kept state.
     """
-    index = _training_index(record, indices)
+    index = data.training_indices(indices, record.n_train, allow_empty=False)
     cfg = record.config
     n = record.n_train
     position = _positions(index, n)
@@ -389,7 +382,7 @@ def _approx(record, dataset, indices, rows):
     before the re-run's checks. A sample can sit in the batches of several
     rows of one step, so the terms add with ``np.add.at``.
     """
-    index = _training_index(record, indices)
+    index = data.training_indices(indices, record.n_train, allow_empty=False)
     position = _positions(index, record.n_train)
     step_weights = _step_weights(record)
     rows = np.array(rows, dtype=np.float64, ndmin=2)

@@ -208,15 +208,15 @@ def influence(model, final_params, train_dataset, test_dataset, train_indices,
     ``values[i]`` is C(i) = -IF_i / N, the first-order estimate of the
     test-loss change from removing the sample, comparable in scale and sign
     to trajectory contributions. With ``per_test`` the test-row gradients
-    join the same solve, and ``pair_values[(i, j)]`` = g_i^T s_j / N.
+    join the same solve, and ``pair_values[(i, j)]`` = g_i^T s_j / N. No
+    index at all raises ValueError before the solve.
     """
-    index = data.training_indices(train_indices, len(train_dataset))
+    index = data.training_indices(train_indices, len(train_dataset), allow_empty=False)
     rhs = models.test_gradients(model, final_params, test_dataset, per_test)
     S, _ = inverse_hvp(model, final_params, train_dataset, rhs, config, weight_decay)
     rows = (train_dataset.features[index], train_dataset.labels[index])
-    # per_sample_gradients needs at least one row. Row 0 of the derivatives is
-    # against g_test, row 1 + j against test row j.
-    G = models.per_sample_gradients(model, final_params, rows) if index.size else S[:0]
+    # Row 0 of the derivatives is against g_test, row 1 + j against test row j.
+    G = models.per_sample_gradients(model, final_params, rows)
     return reports.from_loss_derivatives(
         _METHOD_TAGS[config.method], index.tolist(), -models.row_dots(S, G), len(train_dataset)
     )

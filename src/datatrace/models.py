@@ -7,9 +7,10 @@ variant is kept for quantifying its truncation error. All operations are pure:
 nothing mutates its arguments.
 
 Every evaluation of the model on rows is one linearization (``linearize``):
-the label checks, the forward pass, the per-sample losses, the softmax, the
-activation derivatives and the loss gradient w.r.t. every layer's output
-(its delta). ``sample_losses`` returns its losses; the weighted batch
+the forward pass, the per-sample losses, the softmax, the activation
+derivatives and the loss gradient w.r.t. every layer's output (its delta),
+on rows whose labels ``_xy`` checked. ``sample_losses`` computes its losses
+alone (the forward pass and ``_losses_and_delta``); the weighted batch
 gradient and the per-sample gradients pack its deltas against the layers'
 inputs. It is also the vector-independent half of the R-operator:
 ``hessian_vector_product`` runs only the R-forward and R-backward along each
@@ -26,11 +27,17 @@ Rows are shared ``(X (n, ...), Y)`` rows, flattened past the first axis, or
 K row sets ``(X (K, b, in), Y (K, b, ...))`` where an entry point pairs sets
 with a stack (``_xy`` decides which).
 
-Reductions over the class axis (the softmax's max and sum, the squared
-error's sum, the R-operator's sum over classes) go through ``_class_reduce``.
-On many rows of at most 7 classes it folds over the class columns, one array
-operation per column, instead of numpy's reduce, whose inner loop runs once
-per row; the bits are numpy's either way.
+On many rows of at most 7 classes (``_by_columns``) numpy's inner loop runs
+once per row over a few classes, so there the kernel works per class column,
+one array operation per column, with numpy's bits either way:
+``_class_reduce`` for the reductions over the class axis (the softmax's max
+and sum, the squared error's sum, the R-operator's sum over classes),
+``_class_broadcast`` for the broadcasts of a row's value over its classes or
+a class's value over the rows (the softmax's shift and scale, the forward's
+bias, the weighted deltas), and ``_row_sum`` for the bias gradient's sum over
+rows, from two classes on (numpy sums one contiguous class column in 8
+lanes, not row after row, so one class keeps its sum). Each row's target
+logit is picked and its delta scattered by flat index, at every shape.
 """
 
 from __future__ import annotations
@@ -47,10 +54,11 @@ KINDS = ("logistic_regression", "mlp")
 ACTIVATIONS = ("relu", "identity")
 LOSSES = ("cross_entropy", "squared_error")
 DENSE_HESSIAN_CAP = 2000  # largest parameter count ``dense_hessian`` builds
-# ``_class_reduce`` folds once there are 32 * C rows of C classes: measured
-# at C = 2..7, the fold then beats numpy's reduce for a max and a sum taken
-# together (about 0.09 us per row for the reduce, one array operation per
-# column for the fold).
+# The kernel works by class columns (``_by_columns``) once there are 32 * C
+# rows of C classes: measured at C = 2..7, the fold then beats numpy's reduce
+# for a max and a sum taken together (about 0.09 us per row for the reduce,
+# one array operation per column for the fold). The same rule serves the
+# broadcasts and the sum over rows, which win there too.
 _FOLD_ROWS_PER_CLASS = 32
 # numpy reduces fewer than 8 elements from left to right (a sum starting
 # from +0.0); from 8 on it uses 8 lanes, which sum in another order and
@@ -134,7 +142,8 @@ def _unpack(spec, flat):
 
 
 def _xy(spec, dataset, sets=False):
-    """(X, Y) with X flattened to ``(*samples, in)``; ShapeError for another input width.
+    """(X, targets): X flattened to ``(*samples, in)`` and the labels checked and
+    canonicalized (``_targets``); ShapeError for another input width.
 
     Where ``sets`` allows them, ``(X, Y)`` are K row sets of b rows when X
     has three axes, the last the model's input width, and Y's leading axes
@@ -153,19 +162,19 @@ def _xy(spec, dataset, sets=False):
         X = X.reshape(shape[:axes] + (math.prod(shape[axes:]),))
     if X.shape[-1] != spec.input_dim:
         raise ShapeError(f"input width {X.shape[-1]} != model input {spec.input_dim}")
-    return X, Y
+    return X, _targets(spec, Y, X.shape[:-1])
 
 
 def _targets(spec, Y, samples):
-    """Canonicalize labels of the ``samples``-shaped rows: int class indices for
-    CE, ``(*samples, out)`` floats for SE."""
+    """Canonicalize labels of the ``samples``-shaped rows: ``intp`` class indices
+    for CE, ``(*samples, out)`` floats for SE."""
     if spec.loss == "cross_entropy":
         Y = np.asarray(Y)
         if not np.issubdtype(Y.dtype, np.integer):
             raise ShapeError("cross_entropy labels must be integer class indices")
         if Y.size and (Y.min() < 0 or Y.max() >= spec.output_dim):
             raise ShapeError("class index outside the output range")
-        return Y.reshape(samples)
+        return Y.astype(np.intp, copy=False).reshape(samples)
     T = np.asarray(Y, dtype=np.float64).reshape(*samples, -1)
     if T.shape[-1] != spec.output_dim:
         raise ShapeError(
@@ -197,28 +206,67 @@ def _forward(spec, flat, X):
     As = [X]
     Zs = []
     for l in range(spec.n_layers):
-        z = As[-1] @ Ws[l].swapaxes(-1, -2) + bs[l][..., None, :]
+        z = _class_broadcast(np.add, As[-1] @ Ws[l].swapaxes(-1, -2), bs[l][..., None, :])
         Zs.append(z)
         if l < spec.n_layers - 1:
             As.append(_act(spec, z))
     return Zs, As
 
 
+def _by_columns(a):
+    """Whether the kernel works on ``a``'s class columns (its last axis) one at a time.
+
+    numpy's reduce and broadcast run their inner loop once per row, which
+    dominates on many rows of a few classes; so at most 7 classes and at
+    least 32 rows per class, counted over all leading axes, go by columns.
+    """
+    C = a.shape[-1]
+    return C <= _FOLD_MAX_CLASSES and a.size // C >= _FOLD_ROWS_PER_CLASS * C
+
+
 def _class_reduce(ufunc, a):
     """``ufunc.reduce(a, axis=-1)`` for ``np.maximum`` or ``np.add``, with numpy's bits.
 
-    numpy runs its reduce inner loop once per row, which dominates on many
-    rows of a few classes; there the reduction is a fold over the C class
-    columns instead, one array operation per column in numpy's own order.
+    By columns (``_by_columns``) the reduction is a fold over the C class
+    columns, one array operation per column in numpy's own order.
     """
-    C = a.shape[-1]
-    if C > _FOLD_MAX_CLASSES or a.size // C < _FOLD_ROWS_PER_CLASS * C:
+    if not _by_columns(a):
         return ufunc.reduce(a, axis=-1)
     # 0.0 + x is x except that it turns -0.0 into +0.0, as numpy's sum does.
     out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
-    for c in range(1, C):
+    for c in range(1, a.shape[-1]):
         ufunc(out, a[..., c], out=out)
     return out
+
+
+def _class_broadcast(ufunc, a, v):
+    """``ufunc(a, v)`` for a binary ``ufunc`` and v that broadcasts to a's shape: a value
+    per row (``v[..., None]``) or per class (``v[..., None, :]``).
+
+    By columns (``_by_columns``) it is one operation per class column; an
+    elementwise ufunc gives numpy's bits either way.
+    """
+    if not _by_columns(a):
+        return ufunc(a, v)
+    out = np.empty(a.shape)
+    for c in range(a.shape[-1]):
+        ufunc(a[..., c], v[..., c % v.shape[-1]], out=out[..., c])
+    return out
+
+
+def _row_sum(a):
+    """``a.sum(axis=-2)`` of a C-contiguous ``(..., n, C)`` array (as every
+    weighted delta is), with numpy's bits.
+
+    From two columns on, numpy's inner loop runs along the C columns, so it
+    adds the rows one after another, from +0.0; by columns (``_by_columns``)
+    a running sum over the rows has those bits once ``+ 0.0`` turns an all
+    -0.0 column's -0.0 into numpy's +0.0. One column is contiguous, and numpy
+    sums it in 8 lanes, in another order, so it keeps numpy's sum.
+    """
+    if a.shape[-1] < 2 or not _by_columns(a):
+        return a.sum(axis=-2)
+    return np.add.accumulate(a, axis=-2)[..., -1, :] + 0.0
 
 
 def _losses_and_delta(spec, logits, targets):
@@ -228,16 +276,16 @@ def _losses_and_delta(spec, logits, targets):
     or a ``(K, n, out)`` stack paired with ``(K, n)`` targets.
     """
     if spec.loss == "cross_entropy":
-        target = (..., np.arange(targets.shape[-1]), targets)
-        if targets.ndim == 2:
-            target = (np.arange(len(targets))[:, None],) + target[1:]
+        # Each row's flat position of its target logit, for one 1-D pick and scatter.
+        C = logits.shape[-1]
+        at = (np.arange(0, logits.size, C).reshape(logits.shape[:-1]) + targets).ravel()
         zmax = _class_reduce(np.maximum, logits)
-        ez = np.exp(logits - zmax[..., None])
+        ez = np.exp(_class_broadcast(np.subtract, logits, zmax[..., None]))
         sez = _class_reduce(np.add, ez)
-        losses = np.log(sez) + zmax - logits[target]
-        soft = ez / sez[..., None]
+        losses = np.log(sez) + zmax - logits.take(at).reshape(zmax.shape)
+        soft = _class_broadcast(np.divide, ez, sez[..., None])
         delta = soft.copy()
-        delta[target] -= 1.0
+        delta.reshape(-1)[at] -= 1.0
         return losses, delta, soft
     resid = logits - targets
     losses = 0.5 * _class_reduce(np.add, resid**2)
@@ -253,10 +301,14 @@ def _one_vector(params):
 
 
 def sample_losses(spec, params, dataset):
-    """Per-sample losses for every row of the dataset, at one parameter vector."""
-    X, Y = _xy(spec, dataset)
+    """Per-sample losses for every row of the dataset, at one parameter vector.
+
+    The forward pass and the losses only: the bits of the linearization's
+    losses, without its activation derivatives and deltas.
+    """
+    X, targets = _xy(spec, dataset)
     flat = _one_vector(params)  # test_loss would average a stack's rows together
-    losses = _linearize(spec, flat, X, Y).losses
+    losses = _losses_and_delta(spec, _forward(spec, flat, X)[0][-1], targets)[0]
     if not np.all(np.isfinite(losses)):
         raise NumericError("non-finite loss value")
     return losses
@@ -267,8 +319,16 @@ def per_sample_loss(spec, params, x, y):
 
 
 def _sample_gradients(lin):
-    """(n, P) matrix of the per-sample gradients of a shared-rows linearization."""
-    G = np.zeros((lin.samples[0], param_count(lin.spec)))
+    """(n, P) matrix of the per-sample gradients of a shared-rows linearization at one
+    parameter vector; ShapeError for one of a parameter stack or of row sets."""
+    P = param_count(lin.spec)
+    if lin.stack or len(lin.samples) != 1:
+        at = f"a parameter stack of shape {lin.stack + (P,)}" if lin.stack else "one vector"
+        raise ShapeError(
+            f"per-sample gradients take shared rows at one parameter vector, not samples "
+            f"of shape {lin.samples} at {at}"
+        )
+    G = np.zeros((lin.samples[0], P))
     GWs, Gbs = _unpack(lin.spec, G)
     for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
         GW[:] = np.einsum("no,ni->noi", D, A)
@@ -280,8 +340,8 @@ def _sample_gradients(lin):
 
 def per_sample_gradients(spec, params, dataset):
     """(n, P) matrix of per-sample loss gradients."""
-    X, Y = _xy(spec, dataset)
-    return _sample_gradients(_linearize(spec, _one_vector(params), X, Y))
+    X, targets = _xy(spec, dataset)
+    return _sample_gradients(_linearize(spec, _one_vector(params), X, targets))
 
 
 def per_sample_gradient(spec, params, x, y):
@@ -296,9 +356,9 @@ def _loss_and_gradient(lin, weights):
     g = np.zeros(lin.params.shape)
     GWs, Gbs = _unpack(lin.spec, g)
     for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
-        wD = D * weights[..., None]
+        wD = _class_broadcast(np.multiply, D, weights[..., None])
         GW[:] = wD.swapaxes(-1, -2) @ A
-        Gb[:] = wD.sum(axis=-2)
+        Gb[:] = _row_sum(wD)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
     if not np.all(np.isfinite(lin.losses)):
@@ -329,14 +389,14 @@ def linearized_gradient(spec, params, dataset, weights):
     """
     weights = np.asarray(weights, dtype=np.float64)
     flat = as_flat(params)
-    X, Y = _xy(spec, dataset, sets=True)
+    X, targets = _xy(spec, dataset, sets=True)
     runs = flat.shape[:-1]
     if weights.shape != runs + X.shape[-2:-1] or X.shape[:-2] not in ((), runs):
         raise ShapeError(
             f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]} and "
             f"parameters of shape {flat.shape}"
         )
-    lin = _linearize(spec, flat, X, Y)
+    lin = _linearize(spec, flat, X, targets)
     return lin, _loss_and_gradient(lin, weights)[1]
 
 
@@ -351,8 +411,9 @@ class Linearization:
 
     Built by ``linearize``. ``samples`` is ``(n,)`` for shared rows or
     ``(K, b)`` for K row sets, and ``losses`` the per-sample losses of that
-    shape. Per layer l it holds the layer's input ``inputs[l]``, its weight
-    matrix ``matrices[l]`` (a view of the parameters), the loss gradient
+    shape, led by ``stack`` for a parameter stack over shared rows. Per
+    layer l it holds the layer's input ``inputs[l]``, its weight matrix
+    ``matrices[l]`` (a view of the parameters), the loss gradient
     ``deltas[l]`` w.r.t. the layer's output and, for a hidden layer, the
     activation derivative ``act_grads[l]`` at its pre-activation. ``soft``
     is the softmax for cross-entropy, None for squared error. The losses,
@@ -372,6 +433,13 @@ class Linearization:
     deltas: list
     soft: np.ndarray | None
     matrices: list
+
+    @property
+    def stack(self):
+        """The leading shape of the parameter stack over shared rows, () for one vector
+        or a stack paired with row sets (``samples`` does not hold it)."""
+        D = self.deltas[-1]
+        return D.shape[: D.ndim - 1 - len(self.samples)]
 
     def take(self, sets):
         """The linearization of the listed row sets of a paired one, in that order (repeats
@@ -409,17 +477,17 @@ def linearize(spec, params, rows):
     result holds a copy of the parameters, so ``hessian_vector_product``
     refuses it at any other parameters.
     """
-    X, Y = _xy(spec, rows, sets=True)
-    return _linearize(spec, as_flat(params).copy(), X, Y)
+    X, targets = _xy(spec, rows, sets=True)
+    return _linearize(spec, as_flat(params).copy(), X, targets)
 
 
-def _linearize(spec, flat, X, Y):
-    """``linearize`` on rows already in ``_xy``'s form, at parameters it keeps as given.
+def _linearize(spec, flat, X, targets):
+    """``linearize`` on rows already in ``_xy``'s form (its checked and canonical
+    targets), at parameters it keeps as given.
 
     An ``(R, P)`` stack of parameters gives ``(R, n)`` stacks over shared rows
     and pairs row for row with R row sets, as in ``loss_and_gradient``.
     """
-    targets = _targets(spec, Y, X.shape[:-1])
     Zs, As = _forward(spec, flat, X)
     losses, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
     Ws, _ = _unpack(spec, flat)
@@ -543,24 +611,27 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     ``v`` may be a single flat vector or a (k, P) stack; the result has the
     same shape. K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)``
     weights pair row for row with a (K, P) ``v``: row k is H(set k) v_k,
-    bit-equal to the call on set k alone. A ``Linearization`` of the rows
-    at ``params`` (from ``linearize``) may stand in for them, with the same
-    bits: only the R-forward and R-backward then run. One built for another
-    spec or at other parameters raises ShapeError. ``finite_difference``
+    bit-equal to the call on set k alone. ``params`` is one vector. A
+    ``Linearization`` of the rows at ``params`` (from ``linearize``) may
+    stand in for them, with the same bits: only the R-forward and R-backward
+    then run. One built for another spec, at other parameters or at a
+    parameter stack raises ShapeError. ``finite_difference``
     mode (shared rows only) uses a central difference of the batch gradient
     with step r = 1e-4 / max(1, ||v||).
     """
     weights = np.asarray(weights, dtype=np.float64)
-    flat = as_flat(params)
+    flat = _one_vector(params)
     lin = dataset if isinstance(dataset, Linearization) else None
     if lin is not None:
         if lin.params is None:
             raise ShapeError("linearization without parameters (from keep or restore)")
+        if lin.stack:
+            raise ShapeError(f"linearization of a parameter stack of shape {lin.params.shape}")
         if lin.spec != spec or lin.params.tobytes() != flat.tobytes():
             raise ShapeError("linearization built for another model or at other parameters")
         samples = lin.samples
     else:
-        X, Y = _xy(spec, dataset, sets=True)
+        X, targets = _xy(spec, dataset, sets=True)
         samples = X.shape[:-1]
     if weights.shape != samples:
         raise ShapeError(f"weights of shape {weights.shape} for samples of shape {samples}")
@@ -575,7 +646,7 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
 
     if mode == "exact":
         if lin is None:
-            lin = _linearize(spec, flat, X, Y)
+            lin = _linearize(spec, flat, X, targets)
         out = _hvp_exact(lin, weights, V)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite Hessian-vector product")
@@ -660,8 +731,8 @@ def test_gradients(spec, params, dataset, per_test=False):
     subset through ``check_test_subset``. Both come from one linearization.
     """
     m = check_test_subset(dataset)
-    X, Y = _xy(spec, dataset)
-    lin = _linearize(spec, _one_vector(params), X, Y)
+    X, targets = _xy(spec, dataset)
+    lin = _linearize(spec, _one_vector(params), X, targets)
     rows = _loss_and_gradient(lin, np.full(m, 1.0 / m))[1][None]
     if per_test:
         rows = np.concatenate([rows, _sample_gradients(lin)])
@@ -676,9 +747,8 @@ def row_dots(rows, vectors):
 
 def accuracy(spec, params, dataset):
     """Fraction of samples whose largest output is their class index."""
-    X, Y = _xy(spec, dataset)
     if spec.loss != "cross_entropy":
         raise ShapeError(f"accuracy needs class-index targets, not {spec.loss} targets")
-    targets = _targets(spec, Y, X.shape[:-1])
+    X, targets = _xy(spec, dataset)
     Zs, _ = _forward(spec, _one_vector(params), X)
     return float((Zs[-1].argmax(axis=1) == targets).mean())

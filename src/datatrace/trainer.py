@@ -247,9 +247,14 @@ class StepContext:
 def _recorded_loss(weights, batch_losses, w, lam):
     """The regularized objective of one run at w: weighted losses plus 0.5 * lam * ||w||^2.
 
-    A step records it on its batch; the plateau monitor reads it on the full dataset.
+    A step records it on its batch; the plateau monitor reads it on the full
+    dataset. An (R, P) stack gives each row's value, with the bits of the row
+    alone: a row-by-row matmul takes the summation of ``np.dot``.
     """
-    return float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
+    if w.ndim == 1:
+        return float(np.dot(weights, batch_losses)) + 0.5 * lam * float(w @ w)
+    dots = weights[:, None, :] @ batch_losses[:, :, None]
+    return dots[:, 0, 0] + 0.5 * lam * (w[:, None, :] @ w[:, :, None])[:, 0, 0]
 
 
 def _divergence_limit(reference):
@@ -263,7 +268,7 @@ def _first(values, flags):
     return np.broadcast_to(np.ravel(values), flags.shape)[flags][0]
 
 
-def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
+def _step(model, rows, eps, batch, w, velocity, lr, step, config, limit):
     """One (momentum) gradient step; returns ``(w, velocity, loss, limit, weights, lin)`` after it.
 
     ``w`` and ``velocity`` hold one run's vectors or an (R, P) stack. A stack
@@ -276,7 +281,8 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
     step's loss). Raises ConfigError when lr * weight_decay leaves (0, 1) and
     DivergenceError past the limit, naming the first such row's step.
     ``weights`` are the batch members' weights and ``lin`` the step's
-    linearization at the pre-update parameters.
+    linearization at the pre-update parameters. ``rows`` are the dataset's
+    ``(X, targets)`` in ``models._xy``'s form: its run checks the labels once.
     """
     lam = config.weight_decay
     rate = lr * lam
@@ -286,21 +292,17 @@ def _step(model, dataset, eps, batch, w, velocity, lr, step, config, limit):
             f"lr*weight_decay = {_first(rate, outside)} outside (0, 1) "
             f"at step {_first(step, outside)}"
         )
-    X, Y = dataset.features, dataset.labels
-    rows = (X[batch], Y[batch])
-    b = rows[0].shape[-2]
+    X, targets = rows
+    b = np.shape(batch)[-1]
     # take keeps each row contiguous (``eps[..., batch]`` would not), so
     # a row's dot product below runs on the strides of a single run.
     weights = 1.0 / b + len(X) * eps.take(batch, axis=-1) / b
-    lin, g = models.linearized_gradient(model, w, rows, weights)
-    batch_losses = lin.losses
+    lin = models._linearize(model, w, X.take(batch, axis=0), targets.take(batch, axis=0))
+    batch_losses, g = models._loss_and_gradient(lin, weights)
     if lam > 0.0:
         g = g + lam * w
 
-    if w.ndim > 1:  # row by row, so each row records the loss of its run alone
-        loss = np.array([_recorded_loss(*row, lam) for row in zip(weights, batch_losses, w)])
-    else:
-        loss = _recorded_loss(weights, batch_losses, w, lam)
+    loss = _recorded_loss(weights, batch_losses, w, lam)
     if limit is None:
         limit = _divergence_limit(loss)
     # The limit is finite, so a NaN or infinite loss fails the comparison too.
@@ -370,6 +372,7 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
     velocities = {0: velocity.copy()}
     limit = None
 
+    rows = models._xy(model, dataset)  # the labels are checked once, for every step
     for t in range(1, total_steps + 1):
         batch = batches[t - 1]
         if isinstance(sched, StepDecaySchedule) and sched.epoch <= config.epochs:
@@ -378,7 +381,7 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
         lr = rate if lrs is None else float(lrs[t - 1])
         # (the step's linearization is released at once: only re-runs read it)
         w, velocity, out_losses[..., t - 1], limit = _step(
-            model, dataset, eps, batch, w, velocity, lr, t, config, limit
+            model, rows, eps, batch, w, velocity, lr, t, config, limit
         )[:4]
         out_lrs[t - 1] = lr
 
@@ -481,11 +484,12 @@ def lockstep(record, dataset, starts, length, visit):
     limit = _divergence_limit(record.losses[0])
     steps = starts[:, None] + np.arange(1, length + 1)  # (rows, length)
     losses = np.empty(steps.shape)
+    rows = models._xy(record.model, dataset)  # the labels are checked once, for every step
     for j in range(length):
         batch = np.stack([record.batches[t - 1] for t in steps[:, j]])
         try:
             w, velocity, losses[:, j], _, weights, lin = _step(
-                record.model, dataset, record.data_weights, batch, w, velocity,
+                record.model, rows, record.data_weights, batch, w, velocity,
                 record.lrs[steps[:, j, None] - 1], steps[:, j], record.config, limit,
             )
         except DivergenceError as err:

@@ -345,10 +345,17 @@ def test_training_index_validated(index):
         dt.influence(spec, params, train, test, [0, index])
 
 
-def test_no_training_indices_gives_empty_report(mlp_probe):
+def test_no_training_indices_are_refused_before_the_solve(mlp_probe, monkeypatch):
     spec, train, test, w = mlp_probe
-    rep = dt.influence(spec, w, train, test, [], weight_decay=0.01, per_test=True)
-    assert rep.values == rep.pair_values == {}
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for no training index")
+
+    monkeypatch.setattr(influence_module, "inverse_hvp", no_work)
+    monkeypatch.setattr(models, "test_gradients", no_work)
+    for per_test in (False, True):
+        with pytest.raises(ValueError, match="no training indices"):
+            dt.influence(spec, w, train, test, [], weight_decay=0.01, per_test=per_test)
 
 
 def test_neumann_scale_too_small_raises_scaling_error(mlp_probe):

@@ -198,6 +198,123 @@ def test_class_reduce_has_the_bits_of_numpys_reduce(C):
             assert models._class_reduce(np.add, a).tobytes() == a.sum(-1).tobytes()
 
 
+@pytest.mark.parametrize("C", range(1, 10))
+def test_class_broadcasts_and_row_sums_have_the_bits_of_numpy(C):
+    rng = np.random.default_rng([C, 1])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for a in _class_axis_arrays(C, rng):
+            # a value per row, and one per class (shared by a stack's rows)
+            for v in (a[..., ::-1].sum(-1)[..., None], a[..., ::-1].sum(-2)[..., None, :]):
+                for ufunc in (np.add, np.subtract, np.multiply, np.divide):
+                    assert models._class_broadcast(ufunc, a, v).tobytes() == ufunc(a, v).tobytes()
+            # numpy sums an all -0.0 column to +0.0
+            a[..., 0] = -0.0
+            assert models._row_sum(a).tobytes() == a.sum(axis=-2).tobytes()
+
+
+def _plain_losses_and_delta(loss, logits, targets):
+    """``_losses_and_delta`` in plain numpy: its reduce, broadcasts and fancy indexing."""
+    if loss == "squared_error":
+        resid = logits - targets
+        return 0.5 * (resid**2).sum(-1), resid
+    target = (..., np.arange(targets.shape[-1]), targets)
+    if targets.ndim == 2:
+        target = (np.arange(len(targets))[:, None],) + target[1:]
+    zmax = logits.max(-1)
+    ez = np.exp(logits - zmax[..., None])
+    sez = ez.sum(-1)
+    delta = ez / sez[..., None]
+    delta[target] -= 1.0
+    return np.log(sez) + zmax - logits[target], delta
+
+
+@pytest.mark.parametrize("loss", models.LOSSES)
+@pytest.mark.parametrize("C", [1, 2, 7, 8])
+@pytest.mark.parametrize("layout", ["shared", "stacked", "paired"])
+def test_the_step_kernels_have_the_bits_of_plain_numpy_on_both_sides_of_the_rule(layout, C, loss):
+    # Logistic regression's linearization and weighted gradient against
+    # plain numpy, on 32 C - 1 and 32 C rows of C classes: shared (n, C),
+    # a stack of 4 parameter vectors over shared rows (4, n, C), and 4 row
+    # sets paired with 4 vectors (4, b, C).
+    spec = dt.ModelSpec("logistic_regression", (3, C), loss=loss)
+    rng = np.random.default_rng([C, len(loss), len(layout)])
+    R = 1 if layout == "shared" else 4
+    lead = () if layout == "shared" else (R,)
+    for rows in (32 * C - 1, 32 * C):
+        n = -(-rows // R)  # the stacked rows reach 32 C exactly, or stay below it
+        params = rng.standard_normal(lead + (models.param_count(spec),))
+        W, b = (block[0] for block in models._unpack(spec, params))
+        W[..., -1, :], b[..., -1] = W[..., 0, :], b[..., 0]  # tied logits
+        X = rng.standard_normal(((R,) if layout == "paired" else ()) + (n, 3))
+        X[..., ::5, :] = 0.0  # rows whose logits are the biases
+        z = X @ W.swapaxes(-1, -2) + b[..., None, :]
+        # The second targets make the delta's column 0 negative on every row
+        # (all targets 0; targets above every logit), so zero weights give an
+        # all -0.0 column for the bias gradient's sum over rows.
+        if loss == "cross_entropy":
+            targets = (rng.integers(C, size=X.shape[:-1]), np.zeros(X.shape[:-1], int))
+        else:
+            T = rng.standard_normal(X.shape[:-1] + (C,))
+            targets = (T, T + np.abs(z).max() + 1.0)
+        weights = (rng.uniform(0.0, 1.0, lead + (n,)), np.zeros(lead + (n,)))
+        for Y, w in zip(targets, weights):
+            losses, delta = _plain_losses_and_delta(loss, z, Y)
+            wD = delta * w[..., None]
+            g = np.concatenate([(wD.swapaxes(-1, -2) @ X).reshape(lead + (-1,)),
+                                wD.sum(axis=-2)], axis=-1)
+            got_losses, got_g = models.loss_and_gradient(spec, params, (X, Y), w)
+            assert got_losses.tobytes() == losses.tobytes()
+            assert got_g.tobytes() == g.tobytes()
+            lin = models.linearize(spec, params, (X, Y))
+            assert lin.deltas[-1].tobytes() == delta.tobytes()
+            if layout == "shared":
+                assert dt.sample_losses(spec, params, (X, Y)).tobytes() == losses.tobytes()
+            if loss == "cross_entropy":  # any integer labels index the logits
+                for dtype in (np.uint8, np.uint64, np.int32):
+                    got_losses, got_g = models.loss_and_gradient(
+                        spec, params, (X, Y.astype(dtype)), w)
+                    assert got_losses.tobytes() == losses.tobytes()
+                    assert got_g.tobytes() == g.tobytes()
+
+
+@ARCHITECTURES
+def test_sample_losses_are_a_linearizations_losses_without_its_backward(kind, widths, loss,
+                                                                      monkeypatch):
+    def no_backward(*args):
+        raise AssertionError("activation derivatives or deltas for losses alone")
+
+    for n in (5, 300):
+        spec, params, rows = _probe(kind, widths, loss, n, 2)
+        want = models.linearize(spec, params, rows).losses
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_act_grad", no_backward)
+            patch.setattr(models, "_deltas", no_backward)
+            assert models.sample_losses(spec, params, rows).tobytes() == want.tobytes()
+
+
+def test_a_linearization_of_a_stack_over_shared_rows_is_refused_by_one_vector_reads():
+    spec, params, rows = _probe("logistic_regression", (3, 2), "cross_entropy", 5, 0)
+    P = params.size
+    stack = params + np.zeros((2, 1))
+    weights = np.full((2, 5), 0.2)
+    lin, _ = models.linearized_gradient(spec, stack, rows, weights)
+    assert lin.samples == (5,) and lin.stack == (2,) and lin.losses.shape == (2, 5)
+    with pytest.raises(ShapeError, match=rf"parameter stack of shape \(2, {P}\)"):
+        models._sample_gradients(lin)
+    with pytest.raises(ShapeError, match=rf"parameters of shape \(2, {P}\), expected one vector"):
+        dt.hessian_vector_product(spec, stack, lin, weights[0], np.ones(P))
+    # a one-row stack holds the bytes of its one vector
+    lin, _ = models.linearized_gradient(spec, stack[:1], rows, weights[:1])
+    with pytest.raises(ShapeError, match=rf"parameter stack of shape \(1, {P}\)"):
+        dt.hessian_vector_product(spec, params, lin, weights[0], np.ones(P))
+    # row sets at one vector have no stack, and no per-sample gradient matrix either
+    X, Y = rows
+    lin = models.linearize(spec, params, (X[None], Y[None]))
+    assert lin.samples == (1, 5) and lin.stack == ()
+    with pytest.raises(ShapeError, match=r"not samples of shape \(1, 5\) at one vector"):
+        models._sample_gradients(lin)
+
+
 @pytest.mark.parametrize("loss", models.LOSSES)
 @pytest.mark.parametrize("n", [8, 4 * models._FOLD_ROWS_PER_CLASS])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

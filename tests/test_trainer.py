@@ -516,6 +516,34 @@ def test_snapshot_stride():
     assert set(rec.snapshots) == {0, 3, 6, 9, 12, 15, 16}
 
 
+@pytest.mark.parametrize("loss, C", [("squared_error", 1), ("cross_entropy", 2)])
+def test_stacked_and_paired_steps_above_the_by_columns_rule_keep_a_solo_runs_bits(loss, C):
+    # A solo step of b < 32 C rows stays below models._by_columns' rule; the
+    # oracle's stacked replay (3 runs on each batch) and the walk's lockstep
+    # re-run (one row set per snapshot) reach it, and must still give the
+    # bits of each run alone.
+    b = 24 * C
+    rng = np.random.default_rng(C)
+    X = rng.standard_normal((2 * b, 2))
+    Y = rng.integers(C, size=2 * b) if C > 1 else rng.standard_normal((2 * b, 1))
+    ds = dt.LabeledDataset(X, Y, C)
+    spec = dt.ModelSpec("logistic_regression", (2, C), loss=loss)
+    cfg = dt.TrainingConfig(epochs=8, batch_size=b, initial_lr=0.1, momentum=0.5,
+                            weight_decay=0.01, seed=3, snapshot_stride=2)
+    rec = dt.train(spec, ds, cfg)
+    dt.replay(rec, ds)
+    eps = np.tile(rec.data_weights, (3, 1))
+    eps[:, 5] += [1e-3, -1e-3, 0.0]
+    stacked = dt.replay(rec, ds, data_weights=eps)
+    for r in range(3):
+        alone = dt.replay(rec, ds, data_weights=eps[r])
+        assert stacked.final_params[r].tobytes() == alone.final_params.tobytes()
+        assert stacked.losses[r].tobytes() == alone.losses.tobytes()
+    starts = sorted(rec.snapshots)[:-1]
+    assert len(starts) * b >= 32 * C > b
+    trainer.lockstep(rec, ds, starts, 2, lambda *step: None)  # checks every row's bits
+
+
 def test_lockstep_rerun_matches_the_run_step_for_step():
     spec = dt.ModelSpec("mlp", (4, 5, 2))
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
