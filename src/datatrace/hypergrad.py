@@ -181,8 +181,7 @@ def error_trace(record, dataset, indices, record_stride=1):
         m_w = np.maximum(m_w, np.linalg.norm(exact.nabla, axis=1))
         if ctx.step % record_stride == 0 or ctx.step == record.steps:
             steps.append(ctx.step)
-            # The 1-D norm of each row: norm(axis=1) differs from it in the last ulp.
-            errors.append([float(np.linalg.norm(d)) for d in exact.nabla - approx.nabla])
+            errors.append(models.row_norms(exact.nabla - approx.nabla))
 
     w_T = record.final_params
     weights = 1.0 / record.n_train + record.data_weights  # the run's, as the plateau monitor's

@@ -17,8 +17,9 @@ value is bit-identical to running the chains one after another.
 Every HVP of a solve is taken at the same final parameters, so each solve
 linearizes its rows once (``models.linearize``: the forward pass, softmax and
 deltas) and each HVP runs only the vector-dependent R-forward and R-backward:
-CG on the training set, the Neumann scale on its probes, and the series on
-the distinct samples it draws, all drawn up front.
+CG on the training set, the Neumann scale on its probes, the series on the
+distinct samples it draws, all drawn up front, and the dense solve on the
+training set, whose basis vectors go through ceil(sqrt(P)) at a time.
 """
 
 from __future__ import annotations
@@ -135,26 +136,36 @@ def _neumann(model, params, dataset, V, shift, scale, config):
     The repeats x r iterates advance in lockstep, one paired HVP per step:
     each repeat draws its own sample per step from ``Generator([seed, rep])``
     and applies that sample's Hessian to its r iterates. The draws are made
-    up front and their distinct samples linearized once; each step takes
-    its samples' sets from that linearization.
+    up front and their distinct samples linearized once. The steps' sets are
+    gathered from that linearization ceil(sqrt(depth)) steps at a time, and
+    each step reads its K = repeats x r sets as a contiguous view of its
+    block. After every step each iterate's norm (``models.row_norms``) is
+    checked against the divergence limit.
     """
-    n = len(dataset)
+    n, depth = len(dataset), config.neumann_depth
     repeats, r = config.neumann_repeats, len(V)
     rngs = [np.random.default_rng([int(config.seed), rep]) for rep in range(repeats)]
-    draws = np.stack([rng.integers(n, size=config.neumann_depth) for rng in rngs], axis=1)
+    draws = np.stack([rng.integers(n, size=depth) for rng in rngs], axis=1)
     samples, sets = np.unique(draws, return_inverse=True)
     lin = _sample_sets(model, params, dataset, samples)
-    ones = np.ones((repeats * r, 1))
+    # Step t's K sets, each repeat's drawn sample once per right-hand side.
+    steps = np.repeat(sets.reshape(draws.shape), r, axis=1)
+    K = repeats * r
+    ones = np.ones((K, 1))
     V = np.tile(V, (repeats, 1))
-    vnorm = np.maximum(np.linalg.norm(V, axis=1), 1.0)
+    limit = NEUMANN_DIVERGENCE_FACTOR * np.maximum(models.row_norms(V), 1.0)
     R = V.copy()
-    for step in sets.reshape(draws.shape):
-        hr = _shifted(model, params, lin.take(np.repeat(step, r)), ones, shift)(R)
-        R = V + R - hr / scale
-        if np.any(np.linalg.norm(R, axis=1) > NEUMANN_DIVERGENCE_FACTOR * vnorm):
-            raise ScalingError(
-                f"Neumann iterate diverged (scale {scale}); increase the scale"
-            )
+    block = math.isqrt(depth - 1) + 1
+    for start in range(0, depth, block):
+        gathered = lin.take(steps[start : start + block].ravel())
+        for j in range(min(block, depth - start)):
+            step = gathered.take(slice(j * K, (j + 1) * K))
+            hr = _shifted(model, params, step, ones, shift)(R)
+            R = V + R - hr / scale
+            if np.any(models.row_norms(R) > limit):
+                raise ScalingError(
+                    f"Neumann iterate diverged (scale {scale}); increase the scale"
+                )
     return (R / scale).reshape(repeats, r, -1)
 
 
@@ -192,7 +203,8 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
         diag = {"neumann_scale": scale, "neumann_repeat_std": spread}
     else:
         H = models.dense_hessian(model, params, dataset, uniform)
-        H = H + shift * np.eye(H.shape[0])
+        H += 0.0  # the bits of H + shift * I, where -0.0 + 0.0 is +0.0 off the diagonal
+        H[np.diag_indices(len(H))] += shift
         X = np.linalg.solve(H, V[:, :, None])[..., 0]
         diag = {}
     return (X[0] if single else X), diag

@@ -443,18 +443,19 @@ class Linearization:
 
     def take(self, sets):
         """The linearization of the listed row sets of a paired one, in that order (repeats
-        allowed), or of the one set ``sets`` (an int) as views.
+        allowed), or, as views, of the one set ``sets`` (an int) or the sets a slice picks.
 
         The parameters and weight matrices go with the sets when the matrices
         have the set axis (a stack paired with the sets) and are shared otherwise.
         """
         one = isinstance(sets, (int, np.integer))
-        sets = sets if one else np.asarray(sets, dtype=np.int64)
-        if len(self.samples) != 2 or not one and sets.ndim != 1:
+        view = one or isinstance(sets, slice)
+        sets = sets if view else np.asarray(sets, dtype=np.int64)
+        if len(self.samples) != 2 or not view and sets.ndim != 1:
             raise ShapeError("take picks row sets of a paired linearization")
 
         def pick(a):
-            return a if a is None else a[sets] if one else a.take(sets, axis=0)
+            return a if a is None else a[sets] if view else a.take(sets, axis=0)
 
         def picks(arrays):
             return None if arrays is None else [pick(a) for a in arrays]
@@ -462,10 +463,11 @@ class Linearization:
         params, matrices = self.params, self.matrices
         if matrices[-1] is not None and matrices[-1].ndim == 3:
             params, matrices = pick(params), picks(matrices)
-        samples = self.samples[1:] if one else (len(sets), self.samples[1])
+        deltas = picks(self.deltas)
+        samples = deltas[-1].shape[: 1 if one else 2]
         return Linearization(
             self.spec, params, samples, pick(self.losses), picks(self.inputs),
-            picks(self.act_grads), picks(self.deltas), pick(self.soft), matrices,
+            picks(self.act_grads), deltas, pick(self.soft), matrices,
         )
 
 
@@ -667,12 +669,25 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
 
 
 def dense_hessian(spec, params, dataset, weights):
-    """Full H^er matrix, assembled from exact HVPs with basis vectors."""
+    """Full H^er matrix, assembled from exact HVPs with basis vectors.
+
+    The rows are linearized once, and the basis vectors go through the
+    R-operator ceil(sqrt(P)) at a time, each block built for its call. Row k
+    of a stacked HVP has the bits of basis vector k alone, so the matrix has
+    the bits of one P-vector call, while the working memory beside the P x P
+    result is that of ceil(sqrt(P)) vectors, not P.
+    """
     P = as_flat(params).size
     if P > DENSE_HESSIAN_CAP:
         raise ValueError(f"parameter count {P} exceeds dense-Hessian cap {DENSE_HESSIAN_CAP}")
-    basis = np.eye(P)
-    H = hessian_vector_product(spec, params, dataset, weights, basis, mode="exact")
+    lin = linearize(spec, params, dataset)
+    block = math.isqrt(P - 1) + 1
+    H = np.empty((P, P))
+    for start in range(0, P, block):
+        k = min(block, P - start)
+        basis = np.zeros((k, P))
+        basis[np.arange(k), start + np.arange(k)] = 1.0
+        H[start : start + k] = hessian_vector_product(spec, params, lin, weights, basis)
     return H.T
 
 
@@ -695,8 +710,7 @@ def power_iteration_max_eig(matvec, dim, iterations=200, seed=0):
     V = np.tile(v, (K, 1))
     for _ in range(iterations):
         HV = np.asarray(matvec(V if stacked else V[0])).reshape(K, size)
-        # The 1-D norm of each row: norm(axis=1) differs from it in the last ulp.
-        lam = np.array([np.linalg.norm(row) for row in HV])
+        lam = row_norms(HV)
         if not lam.any():
             break
         # A zero row stays zero, and so does its eigenvalue.
@@ -743,6 +757,13 @@ def row_dots(rows, vectors):
     """``rows @ vectors.T`` row by row, so each row sums as it would alone (one product
     over all rows sums in another order, and C(i) would depend on ``per_test``)."""
     return (rows[:, None, :] @ vectors.T)[:, 0]
+
+
+def row_norms(rows):
+    """The Euclidean norm of each row of a 2-D array, with ``np.linalg.norm``'s bits for
+    the row alone: sqrt of one row-by-row dot product, as its 1-D form takes
+    (``norm(axis=1)`` sums the squares in another order and differs in the last ulp)."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def accuracy(spec, params, dataset):

@@ -259,7 +259,7 @@ def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatc
 @pytest.mark.parametrize("method, linearizations", [
     ("conjugate_gradient", {1}),
     ("neumann", {2}),  # the scale's probe sets, then the distinct drawn samples
-    ("dense", {0, 1}),
+    ("dense", {1}),
 ])
 def test_each_solve_linearizes_its_rows_once(mlp_probe, count_calls, method, linearizations):
     spec, train, test, w = mlp_probe
@@ -275,6 +275,29 @@ def test_each_solve_linearizes_its_rows_once(mlp_probe, count_calls, method, lin
         fixed = dt.InverseHvpConfig(method="neumann", neumann_depth=20, neumann_scale=10.0)
         dt.inverse_hvp(spec, w, train, rhs, fixed, weight_decay=0.01)
         assert calls["linearize"] == 1
+
+
+@pytest.mark.parametrize("depth, gathers", [(1, 1), (20, 4), (40, 6), (500, 22)])
+def test_neumann_gathers_once_per_block_of_steps(mlp_probe, monkeypatch, depth, gathers):
+    # ceil(depth / ceil(sqrt(depth))) gathers; each step takes a slice of its block
+    spec, train, test, w = mlp_probe
+    calls = {"gathers": 0, "hessian_vector_product": 0}
+    take, hvp = models.Linearization.take, models.hessian_vector_product
+
+    def counted_take(self, sets):
+        calls["gathers"] += not isinstance(sets, slice)
+        return take(self, sets)
+
+    def counted_hvp(*args, **kwargs):
+        calls["hessian_vector_product"] += 1
+        return hvp(*args, **kwargs)
+
+    monkeypatch.setattr(models.Linearization, "take", counted_take)
+    monkeypatch.setattr(models, "hessian_vector_product", counted_hvp)
+    config = dt.InverseHvpConfig(method="neumann", neumann_depth=depth, neumann_repeats=2)
+    rhs = models.test_gradients(spec, w, test, per_test=True)
+    dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
+    assert calls == {"gathers": gathers, "hessian_vector_product": 50 + depth}
 
 
 def _logistic_probe():

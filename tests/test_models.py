@@ -1,5 +1,7 @@
 """Model numerics: losses, gradients, Hessian-vector products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -407,6 +409,46 @@ def test_dense_hessian_symmetric():
     assert np.abs(H - H.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind, widths", [
+    ("logistic_regression", (4, 3)),  # P = 15: blocks of 4, the last of 3
+    ("logistic_regression", (3, 4)),  # P = 16: four blocks of 4
+    ("mlp", (5, 8, 2)),  # P = 66: seven blocks of 9 and one of 3
+])
+def test_blocked_dense_hessian_has_the_bits_of_one_stacked_call(kind, widths):
+    spec, params, rows = _probe(kind, widths, "cross_entropy", 12, 4)
+    weights = np.random.default_rng(4).uniform(0.5, 1.5, 12) / 12
+    P = params.size
+    want = dt.hessian_vector_product(spec, params, rows, weights, np.eye(P)).T
+    assert dt.dense_hessian(spec, params, rows, weights).tobytes() == want.tobytes()
+
+
+def test_dense_hessian_memory_is_bounded_by_its_blocks():
+    # P = 1994 on 50 rows: one P-vector R-operator stack peaks near 230 MiB, the
+    # ceil(sqrt(P))-vector blocks beside the 30 MiB result near 36 MiB.
+    spec = dt.ModelSpec("mlp", (20, 64, 10))
+    ds = dt.synth_gaussian(10, 5, 20, 2.0, 3)
+    params = dt.init_params(spec, 3)
+    weights = np.full(len(ds), 1.0 / len(ds))
+    tracemalloc.start()
+    try:
+        H = dt.dense_hessian(spec, params, ds, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (1994, 1994)
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("P", [*range(1, 41), 66, 1994, 5000])
+def test_row_norms_have_the_bits_of_each_row_alone(P):
+    rng = np.random.default_rng(P)
+    for K in (1, 3, 16):
+        for scale in 10.0 ** np.arange(-5, 6):
+            A = scale * rng.standard_normal((K, P))
+            want = [np.linalg.norm(row).hex() for row in A]
+            assert [x.hex() for x in models.row_norms(A).tolist()] == want
+
+
 def test_power_iteration_on_known_matrix():
     A = np.diag([3.0, -5.0, 1.0])
     lam = dt.power_iteration_max_eig(lambda v: A @ v, dim=3, iterations=300, seed=0)
@@ -667,7 +709,11 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
         ((X[sets[1:2]], Y[sets[1:2]]), paired.take([1]), rng.uniform(0.5, 1.5, (1, b)), (V[1],)),
         ((X[sets[1]], Y[sets[1]]), paired.take(1), rng.uniform(0.5, 1.5, b) / b, (V[1], V)),
         ((X[picks][:, None], Y[picks][:, None]), one_row_sets.take(picks), np.ones((k, 1)), (V,)),
+        ((X[sets[1:]], Y[sets[1:]]), paired.take(slice(1, k)), rng.uniform(0.5, 1.5, (k - 1, b)) / b,
+         (V[1:],)),
     ]
+    # a slice takes its sets as views
+    assert all(np.shares_memory(x, y) for x, y in zip(paired.take(slice(1, k)).deltas, paired.deltas))
     for rows, lin, weights, vectors in cases:
         for v in vectors:
             want = dt.hessian_vector_product(spec, params, rows, weights, v)
