@@ -57,12 +57,10 @@ from .models import (
     init_params,
     linearize,
     loss_and_gradient,
-    per_sample_gradient,
     per_sample_gradients,
     power_iteration_max_eig,
     sample_losses,
     test_loss,
-    test_loss_gradient,
 )
 from .oracle import OracleResult, finite_difference_hypergradient, leave_one_out
 from .reports import (

@@ -215,6 +215,8 @@ def select_tracked(cfg, train):
     if tk.selection == "all":
         return np.arange(n)
     if tk.selection == "explicit":
+        if not tk.indices:
+            raise ConfigError("tracking.indices is empty for the explicit selection")
         return np.sort(data.training_indices(tk.indices, n))
     if tk.selection == "random_k":
         if tk.k < 1:
@@ -307,6 +309,7 @@ def run_experiment(cfg, output_dir=None):
     """train -> track per method -> contributions -> analytics -> emit."""
     train, test, noise_record = build_datasets(cfg)
     models.check_test_subset(test)  # before the output directory exists
+    tracked = select_tracked(cfg, train)
     out = _resolve_output(cfg, output_dir)
     files = []
 
@@ -328,7 +331,6 @@ def run_experiment(cfg, output_dir=None):
 
     record = trainer.train(cfg.model, train, cfg.training)
     trainer.save_trajectory(record, os.path.join(out, "trajectory"))
-    tracked = select_tracked(cfg, train)
 
     method_reports = {}
     for method in cfg.methods:
@@ -396,10 +398,11 @@ def run_bound_trace(cfg, output_dir=None):
     """Exact-vs-approx error trace with the analytic bound, per tracked index."""
     if cfg.training.weight_decay <= 0.0:
         raise ConfigError("bound-trace requires weight_decay > 0")
-    out = _resolve_output(cfg, output_dir)
     train, _, _ = build_datasets(cfg)
+    tracked = select_tracked(cfg, train)
+    out = _resolve_output(cfg, output_dir)
     record = trainer.train(cfg.model, train, cfg.training)
-    traces = hypergrad.error_trace(record, train, select_tracked(cfg, train))
+    traces = hypergrad.error_trace(record, train, tracked)
 
     path = os.path.join(out, "bound_trace.csv")
     with open(path, "w", newline="") as fh:
@@ -486,8 +489,8 @@ def main(argv=None):
     cfg = _config_from_args(args)
 
     if args.command == "train":
-        out = _resolve_output(cfg, args.output)
         train_ds, _, _ = build_datasets(cfg)
+        out = _resolve_output(cfg, args.output)
         record = trainer.train(cfg.model, train_ds, cfg.training)
         trainer.save_trajectory(record, os.path.join(out, "trajectory"))
         print(f"trained {record.steps} steps -> {out}/trajectory")
@@ -502,9 +505,9 @@ def main(argv=None):
         methods = tuple(m for m in cfg.methods if m in wanted) or (wanted[0],)
         train_ds, test_ds, _ = build_datasets(cfg)
         models.check_test_subset(test_ds)  # before the output directory exists
+        tracked = select_tracked(cfg, train_ds)
         out = _resolve_output(cfg, args.output)
         record = trainer.train(cfg.model, train_ds, cfg.training)
-        tracked = select_tracked(cfg, train_ds)
         for method in methods:
             rep = compute_report(cfg, method, record, train_ds, test_ds, tracked)
             path = os.path.join(out, f"contrib_{method}.csv")

@@ -314,10 +314,6 @@ def sample_losses(spec, params, dataset):
     return losses
 
 
-def per_sample_loss(spec, params, x, y):
-    return float(sample_losses(spec, params, ([x], [y]))[0])
-
-
 def _sample_gradients(lin):
     """(n, P) matrix of the per-sample gradients of a shared-rows linearization at one
     parameter vector; ShapeError for one of a parameter stack or of row sets."""
@@ -342,10 +338,6 @@ def per_sample_gradients(spec, params, dataset):
     """(n, P) matrix of per-sample loss gradients."""
     X, targets = _xy(spec, dataset)
     return _sample_gradients(_linearize(spec, _one_vector(params), X, targets))
-
-
-def per_sample_gradient(spec, params, x, y):
-    return per_sample_gradients(spec, params, ([x], [y]))[0]
 
 
 def _loss_and_gradient(lin, weights):
@@ -377,16 +369,6 @@ def loss_and_gradient(spec, params, dataset, weights):
     r is bit-equal to the call with row r (and its row set) alone. Raises
     NumericError for a non-finite gradient, then for a non-finite loss.
     """
-    lin, g = linearized_gradient(spec, params, dataset, weights)
-    return lin.losses, g
-
-
-def linearized_gradient(spec, params, dataset, weights):
-    """``loss_and_gradient`` with the linearization it reads: ``(lin, g)``, the losses in ``lin``.
-
-    The linearization holds the parameters as given, not a copy (a training
-    step rebinds its parameters and never writes them in place).
-    """
     weights = np.asarray(weights, dtype=np.float64)
     flat = as_flat(params)
     X, targets = _xy(spec, dataset, sets=True)
@@ -396,8 +378,7 @@ def linearized_gradient(spec, params, dataset, weights):
             f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]} and "
             f"parameters of shape {flat.shape}"
         )
-    lin = _linearize(spec, flat, X, targets)
-    return lin, _loss_and_gradient(lin, weights)[1]
+    return _loss_and_gradient(_linearize(spec, flat, X, targets), weights)
 
 
 def batch_gradient(spec, params, dataset, weights):
@@ -730,11 +711,6 @@ def test_loss(spec, params, dataset):
     """Mean per-sample loss over a test subset (no regularizer)."""
     check_test_subset(dataset)
     return float(sample_losses(spec, params, dataset).mean())
-
-
-def test_loss_gradient(spec, params, dataset):
-    """g_test: the gradient of ``test_loss``."""
-    return test_gradients(spec, params, dataset)[0]
 
 
 def test_gradients(spec, params, dataset, per_test=False):

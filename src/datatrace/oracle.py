@@ -52,6 +52,21 @@ def _guard(dataset, test_dataset, config, force):
         raise ValueError("oracle step budget exceeded; pass force=True")
 
 
+def _nominal(model, dataset, config, nominal):
+    """``nominal``, or the run trained when it is None.
+
+    The replays follow ``nominal`` while the test loss reads ``model`` and the
+    guard reads ``config``, so a record trained with another model or config
+    raises ConfigError.
+    """
+    if nominal is None:
+        return trainer.train(model, dataset, config)
+    for name, given in (("model", model), ("config", config)):
+        if getattr(nominal, name) != given:
+            raise ConfigError(f"nominal record trained with another {name} than {given!r}")
+    return nominal
+
+
 def _retrain(model, dataset, record, index, offsets, test_dataset):
     """One replay of ``record`` with a weight row per offset added to sample ``index``.
 
@@ -80,14 +95,14 @@ def finite_difference_hypergradient(
     combined as (4*half - full) / 3, cancelling the O(delta^2) truncation
     term; the reported step is the smaller one actually used. The weights are
     perturbed around those of ``nominal``, and the 4 perturbed runs (2
-    without ``richardson``) advance together in one stacked replay.
+    without ``richardson``) advance together in one stacked replay. A
+    ``nominal`` trained with another ``model`` or ``config`` raises ConfigError.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ConfigError(f"delta = {delta!r} must be finite and > 0")
     (index,) = data.training_indices([index], len(dataset)).tolist()
     _guard(dataset, test_dataset, config, force)
-    if nominal is None:
-        nominal = trainer.train(model, dataset, config)
+    nominal = _nominal(model, dataset, config, nominal)
 
     steps = (delta, delta / 2.0) if richardson else (delta,)
     losses, final = _retrain(
@@ -108,12 +123,14 @@ def finite_difference_hypergradient(
 
 
 def leave_one_out(model, dataset, config, index, test_dataset, nominal=None, force=False):
-    """Test-loss change from retraining with eps_i = -1/N (sample removed)."""
+    """Test-loss change from retraining with eps_i = -1/N (sample removed).
+
+    ``nominal`` is checked as in ``finite_difference_hypergradient``.
+    """
     n = len(dataset)
     (index,) = data.training_indices([index], n).tolist()
     _guard(dataset, test_dataset, config, force)
-    if nominal is None:
-        nominal = trainer.train(model, dataset, config)
+    nominal = _nominal(model, dataset, config, nominal)
     nominal_loss = models.test_loss(model, nominal.final_params, test_dataset)
     (without_loss,), (without,) = _retrain(
         model, dataset, nominal, index, [-1.0 / n], test_dataset

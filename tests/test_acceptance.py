@@ -42,7 +42,6 @@ import numpy as np
 
 import datatrace as dt
 from datatrace import cli
-from datatrace.models import per_sample_loss
 from datatrace.reports import oracle_results_to_report
 
 from conftest import ACCEPTANCE_VERDICTS
@@ -70,7 +69,7 @@ def test_criterion_01_per_sample_gradient_correctness():
             w = base + 0.1 * rng.standard_normal(P)
             x = rng.standard_normal(dim)
             y = int(rng.integers(0, 2))
-            g = dt.per_sample_gradient(spec, w, x, y)
+            g = dt.per_sample_gradients(spec, w, ([x], [y]))[0]
             fd = np.empty(P)
             for k in range(P):
                 h = 1e-6 * max(1.0, abs(w[k]))
@@ -78,8 +77,8 @@ def test_criterion_01_per_sample_gradient_correctness():
                 wp[k] += h
                 wm[k] -= h
                 fd[k] = (
-                    per_sample_loss(spec, wp, x, y)
-                    - per_sample_loss(spec, wm, x, y)
+                    float(dt.sample_losses(spec, wp, ([x], [y]))[0])
+                    - float(dt.sample_losses(spec, wm, ([x], [y]))[0])
                 ) / (2 * h)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-300)
             worst = max(worst, rel)

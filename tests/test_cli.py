@@ -337,6 +337,29 @@ def test_run_refuses_an_empty_test_split(small_config, tmp_path):
         assert cli.main([command, *empty, "--output", str(tmp_path / command)]) == 0
 
 
+@pytest.mark.parametrize("selection, error", [
+    (["tracking.selection=explicit", "tracking.indices="], "tracking.indices is empty"),
+    (["tracking.selection=per_class_fraction", "tracking.fraction=0"], "tracking.fraction"),
+])
+def test_a_bad_tracked_selection_is_refused_before_any_output(small_config, tmp_path,
+                                                              selection, error):
+    sets = [arg for item in selection for arg in ("--set", item)]
+    for command in ("run", "track", "influence", "oracle", "bound-trace"):
+        out = tmp_path / command
+        with pytest.raises(ConfigError, match=error):
+            cli.main([command, "--config", small_config, *sets, "--output", str(out)])
+        assert not out.exists()
+
+
+def test_a_missing_dataset_leaves_no_output_directory(small_config, tmp_path):
+    missing = ["--set", "dataset.source=csv", "--set", f"dataset.train_csv={tmp_path / 'no.csv'}"]
+    for command in ("run", "train", "track", "bound-trace"):
+        out = tmp_path / command
+        with pytest.raises(FileNotFoundError):
+            cli.main([command, "--config", small_config, *missing, "--output", str(out)])
+        assert not out.exists()
+
+
 def test_clean_subcommand_reports_recovery(small_config, tmp_path):
     out = str(tmp_path / "cl")
     rc = cli.main([

@@ -38,14 +38,16 @@ def test_closed_form_on_identity_hessian_probe():
     spec, train, test, rec = _sign_flip_probe()
     n = len(train)
     lam, damping = 0.01, 0.01
-    g_test = dt.test_loss_gradient(spec, rec.final_params, test)
+    g_test = models.test_gradients(spec, rec.final_params, test)[0]
     rep = dt.influence(
         spec, rec.final_params, train, test, list(range(len(train))),
         config=dt.InverseHvpConfig(method="dense", damping=damping),
         weight_decay=lam,
     )
     for i in range(len(train)):
-        g_i = dt.per_sample_gradient(spec, rec.final_params, train.features[i], train.labels[i])
+        g_i = dt.per_sample_gradients(
+            spec, rec.final_params, ([train.features[i]], [train.labels[i]])
+        )[0]
         closed = -(g_test @ g_i) / (1.0 + lam + damping)
         assert abs(rep.values[i] - -closed / n) <= 1e-9 / n
 
@@ -214,10 +216,10 @@ def test_test_side_solve_equals_per_sample_definition(mlp_probe, method, rtol):
     idx = list(range(len(train)))
     rep = dt.influence(spec, w, train, test, idx, config=config,
                        weight_decay=0.01, per_test=True)
-    g_test = dt.test_loss_gradient(spec, w, test)
+    g_test = models.test_gradients(spec, w, test)[0]
     G_test = models.per_sample_gradients(spec, w, test)
     for i in idx:
-        g_i = dt.per_sample_gradient(spec, w, train.features[i], train.labels[i])
+        g_i = dt.per_sample_gradients(spec, w, ([train.features[i]], [train.labels[i]]))[0]
         ihvp, _ = dt.inverse_hvp(spec, w, train, g_i, config, weight_decay=0.01)
         np.testing.assert_allclose(rep.values[i], (g_test @ ihvp) / n, rtol=rtol, atol=0)
         got = [rep.pair_values[(i, j)] for j in range(len(test))]

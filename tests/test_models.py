@@ -27,8 +27,8 @@ def _fd_gradient(spec, params, x, y):
         e = np.zeros_like(flat)
         e[k] = h
         g[k] = (
-            models.per_sample_loss(spec, flat + e, x, y)
-            - models.per_sample_loss(spec, flat - e, x, y)
+            float(models.sample_losses(spec, flat + e, ([x], [y]))[0])
+            - float(models.sample_losses(spec, flat - e, ([x], [y]))[0])
         ) / (2.0 * h)
     return g
 
@@ -49,7 +49,7 @@ def test_unpack_partitions_the_parameter_axis_in_layer_order():
 def test_zero_model_zero_input_gives_zero_gradient():
     spec = dt.ModelSpec("logistic_regression", (3, 1), loss="squared_error")
     params = np.zeros(4)
-    g = dt.per_sample_gradient(spec, params, np.zeros(3), np.zeros(1))
+    g = dt.per_sample_gradients(spec, params, ([np.zeros(3)], [np.zeros(1)]))[0]
     assert np.all(g == 0.0)
 
 
@@ -66,7 +66,7 @@ def test_per_sample_gradient_matches_finite_differences(kind, widths, loss):
             y = int(rng.integers(widths[-1]))
         else:
             y = rng.standard_normal(widths[-1])
-        g = dt.per_sample_gradient(spec, params, x, y)
+        g = dt.per_sample_gradients(spec, params, ([x], [y]))[0]
         fd = _fd_gradient(spec, params, x, y)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
 
@@ -86,7 +86,7 @@ def test_logistic_gradient_closed_form():
     delta = soft.copy()
     delta[y] -= 1.0
     expected = np.concatenate([np.outer(delta, x).ravel(), delta])
-    g = dt.per_sample_gradient(spec, params, x, y)
+    g = dt.per_sample_gradients(spec, params, ([x], [y]))[0]
     assert np.allclose(g, expected, atol=1e-12)
 
 
@@ -299,14 +299,14 @@ def test_a_linearization_of_a_stack_over_shared_rows_is_refused_by_one_vector_re
     P = params.size
     stack = params + np.zeros((2, 1))
     weights = np.full((2, 5), 0.2)
-    lin, _ = models.linearized_gradient(spec, stack, rows, weights)
+    lin = models.linearize(spec, stack, rows)
     assert lin.samples == (5,) and lin.stack == (2,) and lin.losses.shape == (2, 5)
     with pytest.raises(ShapeError, match=rf"parameter stack of shape \(2, {P}\)"):
         models._sample_gradients(lin)
     with pytest.raises(ShapeError, match=rf"parameters of shape \(2, {P}\), expected one vector"):
         dt.hessian_vector_product(spec, stack, lin, weights[0], np.ones(P))
     # a one-row stack holds the bytes of its one vector
-    lin, _ = models.linearized_gradient(spec, stack[:1], rows, weights[:1])
+    lin = models.linearize(spec, stack[:1], rows)
     with pytest.raises(ShapeError, match=rf"parameter stack of shape \(1, {P}\)"):
         dt.hessian_vector_product(spec, params, lin, weights[0], np.ones(P))
     # row sets at one vector have no stack, and no per-sample gradient matrix either
@@ -491,7 +491,7 @@ def test_shape_mismatch_raises():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     params = dt.init_params(spec, 0)
     with pytest.raises(ShapeError):
-        dt.per_sample_gradient(spec, params, np.zeros(3), 0)
+        dt.per_sample_gradients(spec, params, ([np.zeros(3)], [0]))
     ds = dt.synth_gaussian(2, 4, 4, 2.0, 0)
     with pytest.raises(ShapeError):
         dt.batch_gradient(spec, params, ds, np.ones(3))
@@ -670,8 +670,9 @@ def test_a_kept_state_gives_the_hvp_bits_of_its_raw_rows(kind, widths, loss, act
     stack = params + 0.1 * rng.standard_normal((K, params.size))
     sets = rng.integers(len(X), size=(K, b))
     W = np.full((K, b), 1.0 / b)
-    lin, g = models.linearized_gradient(spec, stack, (X[sets], Y[sets]), W)
-    assert np.array_equal(g, models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)[1])
+    lin = models.linearize(spec, stack, (X[sets], Y[sets]))
+    g = models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)[1]
+    assert np.array_equal(models._loss_and_gradient(lin, W)[1], g)
     kept = models.keep(lin)
     assert kept.params is kept.losses is kept.act_grads is None
     V = rng.standard_normal((2, params.size))

@@ -138,3 +138,26 @@ def test_oracle_agrees_with_exact_tracking_on_momentum_minibatch():
 def test_guard_constants_are_sane():
     assert oracle_mod.MAX_ORACLE_SAMPLES == 200
     assert oracle_mod.MAX_ORACLE_STEPS == 5000
+
+
+def test_a_nominal_record_of_another_model_or_config_is_refused_before_any_replay(count_calls):
+    # The replays follow the record while the test loss reads the model given,
+    # so a record trained with ReLU scored as an identity MLP would be wrong.
+    spec = dt.ModelSpec("mlp", (4, 6, 2))
+    train, test = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=10, batch_size=5, initial_lr=0.05,
+                            momentum=0.9, weight_decay=0.01, seed=3)
+    rec = dt.train(spec, train, cfg)
+    calls = count_calls((trainer, "train"))
+    mismatches = [
+        (dt.ModelSpec("mlp", (4, 6, 2), activation="identity"), cfg, "model"),
+        (spec, dt.TrainingConfig(epochs=20, batch_size=5, initial_lr=0.05,
+                                 momentum=0.9, weight_decay=0.01, seed=3), "config"),
+    ]
+    for oracle in (dt.finite_difference_hypergradient, dt.leave_one_out):
+        for model, config, field in mismatches:
+            with pytest.raises(ConfigError, match=f"another {field}"):
+                oracle(model, train, config, 4, test, nominal=rec)
+    assert calls == {"train": 0}
+    dt.leave_one_out(spec, train, cfg, 4, test, nominal=rec)
+    assert calls == {"train": 1}
