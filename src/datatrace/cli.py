@@ -187,7 +187,11 @@ def load_config(path):
 
 
 def build_datasets(cfg):
-    """Train/test splits plus the noise record (None when fraction is 0)."""
+    """Train/test splits plus the noise record (None when fraction is 0).
+
+    An empty training split raises ConfigError here, before any command
+    creates its output directory.
+    """
     ds = cfg.dataset
     if ds.source == "synthetic":
         train = data.synth_gaussian(
@@ -202,6 +206,7 @@ def build_datasets(cfg):
     else:
         train = data.load_csv(ds.train_csv, ds.classes, "train")
         test = data.load_csv(ds.test_csv, ds.classes, "test")
+    trainer.check_training_set(train)
     data.check_disjoint(train, test)
     noise_record = None
     if cfg.noise.fraction > 0.0:

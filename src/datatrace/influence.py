@@ -5,21 +5,27 @@ parameters only: IF_i = -g_test^T (H_T + shift I)^{-1} g_i. H is symmetric, so
 IF_i = -g_i^T s_test with s_test = (H_T + shift I)^{-1} g_test (Koh & Liang,
 2017): one inverse HVP per call serves every training sample. It can be
 computed by damped conjugate gradient, by the stochastic Neumann-series
-iteration with single-sample Hessians (LiSSA; Agarwal et al., 2017), or (for
-tiny models) by a dense solve.
+iteration with batch-mean Hessians (LiSSA's inner averaging, Agarwal et al.,
+2017; Koh & Liang's recursion batch), or (for tiny models) by a dense solve.
 
-The Neumann chains are independent, so they run in lockstep: the scale is one
-stacked power iteration over the probes' single-sample Hessians, and every
-repeat's r iterates advance together with one paired HVP per series step, each
-repeat on its own drawn sample. A solve makes 50 + depth HVP calls, and every
-value is bit-identical to running the chains one after another.
+Each Neumann draw is a set of b = min(16, n) rows weighted 1/b. A batch-mean
+Hessian's spectrum lies far closer to the mean Hessian's than a single
+sample's, so the scale that bounds it is smaller and the series contracts
+faster per step; the default depth is 150. The chains are independent, so
+they run in lockstep: the scale is one stacked power iteration over 16 probe
+sets, and every repeat's r iterates advance together with one paired HVP per
+series step, each repeat on its own drawn set. A solve makes 50 + depth HVP
+calls, and every value is bit-identical to running the chains one after
+another.
 
 Every HVP of a solve is taken at the same final parameters, so each solve
 linearizes its rows once (``models.linearize``: the forward pass, softmax and
-deltas) and each HVP runs only the vector-dependent R-forward and R-backward:
-CG on the training set, the Neumann scale on its probes, the series on the
-distinct samples it draws, all drawn up front, and the dense solve on the
-training set, whose basis vectors go through ceil(sqrt(P)) at a time.
+deltas) and each HVP runs only the vector-dependent R-forward and R-backward.
+CG and the Neumann solver linearize the training set; the Neumann probe sets
+and series sets are gathered from that one linearization, the series in
+blocks of ceil(sqrt(depth)) steps (12 gathers at depth 150). The dense solve
+linearizes the training set and sends its basis vectors through
+ceil(sqrt(P)) at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from . import data, models, reports
 from .exceptions import ConfigError, ConvergenceError, ScalingError, ShapeError
 
 NEUMANN_DIVERGENCE_FACTOR = 1e6
+NEUMANN_BATCH = 16  # rows b per drawn set, or n when the training set is smaller
+NEUMANN_PROBES = 16  # probe sets of the scale's power iteration
 _METHOD_TAGS = {
     "conjugate_gradient": "influence_cg",
     "neumann": "influence_neumann",
@@ -46,7 +54,7 @@ class InverseHvpConfig:
     damping: float = 0.01
     cg_max_iters: int = 1000
     cg_tolerance: float = 1e-10
-    neumann_depth: int = 500
+    neumann_depth: int = 150
     neumann_repeats: int = 4
     neumann_scale: float | None = None  # None -> 1.1 * max |eig| by power iteration
     seed: int = 0
@@ -104,63 +112,60 @@ def _cg(matvec, v, tol, max_iters):
     )
 
 
-def _sample_sets(model, params, dataset, samples):
-    """Each sample as its own one-row set, linearized in the paired form that
-    ``hessian_vector_product`` takes with (K, 1) weights."""
-    X, Y = dataset.features, dataset.labels
-    return models.linearize(model, params, (X[samples][:, None], Y[samples][:, None]))
+def _neumann_scale(model, params, lin, shift, config):
+    """The series' scale: ``config.neumann_scale``, or 1.1 x the largest eigenvalue of
+    H + shift over 16 probe sets of b rows gathered from the training set's
+    linearization ``lin``.
 
-
-def _neumann_scale(model, params, dataset, shift, config):
+    The series applies batch-mean Hessians, whose spectra can exceed the
+    mean Hessian's, so the scale must bound the largest eigenvalue seen over
+    sets of the same size. One stacked power iteration runs the probe sets'
+    operators side by side.
+    """
     if config.neumann_scale is not None:
         return float(config.neumann_scale)
-    # The iteration applies single-sample Hessians, whose spectra can exceed
-    # the mean Hessian's, so the scale must bound the largest per-sample
-    # eigenvalue seen over a probe subset. One stacked power iteration runs
-    # the probes' operators side by side.
-    n = len(dataset)
+    n = lin.samples[0]
+    b = min(NEUMANN_BATCH, n)
     rng = np.random.default_rng([int(config.seed), 0x5CA1])
-    probe = rng.choice(n, size=min(16, n), replace=False)
-    lin = _sample_sets(model, params, dataset, probe)
-    matvec = _shifted(model, params, lin, np.ones((probe.size, 1)), shift)
+    probes = lin.take(rng.integers(n, size=(NEUMANN_PROBES, b)))
+    matvec = _shifted(model, params, probes, np.full((NEUMANN_PROBES, b), 1.0 / b), shift)
     eigs = models.power_iteration_max_eig(
-        matvec, dim=(probe.size, np.size(params)), iterations=50, seed=config.seed
+        matvec, dim=(NEUMANN_PROBES, np.size(params)), iterations=50, seed=config.seed
     )
     # 1.1 headroom so the scaled operator has spectral radius < 1.
     return 1.1 * max(float(eigs.max()), 1e-12)
 
 
-def _neumann(model, params, dataset, V, shift, scale, config):
+def _neumann(model, params, lin, V, shift, scale, config):
     """Neumann-series estimates of every row of V, shape (repeats, r, P).
 
     The repeats x r iterates advance in lockstep, one paired HVP per step:
-    each repeat draws its own sample per step from ``Generator([seed, rep])``
-    and applies that sample's Hessian to its r iterates. The draws are made
-    up front and their distinct samples linearized once. The steps' sets are
-    gathered from that linearization ceil(sqrt(depth)) steps at a time, and
-    each step reads its K = repeats x r sets as a contiguous view of its
-    block. After every step each iterate's norm (``models.row_norms``) is
-    checked against the divergence limit.
+    each repeat draws its (depth, b) block of row indices in one call to
+    ``Generator([seed, rep])`` and applies step t's batch-mean Hessian, over
+    the b rows of its row t, to its r iterates. The sets are gathered from
+    the training set's one linearization ``lin`` ceil(sqrt(depth)) steps at
+    a time, and each step reads its K = repeats x r sets as a contiguous
+    view of its block. After every step each iterate's norm
+    (``models.row_norms``) is checked against the divergence limit.
     """
-    n, depth = len(dataset), config.neumann_depth
+    n, depth = lin.samples[0], config.neumann_depth
+    b = min(NEUMANN_BATCH, n)
     repeats, r = config.neumann_repeats, len(V)
     rngs = [np.random.default_rng([int(config.seed), rep]) for rep in range(repeats)]
-    draws = np.stack([rng.integers(n, size=depth) for rng in rngs], axis=1)
-    samples, sets = np.unique(draws, return_inverse=True)
-    lin = _sample_sets(model, params, dataset, samples)
-    # Step t's K sets, each repeat's drawn sample once per right-hand side.
-    steps = np.repeat(sets.reshape(draws.shape), r, axis=1)
+    draws = np.stack([rng.integers(n, size=(depth, b)) for rng in rngs], axis=1)
     K = repeats * r
-    ones = np.ones((K, 1))
+    weights = np.full((K, b), 1.0 / b)
     V = np.tile(V, (repeats, 1))
     limit = NEUMANN_DIVERGENCE_FACTOR * np.maximum(models.row_norms(V), 1.0)
     R = V.copy()
     block = math.isqrt(depth - 1) + 1
     for start in range(0, depth, block):
-        gathered = lin.take(steps[start : start + block].ravel())
-        for j in range(min(block, depth - start)):
+        # Step t's K sets: each repeat's drawn rows once per right-hand side.
+        sets = np.repeat(draws[start : start + block], r, axis=1)
+        gathered = lin.take(sets.reshape(-1, b))
+        for j in range(len(sets)):
             step = gathered.take(slice(j * K, (j + 1) * K))
-            hr = _shifted(model, params, step, ones, shift)(R)
+            hr = _shifted(model, params, step, weights, shift)(R)
             R = V + R - hr / scale
             if np.any(models.row_norms(R) > limit):
                 raise ScalingError(
@@ -173,8 +178,8 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
     """Approximate (H_T + shift I)^{-1} v. Returns (result, diagnostics).
 
     ``v`` may be a flat vector or an (r, P) stack; the result has the same
-    shape. The solver is set up once per call (dense builds H once, Neumann
-    estimates its scale once). CG and the dense solve take the rows one by
+    shape. The solver is set up once per call (dense builds H once, CG and
+    Neumann linearize the training set once, Neumann estimates its scale once). CG and the dense solve take the rows one by
     one, so each row's result has the bits of its solve alone. For a stack,
     ``cg_residual`` is the largest row residual and ``cg_iterations`` the total.
     """
@@ -196,8 +201,9 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
             "cg_iterations": sum(iters for _, _, iters in runs),
         }
     elif config.method == "neumann":
-        scale = _neumann_scale(model, params, dataset, shift, config)
-        estimates = _neumann(model, params, dataset, V, shift, scale, config)
+        lin = models.linearize(model, params, dataset)
+        scale = _neumann_scale(model, params, lin, shift, config)
+        estimates = _neumann(model, params, lin, V, shift, scale, config)
         X = estimates.mean(axis=0)
         spread = float(np.linalg.norm(estimates.std(axis=0)))
         diag = {"neumann_scale": scale, "neumann_repeat_std": spread}

@@ -425,6 +425,8 @@ class Linearization:
     def take(self, sets):
         """The linearization of the listed row sets of a paired one, in that order (repeats
         allowed), or, as views, of the one set ``sets`` (an int) or the sets a slice picks.
+        Of shared rows (one parameter vector), a (K, b) index array gathers the
+        rows into K paired sets of b rows each (repeats allowed).
 
         The parameters and weight matrices go with the sets when the matrices
         have the set axis (a stack paired with the sets) and are shared otherwise.
@@ -432,8 +434,15 @@ class Linearization:
         one = isinstance(sets, (int, np.integer))
         view = one or isinstance(sets, slice)
         sets = sets if view else np.asarray(sets, dtype=np.int64)
-        if len(self.samples) != 2 or not view and sets.ndim != 1:
-            raise ShapeError("take picks row sets of a paired linearization")
+        if len(self.samples) == 2:
+            ok = view or sets.ndim == 1
+        else:
+            ok = not view and sets.ndim == 2 and not self.stack
+        if not ok:
+            raise ShapeError(
+                "take picks row sets of a paired linearization, or gathers shared rows "
+                "into (K, b) sets"
+            )
 
         def pick(a):
             return a if a is None else a[sets] if view else a.take(sets, axis=0)

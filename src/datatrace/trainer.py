@@ -133,6 +133,14 @@ class TrainingConfig:
             raise ConfigError("initial_lr * weight_decay must be < 1")
 
 
+def check_training_set(dataset):
+    """The row count of a training set; ConfigError for none, which gives no batch to step on."""
+    n = len(dataset)
+    if n == 0:
+        raise ConfigError("empty training set: no samples to train on")
+    return n
+
+
 def batch_starts(n, batch_size):
     """Offsets of one epoch's batches; ``batch_size <= 0`` or ``>= n`` is one full batch."""
     if batch_size <= 0 or batch_size >= n:
@@ -334,9 +342,9 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
     ``(R, T)``, and row r is bit-identical to the run with weights row r alone (each row
     diverges against its own first loss). Under ``ReduceOnPlateauSchedule`` a
     stack needs recorded ``lrs``, because that rate follows each run's own
-    loss; ConfigError otherwise.
+    loss; ConfigError otherwise. An empty training set raises ConfigError.
     """
-    n = len(dataset)
+    n = check_training_set(dataset)
     eps = np.zeros(n) if data_weights is None else np.asarray(data_weights, dtype=np.float64)
     if eps.ndim not in (1, 2) or eps.shape[-1] != n:
         raise ConfigError(f"data weights of shape {eps.shape} for {n} samples")

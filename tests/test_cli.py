@@ -81,9 +81,9 @@ def _demo_config():
 
 
 @pytest.mark.parametrize("text, digest", [
-    ("", "77df2380155fb10aa5ed499da9f3b074c40ba5bf61a44f3c638877fba3b699ea"),
-    (SMALL_CONFIG, "a128d2a52ffe3dc96e32cae49a90df4c308ac107b0adac6fdb30b10b0b4613c7"),
-    (_demo_config(), "a31f4457393ddc5a6d75aa8eff9da7f6f41efc4952b0e2a10769ad29484cbde8"),
+    ("", "293003bed06d803200fdf5a3c20b68ad59817ea022ac328e626b6e91fdcc3e5b"),
+    (SMALL_CONFIG, "cb4dce822a0d67362e10c2175b55e394a74a50503608a35953b642919d7c9939"),
+    (_demo_config(), "eadecb31170c3e5dc8830fcb190049ffda02585f363c92e8c20a69d2ab7fe788"),
 ], ids=["defaults", "small", "demo06"])
 def test_config_hash_is_pinned(text, digest):
     # The manifest's config_hash; a change here invalidates every recorded run.
@@ -335,6 +335,16 @@ def test_run_refuses_an_empty_test_split(small_config, tmp_path):
     # Neither reads the test split.
     for command in ("train", "bound-trace"):
         assert cli.main([command, *empty, "--output", str(tmp_path / command)]) == 0
+
+
+def test_every_command_refuses_an_empty_training_split(small_config, tmp_path):
+    empty = ["--config", small_config, "--set", "dataset.per_class=0"]
+    # clean needs a noise fraction; the others accept one.
+    for command in ("train", "run", "clean", "track", "influence", "oracle", "bound-trace"):
+        out = tmp_path / command
+        with pytest.raises(ConfigError, match="empty training set"):
+            cli.main([command, *empty, "--output", str(out), "--noise-fraction", "0.3"])
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("selection, error", [

@@ -715,6 +715,19 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
     ]
     # a slice takes its sets as views
     assert all(np.shares_memory(x, y) for x, y in zip(paired.take(slice(1, k)).deltas, paired.deltas))
+    # shared rows gathered into (k, b) sets: each set has the bits of its gather alone,
+    # and the values of the sets linearized as rows (their forward pass may sum in
+    # another order)
+    weights = rng.uniform(0.5, 1.5, (k, b)) / b
+    gathered = dt.hessian_vector_product(spec, params, shared.take(sets), weights, V)
+    alone = [
+        dt.hessian_vector_product(spec, params, shared.take(sets[j : j + 1]), weights[j : j + 1],
+                                  V[j : j + 1])
+        for j in range(k)
+    ]
+    assert gathered.tobytes() == np.concatenate(alone).tobytes()
+    want = dt.hessian_vector_product(spec, params, (X[sets], Y[sets]), weights, V)
+    np.testing.assert_allclose(gathered, want, rtol=1e-12, atol=1e-12)
     for rows, lin, weights, vectors in cases:
         for v in vectors:
             want = dt.hessian_vector_product(spec, params, rows, weights, v)
@@ -733,8 +746,9 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
             dt.hessian_vector_product(call_spec, call_params, lin, weights, V[0])
     with pytest.raises(ShapeError, match="weights of shape"):
         dt.hessian_vector_product(spec, params, lin, weights[None], V[0])
-    with pytest.raises(ShapeError, match="take"):
-        shared.take([0])
+    for bad_take in (lambda: shared.take([0]), lambda: shared.take(0), lambda: paired.take(sets)):
+        with pytest.raises(ShapeError, match="take"):
+            bad_take()
     # one from keep or restore has no parameters to check against
     for bare in (models.keep(lin), models.restore(models.keep(lin), X)):
         with pytest.raises(ShapeError, match="linearization"):

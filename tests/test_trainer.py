@@ -19,6 +19,20 @@ from datatrace.exceptions import ConfigError, DivergenceError, ReplayDivergenceE
 from conftest import bias_only_probe, gaussian_pair, ridge_probe
 
 
+def test_an_empty_training_set_is_refused_before_any_work(monkeypatch):
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, _ = gaussian_pair(dim=4, per_class=10)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for an empty training set")
+
+    monkeypatch.setattr(trainer, "build_batch_schedule", no_work)
+    monkeypatch.setattr(models, "init_params", no_work)
+    cfg = dt.TrainingConfig(epochs=2, batch_size=4, initial_lr=0.1, seed=0)
+    with pytest.raises(ConfigError, match="empty training set"):
+        dt.train(spec, train.subset([]), cfg)
+
+
 def test_geometric_contraction_on_pure_quadratic():
     # loss 0.5*b^2 (zero inputs, zero target): b_t = 0.9^t from b_0 = 1
     spec, data = bias_only_probe([0.0])
