@@ -179,8 +179,9 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
 
     ``v`` may be a flat vector or an (r, P) stack; the result has the same
     shape. The solver is set up once per call (dense builds H once, CG and
-    Neumann linearize the training set once, Neumann estimates its scale once). CG and the dense solve take the rows one by
-    one, so each row's result has the bits of its solve alone. For a stack,
+    Neumann linearize the training set once, Neumann estimates its scale
+    once). CG and the dense solve take the rows one by one, so each row's
+    result has the bits of its solve alone. For a stack,
     ``cg_residual`` is the largest row residual and ``cg_iterations`` the total.
     """
     V = np.asarray(v, dtype=np.float64)
