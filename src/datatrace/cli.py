@@ -311,19 +311,35 @@ def _write_manifest(cfg, out_dir, files):
 
 
 def run_experiment(cfg, output_dir=None):
-    """train -> track per method -> contributions -> analytics -> emit."""
-    train, test, noise_record = build_datasets(cfg)
-    models.check_test_subset(test)  # before the output directory exists
-    tracked = select_tracked(cfg, train)
-    out = _resolve_output(cfg, output_dir)
-    files = []
+    """train -> contributions per method -> analytics -> emit.
 
+    Everything is computed before the output directory is created, so a run
+    that raises leaves no directory behind.
+    """
+    train, test, noise_record = build_datasets(cfg)
+    models.check_test_subset(test)
+    tracked = select_tracked(cfg, train)
+    record = trainer.train(cfg.model, train, cfg.training)
+    method_reports = {
+        method: compute_report(cfg, method, record, train, test, tracked)
+        for method in cfg.methods
+    }
+    stats = {method: attribution.distribution_stats(rep) for method, rep in method_reports.items()}
+    ref_tag = "exact" if "exact" in method_reports else next(iter(method_reports), None)
+    comparisons = {
+        f"compare_{ref_tag}_vs_{method}.json": attribution.compare_methods(
+            method_reports[ref_tag], rep
+        )
+        for method, rep in method_reports.items()
+        if method != ref_tag
+    }
+
+    out = _resolve_output(cfg, output_dir)
     # The output location is implicit (the file's own directory), so it is
     # omitted; every byte of the emitted tree is then location-independent.
     with open(os.path.join(out, "config.ini"), "w") as fh:
         fh.write(config_to_text(cfg, include_output=False))
-    files.append("config.ini")
-
+    files = ["config.ini"]
     if noise_record is not None:
         noise = {
             "flipped_indices": [int(i) for i in noise_record.flipped_indices],
@@ -333,34 +349,14 @@ def run_experiment(cfg, output_dir=None):
         }
         reports.write_json(noise, os.path.join(out, "noise.json"))
         files.append("noise.json")
-
-    record = trainer.train(cfg.model, train, cfg.training)
     trainer.save_trajectory(record, os.path.join(out, "trajectory"))
-
-    method_reports = {}
-    for method in cfg.methods:
-        rep = compute_report(cfg, method, record, train, test, tracked)
-        name = f"contrib_{method}.csv"
-        reports.write_report_csv(rep, os.path.join(out, name))
+    for method, rep in method_reports.items():
+        reports.write_report_csv(rep, os.path.join(out, f"contrib_{method}.csv"))
+        attribution.write_stats_json(stats[method], os.path.join(out, f"stats_{method}.json"))
+        files += [f"contrib_{method}.csv", f"stats_{method}.json"]
+    for name, cmp_ in comparisons.items():
+        attribution.write_comparison_json(cmp_, os.path.join(out, name))
         files.append(name)
-        method_reports[method] = rep
-
-        stats = attribution.distribution_stats(rep)
-        name = f"stats_{method}.json"
-        attribution.write_stats_json(stats, os.path.join(out, name))
-        files.append(name)
-
-    if len(method_reports) >= 2:
-        ref_tag = "exact" if "exact" in method_reports else cfg.methods[0]
-        ref = method_reports[ref_tag]
-        for method, rep in method_reports.items():
-            if method == ref_tag:
-                continue
-            cmp_ = attribution.compare_methods(ref, rep)
-            name = f"compare_{ref_tag}_vs_{method}.json"
-            attribution.write_comparison_json(cmp_, os.path.join(out, name))
-            files.append(name)
-
     _write_manifest(cfg, out, files)
     return out
 
@@ -370,13 +366,11 @@ def run_cleaning(cfg, output_dir=None):
     if not 0.0 < cfg.noise.fraction < 1.0:
         raise ConfigError("cleaning requires a noise fraction in (0, 1)")
     train, test, noise_record = build_datasets(cfg)
-    models.check_test_subset(test)  # before the output directory exists
-    out = _resolve_output(cfg, output_dir)
+    models.check_test_subset(test)
     record = trainer.train(cfg.model, train, cfg.training)
     tracked = np.arange(len(train))
     rep = compute_report(cfg, "approx", record, train, test, tracked)
     retained = attribution.clean_dataset(rep, cfg.noise.fraction)
-    attribution.write_retained_indices(retained, os.path.join(out, "retained.txt"))
 
     discarded = sorted(set(range(len(train))) - set(int(i) for i in retained))
     flipped = set(int(i) for i in noise_record.flipped_indices)
@@ -395,6 +389,8 @@ def run_cleaning(cfg, output_dir=None):
         "accuracy_cleaned": acc_cleaned,
         "n_discarded": len(discarded),
     }
+    out = _resolve_output(cfg, output_dir)
+    attribution.write_retained_indices(retained, os.path.join(out, "retained.txt"))
     reports.write_json(payload, os.path.join(out, "cleaning.json"))
     return payload
 
@@ -405,10 +401,14 @@ def run_bound_trace(cfg, output_dir=None):
         raise ConfigError("bound-trace requires weight_decay > 0")
     train, _, _ = build_datasets(cfg)
     tracked = select_tracked(cfg, train)
-    out = _resolve_output(cfg, output_dir)
     record = trainer.train(cfg.model, train, cfg.training)
     traces = hypergrad.error_trace(record, train, tracked)
+    constants = {
+        i: {"lipschitz_estimate": trace.lipschitz_estimate, "nabla_max": trace.nabla_max}
+        for i, trace in traces.items()
+    }
 
+    out = _resolve_output(cfg, output_dir)
     path = os.path.join(out, "bound_trace.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -416,10 +416,6 @@ def run_bound_trace(cfg, output_dir=None):
         for i, trace in traces.items():
             for t, err, bnd in zip(trace.steps, trace.error_norms, trace.bounds):
                 writer.writerow([i, int(t), repr(float(err)), repr(float(bnd))])
-    constants = {
-        i: {"lipschitz_estimate": trace.lipschitz_estimate, "nabla_max": trace.nabla_max}
-        for i, trace in traces.items()
-    }
     reports.write_json(constants, os.path.join(out, "bound_constants.json"))
     return path
 
@@ -495,44 +491,29 @@ def main(argv=None):
 
     if args.command == "train":
         train_ds, _, _ = build_datasets(cfg)
-        out = _resolve_output(cfg, args.output)
         record = trainer.train(cfg.model, train_ds, cfg.training)
+        out = _resolve_output(cfg)
         trainer.save_trajectory(record, os.path.join(out, "trajectory"))
         print(f"trained {record.steps} steps -> {out}/trajectory")
         return 0
 
-    if args.command in ("track", "influence", "oracle"):
-        wanted = {
-            "track": ("exact", "approx"),
-            "influence": tuple(_METHOD_TAGS.values()),
-            "oracle": ("oracle_fd", "oracle_loo"),
-        }[args.command]
-        methods = tuple(m for m in cfg.methods if m in wanted) or (wanted[0],)
-        train_ds, test_ds, _ = build_datasets(cfg)
-        models.check_test_subset(test_ds)  # before the output directory exists
-        tracked = select_tracked(cfg, train_ds)
-        out = _resolve_output(cfg, args.output)
-        record = trainer.train(cfg.model, train_ds, cfg.training)
-        for method in methods:
-            rep = compute_report(cfg, method, record, train_ds, test_ds, tracked)
-            path = os.path.join(out, f"contrib_{method}.csv")
-            reports.write_report_csv(rep, path)
-            print(f"wrote {path}")
-        return 0
-
     if args.command == "clean":
-        payload = run_cleaning(cfg, args.output)
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(run_cleaning(cfg), sort_keys=True))
         return 0
 
     if args.command == "bound-trace":
-        path = run_bound_trace(cfg, args.output)
-        print(f"wrote {path}")
+        print(f"wrote {run_bound_trace(cfg)}")
         return 0
 
-    # run
-    out = run_experiment(cfg, args.output)
-    print(f"experiment complete -> {out}")
+    # run, or one method family's run
+    wanted = {
+        "track": ("exact", "approx"),
+        "influence": tuple(_METHOD_TAGS.values()),
+        "oracle": ("oracle_fd", "oracle_loo"),
+    }.get(args.command)
+    if wanted:
+        cfg = replace(cfg, methods=tuple(m for m in cfg.methods if m in wanted) or wanted[:1])
+    print(f"experiment complete -> {run_experiment(cfg)}")
     return 0
 
 

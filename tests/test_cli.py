@@ -317,11 +317,55 @@ def test_oracle_subcommand(small_config, tmp_path):
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])
 def test_oracle_refuses_a_non_finite_delta(small_config, tmp_path, delta):
+    out = tmp_path / "orc"
     with pytest.raises(ConfigError, match="delta"):
         cli.main([
-            "oracle", "--config", small_config, "--output", str(tmp_path / "orc"),
+            "oracle", "--config", small_config, "--output", str(out),
             "--methods", "oracle_fd", "--set", f"oracle.delta={delta}",
         ])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["run", "--methods", "exact,oracle_fd", "--set", "oracle.delta=nan"],
+     ConfigError, "delta"),
+    (["oracle", "--set", "oracle.delta=-1"], ConfigError, "delta"),
+    (["run", "--methods", "exact,oracle_fd", "--set", "dataset.per_class=150"],
+     ValueError, "oracle limited to 200 samples"),
+    (["run", "--methods", "approx,influence_dense", "--set", "dataset.dim=5",
+      "--set", "model.kind=mlp", "--set", "model.layer_widths=5,400,2"],
+     ValueError, "exceeds dense-Hessian cap"),
+    (["clean", "--set", "model.loss=squared_error", "--noise-fraction", "0.3"],
+     dt.ShapeError, "squared_error"),
+], ids=["run-nan-delta", "oracle-negative-delta", "oracle-row-guard", "dense-cap",
+        "clean-squared-error"])
+def test_a_failing_command_leaves_no_output_directory(small_config, tmp_path,
+                                                      argv, error, message):
+    # Each of these raises only after training, so the whole command computes first.
+    out = tmp_path / "out"
+    with pytest.raises(error, match=message):
+        cli.main([*argv, "--config", small_config, "--output", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, methods", [
+    (["track"], ("exact", "approx")),
+    (["influence", "--methods", "influence_cg,influence_dense"],
+     ("influence_cg", "influence_dense")),
+    (["oracle", "--methods", "oracle_fd,oracle_loo"], ("oracle_fd", "oracle_loo")),
+], ids=["track", "influence", "oracle"])
+def test_method_family_commands_write_a_run_tree(small_config, tmp_path, command, methods):
+    out, ref = tmp_path / command[0], tmp_path / "run"
+    cli.main([*command, "--config", small_config, "--output", str(out)])
+    cli.main(["run", "--methods", ",".join(methods), "--config", small_config,
+              "--output", str(ref)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json", "trajectory"}
+    assert set(manifest["files"]) == written
+    assert cli.load_config(str(out / "config.ini")).methods == methods
+    for method in methods:
+        name = f"contrib_{method}.csv"
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_run_refuses_an_empty_test_split(small_config, tmp_path):
