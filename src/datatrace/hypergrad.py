@@ -109,7 +109,7 @@ class _Tracker:
             self.hvp_calls += 1
         self.mom = mom + cfg.weight_decay * self.nabla + source
         self.nabla = self.nabla - ctx.lr * self.mom
-        if not np.all(np.isfinite(self.nabla)):
+        if not np.isfinite(self.nabla).all():
             raise DivergenceError(ctx.step, f"hypergradient diverged at step {ctx.step}")
 
     def states(self):
@@ -186,8 +186,9 @@ def error_trace(record, dataset, indices, record_stride=1):
     w_T = record.final_params
     weights = 1.0 / record.n_train + record.data_weights  # the run's, as the plateau monitor's
     lin = models.linearize(record.model, w_T, dataset)
+    hvp = models._HvpOperator(record.model, w_T, lin, weights)  # checked once for every step
     L = models.power_iteration_max_eig(
-        lambda v: models.hessian_vector_product(record.model, w_T, lin, weights, v),
+        lambda v: hvp(v[None])[0],
         dim=w_T.size,
         seed=record.config.seed,
     )
@@ -340,7 +341,7 @@ def _adjoint(record, dataset, indices, rows):
         if hit.any():
             acc[:, rank[hit]] += (n / len(ctx.batch)) * ctx.gradient_dots(hit, beta)
         alpha = alpha + cfg.weight_decay * beta + ctx.batch_hvp(beta)
-        if not np.all(np.isfinite(alpha)):
+        if not np.isfinite(alpha).all():
             raise DivergenceError(ctx.step, f"adjoint diverged at step {ctx.step}")
         beta = cfg.momentum * beta
     return index, acc

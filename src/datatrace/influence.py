@@ -14,8 +14,8 @@ sample's, so the scale that bounds it is smaller and the series contracts
 faster per step; the default depth is 150. The chains are independent, so
 they run in lockstep: the scale is one stacked power iteration over 16 probe
 sets, and every repeat's r iterates advance together with one paired HVP per
-series step, each repeat on its own drawn set. A solve makes 50 + depth HVP
-calls, and every value is bit-identical to running the chains one after
+series step, each repeat on its own drawn set. A solve applies 50 + depth
+HVPs, and every value is bit-identical to running the chains one after
 another.
 
 Every HVP of a solve is taken at the same final parameters, so each solve
@@ -26,6 +26,16 @@ and series sets are gathered from that one linearization, the series in
 blocks of ceil(sqrt(depth)) steps (12 gathers at depth 150). The dense solve
 linearizes the training set and sends its basis vectors through
 ceil(sqrt(P)) at a time.
+
+Each solve checks its inputs once: CG, the scale's power iteration, the
+dense blocks and each gathered block of the series build one HVP operator
+(``models._HvpOperator``, which checks the spec, the parameter bytes and the
+weights), so a linearization at other parameters is refused before the first
+step, and each step applies only the R-operator and its finiteness check
+(a series step on its run of the block's row sets). CG goes on past a
+non-positive curvature d^T (H + shift I) d, since it may still converge on
+an indefinite H + shift I, and names the first such curvature if it does
+not; a zero curvature raises at once.
 """
 
 from __future__ import annotations
@@ -75,17 +85,31 @@ class InverseHvpConfig:
 
 
 def _shifted(model, params, lin, weights, shift):
-    """The operator v -> (H + shift I) v, H the weighted empirical-risk Hessian of the
-    rows that ``lin`` linearizes at ``params``."""
+    """The operator V -> (H + shift I) V on a (k, P) stack, H the weighted empirical-risk
+    Hessian of the rows that ``lin`` linearizes at ``params``; ``sets`` (a slice)
+    picks those row sets of a paired ``lin`` and rows of ``weights``.
 
-    def matvec(v):
-        return models.hessian_vector_product(model, params, lin, weights, v) + shift * v
+    The HVP operator is built, and its inputs checked, once here; each
+    application runs only the R-operator and its finiteness check.
+    """
+    hvp = models._HvpOperator(model, params, lin, weights)
+
+    def matvec(V, sets=None):
+        return hvp(V, sets) + shift * V
 
     return matvec
 
 
 def _cg(matvec, v, tol, max_iters):
-    """Conjugate gradient for (H + shift I) x = v; residual-norm stopping."""
+    """Conjugate gradient for (H + shift I) x = v; residual-norm stopping.
+
+    ``matvec`` maps a (1, P) stack. A non-positive curvature d^T (H + shift I) d
+    along a search direction d shows that H + shift I is not positive
+    definite. CG may still converge then (H + shift I need only be
+    nonsingular), so it goes on; if it does not converge, its
+    ConvergenceError names the first such curvature and its iteration. A
+    zero curvature breaks CG down and raises ConvergenceError at once.
+    """
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
         return np.zeros_like(v), 0.0, 0
@@ -93,9 +117,22 @@ def _cg(matvec, v, tol, max_iters):
     r = v.copy()
     d = r.copy()
     rs = float(r @ r)
+    indefinite = ""
     for it in range(1, max_iters + 1):
-        hd = matvec(d)
-        alpha = rs / float(d @ hd)
+        hd = matvec(d[None])[0]
+        curvature = float(d @ hd)
+        if curvature <= 0.0 and not indefinite:
+            indefinite = (
+                f"; curvature d.(H+shift)d = {curvature:.3e} <= 0 at iteration {it}: "
+                "H + shift is not positive definite, raise the damping"
+            )
+        if curvature == 0.0:
+            raise ConvergenceError(
+                f"CG broke down at iteration {it}{indefinite}",
+                residual=float(np.sqrt(rs)),
+                iterations=it,
+            )
+        alpha = rs / curvature
         x += alpha * d
         r -= alpha * hd
         rs_new = float(r @ r)
@@ -106,7 +143,7 @@ def _cg(matvec, v, tol, max_iters):
         rs = rs_new
     raise ConvergenceError(
         f"CG did not reach tolerance in {max_iters} iterations "
-        f"(residual {np.sqrt(rs):.3e} vs target {tol * vnorm:.3e})",
+        f"(residual {np.sqrt(rs):.3e} vs target {tol * vnorm:.3e}){indefinite}",
         residual=float(np.sqrt(rs)),
         iterations=max_iters,
     )
@@ -144,9 +181,10 @@ def _neumann(model, params, lin, V, shift, scale, config):
     ``Generator([seed, rep])`` and applies step t's batch-mean Hessian, over
     the b rows of its row t, to its r iterates. The sets are gathered from
     the training set's one linearization ``lin`` ceil(sqrt(depth)) steps at
-    a time, and each step reads its K = repeats x r sets as a contiguous
-    view of its block. After every step each iterate's norm
-    (``models.row_norms``) is checked against the divergence limit.
+    a time, and each step applies the operator of its block (one per
+    gather) to its K = repeats x r sets, a contiguous run of the block's.
+    After every step each iterate's norm (``models.row_norms``) is checked
+    against the divergence limit.
     """
     n, depth = lin.samples[0], config.neumann_depth
     b = min(NEUMANN_BATCH, n)
@@ -154,23 +192,24 @@ def _neumann(model, params, lin, V, shift, scale, config):
     rngs = [np.random.default_rng([int(config.seed), rep]) for rep in range(repeats)]
     draws = np.stack([rng.integers(n, size=(depth, b)) for rng in rngs], axis=1)
     K = repeats * r
-    weights = np.full((K, b), 1.0 / b)
     V = np.tile(V, (repeats, 1))
     limit = NEUMANN_DIVERGENCE_FACTOR * np.maximum(models.row_norms(V), 1.0)
     R = V.copy()
     block = math.isqrt(depth - 1) + 1
+    weights = np.full((block * K, b), 1.0 / b)
     for start in range(0, depth, block):
         # Step t's K sets: each repeat's drawn rows once per right-hand side.
         sets = np.repeat(draws[start : start + block], r, axis=1)
         gathered = lin.take(sets.reshape(-1, b))
+        matvec = _shifted(model, params, gathered, weights[: len(sets) * K], shift)
         for j in range(len(sets)):
-            step = gathered.take(slice(j * K, (j + 1) * K))
-            hr = _shifted(model, params, step, weights, shift)(R)
+            hr = matvec(R, slice(j * K, (j + 1) * K))
             R = V + R - hr / scale
-            if np.any(models.row_norms(R) > limit):
+            if (models.row_norms(R) > limit).any():
                 raise ScalingError(
                     f"Neumann iterate diverged (scale {scale}); increase the scale"
                 )
+        del gathered, matvec  # released before the next block is gathered
     return (R / scale).reshape(repeats, r, -1)
 
 

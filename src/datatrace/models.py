@@ -15,13 +15,18 @@ gradient and the per-sample gradients pack its deltas against the layers'
 inputs. It is also the vector-independent half of the R-operator:
 ``hessian_vector_product`` runs only the R-forward and R-backward along each
 vector on it, so a linearization built once serves every vector, with the
-bits of the rows themselves. A trajectory walk keeps of each training
-step's linearization (``keep``) only what the batch's rows cannot give back,
-still as a ``Linearization``; ``restore`` rebuilds the rest from the rows'
-inputs, so the step's HVPs (with the bits of the rows themselves), per-sample
-gradients and gradient dot products (``gradient_dots``: each C(i) term as a
-directional derivative, with no gradient matrix) need no second evaluation
-of the model.
+bits of the rows themselves. Its checks (the spec, the parameter bytes, the
+weights' shape) are made when its operator (``_HvpOperator``) is built, so
+an iterative solve builds one operator and each step only applies the
+R-operator and checks that the products are finite; the public call is one
+such application. A linearization is unpacked into the parameters' views
+once, and the forward pass reads those views. A trajectory walk keeps of
+each training step's linearization (``keep``) only what the batch's rows
+cannot give back, still as a ``Linearization``; ``restore`` rebuilds the
+rest from the rows' inputs, so the step's HVPs (with the bits of the rows
+themselves), per-sample gradients and gradient dot products
+(``gradient_dots``: each C(i) term as a directional derivative, with no
+gradient matrix) need no second evaluation of the model.
 
 Rows are shared ``(X (n, ...), Y)`` rows, flattened past the first axis, or
 K row sets ``(X (K, b, in), Y (K, b, ...))`` where an entry point pairs sets
@@ -29,15 +34,21 @@ with a stack (``_xy`` decides which).
 
 On many rows of at most 7 classes (``_by_columns``) numpy's inner loop runs
 once per row over a few classes, so there the kernel works per class column,
-one array operation per column, with numpy's bits either way:
-``_class_reduce`` for the reductions over the class axis (the softmax's max
-and sum, the squared error's sum, the R-operator's sum over classes),
-``_class_broadcast`` for the broadcasts of a row's value over its classes or
-a class's value over the rows (the softmax's shift and scale, the forward's
-bias, the weighted deltas), and ``_row_sum`` for the bias gradient's sum over
-rows, from two classes on (numpy sums one contiguous class column in 8
-lanes, not row after row, so one class keeps its sum). Each row's target
-logit is picked and its delta scattered by flat index, at every shape.
+one array operation per column, with numpy's bits either way. Two rules
+decide where, each at its own measured crossover, with rows counted over all
+leading axes: ``_class_reduce`` for the reductions over the class axis (the
+softmax's max and sum, the squared error's sum, the R-operator's sum over
+classes) and ``_row_sum`` for the bias gradient's sum over rows go by
+columns from 32 rows per class (the sum over rows from two classes on: numpy
+sums one contiguous class column in 8 lanes, not row after row, so one class
+keeps its sum); ``_class_broadcast`` for the broadcasts of a row's value
+over its classes or a class's value over the rows (the softmax's shift and
+scale, the forward's bias, the weighted deltas) only from 200 * C**2 rows of
+C classes, since numpy's broadcast loop costs less than its reduce. Each
+row's target logit is picked and its delta scattered by flat index, at every
+shape. The bias add, the exponential and the softmax's division run in place
+on the arrays they just made, and the gradient and the HVPs are one
+``np.concatenate`` of the layers' blocks.
 """
 
 from __future__ import annotations
@@ -54,12 +65,18 @@ KINDS = ("logistic_regression", "mlp")
 ACTIVATIONS = ("relu", "identity")
 LOSSES = ("cross_entropy", "squared_error")
 DENSE_HESSIAN_CAP = 2000  # largest parameter count ``dense_hessian`` builds
-# The kernel works by class columns (``_by_columns``) once there are 32 * C
+# The reductions work by class columns (``_by_columns``) once there are 32 * C
 # rows of C classes: measured at C = 2..7, the fold then beats numpy's reduce
 # for a max and a sum taken together (about 0.09 us per row for the reduce,
-# one array operation per column for the fold). The same rule serves the
-# broadcasts and the sum over rows, which win there too.
+# one array operation per column for the fold). The sum over rows wins there
+# too.
 _FOLD_ROWS_PER_CLASS = 32
+# A broadcast's numpy loop is cheaper than a reduce's, so the broadcasts go by
+# columns only from 200 * C**2 rows: measured (one BLAS thread) the crossover
+# lies near 800 rows at C = 2, 1100 at C = 3, 1500 at C = 4 and 5000 at C = 5;
+# at C = 6 the two are even from about 2400 rows, and at C = 7 numpy stays
+# ahead up to the 12800 rows tried.
+_BROADCAST_ROWS_PER_CLASS_SQUARED = 200
 # numpy reduces fewer than 8 elements from left to right (a sum starting
 # from +0.0); from 8 on it uses 8 lanes, which sum in another order and
 # break signed-zero ties of the max otherwise, so wider rows keep its reduce.
@@ -195,33 +212,35 @@ def _act_grad(spec, z):
     return np.ones_like(z)
 
 
-def _forward(spec, flat, X):
+def _forward(spec, Ws, bs, X):
     """Returns (Zs, As): pre-activations per layer and inputs to each layer.
 
-    A ``(..., P)`` stack of parameters gives ``(..., n, width)`` stacks over
-    the shared input X, one ``np.matmul`` product per parameter vector; a
-    ``(K, b, in)`` stack of inputs gives ``(K, b, width)`` stacks the same way.
+    ``Ws, bs`` are ``_unpack``'s views of the parameters. A ``(..., P)``
+    stack of parameters gives ``(..., n, width)`` stacks over the shared
+    input X, one ``np.matmul`` product per parameter vector; a ``(K, b, in)``
+    stack of inputs gives ``(K, b, width)`` stacks the same way.
     """
-    Ws, bs = _unpack(spec, flat)
     As = [X]
     Zs = []
     for l in range(spec.n_layers):
-        z = _class_broadcast(np.add, As[-1] @ Ws[l].swapaxes(-1, -2), bs[l][..., None, :])
+        z = As[-1] @ Ws[l].swapaxes(-1, -2)
+        _class_broadcast(np.add, z, bs[l][..., None, :], out=z)
         Zs.append(z)
         if l < spec.n_layers - 1:
             As.append(_act(spec, z))
     return Zs, As
 
 
-def _by_columns(a):
+def _by_columns(a, rows_per_class=_FOLD_ROWS_PER_CLASS):
     """Whether the kernel works on ``a``'s class columns (its last axis) one at a time.
 
     numpy's reduce and broadcast run their inner loop once per row, which
     dominates on many rows of a few classes; so at most 7 classes and at
-    least 32 rows per class, counted over all leading axes, go by columns.
+    least ``rows_per_class`` rows per class, counted over all leading axes,
+    go by columns.
     """
     C = a.shape[-1]
-    return C <= _FOLD_MAX_CLASSES and a.size // C >= _FOLD_ROWS_PER_CLASS * C
+    return C <= _FOLD_MAX_CLASSES and a.size // C >= rows_per_class * C
 
 
 def _class_reduce(ufunc, a):
@@ -239,16 +258,17 @@ def _class_reduce(ufunc, a):
     return out
 
 
-def _class_broadcast(ufunc, a, v):
-    """``ufunc(a, v)`` for a binary ``ufunc`` and v that broadcasts to a's shape: a value
-    per row (``v[..., None]``) or per class (``v[..., None, :]``).
+def _class_broadcast(ufunc, a, v, out=None):
+    """``ufunc(a, v, out=out)`` for a binary ``ufunc`` and v that broadcasts to a's shape:
+    a value per row (``v[..., None]``) or per class (``v[..., None, :]``).
 
-    By columns (``_by_columns``) it is one operation per class column; an
-    elementwise ufunc gives numpy's bits either way.
+    By columns (``_by_columns`` at 200 * C rows per class, the broadcasts'
+    own rule) it is one operation per class column; an elementwise ufunc
+    gives numpy's bits either way, also in place (``out=a``).
     """
-    if not _by_columns(a):
-        return ufunc(a, v)
-    out = np.empty(a.shape)
+    if not _by_columns(a, _BROADCAST_ROWS_PER_CLASS_SQUARED * a.shape[-1]):
+        return ufunc(a, v, out=out)
+    out = np.empty(a.shape) if out is None else out
     for c in range(a.shape[-1]):
         ufunc(a[..., c], v[..., c % v.shape[-1]], out=out[..., c])
     return out
@@ -280,10 +300,11 @@ def _losses_and_delta(spec, logits, targets):
         C = logits.shape[-1]
         at = (np.arange(0, logits.size, C).reshape(logits.shape[:-1]) + targets).ravel()
         zmax = _class_reduce(np.maximum, logits)
-        ez = np.exp(_class_broadcast(np.subtract, logits, zmax[..., None]))
+        ez = _class_broadcast(np.subtract, logits, zmax[..., None])
+        np.exp(ez, out=ez)
         sez = _class_reduce(np.add, ez)
         losses = np.log(sez) + zmax - logits.take(at).reshape(zmax.shape)
-        soft = _class_broadcast(np.divide, ez, sez[..., None])
+        soft = _class_broadcast(np.divide, ez, sez[..., None], out=ez)
         delta = soft.copy()
         delta.reshape(-1)[at] -= 1.0
         return losses, delta, soft
@@ -308,8 +329,8 @@ def sample_losses(spec, params, dataset):
     """
     X, targets = _xy(spec, dataset)
     flat = _one_vector(params)  # test_loss would average a stack's rows together
-    losses = _losses_and_delta(spec, _forward(spec, flat, X)[0][-1], targets)[0]
-    if not np.all(np.isfinite(losses)):
+    losses = _losses_and_delta(spec, _forward(spec, *_unpack(spec, flat), X)[0][-1], targets)[0]
+    if not np.isfinite(losses).all():
         raise NumericError("non-finite loss value")
     return losses
 
@@ -329,7 +350,7 @@ def _sample_gradients(lin):
     for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
         GW[:] = np.einsum("no,ni->noi", D, A)
         Gb[:] = D
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise NumericError("non-finite gradient")
     return G
 
@@ -344,16 +365,17 @@ def _loss_and_gradient(lin, weights):
     """A linearization's losses and the ``weights``-weighted sum of its per-sample gradients.
 
     Raises NumericError for a non-finite gradient, then for a non-finite loss.
+    The gradient is one ``np.concatenate`` of the layers' blocks, in packing order.
     """
-    g = np.zeros(lin.params.shape)
-    GWs, Gbs = _unpack(lin.spec, g)
-    for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
+    blocks = []
+    for A, D in zip(lin.inputs, lin.deltas):
         wD = _class_broadcast(np.multiply, D, weights[..., None])
-        GW[:] = wD.swapaxes(-1, -2) @ A
-        Gb[:] = _row_sum(wD)
-    if not np.all(np.isfinite(g)):
+        GW = wD.swapaxes(-1, -2) @ A
+        blocks += [GW.reshape(GW.shape[:-2] + (-1,)), _row_sum(wD)]
+    g = np.concatenate(blocks, axis=-1)
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient")
-    if not np.all(np.isfinite(lin.losses)):
+    if not np.isfinite(lin.losses).all():
         raise NumericError("non-finite loss value")
     return lin.losses, g
 
@@ -480,9 +502,9 @@ def _linearize(spec, flat, X, targets):
     An ``(R, P)`` stack of parameters gives ``(R, n)`` stacks over shared rows
     and pairs row for row with R row sets, as in ``loss_and_gradient``.
     """
-    Zs, As = _forward(spec, flat, X)
+    Ws, bs = _unpack(spec, flat)
+    Zs, As = _forward(spec, Ws, bs, X)
     losses, delta, soft = _losses_and_delta(spec, Zs[-1], targets)
-    Ws, _ = _unpack(spec, flat)
     act_grads = [_act_grad(spec, z) for z in Zs[:-1]]
     deltas = _deltas(Ws, act_grads, delta, 0)
     return Linearization(spec, flat, X.shape[:-1], losses, As, act_grads, deltas, soft, Ws)
@@ -493,7 +515,9 @@ def _deltas(Ws, act_grads, delta, last):
     ``last``; None below it."""
     deltas = [None] * len(act_grads) + [delta]
     for l in reversed(range(last + 1, len(deltas))):
-        deltas[l - 1] = (deltas[l] @ Ws[l]) * act_grads[l - 1]
+        d = deltas[l] @ Ws[l]
+        d *= act_grads[l - 1]
+        deltas[l - 1] = d
     return deltas
 
 
@@ -501,43 +525,79 @@ def _hvp_exact(lin, weights, V):
     """R-operator Hessian-vector products along the rows of V (k, P), on a linearization.
 
     Shared rows with weights (n,) serve every vector; K row sets with (K, b)
-    weights pair with the K rows of V. Directional derivatives are carried as
-    (k, b, width) stacks and every contraction is an ``np.matmul`` over the
-    stack, one product per vector, so a stack gives the same bits as its rows
-    (and their row sets) one at a time.
+    weights pair with the K rows of V. ``_r_operator`` on ``_r_rows``.
     """
-    spec, As, ags, Ds, Ws = lin.spec, lin.inputs, lin.act_grads, lin.deltas, lin.matrices
+    return _r_operator(lin.spec, _r_rows(lin, weights), V)
+
+
+def _r_rows(lin, weights):
+    """What the R-operator reads of a linearization's rows and their weights.
+
+    Per layer l it is ``(A_l, act'_l, D_l, W_l)``, None where the R-operator
+    reads nothing (the output layer's act', layer 0's D and W); then
+    w = ``weights[..., None]`` and the softmax.
+    """
+    layers = []
+    for l, A in enumerate(lin.inputs):
+        ag = lin.act_grads[l] if l < len(lin.act_grads) else None
+        D, W = (lin.deltas[l], lin.matrices[l]) if l > 0 else (None, None)
+        layers.append((A, ag, D, W))
+    return layers, weights[..., None], lin.soft
+
+
+def _r_sets(rows, sets):
+    """``_r_rows`` of the row sets that ``sets`` (a slice) picks of a paired linearization
+    at one parameter vector: views of every array but the shared weight matrices."""
+    layers, w, soft = rows
+
+    def pick(a):
+        return a if a is None else a[sets]
+
+    return [(pick(A), pick(ag), pick(D), W) for A, ag, D, W in layers], w[sets], pick(soft)
+
+
+def _r_operator(spec, rows, V):
+    """R-operator Hessian-vector products along the rows of V (k, P), on ``_r_rows``.
+
+    Directional derivatives are carried as (k, b, width) stacks and every
+    contraction is an ``np.matmul`` over the stack, one product per vector,
+    so a stack gives the same bits as its rows (and their row sets) one at a
+    time. Each sum runs in place on the product just made, and the result is
+    one ``np.concatenate`` of the layers' blocks.
+    """
+    layers, w, soft = rows
     VWs, Vbs = _unpack(spec, V)
 
     # R-forward: directional derivatives of activations. RAs[l] pairs with
-    # As[l]; the network input does not depend on the parameters.
+    # A_l; the network input does not depend on the parameters.
     RAs = [None]
-    RZ = None
-    for l in range(spec.n_layers):
-        RZ = As[l] @ VWs[l].swapaxes(-1, -2) + Vbs[l][:, None, :]
+    for l, (A, ag, _, W) in enumerate(layers):
+        RZ = A @ VWs[l].swapaxes(-1, -2)
+        RZ += Vbs[l][:, None, :]
         if RAs[l] is not None:
-            RZ += RAs[l] @ Ws[l].T
-        if l < spec.n_layers - 1:
-            RAs.append(ags[l] * RZ)
+            RZ += RAs[l] @ W.T
+        if ag is not None:
+            RAs.append(ag * RZ)
 
-    if lin.soft is not None:
-        sRZ = lin.soft * RZ
-        RD = sRZ - lin.soft * _class_reduce(np.add, sRZ)[..., None]
-    else:
-        RD = RZ
+    RD = RZ
+    if soft is not None:
+        RD = soft * RZ
+        RD -= soft * _class_reduce(np.add, RD)[..., None]
 
-    out = np.zeros(V.shape)
-    HWs, Hbs = _unpack(spec, out)
-    w = weights[..., None]
-    for l in reversed(range(spec.n_layers)):
+    blocks = [None] * (2 * len(layers))
+    for l in reversed(range(len(layers))):
+        A, _, D, W = layers[l]
         RDt = RD.swapaxes(-1, -2)
-        HWs[l][:] = RDt @ (w * As[l])
+        HW = RDt @ (w * A)
         if RAs[l] is not None:
-            HWs[l] += (w * Ds[l]).swapaxes(-1, -2) @ RAs[l]
-        Hbs[l][:] = (RDt @ w)[..., 0]
+            HW += (w * D).swapaxes(-1, -2) @ RAs[l]
+        blocks[2 * l] = HW.reshape(len(V), -1)
+        blocks[2 * l + 1] = (RDt @ w)[..., 0]
         if l > 0:
-            RD = (RD @ Ws[l] + Ds[l] @ VWs[l]) * ags[l - 1]
-    return out
+            RD = RD @ W
+            RD += D @ VWs[l]
+            RD *= layers[l - 1][1]
+    return np.concatenate(blocks, axis=1)
 
 
 def gradient_dots(lin, V, hit=None):
@@ -597,6 +657,70 @@ def restore(kept, X, hit=None):
     )
 
 
+class _HvpOperator:
+    """``V -> H^er V`` of ``hessian_vector_product``, every check made once, when it is built.
+
+    ``rows``, ``weights`` and ``mode`` are as ``hessian_vector_product`` takes
+    them: the parameters are one vector, a linearization is of ``spec`` and
+    at ``params`` byte for byte, the weights have the samples' shape, and
+    ``finite_difference`` takes shared rows. The exact operator linearizes
+    raw rows here, once. A call maps a (k, P) stack V (K rows for K paired
+    row sets), which it does not check again, and checks only that the
+    products are finite; ``sets`` (a slice, exact mode) applies the operator
+    of those row sets of a paired linearization, with those rows of the weights.
+    A solve builds one operator and applies it at every step.
+    """
+
+    def __init__(self, spec, params, rows, weights, mode="exact"):
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.flat = _one_vector(params)
+        self.spec, self.rows, self.mode = spec, rows, mode
+        lin = rows if isinstance(rows, Linearization) else None
+        if lin is not None:
+            if lin.params is None:
+                raise ShapeError("linearization without parameters (from keep or restore)")
+            if lin.stack:
+                raise ShapeError(f"linearization of a parameter stack of shape {lin.params.shape}")
+            if lin.spec != spec or lin.params.tobytes() != self.flat.tobytes():
+                raise ShapeError("linearization built for another model or at other parameters")
+            samples = lin.samples
+        else:
+            X, targets = _xy(spec, rows, sets=True)
+            samples = X.shape[:-1]
+        if self.weights.shape != samples:
+            raise ShapeError(
+                f"weights of shape {self.weights.shape} for samples of shape {samples}"
+            )
+        if mode == "exact":
+            lin = lin if lin is not None else _linearize(spec, self.flat, X, targets)
+            self.r_rows = _r_rows(lin, self.weights)
+        elif mode == "finite_difference":
+            if self.weights.ndim == 2 or lin is not None:
+                raise ValueError("finite_difference mode takes shared rows only")
+        else:
+            raise ValueError(f"unknown HVP mode {mode!r}")
+
+    def __call__(self, V, sets=None):
+        if self.mode == "finite_difference":
+            return self._central_differences(V)
+        rows = self.r_rows if sets is None else _r_sets(self.r_rows, sets)
+        out = _r_operator(self.spec, rows, V)
+        if not np.isfinite(out).all():
+            raise NumericError("non-finite Hessian-vector product")
+        return out
+
+    def _central_differences(self, V):
+        out = np.empty_like(V)
+        for i, vec in enumerate(V):
+            r = 1e-4 / max(1.0, float(np.linalg.norm(vec)))
+            gp = batch_gradient(self.spec, self.flat + r * vec, self.rows, self.weights)
+            gm = batch_gradient(self.spec, self.flat - r * vec, self.rows, self.weights)
+            out[i] = (gp - gm) / (2.0 * r)
+            if not np.isfinite(out[i]).all():
+                raise NumericError(f"non-finite finite-difference HVP (step r={r})")
+        return out
+
+
 def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     """H^er v for the weighted empirical risk (no regularizer).
 
@@ -609,75 +733,42 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     then run. One built for another spec, at other parameters or at a
     parameter stack raises ShapeError. ``finite_difference``
     mode (shared rows only) uses a central difference of the batch gradient
-    with step r = 1e-4 / max(1, ||v||).
+    with step r = 1e-4 / max(1, ||v||). The call is one application of the
+    operator a solve builds once (``_HvpOperator``).
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    flat = _one_vector(params)
-    lin = dataset if isinstance(dataset, Linearization) else None
-    if lin is not None:
-        if lin.params is None:
-            raise ShapeError("linearization without parameters (from keep or restore)")
-        if lin.stack:
-            raise ShapeError(f"linearization of a parameter stack of shape {lin.params.shape}")
-        if lin.spec != spec or lin.params.tobytes() != flat.tobytes():
-            raise ShapeError("linearization built for another model or at other parameters")
-        samples = lin.samples
-    else:
-        X, targets = _xy(spec, dataset, sets=True)
-        samples = X.shape[:-1]
-    if weights.shape != samples:
-        raise ShapeError(f"weights of shape {weights.shape} for samples of shape {samples}")
+    hvp = _HvpOperator(spec, params, dataset, weights, mode)
     V = as_flat(v)
     single = V.ndim == 1
     V = np.atleast_2d(V)
-    if V.shape[1] != flat.size:
-        raise ShapeError(f"vector length {V.shape[1]} != parameter count {flat.size}")
-    paired = weights.ndim == 2
-    if paired and V.shape != (len(weights), flat.size):
-        raise ShapeError(f"{len(weights)} row sets for vectors of shape {V.shape}")
-
-    if mode == "exact":
-        if lin is None:
-            lin = _linearize(spec, flat, X, targets)
-        out = _hvp_exact(lin, weights, V)
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite Hessian-vector product")
-    elif mode == "finite_difference":
-        if paired or lin is not None:
-            raise ValueError("finite_difference mode takes shared rows only")
-        out = np.empty_like(V)
-        for i, vec in enumerate(V):
-            r = 1e-4 / max(1.0, float(np.linalg.norm(vec)))
-            gp = batch_gradient(spec, flat + r * vec, dataset, weights)
-            gm = batch_gradient(spec, flat - r * vec, dataset, weights)
-            out[i] = (gp - gm) / (2.0 * r)
-            if not np.all(np.isfinite(out[i])):
-                raise NumericError(f"non-finite finite-difference HVP (step r={r})")
-    else:
-        raise ValueError(f"unknown HVP mode {mode!r}")
+    P = hvp.flat.size
+    if V.shape[1] != P:
+        raise ShapeError(f"vector length {V.shape[1]} != parameter count {P}")
+    if hvp.weights.ndim == 2 and V.shape != (len(hvp.weights), P):
+        raise ShapeError(f"{len(hvp.weights)} row sets for vectors of shape {V.shape}")
+    out = hvp(V)
     return out[0] if single else out
 
 
 def dense_hessian(spec, params, dataset, weights):
     """Full H^er matrix, assembled from exact HVPs with basis vectors.
 
-    The rows are linearized once, and the basis vectors go through the
-    R-operator ceil(sqrt(P)) at a time, each block built for its call. Row k
-    of a stacked HVP has the bits of basis vector k alone, so the matrix has
-    the bits of one P-vector call, while the working memory beside the P x P
-    result is that of ceil(sqrt(P)) vectors, not P.
+    The rows are linearized once, and the basis vectors go through one
+    operator (``_HvpOperator``) ceil(sqrt(P)) at a time, each block built
+    for its call. Row k of a stacked HVP has the bits of basis vector k
+    alone, so the matrix has the bits of one P-vector call, while the working
+    memory beside the P x P result is that of ceil(sqrt(P)) vectors, not P.
     """
     P = as_flat(params).size
     if P > DENSE_HESSIAN_CAP:
         raise ValueError(f"parameter count {P} exceeds dense-Hessian cap {DENSE_HESSIAN_CAP}")
-    lin = linearize(spec, params, dataset)
+    hvp = _HvpOperator(spec, params, linearize(spec, params, dataset), weights)
     block = math.isqrt(P - 1) + 1
     H = np.empty((P, P))
     for start in range(0, P, block):
         k = min(block, P - start)
         basis = np.zeros((k, P))
         basis[np.arange(k), start + np.arange(k)] = 1.0
-        H[start : start + k] = hessian_vector_product(spec, params, lin, weights, basis)
+        H[start : start + k] = hvp(basis)
     return H.T
 
 
@@ -756,5 +847,5 @@ def accuracy(spec, params, dataset):
     if spec.loss != "cross_entropy":
         raise ShapeError(f"accuracy needs class-index targets, not {spec.loss} targets")
     X, targets = _xy(spec, dataset)
-    Zs, _ = _forward(spec, _one_vector(params), X)
+    Zs, _ = _forward(spec, *_unpack(spec, _one_vector(params)), X)
     return float((Zs[-1].argmax(axis=1) == targets).mean())

@@ -308,18 +308,20 @@ def _step(model, rows, eps, batch, w, velocity, lr, step, config, limit):
     lin = models._linearize(model, w, X.take(batch, axis=0), targets.take(batch, axis=0))
     batch_losses, g = models._loss_and_gradient(lin, weights)
     if lam > 0.0:
-        g = g + lam * w
+        g += lam * w  # g is this step's own array; w is not written (lin holds views of it)
 
     loss = _recorded_loss(weights, batch_losses, w, lam)
     if limit is None:
         limit = _divergence_limit(loss)
     # The limit is finite, so a NaN or infinite loss fails the comparison too.
-    within = np.abs(loss) <= limit
+    within = abs(loss) <= limit
     if not within.all():
         raise DivergenceError(int(_first(step, ~within)))
 
-    velocity = config.momentum * velocity + g
-    w = w - lr * velocity
+    velocity = config.momentum * velocity
+    velocity += g
+    update = lr * velocity
+    w = np.subtract(w, update, out=update)  # w - lr * velocity, in the product's array
     return w, velocity, loss, limit, weights, lin
 
 

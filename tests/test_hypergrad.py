@@ -159,6 +159,25 @@ def test_error_trace_bound_holds_on_constant_lr():
     assert trace.nabla_max > 0.0
 
 
+def test_error_trace_power_iteration_builds_its_hvp_operator_once(monkeypatch, count_calls):
+    from datatrace import models as models_mod
+
+    spec = dt.ModelSpec("mlp", (4, 5, 2))
+    train, _ = gaussian_pair(dim=4, per_class=10)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=0, initial_lr=0.05, weight_decay=0.01, seed=2)
+    rec = dt.train(spec, train, cfg)
+    calls = count_calls((models_mod, "_HvpOperator"))
+    dt.error_trace(rec, train, [1])
+    assert calls["_HvpOperator"] == 1  # 200 power-iteration steps, one operator
+    # one made at other parameters is refused when the operator is built
+    linearize = models_mod.linearize
+    monkeypatch.setattr(
+        models_mod, "linearize", lambda spec, params, rows: linearize(spec, params + 1e-3, rows)
+    )
+    with pytest.raises(dt.ShapeError, match="other parameters"):
+        dt.error_trace(rec, train, [1])
+
+
 def test_error_trace_final_error_equals_exact_minus_approx():
     spec = dt.ModelSpec("mlp", (4, 5, 2))
     train, _ = gaussian_pair(dim=4, per_class=10)

@@ -138,6 +138,33 @@ def test_cg_raises_when_budget_too_small():
         dt.inverse_hvp(spec, rec.final_params, train, v, config, weight_decay=0.01)
 
 
+def test_cg_names_the_first_non_positive_curvature_when_it_fails(mlp_probe):
+    # lambda_min(H) is about -0.21 here, under the 0.02 shift: CG meets a
+    # non-positive curvature within a few iterations. It may still converge
+    # (every full-budget solve on this probe does, to the dense solve), so
+    # only a failed solve reports it, with the advice to raise the damping.
+    spec, train, test, w = mlp_probe
+    rhs = models.test_gradients(spec, w, test)[0]
+    config = dt.InverseHvpConfig(method="conjugate_gradient", cg_max_iters=8)
+    with pytest.raises(ConvergenceError, match="did not reach tolerance") as err:
+        dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
+    assert err.value.iterations == 8
+    message = str(err.value)
+    assert "<= 0 at iteration" in message and "raise the damping" in message
+    first = int(message.split("<= 0 at iteration ")[1].split(":")[0])
+    assert 1 <= first <= 8
+
+
+def test_cg_raises_a_typed_error_at_zero_curvature():
+    # zero inputs leave the weight undamped and flat: d.(H + 0)d = 0 exactly
+    spec, train, _ = ridge_probe()
+    zero = dt.LabeledDataset(np.zeros((2, 1)), train.labels, 1, "train")
+    config = dt.InverseHvpConfig(method="conjugate_gradient", damping=0.0)
+    with pytest.raises(ConvergenceError, match="broke down at iteration 1") as err:
+        dt.inverse_hvp(spec, np.zeros(2), zero, np.array([1.0, 0.0]), config)
+    assert err.value.iterations == 1 and "raise the damping" in str(err.value)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         dt.InverseHvpConfig(method="lu_decomposition")
@@ -230,7 +257,7 @@ def test_test_side_solve_equals_per_sample_definition(mlp_probe, method, rtol):
 @pytest.mark.parametrize("method", ["dense", "conjugate_gradient", "neumann"])
 def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatch, method):
     spec, train, test, w = mlp_probe
-    calls = {"inverse_hvp": 0, "power_iteration_max_eig": 0, "hessian_vector_product": 0}
+    calls = {"inverse_hvp": 0, "power_iteration_max_eig": 0, "__call__": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -243,7 +270,7 @@ def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatc
 
     counted(influence_module, "inverse_hvp")
     counted(models, "power_iteration_max_eig")
-    counted(models, "hessian_vector_product")
+    counted(models._HvpOperator, "__call__")  # each HVP a solve applies
     config = dt.InverseHvpConfig(method=method, neumann_depth=20, neumann_repeats=2)
     rep = dt.influence(spec, w, train, test, list(range(20)), config=config,
                        weight_decay=0.01)
@@ -253,7 +280,7 @@ def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatc
         # One stacked power iteration of 50 steps for the 16 scale probes, then
         # one paired HVP per series step for all repeats.
         assert calls["power_iteration_max_eig"] == 1
-        assert calls["hessian_vector_product"] == 50 + config.neumann_depth
+        assert calls["__call__"] == 50 + config.neumann_depth
     else:
         assert calls["power_iteration_max_eig"] == 0
 
@@ -265,13 +292,13 @@ def test_one_solve_per_call_whatever_the_number_of_samples(mlp_probe, monkeypatc
 ])
 def test_each_solve_linearizes_its_rows_once(mlp_probe, count_calls, method, linearizations):
     spec, train, test, w = mlp_probe
-    calls = count_calls((models, "linearize"), (models, "hessian_vector_product"))
+    calls = count_calls((models, "linearize"), (models._HvpOperator, "__call__"))
     config = dt.InverseHvpConfig(method=method, neumann_depth=20, neumann_repeats=2)
     rhs = models.test_gradients(spec, w, test, per_test=True)
     _, diag = dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
     assert calls["linearize"] in linearizations
     if method == "conjugate_gradient":
-        assert calls["hessian_vector_product"] == diag["cg_iterations"]
+        assert calls["__call__"] == diag["cg_iterations"]
     if method == "neumann":  # a given scale needs no probes
         calls["linearize"] = 0
         fixed = dt.InverseHvpConfig(method="neumann", neumann_depth=20, neumann_scale=10.0)
@@ -286,24 +313,46 @@ def test_neumann_gathers_once_per_block_of_steps(mlp_probe, monkeypatch, depth, 
     # makes H + shift positive definite (lambda_min(H) is about -0.21 here),
     # so the long series converge instead of raising ScalingError.
     spec, train, test, w = mlp_probe
-    calls = {"gathers": 0, "hessian_vector_product": 0}
-    take, hvp = models.Linearization.take, models.hessian_vector_product
+    calls = {"gathers": 0, "hvps": 0}
+    take, hvp = models.Linearization.take, models._HvpOperator.__call__
 
     def counted_take(self, sets):
         calls["gathers"] += not isinstance(sets, slice)
         return take(self, sets)
 
-    def counted_hvp(*args, **kwargs):
-        calls["hessian_vector_product"] += 1
+    def counted_hvp(*args, **kwargs):  # each HVP applied, at the operator
+        calls["hvps"] += 1
         return hvp(*args, **kwargs)
 
     monkeypatch.setattr(models.Linearization, "take", counted_take)
-    monkeypatch.setattr(models, "hessian_vector_product", counted_hvp)
+    monkeypatch.setattr(models._HvpOperator, "__call__", counted_hvp)
     config = dt.InverseHvpConfig(method="neumann", damping=0.3, neumann_depth=depth,
                                  neumann_repeats=2)
     rhs = models.test_gradients(spec, w, test, per_test=True)
     dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
-    assert calls == {"gathers": 1 + gathers, "hessian_vector_product": 50 + depth}
+    assert calls == {"gathers": 1 + gathers, "hvps": 50 + depth}
+
+
+@pytest.mark.parametrize("method, scale", [
+    ("conjugate_gradient", None),
+    ("neumann", None),  # the scale's power iteration refuses it
+    ("neumann", 10.0),  # the series refuses it
+    ("dense", None),
+])
+def test_each_solver_refuses_a_linearization_at_other_parameters_before_its_first_step(
+    mlp_probe, monkeypatch, count_calls, method, scale
+):
+    spec, train, test, w = mlp_probe
+    linearize = models.linearize
+    monkeypatch.setattr(
+        models, "linearize", lambda spec, params, rows: linearize(spec, params + 1e-3, rows)
+    )
+    calls = count_calls((models._HvpOperator, "__call__"))
+    config = dt.InverseHvpConfig(method=method, neumann_depth=20, neumann_scale=scale)
+    rhs = models.test_gradients(spec, w, test)[0]
+    with pytest.raises(dt.ShapeError, match="other parameters"):
+        dt.inverse_hvp(spec, w, train, rhs, config, weight_decay=0.01)
+    assert calls["__call__"] == 0
 
 
 def _logistic_probe():

@@ -1,5 +1,6 @@
 """Model numerics: losses, gradients, Hessian-vector products."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -173,13 +174,14 @@ def test_loss_and_gradient_checks_the_gradient_before_the_loss(kind, widths, los
 
 
 
-def _class_axis_arrays(C, rng):
-    """(rows, C) and (4, rows / 4, C) arrays on both sides of the fold threshold.
+def _class_axis_arrays(C, rng, edge=None):
+    """(rows, C) and (4, rows / 4, C) arrays on both sides of a row-count edge, by
+    default the fold threshold (the first row count that folds).
 
     Values span many binades and are sprinkled with signed zeros and
     infinities; some rows are all -0.0, which numpy's sum turns into +0.0.
     """
-    edge = models._FOLD_ROWS_PER_CLASS * C  # the first row count that folds
+    edge = models._FOLD_ROWS_PER_CLASS * C if edge is None else edge
     shapes = [(rows, C) for rows in (1, edge - 1, edge, edge + 5)]
     shapes += [(4, rows, C) for rows in (1, edge // 4 - 1, edge // 4, edge // 4 + 3)]
     specials = np.array([0.0, -0.0, np.inf, -np.inf])
@@ -203,12 +205,22 @@ def test_class_reduce_has_the_bits_of_numpys_reduce(C):
 @pytest.mark.parametrize("C", range(1, 10))
 def test_class_broadcasts_and_row_sums_have_the_bits_of_numpy(C):
     rng = np.random.default_rng([C, 1])
+    # the broadcasts' own rule: by columns from 200 C^2 rows, over all leading axes
+    edge = models._BROADCAST_ROWS_PER_CLASS_SQUARED * C * C
+    assert models._by_columns(np.empty((4, edge // 4, C)), edge // C) == (C <= 7)
+    assert not models._by_columns(np.empty((edge - 1, C)), edge // C)
+    arrays = itertools.chain(_class_axis_arrays(C, rng), _class_axis_arrays(C, rng, edge))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for a in _class_axis_arrays(C, rng):
+        for a in arrays:
             # a value per row, and one per class (shared by a stack's rows)
             for v in (a[..., ::-1].sum(-1)[..., None], a[..., ::-1].sum(-2)[..., None, :]):
                 for ufunc in (np.add, np.subtract, np.multiply, np.divide):
-                    assert models._class_broadcast(ufunc, a, v).tobytes() == ufunc(a, v).tobytes()
+                    want = ufunc(a, v).tobytes()
+                    assert models._class_broadcast(ufunc, a, v).tobytes() == want
+                    # in place, as the forward's bias add and the softmax run it
+                    inplace = a.copy()
+                    models._class_broadcast(ufunc, inplace, v, out=inplace)
+                    assert inplace.tobytes() == want
             # numpy sums an all -0.0 column to +0.0
             a[..., 0] = -0.0
             assert models._row_sum(a).tobytes() == a.sum(axis=-2).tobytes()
@@ -487,6 +499,41 @@ def test_paired_row_sets_must_match_the_vectors():
         dt.hessian_vector_product(spec, params, sets, W, V, mode="finite_difference")
 
 
+@pytest.mark.parametrize(
+    "widths, loss", [((4, 6, 5, 3), "cross_entropy"), ((3, 2), "squared_error")]
+)
+def test_the_hvp_operator_gives_the_bytes_of_the_public_call(widths, loss):
+    # built once, applied many times: on shared rows, on runs of row sets of
+    # a gathered linearization (as the Neumann series applies it) and on a
+    # (k, P) stack, each with the bytes of hessian_vector_product
+    kind = "mlp" if len(widths) > 2 else "logistic_regression"
+    spec, params, (X, Y) = _probe(kind, widths, loss, 12, 5)
+    rng = np.random.default_rng(1)
+    weights = rng.uniform(0.5, 1.5, 12) / 12
+    V = rng.standard_normal((6, params.size))
+    lin = models.linearize(spec, params, (X, Y))
+    shared = models._HvpOperator(spec, params, lin, weights)
+    want = dt.hessian_vector_product(spec, params, (X, Y), weights, V)
+    assert shared(V).tobytes() == want.tobytes()
+    for r in range(6):
+        alone = dt.hessian_vector_product(spec, params, lin, weights, V[r])
+        assert shared(V[r : r + 1])[0].tobytes() == alone.tobytes()
+
+    sets = rng.integers(12, size=(6, 4))  # 3 steps of K = 2 sets of 4 rows
+    W = np.full((6, 4), 0.25)
+    gathered = lin.take(sets)
+    paired = models._HvpOperator(spec, params, gathered, W)
+    want = dt.hessian_vector_product(spec, params, gathered, W, V)
+    assert paired(V).tobytes() == want.tobytes()
+    for j in range(3):
+        step = slice(2 * j, 2 * j + 2)
+        got = paired(V[:2], step)
+        view = dt.hessian_vector_product(spec, params, gathered.take(step), W[step], V[:2])
+        raw = (X[sets[step]], Y[sets[step]])
+        rows = dt.hessian_vector_product(spec, params, raw, W[step], V[:2])
+        assert got.tobytes() == view.tobytes() == rows.tobytes()
+
+
 def test_shape_mismatch_raises():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     params = dt.init_params(spec, 0)
@@ -601,7 +648,7 @@ def test_exact_hvp_properties_on_random_architectures(case):
     spec, params, rows, k, b = case  # k >= 2 vectors in the stack, b >= 1 rows per set
     n = len(rows[0])
     # A central difference across a ReLU kink measures a different slope.
-    Zs, _ = models._forward(spec, params, rows[0])
+    Zs, _ = models._forward(spec, *models._unpack(spec, params), rows[0])
     assume(spec.activation == "identity" or all(np.abs(z).min() > 1e-3 for z in Zs[:-1]))
     weights = np.random.default_rng(n).uniform(0.5, 1.5, n) / n
     V = np.random.default_rng(k).standard_normal((k, params.size))

@@ -558,6 +558,31 @@ def test_stacked_and_paired_steps_above_the_by_columns_rule_keep_a_solo_runs_bit
     trainer.lockstep(rec, ds, starts, 2, lambda *step: None)  # checks every row's bits
 
 
+def test_a_solo_step_below_the_broadcast_rule_and_a_stack_above_it_keep_the_same_bits():
+    # convex-all's shape: a solo full-batch step of 400 rows of 2 classes stays
+    # below models._class_broadcast's rule (200 C^2 = 800 rows), so numpy
+    # broadcasts; the oracle's stacked replay of 4 runs (1600 rows) goes by
+    # class columns. Each row must keep the bits of its run alone.
+    n, C = 400, 2
+    rng = np.random.default_rng(4)
+    ds = dt.LabeledDataset(rng.standard_normal((n, 5)), rng.integers(C, size=n), C)
+    spec = dt.ModelSpec("logistic_regression", (5, C))
+    cfg = dt.TrainingConfig(epochs=6, batch_size=0, initial_lr=0.1, momentum=0.5,
+                            weight_decay=0.01, seed=3)
+    rec = dt.train(spec, ds, cfg)
+    rule = models._BROADCAST_ROWS_PER_CLASS_SQUARED * C
+    assert not models._by_columns(np.empty((n, C)), rule)
+    assert models._by_columns(np.empty((4, n, C)), rule)
+    eps = np.tile(rec.data_weights, (4, 1))
+    eps[:, 7] += [1e-3, -1e-3, 2e-3, 0.0]
+    stacked = dt.replay(rec, ds, data_weights=eps)
+    for r in range(4):
+        alone = dt.replay(rec, ds, data_weights=eps[r])
+        assert stacked.final_params[r].tobytes() == alone.final_params.tobytes()
+        assert stacked.losses[r].tobytes() == alone.losses.tobytes()
+    assert stacked.final_params[3].tobytes() == rec.final_params.tobytes()
+
+
 def test_lockstep_rerun_matches_the_run_step_for_step():
     spec = dt.ModelSpec("mlp", (4, 5, 2))
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
