@@ -49,6 +49,9 @@ class DatasetConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "idx", "csv"):
             raise ConfigError(f"unknown dataset source {self.source!r}")
+        for key in ("per_class", "test_per_class"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be >= 0")
 
 
 @dataclass(frozen=True)

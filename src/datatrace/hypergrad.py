@@ -128,17 +128,8 @@ def _positions(index, n):
     return position
 
 
-def _one_run(record):
-    """ConfigError for a stacked record (one run per row of its data weights)."""
-    if record.data_weights.ndim != 1:
-        raise ConfigError(
-            f"tracking takes one run, not a stack of data weights of shape "
-            f"{record.data_weights.shape}"
-        )
-
-
 def _track(record, dataset, tracked_indices, use_hessian):
-    _one_run(record)
+    trainer.check_one_run(record, "tracking")
     tracker = _Tracker(record, tracked_indices, use_hessian)
     for ctx in _walk(record, dataset):
         tracker.advance(ctx, tracker.source(ctx))
@@ -165,7 +156,7 @@ def error_trace(record, dataset, indices, record_stride=1):
     running max of ||nabla||; L does not depend on the index, so its power
     iteration runs once.
     """
-    _one_run(record)
+    trainer.check_one_run(record, "tracking")
     if record.config.weight_decay <= 0.0:
         raise ConfigError("the approximation-error bound requires weight_decay > 0")
     if record_stride < 1:
@@ -401,7 +392,7 @@ def _approx(record, dataset, indices, rows):
 
 
 def _contribution(record, dataset, indices, test_dataset, per_test, method):
-    _one_run(record)
+    trainer.check_one_run(record, "tracking")
     rows = models.test_gradients(record.model, record.final_params, test_dataset, per_test)
     walk = _adjoint if method == "exact" else _approx
     index, acc = walk(record, dataset, indices, rows)

@@ -1,10 +1,10 @@
 """Differentiable models: losses, per-sample gradients, Hessian-vector products.
 
 Supported models are logistic regression and small ReLU MLPs, implemented
-directly on float64 numpy arrays. Exact Hessian-vector products use the
-R-operator (forward-over-reverse double differentiation); a central-difference
-variant is kept for quantifying its truncation error. All operations are pure:
-nothing mutates its arguments.
+directly on float64 numpy arrays. Hessian-vector products have one
+implementation, the R-operator (Pearlmutter, 1994; forward-over-reverse
+double differentiation) on a linearization, ``_hvp_exact``. All operations
+are pure: nothing mutates its arguments.
 
 Every evaluation of the model on rows is one linearization (``linearize``):
 the forward pass, the per-sample losses, the softmax, the activation
@@ -12,15 +12,17 @@ derivatives and the loss gradient w.r.t. every layer's output (its delta),
 on rows whose labels ``_xy`` checked. ``sample_losses`` computes its losses
 alone (the forward pass and ``_losses_and_delta``); the weighted batch
 gradient and the per-sample gradients pack its deltas against the layers'
-inputs. It is also the vector-independent half of the R-operator:
-``hessian_vector_product`` runs only the R-forward and R-backward along each
-vector on it, so a linearization built once serves every vector, with the
-bits of the rows themselves. Its checks (the spec, the parameter bytes, the
-weights' shape) are made when its operator (``_HvpOperator``) is built, so
-an iterative solve builds one operator and each step only applies the
-R-operator and checks that the products are finite; the public call is one
-such application. A linearization is unpacked into the parameters' views
-once, and the forward pass reads those views. A trajectory walk keeps of
+inputs. It is also the vector-independent half of the R-operator, which
+runs only the R-forward and R-backward along each vector on it, so a
+linearization built once serves every vector, with the bits of the rows
+themselves. Its checks (the spec, the parameter bytes, the weights' shape)
+are made when its operator (``_HvpOperator``) is built, so an iterative
+solve builds one operator and each step only applies the R-operator and
+checks that the products are finite; ``hessian_vector_product`` is one such
+application. A linearization is unpacked into the parameters' views once,
+and the forward pass reads those views. Its one ``take`` picks row sets as
+views or gathers rows into sets: the Neumann series' per-step sets and the
+trajectory walk's per-step states go through it. A trajectory walk keeps of
 each training step's linearization (``keep``) only what the batch's rows
 cannot give back, still as a ``Linearization``; ``restore`` rebuilds the
 rest from the rows' inputs, so the step's HVPs (with the bits of the rows
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -408,8 +411,7 @@ def batch_gradient(spec, params, dataset, weights):
     return loss_and_gradient(spec, params, dataset, weights)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Linearization:
+class Linearization(NamedTuple):
     """One evaluation of the model on some rows: everything but a vector's half of the R-operator.
 
     Built by ``linearize``. ``samples`` is ``(n,)`` for shared rows or
@@ -420,11 +422,11 @@ class Linearization:
     ``deltas[l]`` w.r.t. the layer's output and, for a hidden layer, the
     activation derivative ``act_grads[l]`` at its pre-activation. ``soft``
     is the softmax for cross-entropy, None for squared error. The losses,
-    gradients and per-sample gradients are read off it, and
-    ``hessian_vector_product`` takes it in place of its rows and runs only
-    the R-forward and R-backward along each vector. One from ``keep`` or
-    ``restore`` has no parameters or losses, and None for each array that
-    its reader does not need.
+    gradients and per-sample gradients are read off it, and the R-operator
+    (``_hvp_exact``) runs on it only the R-forward and R-backward along each
+    vector. One from ``keep`` or ``restore`` has no parameters or losses,
+    and None for each array that its reader does not need. It is immutable
+    (a named tuple, so building one costs a tuple's construction).
     """
 
     spec: ModelSpec
@@ -465,21 +467,23 @@ class Linearization:
                 "take picks row sets of a paired linearization, or gathers shared rows "
                 "into (K, b) sets"
             )
-
-        def pick(a):
-            return a if a is None else a[sets] if view else a.take(sets, axis=0)
-
-        def picks(arrays):
-            return None if arrays is None else [pick(a) for a in arrays]
-
-        params, matrices = self.params, self.matrices
-        if matrices[-1] is not None and matrices[-1].ndim == 3:
-            params, matrices = pick(params), picks(matrices)
-        deltas = picks(self.deltas)
+        # Every array that goes with the sets, in one flat list picked in one pass.
+        L = len(self.inputs)
+        stacked = self.matrices[-1] is not None and self.matrices[-1].ndim == 3
+        arrays = [self.losses, self.soft, *self.inputs, *self.deltas, *(self.act_grads or ())]
+        if stacked:
+            arrays += [self.params, *self.matrices]
+        if view:
+            picked = [a if a is None else a[sets] for a in arrays]
+        else:
+            picked = [a if a is None else a.take(sets, axis=0) for a in arrays]
+        losses, soft = picked[:2]
+        inputs, deltas, rest = picked[2 : 2 + L], picked[2 + L : 2 + 2 * L], picked[2 + 2 * L :]
+        act_grads = None if self.act_grads is None else rest[: L - 1]
+        params, matrices = (rest[-1 - L], rest[-L:]) if stacked else (self.params, self.matrices)
         samples = deltas[-1].shape[: 1 if one else 2]
         return Linearization(
-            self.spec, params, samples, pick(self.losses), picks(self.inputs),
-            picks(self.act_grads), deltas, pick(self.soft), matrices,
+            self.spec, params, samples, losses, inputs, act_grads, deltas, soft, matrices
         )
 
 
@@ -525,78 +529,44 @@ def _hvp_exact(lin, weights, V):
     """R-operator Hessian-vector products along the rows of V (k, P), on a linearization.
 
     Shared rows with weights (n,) serve every vector; K row sets with (K, b)
-    weights pair with the K rows of V. ``_r_operator`` on ``_r_rows``.
+    weights pair with the K rows of V. Directional derivatives are carried as
+    (k, b, width) stacks and every contraction is an ``np.matmul`` over the
+    stack, one product per vector, so a stack gives the same bits as its rows
+    (and their row sets) one at a time. Each sum runs in place on the product
+    just made, and the result is one ``np.concatenate`` of the layers' blocks.
     """
-    return _r_operator(lin.spec, _r_rows(lin, weights), V)
-
-
-def _r_rows(lin, weights):
-    """What the R-operator reads of a linearization's rows and their weights.
-
-    Per layer l it is ``(A_l, act'_l, D_l, W_l)``, None where the R-operator
-    reads nothing (the output layer's act', layer 0's D and W); then
-    w = ``weights[..., None]`` and the softmax.
-    """
-    layers = []
-    for l, A in enumerate(lin.inputs):
-        ag = lin.act_grads[l] if l < len(lin.act_grads) else None
-        D, W = (lin.deltas[l], lin.matrices[l]) if l > 0 else (None, None)
-        layers.append((A, ag, D, W))
-    return layers, weights[..., None], lin.soft
-
-
-def _r_sets(rows, sets):
-    """``_r_rows`` of the row sets that ``sets`` (a slice) picks of a paired linearization
-    at one parameter vector: views of every array but the shared weight matrices."""
-    layers, w, soft = rows
-
-    def pick(a):
-        return a if a is None else a[sets]
-
-    return [(pick(A), pick(ag), pick(D), W) for A, ag, D, W in layers], w[sets], pick(soft)
-
-
-def _r_operator(spec, rows, V):
-    """R-operator Hessian-vector products along the rows of V (k, P), on ``_r_rows``.
-
-    Directional derivatives are carried as (k, b, width) stacks and every
-    contraction is an ``np.matmul`` over the stack, one product per vector,
-    so a stack gives the same bits as its rows (and their row sets) one at a
-    time. Each sum runs in place on the product just made, and the result is
-    one ``np.concatenate`` of the layers' blocks.
-    """
-    layers, w, soft = rows
-    VWs, Vbs = _unpack(spec, V)
+    As, ags, Ds, Ws = lin.inputs, lin.act_grads, lin.deltas, lin.matrices
+    w = weights[..., None]
+    VWs, Vbs = _unpack(lin.spec, V)
 
     # R-forward: directional derivatives of activations. RAs[l] pairs with
     # A_l; the network input does not depend on the parameters.
     RAs = [None]
-    for l, (A, ag, _, W) in enumerate(layers):
+    for l, A in enumerate(As):
         RZ = A @ VWs[l].swapaxes(-1, -2)
         RZ += Vbs[l][:, None, :]
-        if RAs[l] is not None:
-            RZ += RAs[l] @ W.T
-        if ag is not None:
-            RAs.append(ag * RZ)
+        if l > 0:
+            RZ += RAs[l] @ Ws[l].T
+        if l < len(ags):
+            RAs.append(ags[l] * RZ)
 
     RD = RZ
-    if soft is not None:
-        RD = soft * RZ
-        RD -= soft * _class_reduce(np.add, RD)[..., None]
+    if lin.soft is not None:
+        RD = lin.soft * RZ
+        RD -= lin.soft * _class_reduce(np.add, RD)[..., None]
 
-    blocks = [None] * (2 * len(layers))
-    for l in reversed(range(len(layers))):
-        A, _, D, W = layers[l]
+    blocks = [None] * (2 * len(As))
+    for l in reversed(range(len(As))):
         RDt = RD.swapaxes(-1, -2)
-        HW = RDt @ (w * A)
-        if RAs[l] is not None:
-            HW += (w * D).swapaxes(-1, -2) @ RAs[l]
+        HW = RDt @ (w * As[l])
+        if l > 0:
+            HW += (w * Ds[l]).swapaxes(-1, -2) @ RAs[l]
         blocks[2 * l] = HW.reshape(len(V), -1)
         blocks[2 * l + 1] = (RDt @ w)[..., 0]
         if l > 0:
-            RD = RD @ W
-            RD += D @ VWs[l]
-            RD *= layers[l - 1][1]
+            RD = RD @ Ws[l]
+            RD += Ds[l] @ VWs[l]
+            RD *= ags[l - 1]
     return np.concatenate(blocks, axis=1)
 
 
@@ -660,21 +630,20 @@ def restore(kept, X, hit=None):
 class _HvpOperator:
     """``V -> H^er V`` of ``hessian_vector_product``, every check made once, when it is built.
 
-    ``rows``, ``weights`` and ``mode`` are as ``hessian_vector_product`` takes
-    them: the parameters are one vector, a linearization is of ``spec`` and
-    at ``params`` byte for byte, the weights have the samples' shape, and
-    ``finite_difference`` takes shared rows. The exact operator linearizes
-    raw rows here, once. A call maps a (k, P) stack V (K rows for K paired
-    row sets), which it does not check again, and checks only that the
-    products are finite; ``sets`` (a slice, exact mode) applies the operator
-    of those row sets of a paired linearization, with those rows of the weights.
+    ``rows`` and ``weights`` are as ``hessian_vector_product`` takes them:
+    the parameters are one vector, a linearization is of ``spec`` and at
+    ``params`` byte for byte, and the weights have the samples' shape. Raw
+    rows are linearized here, once. A call applies the R-operator
+    (``_hvp_exact``) to a (k, P) stack V (K rows for K paired row sets),
+    which it does not check again, and checks only that the products are
+    finite; ``sets`` (a slice) applies it to those row sets of a paired
+    linearization (``Linearization.take``), with those rows of the weights.
     A solve builds one operator and applies it at every step.
     """
 
-    def __init__(self, spec, params, rows, weights, mode="exact"):
+    def __init__(self, spec, params, rows, weights):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.flat = _one_vector(params)
-        self.spec, self.rows, self.mode = spec, rows, mode
         lin = rows if isinstance(rows, Linearization) else None
         if lin is not None:
             if lin.params is None:
@@ -691,38 +660,20 @@ class _HvpOperator:
             raise ShapeError(
                 f"weights of shape {self.weights.shape} for samples of shape {samples}"
             )
-        if mode == "exact":
-            lin = lin if lin is not None else _linearize(spec, self.flat, X, targets)
-            self.r_rows = _r_rows(lin, self.weights)
-        elif mode == "finite_difference":
-            if self.weights.ndim == 2 or lin is not None:
-                raise ValueError("finite_difference mode takes shared rows only")
-        else:
-            raise ValueError(f"unknown HVP mode {mode!r}")
+        self.lin = lin if lin is not None else _linearize(spec, self.flat, X, targets)
 
     def __call__(self, V, sets=None):
-        if self.mode == "finite_difference":
-            return self._central_differences(V)
-        rows = self.r_rows if sets is None else _r_sets(self.r_rows, sets)
-        out = _r_operator(self.spec, rows, V)
+        if sets is None:
+            out = _hvp_exact(self.lin, self.weights, V)
+        else:
+            out = _hvp_exact(self.lin.take(sets), self.weights[sets], V)
         if not np.isfinite(out).all():
             raise NumericError("non-finite Hessian-vector product")
         return out
 
-    def _central_differences(self, V):
-        out = np.empty_like(V)
-        for i, vec in enumerate(V):
-            r = 1e-4 / max(1.0, float(np.linalg.norm(vec)))
-            gp = batch_gradient(self.spec, self.flat + r * vec, self.rows, self.weights)
-            gm = batch_gradient(self.spec, self.flat - r * vec, self.rows, self.weights)
-            out[i] = (gp - gm) / (2.0 * r)
-            if not np.isfinite(out[i]).all():
-                raise NumericError(f"non-finite finite-difference HVP (step r={r})")
-        return out
 
-
-def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
-    """H^er v for the weighted empirical risk (no regularizer).
+def hessian_vector_product(spec, params, dataset, weights, v):
+    """H^er v for the weighted empirical risk (no regularizer), by the R-operator.
 
     ``v`` may be a single flat vector or a (k, P) stack; the result has the
     same shape. K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)``
@@ -731,12 +682,10 @@ def hessian_vector_product(spec, params, dataset, weights, v, mode="exact"):
     ``Linearization`` of the rows at ``params`` (from ``linearize``) may
     stand in for them, with the same bits: only the R-forward and R-backward
     then run. One built for another spec, at other parameters or at a
-    parameter stack raises ShapeError. ``finite_difference``
-    mode (shared rows only) uses a central difference of the batch gradient
-    with step r = 1e-4 / max(1, ||v||). The call is one application of the
+    parameter stack raises ShapeError. The call is one application of the
     operator a solve builds once (``_HvpOperator``).
     """
-    hvp = _HvpOperator(spec, params, dataset, weights, mode)
+    hvp = _HvpOperator(spec, params, dataset, weights)
     V = as_flat(v)
     single = V.ndim == 1
     V = np.atleast_2d(V)

@@ -57,10 +57,11 @@ def _nominal(model, dataset, config, nominal):
 
     The replays follow ``nominal`` while the test loss reads ``model`` and the
     guard reads ``config``, so a record trained with another model or config
-    raises ConfigError.
+    raises ConfigError, as does a stacked record, before any replay.
     """
     if nominal is None:
         return trainer.train(model, dataset, config)
+    trainer.check_one_run(nominal, "the oracle")
     for name, given in (("model", model), ("config", config)):
         if getattr(nominal, name) != given:
             raise ConfigError(f"nominal record trained with another {name} than {given!r}")
@@ -96,7 +97,8 @@ def finite_difference_hypergradient(
     term; the reported step is the smaller one actually used. The weights are
     perturbed around those of ``nominal``, and the 4 perturbed runs (2
     without ``richardson``) advance together in one stacked replay. A
-    ``nominal`` trained with another ``model`` or ``config`` raises ConfigError.
+    ``nominal`` trained with another ``model`` or ``config``, or a stacked
+    one, raises ConfigError.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ConfigError(f"delta = {delta!r} must be finite and > 0")

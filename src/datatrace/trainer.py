@@ -8,6 +8,7 @@ orders come from (seed, epoch) streams, never global RNG state.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tokenize
 from dataclasses import dataclass, field
@@ -121,12 +122,14 @@ class TrainingConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 0:
             raise ConfigError("batch_size must be >= 0 (0 = full batch)")
-        if self.initial_lr <= 0.0:
-            raise ConfigError("initial_lr must be > 0")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
+            raise ConfigError(f"initial_lr = {self.initial_lr!r} must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay = {self.weight_decay!r} must be finite and >= 0")
+        if self.snapshot_stride < 0:
+            raise ConfigError(f"snapshot_stride = {self.snapshot_stride} must be >= 0")
         # Schedules are non-increasing, so checking the initial product
         # covers every step.
         if self.weight_decay > 0.0 and self.initial_lr * self.weight_decay >= 1.0:
@@ -139,6 +142,15 @@ def check_training_set(dataset):
     if n == 0:
         raise ConfigError("empty training set: no samples to train on")
     return n
+
+
+def check_one_run(record, what):
+    """ConfigError, naming ``what``, for a stacked record (one run per row of its data weights)."""
+    if record.data_weights.ndim != 1:
+        raise ConfigError(
+            f"{what} takes one run, not a stack of data weights of shape "
+            f"{record.data_weights.shape}"
+        )
 
 
 def batch_starts(n, batch_size):
@@ -544,8 +556,7 @@ def rerun(record, dataset, starts, length):
 
 def save_trajectory(record, directory):
     """Write the record as ``config.txt`` and one ``.npy`` file per array (see ``_DTYPES``)."""
-    if record.data_weights.ndim != 1:
-        raise ConfigError("the on-disk form holds one run, not a stack of data weights")
+    check_one_run(record, "the on-disk form")
     os.makedirs(directory, exist_ok=True)
     meta = configtext.write_section("meta", {"checksum": record.checksum()})
     with open(os.path.join(directory, "config.txt"), "w") as fh:

@@ -28,6 +28,21 @@ def gaussian_pair(classes=2, per_class=25, dim=5, separation=3.0, seed=1,
     return train, test
 
 
+def central_difference_hvp(spec, params, rows, weights, v):
+    """H^er v by a central difference of the weighted batch gradient, an oracle independent
+    of the R-operator: step r = 1e-4 / max(1, ||v||) along each vector. ``v`` is one
+    vector or a (k, P) stack, and the result has its shape."""
+    flat = dt.as_flat(params)
+    V = np.atleast_2d(v)
+    out = np.empty_like(V)
+    for i, vec in enumerate(V):
+        r = 1e-4 / max(1.0, float(np.linalg.norm(vec)))
+        gp = dt.batch_gradient(spec, flat + r * vec, rows, weights)
+        gm = dt.batch_gradient(spec, flat - r * vec, rows, weights)
+        out[i] = (gp - gm) / (2.0 * r)
+    return out[0] if np.ndim(v) == 1 else out
+
+
 def ridge_probe(targets=(0.0, 2.0), test_targets=(2.0,)):
     """1-D ridge regression: inputs are all 1, squared-error targets.
 

@@ -181,6 +181,12 @@ def test_config_text_round_trips_any_config(cfg):
     ("[methods]\nmethod = exact\n", "methods.method"),
     ("[oracle]\ndelta = small\n", "oracle.delta"),
     ("[dataset]\nsource = hdf5\n", "dataset"),
+    ("[dataset]\nper_class = -1\n", "per_class"),
+    ("[dataset]\ntest_per_class = -1\n", "test_per_class"),
+    ("[training]\ninitial_lr = nan\n", "initial_lr"),
+    ("[training]\ninitial_lr = inf\n", "initial_lr"),
+    ("[training]\nweight_decay = nan\n", "weight_decay"),
+    ("[training]\nsnapshot_stride = -1\n", "snapshot_stride"),
 ])
 def test_invalid_config_is_rejected_by_name(text, key):
     with pytest.raises(ConfigError, match=re.escape(key)):

@@ -12,6 +12,8 @@ import datatrace as dt
 from datatrace import models
 from datatrace.exceptions import NumericError, ShapeError
 
+from conftest import central_difference_hvp
+
 ARCHITECTURES = pytest.mark.parametrize("kind,widths,loss", [
     ("logistic_regression", (4, 3), "cross_entropy"),
     ("mlp", (4, 6, 3), "cross_entropy"),
@@ -408,7 +410,7 @@ def test_fd_hvp_matches_exact():
     weights = np.full(len(ds), 1.0 / len(ds))
     v = np.random.default_rng(3).standard_normal(dt.as_flat(params).size)
     exact = dt.hessian_vector_product(spec, params, ds, weights, v)
-    fd = dt.hessian_vector_product(spec, params, ds, weights, v, mode="finite_difference")
+    fd = central_difference_hvp(spec, params, ds, weights, v)
     assert np.linalg.norm(fd - exact) <= 1e-4 * np.linalg.norm(exact)
 
 
@@ -495,8 +497,6 @@ def test_paired_row_sets_must_match_the_vectors():
         dt.hessian_vector_product(spec, params, sets, W, V[:2])
     with pytest.raises(ShapeError):
         dt.hessian_vector_product(spec, params, sets, W[:, :1], V)
-    with pytest.raises(ValueError, match="shared rows"):
-        dt.hessian_vector_product(spec, params, sets, W, V, mode="finite_difference")
 
 
 @pytest.mark.parametrize(
@@ -520,7 +520,7 @@ def test_the_hvp_operator_gives_the_bytes_of_the_public_call(widths, loss):
         assert shared(V[r : r + 1])[0].tobytes() == alone.tobytes()
 
     sets = rng.integers(12, size=(6, 4))  # 3 steps of K = 2 sets of 4 rows
-    W = np.full((6, 4), 0.25)
+    W = rng.uniform(0.5, 1.5, (6, 4)) / 4  # each set's own weights, as a run must pair them
     gathered = lin.take(sets)
     paired = models._HvpOperator(spec, params, gathered, W)
     want = dt.hessian_vector_product(spec, params, gathered, W, V)
@@ -677,7 +677,7 @@ def test_exact_hvp_properties_on_random_architectures(case):
         one_l, one_g = models.loss_and_gradient(spec, p, rows, w)
         assert np.array_equal(one_l, l) and np.array_equal(one_g, g)
     # agrees with the central-difference HVP
-    fd = dt.hessian_vector_product(spec, params, rows, weights, V, mode="finite_difference")
+    fd = central_difference_hvp(spec, params, rows, weights, V)
     g = dt.batch_gradient(spec, params, rows, weights)
     for f, hv in zip(fd, HV):
         assert np.linalg.norm(f - hv) <= 1e-6 * np.linalg.norm(hv) + 1e-9 * np.linalg.norm(g) + 1e-12
@@ -800,8 +800,6 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
     for bare in (models.keep(lin), models.restore(models.keep(lin), X)):
         with pytest.raises(ShapeError, match="linearization"):
             dt.hessian_vector_product(spec, params, bare, weights, V[0])
-    with pytest.raises(ValueError, match="shared rows"):
-        dt.hessian_vector_product(spec, params, lin, weights, V[0], mode="finite_difference")
     bad = V[0].copy()
     bad[0] = np.nan
     with pytest.raises(NumericError, match="Hessian-vector"):

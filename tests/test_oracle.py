@@ -161,3 +161,17 @@ def test_a_nominal_record_of_another_model_or_config_is_refused_before_any_repla
     assert calls == {"train": 0}
     dt.leave_one_out(spec, train, cfg, 4, test, nominal=rec)
     assert calls == {"train": 1}
+
+
+def test_a_stacked_nominal_record_is_refused_before_any_replay(count_calls):
+    # A record of two runs (one per row of its data weights) has no one
+    # nominal run to perturb: both oracles refuse it as the trackers do.
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    train, test = gaussian_pair(dim=4, per_class=4)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=4, initial_lr=0.05, seed=3)
+    stacked = dt.replay(dt.train(spec, train, cfg), train, data_weights=np.zeros((2, len(train))))
+    calls = count_calls((trainer, "train"))
+    for oracle in (dt.finite_difference_hypergradient, dt.leave_one_out):
+        with pytest.raises(ConfigError, match=r"oracle takes one run.*\(2, 8\)"):
+            oracle(spec, train, cfg, 1, test, nominal=stacked)
+    assert calls == {"train": 0}

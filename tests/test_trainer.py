@@ -215,6 +215,15 @@ def test_config_invariants():
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, momentum=1.0)
     with pytest.raises(ConfigError, match="unknown schedule"):
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, schedule="constant")
+    # a rate or decay that cannot train, and a stride that would hash apart from
+    # the per-epoch one it trains as, fail when the config is built
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="initial_lr"):
+            dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=lr)
+    with pytest.raises(ConfigError, match="weight_decay"):
+        dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, weight_decay=float("nan"))
+    with pytest.raises(ConfigError, match="snapshot_stride"):
+        dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, snapshot_stride=-1)
 
 
 @pytest.mark.parametrize("make", [
