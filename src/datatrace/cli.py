@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -52,6 +53,8 @@ class DatasetConfig:
         for key in ("per_class", "test_per_class"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be >= 0")
+        if not (math.isfinite(self.separation) and self.separation >= 0.0):
+            raise ConfigError(f"separation = {self.separation!r} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,10 @@ class NoiseConfig:
     fraction: float = 0.0
     seed: int = 5
 
+    def __post_init__(self):
+        if not 0.0 <= self.fraction <= 1.0:  # NaN fails the comparison too
+            raise ConfigError(f"fraction = {self.fraction!r} must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -89,6 +96,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        if self.noise.fraction > 0.0 and self.dataset.classes < 2:
+            raise ConfigError("noise.fraction > 0 flips labels: it needs dataset.classes >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +247,9 @@ def select_tracked(cfg, train):
     chosen = []
     for c in range(train.class_count):
         rows = np.flatnonzero(train.labels == c)
-        k = max(1, int(np.floor(tk.fraction * len(rows))))
-        chosen.extend(rng.choice(rows, size=k, replace=False))
+        if rows.size:  # a loaded split may hold no row of a class
+            k = max(1, int(np.floor(tk.fraction * len(rows))))
+            chosen.extend(rng.choice(rows, size=k, replace=False))
     return np.array(sorted(chosen), dtype=np.int64)
 
 

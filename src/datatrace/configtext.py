@@ -2,13 +2,12 @@
 
 A section is written with one ``key = value`` line per dataclass field, in
 field order, and read back by the field's annotated type. Formatting goes by
-value type: ints as ``str``, floats as ``repr``, bools in lower case, tuples
-joined with commas and ``None`` as ``auto``. A field whose metadata maps
-names to dataclasses under ``"choices"`` (the training schedule) is written
-``name(key=value,...)``, or ``name`` alone for a class without fields, and
-its body is read back by ``read_section`` with the same strictness as a
-section. Experiment identity hashes this text, so changing a format here
-changes every config hash.
+value type: ints as ``str``, floats as ``repr``, tuples joined with commas
+and ``None`` as ``auto``. A field whose metadata maps names to dataclasses
+under ``"choices"`` (the training schedule) is written ``name(key=value,...)``,
+or ``name`` alone for a class without fields, and its body is read back by
+``read_section`` with the same strictness as a section. Experiment identity
+hashes this text, so changing a format here changes every config hash.
 """
 
 from __future__ import annotations
@@ -20,16 +19,12 @@ import typing
 
 from .exceptions import ConfigError
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 
 def _format(value, choices=None):
     if choices is not None:
         return format_choice(value, choices)
     if value is None:
         return "auto"
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -67,8 +62,6 @@ def read_choice(where, text, choices):
 def _parser(field, hint, where):
     if "choices" in field.metadata:
         return lambda text: read_choice(where, text, field.metadata["choices"])
-    if hint is bool:
-        return lambda text: _BOOLS[text.lower()]
     if hint is tuple:
         return lambda text: tuple(int(v) for v in text.split(",") if v.strip())
     if hint == float | None:

@@ -68,13 +68,13 @@ class LabeledDataset:
         )
 
 
-def training_indices(indices, n_train, allow_empty=True):
+def training_indices(indices, n_train):
     """The distinct training indices in first-seen order, as an int64 array.
 
     Raises ConfigError for an index that is negative, >= n_train,
     fractional or a boolean (a mask is not a list of indices), and
-    ValueError for no index unless ``allow_empty`` (an estimator of no
-    contributions would do its work for nothing).
+    ValueError for no index (an estimator of no contributions would do its
+    work for nothing).
     """
     indices = list(indices)
     if any(isinstance(i, (bool, np.bool_)) for i in indices):
@@ -83,7 +83,7 @@ def training_indices(indices, n_train, allow_empty=True):
     # The cast truncates a fractional index, so compare with the originals too.
     if np.any((index < 0) | (index >= n_train) | (index != indices)):
         raise ConfigError("training index fractional or outside [0, n_train)")
-    if index.size == 0 and not allow_empty:
+    if index.size == 0:
         raise ValueError("no training indices given")
     _, first = np.unique(index, return_index=True)
     return index[np.sort(first)]

@@ -4,10 +4,12 @@ The contribution of training sample i is C(i) = -(1/n) g_test(w_T)^T nabla_{T,i}
 with nabla_{t,i} = d w_t / d eps_i carried by a recurrence over the steps, in
 two modes: exact (with the batch Hessian term) and approx (without it). The
 steps come from re-runs of the record's intervals: the snapshots, with the
-momentum buffer beside each (kept by ``train`` and on disk alike), are the
-checkpoints, and the intervals between them are re-run in lockstep groups
-with the original batches and learning rates, one paired model evaluation
-per step, which is the only evaluation of the model a walked step makes.
+momentum buffer beside each (in memory and on disk alike), are the
+checkpoints. ``train`` places one at every epoch's end and, in an epoch
+longer than 4 * ceil(sqrt(T)) steps, every ceil(sqrt(T)) steps. The
+intervals between them are re-run in lockstep groups with the original
+batches and learning rates, one paired model evaluation per step, which is
+the only evaluation of the model a walked step makes.
 
 - Exact reverse mode (``contribution_exact``): the recurrence is linear in
   its state and C(i) is one linear functional of it, so one backward
@@ -34,7 +36,7 @@ per step, which is the only evaluation of the model a walked step makes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +86,7 @@ class _Tracker:
     def __init__(self, record, tracked, use_hessian):
         self.record = record
         self.use_hessian = use_hessian
-        self.index = data.training_indices(tracked, record.n_train, allow_empty=False)
+        self.index = data.training_indices(tracked, record.n_train)
         self.position = _positions(self.index, record.n_train)
         P = record.final_params.size
         self.nabla = np.zeros((self.index.size, P))
@@ -224,17 +226,23 @@ def _groups(record):
     equal sizes step for step, with
         G = max(1, min(ceil(sqrt(T)), floor(4 * ceil(sqrt(T)) / L))).
     The re-run of a group keeps G * L <= 4 * ceil(sqrt(T)) steps' states
-    (``_checkpoints`` bounds L by that; see ``trainer.rerun``), as many
-    as ceil(sqrt(T)) checkpoints plus one ceil(sqrt(T))-step segment would
-    hold, so memory stays O(sqrt(T)) states, while a full-batch record
-    (L = 1) re-runs in ceil(sqrt(T)) groups. Larger groups cut little more
-    time and cost measurable peak memory.
+    (see ``trainer.rerun``), as many as ceil(sqrt(T)) checkpoints plus one
+    ceil(sqrt(T))-step segment would hold, so memory stays O(sqrt(T))
+    states, while a full-batch record (L = 1) re-runs in ceil(sqrt(T))
+    groups. Larger groups cut little more time and cost measurable peak
+    memory. ``train`` records no interval longer than 4 * ceil(sqrt(T))
+    steps; a record with one raises ConfigError naming it.
     """
     root = math.isqrt(record.steps - 1) + 1
     sizes = [len(batch) for batch in record.batches]
     marks = sorted(record.snapshots)
     groups = []
     for start, end in zip(marks, marks[1:]):
+        if end - start > 4 * root:
+            raise ConfigError(
+                f"snapshots at steps {start} and {end} lie {end - start} steps apart, "
+                f"more than the walk's 4 * ceil(sqrt(T)) = {4 * root}"
+            )
         if groups:
             starts, length = groups[-1]
             if (
@@ -274,30 +282,16 @@ def _pattern_groups(record):
     return sorted(groups, key=lambda group: group[0][-1])
 
 
-def _checkpoints(record, dataset):
-    """The record with a snapshot at least every 4 * ceil(sqrt(T)) steps.
-
-    Each snapshot has its momentum buffer beside it (``train`` keeps them and
-    the on-disk form holds them). Where two snapshots lie further apart, one
-    checked replay re-snapshots the record every ceil(sqrt(T)) steps.
-    """
-    root = math.isqrt(record.steps - 1) + 1
-    if max(np.diff(sorted(record.snapshots))) <= 4 * root:
-        return record
-    finer = replace(record.config, snapshot_stride=root)
-    return trainer.replay(replace(record, config=finer), dataset)
-
-
 def _walk(record, dataset, backward=False):
     """The context of every step of the record, in step order or (``backward``) reversed.
 
-    The groups of ``_groups`` re-run in lockstep from the snapshots and
-    momentum buffers of ``_checkpoints`` (``trainer.rerun``). Each re-run
-    must end bit-identical to the next snapshot and recompute the recorded
-    losses before its contexts are yielded, so the walk is the replay's
-    check, and a group's contexts are released before the next re-run.
+    The groups of ``_groups`` (which refuse a snapshot gap over
+    4 * ceil(sqrt(T)) steps before any re-run) re-run in lockstep from the
+    record's own snapshots and momentum buffers (``trainer.rerun``). Each
+    re-run must end bit-identical to the next snapshot and recompute the
+    recorded losses before its contexts are yielded, so the walk is the
+    replay's check, and a group's contexts are released before the next one.
     """
-    record = _checkpoints(record, dataset)
     order = reversed if backward else iter
     for starts, length in order(_groups(record)):
         yield from order(trainer.rerun(record, dataset, starts, length))
@@ -317,7 +311,7 @@ def _adjoint(record, dataset, indices, rows):
     The steps come from ``_walk``, last first; each beta~ @ g_i is a
     directional derivative and each HVP reads the step's kept state.
     """
-    index = data.training_indices(indices, record.n_train, allow_empty=False)
+    index = data.training_indices(indices, record.n_train)
     cfg = record.config
     n = record.n_train
     position = _positions(index, n)
@@ -373,7 +367,7 @@ def _approx(record, dataset, indices, rows):
     before the re-run's checks. A sample can sit in the batches of several
     rows of one step, so the terms add with ``np.add.at``.
     """
-    index = data.training_indices(indices, record.n_train, allow_empty=False)
+    index = data.training_indices(indices, record.n_train)
     position = _positions(index, record.n_train)
     step_weights = _step_weights(record)
     rows = np.array(rows, dtype=np.float64, ndmin=2)

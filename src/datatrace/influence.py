@@ -68,7 +68,6 @@ class InverseHvpConfig:
     neumann_repeats: int = 4
     neumann_scale: float | None = None  # None -> 1.1 * max |eig| by power iteration
     seed: int = 0
-    include_regularizer_in_hessian: bool = True
 
     def __post_init__(self):
         if self.method not in _METHOD_TAGS:
@@ -214,7 +213,7 @@ def _neumann(model, params, lin, V, shift, scale, config):
 
 
 def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
-    """Approximate (H_T + shift I)^{-1} v. Returns (result, diagnostics).
+    """Approximately (H_T + shift I)^{-1} v, shift = damping + weight_decay: (result, diagnostics).
 
     ``v`` may be a flat vector or an (r, P) stack; the result has the same
     shape. The solver is set up once per call (dense builds H once, CG and
@@ -228,9 +227,7 @@ def inverse_hvp(model, params, dataset, v, config, weight_decay=0.0):
     V = np.atleast_2d(V)
     if V.shape[1] != np.size(params):
         raise ShapeError(f"vector length {V.shape[1]} != parameter count {np.size(params)}")
-    shift = config.damping
-    if config.include_regularizer_in_hessian:
-        shift += weight_decay
+    shift = config.damping + weight_decay
     uniform = np.full(len(dataset), 1.0 / len(dataset))
     if config.method == "conjugate_gradient":
         matvec = _shifted(model, params, models.linearize(model, params, dataset), uniform, shift)
@@ -269,7 +266,7 @@ def influence(model, final_params, train_dataset, test_dataset, train_indices,
     join the same solve, and ``pair_values[(i, j)]`` = g_i^T s_j / N. No
     index at all raises ValueError before the solve.
     """
-    index = data.training_indices(train_indices, len(train_dataset), allow_empty=False)
+    index = data.training_indices(train_indices, len(train_dataset))
     rhs = models.test_gradients(model, final_params, test_dataset, per_test)
     S, _ = inverse_hvp(model, final_params, train_dataset, rhs, config, weight_decay)
     rows = (train_dataset.features[index], train_dataset.labels[index])

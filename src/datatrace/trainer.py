@@ -110,7 +110,6 @@ class TrainingConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
     seed: int = 0
-    snapshot_stride: int = 0  # steps between snapshots; 0 = once per epoch
 
     def __post_init__(self):
         if self.schedule is None:
@@ -128,8 +127,6 @@ class TrainingConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ConfigError(f"weight_decay = {self.weight_decay!r} must be finite and >= 0")
-        if self.snapshot_stride < 0:
-            raise ConfigError(f"snapshot_stride = {self.snapshot_stride} must be >= 0")
         # Schedules are non-increasing, so checking the initial product
         # covers every step.
         if self.weight_decay > 0.0 and self.initial_lr * self.weight_decay >= 1.0:
@@ -345,7 +342,11 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
     the ridge term ``weight_decay * w`` is added on top. ``init`` is the
     starting parameters (default: seeded initialization; a wrong length
     raises ShapeError), and the momentum buffer starts at zero. The record
-    keeps the momentum buffer beside each snapshot (``velocities``).
+    keeps a snapshot, with the momentum buffer beside it (``velocities``),
+    at step 0, at the end of every epoch and at step T; an epoch longer
+    than 4 * ceil(sqrt(T)) steps also gets one every ceil(sqrt(T)) steps
+    from its start. These are the checkpoints of the hypergradient walk,
+    which keeps the states of at most 4 * ceil(sqrt(T)) steps at once.
     ``batches``/``lrs`` override the derived schedule (used by replay). The
     run diverges when a batch loss exceeds ``DIVERGENCE_FACTOR`` times the
     first step's loss.
@@ -372,7 +373,8 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
         batches = build_batch_schedule(n, config.batch_size, config.epochs, config.seed)
     steps_per_epoch = max(1, len(batches) // config.epochs)
     total_steps = len(batches)
-    stride = config.snapshot_stride if config.snapshot_stride > 0 else steps_per_epoch
+    root = math.isqrt(total_steps - 1) + 1
+    stride = root if steps_per_epoch > 4 * root else steps_per_epoch
 
     w = models.init_params(model, config.seed) if init is None else models.as_flat(init)
     P = models.param_count(model)
@@ -407,7 +409,7 @@ def train(model, dataset, config, data_weights=None, init=None, batches=None, lr
         )[:4]
         out_lrs[t - 1] = lr
 
-        if t % stride == 0 or t == total_steps:
+        if t % steps_per_epoch % stride == 0 or t == total_steps:
             snapshots[t] = w.copy()
             velocities[t] = velocity.copy()
 

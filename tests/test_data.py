@@ -285,4 +285,5 @@ def test_training_indices_are_distinct_in_first_seen_order():
     index = training_indices([7, 2, 7, np.int64(0), 2.0], 8)
     assert index.dtype == np.int64
     assert index.tolist() == [7, 2, 0]
-    assert training_indices([], 8).tolist() == []
+    with pytest.raises(ValueError, match="no training indices"):
+        training_indices([], 8)

@@ -1,5 +1,6 @@
 """Hypergradient tracking: recurrences, contributions, error traces."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -320,8 +321,8 @@ SCHEDULES = [
 
 
 def _adjoint_probe(batch_size, momentum, schedule=dt.ConstantSchedule(), test_per_class=3,
-                   spec=dt.ModelSpec("mlp", (4, 5, 2)), **config):
-    train, test = gaussian_pair(dim=4, per_class=10, test_per_class=test_per_class)
+                   spec=dt.ModelSpec("mlp", (4, 5, 2)), per_class=10, **config):
+    train, test = gaussian_pair(dim=4, per_class=per_class, test_per_class=test_per_class)
     cfg = dt.TrainingConfig(**{
         "epochs": 6, "batch_size": batch_size, "initial_lr": 0.05, "schedule": schedule,
         "momentum": momentum, "weight_decay": 0.01, "seed": 3, **config,
@@ -427,13 +428,13 @@ def test_adjoint_makes_one_hvp_per_step_whatever_the_index_count(mode, count_cal
     # intervals of L = 4 steps in groups of G = min(5, 4 * 5 // 4) = 5, last
     # group first: 4 * ceil(sqrt(24)) = 20 vectors at most
     (dict(batch_size=5), [0, 4, 8, 12, 16, 20, 24], [4, 20]),
-    # one 40-step interval is longer than 4 * ceil(sqrt(40)) = 28: a replay
-    # snapshots every 7 steps, grouped as 7 * 4 | 7 | 5
-    (dict(batch_size=1, epochs=2, snapshot_stride=40), [0, 40], [5, 7, 28]),
+    # one epoch of 40 steps is longer than 4 * ceil(sqrt(40)) = 28: train
+    # snapshots it every 7 steps, grouped as 7 * 4 | 7 | 5
+    (dict(batch_size=1, epochs=1, per_class=20), [0, 7, 14, 21, 28, 35, 40], [5, 7, 28]),
     # full batch, L = 1: 6 steps in groups of min(3, 4 * 3) = 3
     (dict(batch_size=0, spec=dt.ModelSpec("logistic_regression", (4, 2))),
      [0, 1, 2, 3, 4, 5, 6], [3, 3]),
-], ids=["per-epoch-snapshots", "one-long-interval", "logistic-full-batch"])
+], ids=["per-epoch-snapshots", "one-long-epoch", "logistic-full-batch"])
 def test_adjoint_group_keeps_at_most_4_ceil_sqrt_t_parameter_vectors(
     config, snapshots, kept, monkeypatch
 ):
@@ -538,8 +539,9 @@ def test_tracking_refuses_a_stacked_record(entry, count_calls):
 # Probes whose snapshot intervals group in several ways (20 samples, 24
 # steps unless noted), with their groups as (intervals, length) per group.
 GROUPING_PROBES = {
-    # a short last interval: 7, 7 | 7 | 3
-    "stride7": (dict(batch_size=5, snapshot_stride=7), [(2, 7), (1, 7), (1, 3)]),
+    # one epoch of 40 steps, snapshotted every 7, with a short last interval:
+    # 7, 7, 7, 7 | 7 | 5
+    "long_epoch": (dict(batch_size=1, epochs=1, per_class=20), [(4, 7), (1, 7), (1, 5)]),
     # a short last batch (6, 6, 6, 2) in every interval
     "short_batch": (dict(batch_size=6), [(5, 4), (1, 4)]),
     # L = 1, so every snapshot is checked: 30 steps in groups of ceil(sqrt(30))
@@ -556,14 +558,16 @@ GROUPING_PROBES = {
 # term became a directional derivative read from the re-run and approx a
 # forward walk on closed-form step weights (within 2.8e-14 relative of the
 # values before).
+# The long_epoch pins were recorded when the walk re-snapshotted a record
+# with one snapshot per epoch by a replay, on the same grid.
 ADJOINT_PINS = {
-    ("stride7", "exact"): (
-        "0x1.561e154df15bap-7", "-0x1.69cc6e6695d85p-7", "-0x1.48600dc1d5273p-6",
-        "-0x1.0b63052605880p-9", "-0x1.0d9d6a4840beap-7", "0x1.dcecca7211bb0p-6",
+    ("long_epoch", "exact"): (
+        "0x1.3101b8f8ad8c0p-4", "-0x1.bf0f75fb3c37ap-2", "-0x1.cd6fe4c18e57bp-1",
+        "0x1.cc0dd8ca440c6p-6", "0x1.34056c3db9039p-3", "-0x1.81d9a285bbf10p-10",
     ),
-    ("stride7", "approx"): (
-        "0x1.564da34d96c9fp-7", "0x1.531078a45cdcap-6", "0x1.28572aad215a5p-4",
-        "-0x1.fb3bb96bcbafep-6", "-0x1.3c018d0c2ddf6p-5", "0x1.e7285eb2f9448p-5",
+    ("long_epoch", "approx"): (
+        "0x1.981b2a4587685p-4", "0x1.df6cd82f06d2bp-4", "0x1.2d1246e977d5ap-2",
+        "-0x1.eaded68fa3628p-5", "0x1.cd8f4ea882702p-3", "-0x1.aba12317d83e8p-6",
     ),
     ("short_batch", "exact"): (
         "0x1.9d50037a1f72dp-8", "-0x1.363789768f50dp-7", "-0x1.2d0fbf3203235p-6",
@@ -685,25 +689,26 @@ def test_non_finite_adjoint_raises_divergence():
 
 
 def test_approx_groups_equal_pattern_intervals_that_are_not_adjacent(count_calls):
-    # Stride 3 on batches of 6, 6, 6, 2: the patterns of the 3-step intervals
-    # repeat every fourth interval, so no two adjacent intervals share one.
+    # Two epochs of 40 steps at batch 1 (T = 80), snapshotted every 9 steps
+    # from each epoch's start: intervals 9, 9, 9, 9, 4 per epoch, so the two
+    # short end-of-epoch intervals are equal and not adjacent.
     from datatrace import trainer as trainer_mod
     from datatrace.hypergrad import _groups, _pattern_groups
 
-    train, test, rec = _adjoint_probe(6, 0.9, snapshot_stride=3, epochs=6)
+    train, test, rec = _adjoint_probe(1, 0.9, per_class=20, epochs=2)
     T = rec.steps
-    assert T == 24 and sorted(rec.snapshots) == list(range(0, 25, 3))
-    # exact: every group is one interval, so every step is one model evaluation
-    assert [(len(starts), length) for starts, length in _groups(rec)] == [(1, 3)] * 8
-    # approx: intervals one pattern period (12 steps) apart pair up
-    assert _pattern_groups(rec) == [([0, 12], 3), ([3, 15], 3), ([6, 18], 3), ([9, 21], 3)]
+    assert T == 80 and sorted(rec.snapshots) == [0, 9, 18, 27, 36, 40, 49, 58, 67, 76, 80]
+    # exact: only adjacent intervals group, so each short one re-runs alone
+    assert _groups(rec) == [([0, 9, 18, 27], 9), ([36], 4), ([40, 49, 58, 67], 9), ([76], 4)]
+    # approx: the short intervals, one epoch apart, pair up
+    assert _pattern_groups(rec) == [([0, 9, 18, 27], 9), ([40, 49, 58, 67], 9), ([36, 76], 4)]
 
     calls = count_calls((trainer_mod, "_step"))
     reverse = dt.contribution_approx(rec, train, range(len(train)), test, per_test=True)
-    assert calls["_step"] == T // 2
+    assert calls["_step"] == 9 + 9 + 4
     calls["_step"] = 0
     dt.contribution_exact(rec, train, [0], test)
-    assert calls["_step"] == T
+    assert calls["_step"] == 9 + 4 + 9 + 4
 
     forward = dt.contribution(rec, dt.track_approx(rec, train, range(len(train))), test,
                               per_test=True)
@@ -712,3 +717,46 @@ def test_approx_groups_equal_pattern_intervals_that_are_not_adjacent(count_calls
         assert list(got) == list(want)
         assert np.allclose(list(got.values()), list(want.values()), rtol=1e-10, atol=0.0)
 
+
+@pytest.mark.parametrize("entry", [
+    "track_exact", "track_approx", "error_trace", "contribution_exact",
+])
+def test_walk_refuses_a_snapshot_gap_longer_than_4_ceil_sqrt_t(entry, count_calls):
+    # A hand-built record with snapshots at 0 and T only: the walk would keep
+    # all 40 steps, over 4 * ceil(sqrt(40)) = 28, so it refuses before any re-run.
+    from datatrace import trainer as trainer_mod
+
+    train, test, rec = _adjoint_probe(1, 0.9, per_class=20, epochs=1)
+    T = rec.steps
+    sparse = replace(rec, snapshots={t: rec.snapshots[t] for t in (0, T)},
+                     velocities={t: rec.velocities[t] for t in (0, T)})
+    extra = (test,) if entry.startswith("contribution") else ()
+    calls = count_calls((trainer_mod, "lockstep"), (trainer_mod, "train"))
+    with pytest.raises(ConfigError, match=r"steps 0 and 40 lie 40 steps apart.* = 28"):
+        getattr(dt, entry)(sparse, train, [1, 2], *extra)
+    assert calls == {"lockstep": 0, "train": 0}
+
+
+# Exact C(17), C(3), C(150) of long-epoch records of the MLP 20-64-10 (n = 200,
+# momentum 0.9), as float.hex, recorded when the walk re-snapshotted such a
+# record by a replay every ceil(sqrt(T)) steps from step 0: the new grid of
+# the two-epoch record differs (its epoch end, step 100, is a snapshot), and
+# the values may not.
+LONG_EPOCH_PINS = {
+    (1, 4, 0.05): ("-0x1.2662116ccd57ep-5", "-0x1.3e24ab1859332p-6", "-0x1.1da42be5cd0a4p-4"),
+    (2, 2, 0.01): ("-0x1.3cafae5750e1dp-7", "-0x1.e596ff3cb6834p-7", "0x1.3ddea9b4cf368p-10"),
+}
+
+
+@pytest.mark.parametrize("epochs, batch_size, lr", LONG_EPOCH_PINS)
+def test_long_epoch_exact_values_are_pinned_bit_for_bit(epochs, batch_size, lr):
+    train = dt.synth_gaussian(10, 20, 20, 3.0, 4, "train")
+    test = dt.synth_gaussian(10, 1, 20, 3.0, 5, "test")
+    cfg = dt.TrainingConfig(epochs=epochs, batch_size=batch_size, initial_lr=lr, momentum=0.9,
+                            weight_decay=0.01, seed=3)
+    rec = dt.train(dt.ModelSpec("mlp", (20, 64, 10)), train, cfg)
+    assert rec.steps // epochs > 4 * math.ceil(math.sqrt(rec.steps))
+    report = dt.contribution_exact(rec, train, [17, 3, 150], test)
+    assert [value.hex() for value in report.values.values()] == list(
+        LONG_EPOCH_PINS[epochs, batch_size, lr]
+    )

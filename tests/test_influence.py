@@ -205,22 +205,17 @@ def test_influence_ranking_correlates_with_leave_one_out():
     assert rho >= 0.9
 
 
-def test_regularizer_inclusion_flag_changes_result():
+def test_weight_decay_joins_the_hessian_shift():
     spec = dt.ModelSpec("logistic_regression", (4, 2))
     train, test = gaussian_pair(dim=4, per_class=8)
     cfg = dt.TrainingConfig(epochs=50, batch_size=0, initial_lr=0.1,
                             weight_decay=0.1, seed=1)
     rec = dt.train(spec, train, cfg)
-    with_reg = dt.influence(
-        spec, rec.final_params, train, test, [0],
-        config=dt.InverseHvpConfig(method="dense", include_regularizer_in_hessian=True),
-        weight_decay=0.1,
-    )
-    without = dt.influence(
-        spec, rec.final_params, train, test, [0],
-        config=dt.InverseHvpConfig(method="dense", include_regularizer_in_hessian=False),
-        weight_decay=0.1,
-    )
+    config = dt.InverseHvpConfig(method="dense")
+    with_reg = dt.influence(spec, rec.final_params, train, test, [0], config=config,
+                            weight_decay=0.1)
+    without = dt.influence(spec, rec.final_params, train, test, [0], config=config,
+                           weight_decay=0.0)
     assert with_reg.values[0] != without.values[0]
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import math
 import os
 import re
 import struct
@@ -114,7 +115,7 @@ def test_stacked_replay_rows_are_bit_identical_to_single_replays(
     ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
     cfg = dt.TrainingConfig(epochs=6, batch_size=batch_size, initial_lr=0.1,
                             schedule=schedule, momentum=momentum, weight_decay=0.01,
-                            seed=5, snapshot_stride=3)
+                            seed=5)
     rec = dt.train(spec, ds, cfg)
     stack = np.random.default_rng(0).uniform(-0.02, 0.02, (3, len(ds)))
     run = dt.replay(rec, ds, data_weights=stack)  # plateau: the recorded rates
@@ -215,15 +216,12 @@ def test_config_invariants():
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, momentum=1.0)
     with pytest.raises(ConfigError, match="unknown schedule"):
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, schedule="constant")
-    # a rate or decay that cannot train, and a stride that would hash apart from
-    # the per-epoch one it trains as, fail when the config is built
+    # a rate or decay that cannot train fails when the config is built
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="initial_lr"):
             dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=lr)
     with pytest.raises(ConfigError, match="weight_decay"):
         dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, weight_decay=float("nan"))
-    with pytest.raises(ConfigError, match="snapshot_stride"):
-        dt.TrainingConfig(epochs=1, batch_size=0, initial_lr=0.1, snapshot_stride=-1)
 
 
 @pytest.mark.parametrize("make", [
@@ -233,8 +231,7 @@ def test_config_invariants():
     lambda: dt.TrainingConfig(epochs=2.0, batch_size=0, initial_lr=0.1),
     lambda: dt.TrainingConfig(epochs=2, batch_size=5.0, initial_lr=0.1),
     lambda: dt.TrainingConfig(epochs=2, batch_size=0, initial_lr=0.1, seed="7"),
-    lambda: dt.TrainingConfig(epochs=2, batch_size=0, initial_lr=0.1, snapshot_stride=2.0),
-], ids=["epoch", "patience", "patience_bool", "epochs", "batch_size", "seed", "snapshot_stride"])
+], ids=["epoch", "patience", "patience_bool", "epochs", "batch_size", "seed"])
 def test_integer_fields_reject_other_types(make):
     with pytest.raises(ConfigError, match="must be an integer"):
         make()
@@ -248,10 +245,22 @@ def test_every_constructible_config_saves_and_loads(tmp_path):
         dt.ReduceOnPlateauSchedule(0.5, patience=np.int32(1), rel_threshold=0.0),
     ):
         cfg = dt.TrainingConfig(epochs=np.int64(3), batch_size=4, initial_lr=0.1,
-                                schedule=schedule, seed=np.int64(7), snapshot_stride=2)
+                                schedule=schedule, seed=np.int64(7))
         d = str(tmp_path / type(schedule).__name__)
         dt.save_trajectory(dt.train(spec, ds, cfg), d)
         assert dt.load_trajectory(d).config == cfg
+
+
+def test_a_trajectory_with_the_removed_snapshot_stride_key_is_refused(tmp_path):
+    # train places the snapshots itself, so the key is unknown: no shim reads it.
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    ds = dt.synth_gaussian(2, 6, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=4, initial_lr=0.1)
+    dt.save_trajectory(dt.train(spec, ds, cfg), str(tmp_path))
+    path = tmp_path / "config.txt"
+    path.write_text(path.read_text().replace("seed = 0\n", "seed = 0\nsnapshot_stride = 0\n"))
+    with pytest.raises(ConfigError, match=r"unknown config key training\.snapshot_stride"):
+        dt.load_trajectory(str(tmp_path))
 
 
 @pytest.mark.parametrize("rel_threshold", [float("nan"), -3.0, 1.0])
@@ -338,7 +347,6 @@ def _trajectory_runs(draw):
         momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
         weight_decay=draw(st.sampled_from([0.0, 0.01])),
         seed=draw(st.integers(0, 2**16)),
-        snapshot_stride=draw(st.integers(0, 5)),
     )
     spec = draw(st.sampled_from([dt.ModelSpec("logistic_regression", (4, 2)),
                                  dt.ModelSpec("mlp", (4, 3, 2))]))
@@ -530,13 +538,47 @@ def test_saving_a_loaded_record_writes_the_same_bytes(tmp_path):
     assert first == second
 
 
-def test_snapshot_stride():
+@pytest.mark.parametrize("n, epochs, snapshots", [
+    # 5 steps per epoch: the epoch ends alone
+    (20, 4, [0, 4, 8, 12, 16]),
+    # one epoch of 40 steps, longer than 4 * ceil(sqrt(40)) = 28: every 7 steps
+    (40, 1, [0, 7, 14, 21, 28, 35, 40]),
+    # two epochs of 60 steps, T = 120: every 11 steps from each epoch's start
+    (60, 2, [0, 11, 22, 33, 44, 55, 60, 71, 82, 93, 104, 115, 120]),
+], ids=["per-epoch", "one-long-epoch", "two-long-epochs"])
+def test_snapshots_end_every_epoch_and_split_long_ones(n, epochs, snapshots):
     spec = dt.ModelSpec("logistic_regression", (4, 2))
-    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
-    cfg = dt.TrainingConfig(epochs=4, batch_size=5, initial_lr=0.05, seed=0,
-                            snapshot_stride=3)
-    rec = dt.train(spec, ds, cfg)  # 20 samples, 4 batches/epoch, 16 steps
-    assert set(rec.snapshots) == {0, 3, 6, 9, 12, 15, 16}
+    ds = dt.synth_gaussian(2, n // 2, 4, 2.0, 1)
+    batch_size = 5 if n == 20 else 1
+    cfg = dt.TrainingConfig(epochs=epochs, batch_size=batch_size, initial_lr=0.05, seed=0)
+    rec = dt.train(spec, ds, cfg)
+    assert sorted(rec.snapshots) == sorted(rec.velocities) == snapshots
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 80),
+    epochs=st.integers(1, 3),
+    batch_size=st.sampled_from([0, 1, 2, 3, 7]),
+    momentum=st.sampled_from([0.0, 0.9]),
+)
+def test_every_record_snapshots_on_the_walks_grid(n, epochs, batch_size, momentum):
+    # Step 0, every epoch's end and step T, no two snapshots more than
+    # 4 * ceil(sqrt(T)) steps apart, and a replay that checks them all.
+    spec = dt.ModelSpec("logistic_regression", (3, 2))
+    ds = dt.LabeledDataset(np.random.default_rng(n).standard_normal((n, 3)),
+                           np.arange(n) % 2, 2)
+    cfg = dt.TrainingConfig(epochs=epochs, batch_size=batch_size, initial_lr=0.05,
+                            momentum=momentum, weight_decay=0.01, seed=n)
+    rec = dt.train(spec, ds, cfg)
+    T, per_epoch = rec.steps, rec.steps // epochs
+    steps = sorted(rec.snapshots)
+    assert steps == sorted(rec.velocities)
+    assert {0, T} | set(range(per_epoch, T + 1, per_epoch)) <= set(steps)
+    assert max(np.diff(steps)) <= 4 * (math.isqrt(T - 1) + 1)
+    again = dt.replay(rec, ds)
+    assert sorted(again.snapshots) == steps
+    assert all(np.array_equal(again.velocities[t], rec.velocities[t]) for t in steps)
 
 
 @pytest.mark.parametrize("loss, C", [("squared_error", 1), ("cross_entropy", 2)])
@@ -552,7 +594,7 @@ def test_stacked_and_paired_steps_above_the_by_columns_rule_keep_a_solo_runs_bit
     ds = dt.LabeledDataset(X, Y, C)
     spec = dt.ModelSpec("logistic_regression", (2, C), loss=loss)
     cfg = dt.TrainingConfig(epochs=8, batch_size=b, initial_lr=0.1, momentum=0.5,
-                            weight_decay=0.01, seed=3, snapshot_stride=2)
+                            weight_decay=0.01, seed=3)
     rec = dt.train(spec, ds, cfg)
     dt.replay(rec, ds)
     eps = np.tile(rec.data_weights, (3, 1))
