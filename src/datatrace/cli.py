@@ -55,6 +55,11 @@ class DatasetConfig:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be >= 0")
         if not (math.isfinite(self.separation) and self.separation >= 0.0):
             raise ConfigError(f"separation = {self.separation!r} must be finite and >= 0")
+        if self.source == "synthetic" and self.dim < self.classes - 1:
+            raise ConfigError(
+                f"dataset.dim = {self.dim} must be >= dataset.classes - 1 = {self.classes - 1}: "
+                "the synthetic class means are the vertices of a simplex"
+            )
 
 
 @dataclass(frozen=True)

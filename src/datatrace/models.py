@@ -30,9 +30,11 @@ themselves), per-sample gradients and gradient dot products
 (``gradient_dots``: each C(i) term as a directional derivative, with no
 gradient matrix) need no second evaluation of the model.
 
-Rows are shared ``(X (n, ...), Y)`` rows, flattened past the first axis, or
-K row sets ``(X (K, b, in), Y (K, b, ...))`` where an entry point pairs sets
-with a stack (``_xy`` decides which).
+Every public entry point takes shared rows ``(X (n, ...), Y)``, each
+flattened past the first axis (``_xy``), at one parameter vector. Row sets
+come only from ``Linearization.take``, and parameter stacks only from the
+trainer, whose steps call ``_linearize`` and ``_loss_and_gradient`` on an
+``(R, P)`` stack over one shared batch or paired with R row sets.
 
 On many rows of at most 7 classes (``_by_columns``) numpy's inner loop runs
 once per row over a few classes, so there the kernel works per class column,
@@ -161,25 +163,18 @@ def _unpack(spec, flat):
     return Ws, bs
 
 
-def _xy(spec, dataset, sets=False):
-    """(X, targets): X flattened to ``(*samples, in)`` and the labels checked and
-    canonicalized (``_targets``); ShapeError for another input width.
-
-    Where ``sets`` allows them, ``(X, Y)`` are K row sets of b rows when X
-    has three axes, the last the model's input width, and Y's leading axes
-    are X's first two. Anything else is shared rows, each flattened past the
-    first axis, so image rows ``(n, h, w)`` read as n rows of h * w inputs.
+def _xy(spec, dataset):
+    """(X, targets) of shared rows: X flattened to ``(n, in)`` past the first axis, so
+    image rows ``(n, h, w)`` read as n rows of h * w inputs, and the labels
+    checked and canonicalized (``_targets``); ShapeError for another input width.
     """
     if isinstance(dataset, LabeledDataset):
         X, Y = dataset.features, dataset.labels
     else:
         X, Y = dataset
         X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
-        shape = X.shape
-        paired = sets and len(shape) == 3 and shape[2] == spec.input_dim and Y.shape[:2] == shape[:2]
-        axes = 1 + paired
         # An explicit width: -1 cannot be inferred from zero rows.
-        X = X.reshape(shape[:axes] + (math.prod(shape[axes:]),))
+        X = X.reshape(X.shape[:1] + (math.prod(X.shape[1:]),))
     if X.shape[-1] != spec.input_dim:
         raise ShapeError(f"input width {X.shape[-1]} != model input {spec.input_dim}")
     return X, _targets(spec, Y, X.shape[:-1])
@@ -340,15 +335,8 @@ def sample_losses(spec, params, dataset):
 
 def _sample_gradients(lin):
     """(n, P) matrix of the per-sample gradients of a shared-rows linearization at one
-    parameter vector; ShapeError for one of a parameter stack or of row sets."""
-    P = param_count(lin.spec)
-    if lin.stack or len(lin.samples) != 1:
-        at = f"a parameter stack of shape {lin.stack + (P,)}" if lin.stack else "one vector"
-        raise ShapeError(
-            f"per-sample gradients take shared rows at one parameter vector, not samples "
-            f"of shape {lin.samples} at {at}"
-        )
-    G = np.zeros((lin.samples[0], P))
+    parameter vector."""
+    G = np.zeros((lin.samples[0], param_count(lin.spec)))
     GWs, Gbs = _unpack(lin.spec, G)
     for GW, Gb, A, D in zip(GWs, Gbs, lin.inputs, lin.deltas):
         GW[:] = np.einsum("no,ni->noi", D, A)
@@ -386,23 +374,15 @@ def _loss_and_gradient(lin, weights):
 def loss_and_gradient(spec, params, dataset, weights):
     """Per-sample losses and the weighted sum of their gradients, from one linearization.
 
-    Returns ``(losses, g)``; ``g`` is the empirical-risk part only. A
-    ``(R, P)`` stack of parameters takes ``(R, n)`` weights over the shared
-    rows and gives ``(R, n)`` losses and an ``(R, P)`` stack of gradients.
-    K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)`` weights pair row
-    for row with a ``(K, P)`` stack and give ``(K, b)`` losses. Either way row
-    r is bit-equal to the call with row r (and its row set) alone. Raises
-    NumericError for a non-finite gradient, then for a non-finite loss.
+    Returns ``(losses, g)`` at one parameter vector, with ``(n,)`` weights
+    over the rows; ``g`` is the empirical-risk part only. Raises NumericError
+    for a non-finite gradient, then for a non-finite loss.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    flat = as_flat(params)
-    X, targets = _xy(spec, dataset, sets=True)
-    runs = flat.shape[:-1]
-    if weights.shape != runs + X.shape[-2:-1] or X.shape[:-2] not in ((), runs):
-        raise ShapeError(
-            f"weights of shape {weights.shape} for samples of shape {X.shape[:-1]} and "
-            f"parameters of shape {flat.shape}"
-        )
+    flat = _one_vector(params)
+    X, targets = _xy(spec, dataset)
+    if weights.shape != X.shape[:1]:
+        raise ShapeError(f"weights of shape {weights.shape} for samples of shape {X.shape[:1]}")
     return _loss_and_gradient(_linearize(spec, flat, X, targets), weights)
 
 
@@ -414,9 +394,11 @@ def batch_gradient(spec, params, dataset, weights):
 class Linearization(NamedTuple):
     """One evaluation of the model on some rows: everything but a vector's half of the R-operator.
 
-    Built by ``linearize``. ``samples`` is ``(n,)`` for shared rows or
-    ``(K, b)`` for K row sets, and ``losses`` the per-sample losses of that
-    shape, led by ``stack`` for a parameter stack over shared rows. Per
+    Built by ``linearize`` on shared rows (``samples`` is ``(n,)``), and
+    ``take`` picks ``(K, b)`` row sets of it. A training step builds its own
+    (``_linearize``) at an ``(R, P)`` parameter stack too: over shared rows
+    the stack's axis leads the losses and deltas, and paired with R row sets
+    it is their set axis. Per
     layer l it holds the layer's input ``inputs[l]``, its weight matrix
     ``matrices[l]`` (a view of the parameters), the loss gradient
     ``deltas[l]`` w.r.t. the layer's output and, for a hidden layer, the
@@ -439,18 +421,11 @@ class Linearization(NamedTuple):
     soft: np.ndarray | None
     matrices: list
 
-    @property
-    def stack(self):
-        """The leading shape of the parameter stack over shared rows, () for one vector
-        or a stack paired with row sets (``samples`` does not hold it)."""
-        D = self.deltas[-1]
-        return D.shape[: D.ndim - 1 - len(self.samples)]
-
     def take(self, sets):
-        """The linearization of the listed row sets of a paired one, in that order (repeats
-        allowed), or, as views, of the one set ``sets`` (an int) or the sets a slice picks.
-        Of shared rows (one parameter vector), a (K, b) index array gathers the
-        rows into K paired sets of b rows each (repeats allowed).
+        """As views, the linearization of a paired one's one row set ``sets`` (an int) or
+        the sets a slice picks. Of shared rows at one parameter vector, a (K, b)
+        index array gathers the rows into K paired sets of b rows each (repeats
+        allowed). Any other index raises ShapeError.
 
         The parameters and weight matrices go with the sets when the matrices
         have the set axis (a stack paired with the sets) and are shared otherwise.
@@ -458,14 +433,10 @@ class Linearization(NamedTuple):
         one = isinstance(sets, (int, np.integer))
         view = one or isinstance(sets, slice)
         sets = sets if view else np.asarray(sets, dtype=np.int64)
-        if len(self.samples) == 2:
-            ok = view or sets.ndim == 1
-        else:
-            ok = not view and sets.ndim == 2 and not self.stack
-        if not ok:
+        if not (view if len(self.samples) == 2 else not view and sets.ndim == 2):
             raise ShapeError(
-                "take picks row sets of a paired linearization, or gathers shared rows "
-                "into (K, b) sets"
+                "take picks one row set or a slice of the sets of a paired linearization, "
+                "or gathers shared rows into (K, b) sets"
             )
         # Every array that goes with the sets, in one flat list picked in one pass.
         L = len(self.inputs)
@@ -490,13 +461,13 @@ class Linearization(NamedTuple):
 def linearize(spec, params, rows):
     """The losses, forward pass, softmax, activation derivatives and deltas of ``rows`` at ``params``.
 
-    ``rows`` is a ``LabeledDataset`` or ``(X (n, ...), Y)`` of shared rows, or
-    K row sets ``(X (K, b, in), Y (K, b))``. The labels are checked here. The
-    result holds a copy of the parameters, so ``hessian_vector_product``
-    refuses it at any other parameters.
+    ``rows`` is a ``LabeledDataset`` or ``(X (n, ...), Y)`` of shared rows, and
+    ``params`` one vector (ShapeError for a stack). The labels are checked
+    here. The result holds a copy of the parameters, so
+    ``hessian_vector_product`` refuses it at any other parameters.
     """
-    X, targets = _xy(spec, rows, sets=True)
-    return _linearize(spec, as_flat(params).copy(), X, targets)
+    X, targets = _xy(spec, rows)
+    return _linearize(spec, _one_vector(params).copy(), X, targets)
 
 
 def _linearize(spec, flat, X, targets):
@@ -504,7 +475,8 @@ def _linearize(spec, flat, X, targets):
     targets), at parameters it keeps as given.
 
     An ``(R, P)`` stack of parameters gives ``(R, n)`` stacks over shared rows
-    and pairs row for row with R row sets, as in ``loss_and_gradient``.
+    and pairs row for row with R row sets ``(X (R, b, in), targets (R, b, ...))``,
+    as a trainer step runs it.
     """
     Ws, bs = _unpack(spec, flat)
     Zs, As = _forward(spec, Ws, bs, X)
@@ -648,13 +620,11 @@ class _HvpOperator:
         if lin is not None:
             if lin.params is None:
                 raise ShapeError("linearization without parameters (from keep or restore)")
-            if lin.stack:
-                raise ShapeError(f"linearization of a parameter stack of shape {lin.params.shape}")
             if lin.spec != spec or lin.params.tobytes() != self.flat.tobytes():
                 raise ShapeError("linearization built for another model or at other parameters")
             samples = lin.samples
         else:
-            X, targets = _xy(spec, rows, sets=True)
+            X, targets = _xy(spec, rows)
             samples = X.shape[:-1]
         if self.weights.shape != samples:
             raise ShapeError(
@@ -676,14 +646,15 @@ def hessian_vector_product(spec, params, dataset, weights, v):
     """H^er v for the weighted empirical risk (no regularizer), by the R-operator.
 
     ``v`` may be a single flat vector or a (k, P) stack; the result has the
-    same shape. K row sets ``(X (K, b, in), Y (K, b))`` with ``(K, b)``
-    weights pair row for row with a (K, P) ``v``: row k is H(set k) v_k,
-    bit-equal to the call on set k alone. ``params`` is one vector. A
-    ``Linearization`` of the rows at ``params`` (from ``linearize``) may
-    stand in for them, with the same bits: only the R-forward and R-backward
-    then run. One built for another spec, at other parameters or at a
-    parameter stack raises ShapeError. The call is one application of the
-    operator a solve builds once (``_HvpOperator``).
+    same shape. ``params`` is one vector and raw rows are shared rows, with
+    ``(n,)`` weights. A ``Linearization`` of the rows at ``params`` (from
+    ``linearize``) may stand in for them, with the same bits: only the
+    R-forward and R-backward then run. K row sets of one
+    (``Linearization.take``) with ``(K, b)`` weights pair row for row with a
+    (K, P) ``v``: row k is H(set k) v_k, bit-equal to the call on set k
+    alone. One built for another spec or at other parameters raises
+    ShapeError. The call is one application of the operator a solve builds
+    once (``_HvpOperator``).
     """
     hvp = _HvpOperator(spec, params, dataset, weights)
     V = as_flat(v)

@@ -455,7 +455,8 @@ def replay(record, dataset, data_weights=None):
 
     With unchanged weights the replay must be bit-identical, so every
     recorded snapshot, then every recorded loss, is checked and
-    ReplayDivergenceError names the first bad step. Perturbed weights (the
+    ReplayDivergenceError names the first bad step; a recorded snapshot at a
+    step the replay does not snapshot is a bad step too. Perturbed weights (the
     oracle's case) skip the check; an ``(R, n)`` stack of them replays R runs
     in lockstep (see ``train``).
     """
@@ -472,9 +473,11 @@ def replay(record, dataset, data_weights=None):
     )
     if not perturbed:
         for step in sorted(record.snapshots):
-            if step in new.snapshots and not np.array_equal(
-                record.snapshots[step], new.snapshots[step]
-            ):
+            if step not in new.snapshots:
+                raise ReplayDivergenceError(
+                    step, f"recorded snapshot at step {step}, where the replay takes none"
+                )
+            if not np.array_equal(record.snapshots[step], new.snapshots[step]):
                 raise ReplayDivergenceError(step)
         _check_losses(record, np.arange(1, record.steps + 1), new.losses)
     return new

@@ -117,6 +117,13 @@ _models = st.builds(
 )
 
 
+def _dataset(**fields):
+    """A DatasetConfig whose synthetic class means (a simplex) fit in its dimensions."""
+    if fields["source"] == "synthetic":
+        fields["dim"] = max(fields["dim"], fields["classes"] - 1)
+    return cli.DatasetConfig(**fields)
+
+
 def _experiment(noise, **fields):
     """An ExperimentConfig whose noise flips no label when there is no other class."""
     if fields["dataset"].classes < 2:
@@ -127,7 +134,7 @@ def _experiment(noise, **fields):
 _experiments = st.builds(
     _experiment,
     dataset=st.builds(
-        cli.DatasetConfig,
+        _dataset,
         source=st.sampled_from(["synthetic", "idx", "csv"]),
         classes=_counts, per_class=_counts, dim=_counts,
         separation=st.floats(0.0, allow_infinity=False),
@@ -165,7 +172,7 @@ _experiments = st.builds(
 
 # No shrinking: over this many fields it takes minutes, and the assertion's
 # dataclass diff already names the field that did not survive the round trip.
-@settings(max_examples=200, deadline=None, phases=[Phase.generate])
+@settings(max_examples=200, deadline=None, phases=[Phase.generate], derandomize=True)
 @given(_experiments)
 def test_config_text_round_trips_any_config(cfg):
     assert cli.parse_config_text(cli.config_to_text(cfg)) == cfg
@@ -204,6 +211,7 @@ def test_config_text_round_trips_any_config(cfg):
     ("[dataset]\nseparation = nan\n", "separation"),
     ("[dataset]\nseparation = inf\n", "separation"),
     ("[dataset]\nclasses = 1\n[noise]\nfraction = 0.1\n", "dataset.classes"),
+    ("[dataset]\nclasses = 3\ndim = 1\n", "dataset.dim"),
 ])
 def test_invalid_config_is_rejected_by_name(text, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
@@ -352,11 +360,13 @@ def test_oracle_refuses_a_non_finite_delta(small_config, tmp_path, delta):
      ValueError, "exceeds dense-Hessian cap"),
     (["clean", "--set", "model.loss=squared_error", "--noise-fraction", "0.3"],
      dt.ShapeError, "squared_error"),
+    (["run", "--set", "dataset.classes=3", "--set", "dataset.dim=1"],
+     ConfigError, "dataset.dim"),
 ], ids=["run-nan-delta", "oracle-negative-delta", "oracle-row-guard", "dense-cap",
-        "clean-squared-error"])
+        "clean-squared-error", "synthetic-dim"])
 def test_a_failing_command_leaves_no_output_directory(small_config, tmp_path,
                                                       argv, error, message):
-    # Each of these raises only after training, so the whole command computes first.
+    # All but the last raise only after training, so the whole command computes first.
     out = tmp_path / "out"
     with pytest.raises(error, match=message):
         cli.main([*argv, "--config", small_config, "--output", str(out)])

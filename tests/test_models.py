@@ -118,6 +118,16 @@ def _probe(kind, widths, loss, n, seed):
     return spec, params, (X, Y)
 
 
+def _step_lin(spec, params, rows, sets=None):
+    """The linearization a training step builds (``models._linearize``) of shared rows at
+    one vector or an (R, P) stack, or of the (R, b) row sets gathered by ``sets``
+    paired with the stack, as ``trainer._step`` gathers a batch."""
+    X, targets = models._xy(spec, rows)
+    if sets is not None:
+        X, targets = X.take(sets, axis=0), targets.take(sets, axis=0)
+    return models._linearize(spec, dt.as_flat(params), X, targets)
+
+
 @ARCHITECTURES
 def test_loss_and_gradient_is_bit_equal_to_separate_calls(kind, widths, loss):
     spec, params, rows = _probe(kind, widths, loss, 7, 3)
@@ -130,21 +140,23 @@ def test_loss_and_gradient_is_bit_equal_to_separate_calls(kind, widths, loss):
 
 @ARCHITECTURES
 def test_loss_and_gradient_stack_rows_are_bit_equal_to_single_calls(kind, widths, loss):
+    # a training step's (R, P) stack over shared rows, row r bit-equal to the
+    # public call at row r alone
     spec, params, rows = _probe(kind, widths, loss, 7, 3)
     rng = np.random.default_rng(4)
     for R in (1, 3):
         stack = params + 0.1 * rng.standard_normal((R, params.size))
         weights = rng.uniform(0.1, 1.0, (R, 7))
-        losses, g = models.loss_and_gradient(spec, stack, rows, weights)
+        losses, g = models._loss_and_gradient(_step_lin(spec, stack, rows), weights)
         assert losses.shape == (R, 7) and g.shape == (R, params.size)
         for r in range(R):
             one_losses, one_g = models.loss_and_gradient(spec, stack[r], rows, weights[r])
             assert np.array_equal(losses[r], one_losses)
             assert np.array_equal(g[r], one_g)
-    # the weights must stack like the parameters
-    for bad in (weights[0], weights[:, :6], weights[None]):
+    # the public call's weights have the rows' shape
+    for bad in (weights[0, :6], weights[:1]):
         with pytest.raises(ShapeError, match="weights of shape"):
-            models.loss_and_gradient(spec, stack, rows, bad)
+            models.loss_and_gradient(spec, params, rows, bad)
     # the loss-only entry points take one vector
     with pytest.raises(ShapeError, match="one vector"):
         dt.test_loss(spec, stack, rows)
@@ -250,8 +262,8 @@ def _plain_losses_and_delta(loss, logits, targets):
 def test_the_step_kernels_have_the_bits_of_plain_numpy_on_both_sides_of_the_rule(layout, C, loss):
     # Logistic regression's linearization and weighted gradient against
     # plain numpy, on 32 C - 1 and 32 C rows of C classes: shared (n, C),
-    # a stack of 4 parameter vectors over shared rows (4, n, C), and 4 row
-    # sets paired with 4 vectors (4, b, C).
+    # a training step's stack of 4 parameter vectors over shared rows
+    # (4, n, C), and its 4 row sets paired with 4 vectors (4, b, C).
     spec = dt.ModelSpec("logistic_regression", (3, C), loss=loss)
     rng = np.random.default_rng([C, len(loss), len(layout)])
     R = 1 if layout == "shared" else 4
@@ -273,24 +285,27 @@ def test_the_step_kernels_have_the_bits_of_plain_numpy_on_both_sides_of_the_rule
             T = rng.standard_normal(X.shape[:-1] + (C,))
             targets = (T, T + np.abs(z).max() + 1.0)
         weights = (rng.uniform(0.0, 1.0, lead + (n,)), np.zeros(lead + (n,)))
+        # the paired sets as a step gathers them from shared rows
+        sets = np.arange(R * n).reshape(R, n) if layout == "paired" else None
         for Y, w in zip(targets, weights):
             losses, delta = _plain_losses_and_delta(loss, z, Y)
             wD = delta * w[..., None]
             g = np.concatenate([(wD.swapaxes(-1, -2) @ X).reshape(lead + (-1,)),
                                 wD.sum(axis=-2)], axis=-1)
-            got_losses, got_g = models.loss_and_gradient(spec, params, (X, Y), w)
-            assert got_losses.tobytes() == losses.tobytes()
-            assert got_g.tobytes() == g.tobytes()
-            lin = models.linearize(spec, params, (X, Y))
-            assert lin.deltas[-1].tobytes() == delta.tobytes()
-            if layout == "shared":
-                assert dt.sample_losses(spec, params, (X, Y)).tobytes() == losses.tobytes()
-            if loss == "cross_entropy":  # any integer labels index the logits
-                for dtype in (np.uint8, np.uint64, np.int32):
-                    got_losses, got_g = models.loss_and_gradient(
-                        spec, params, (X, Y.astype(dtype)), w)
+            # any integer labels index the logits
+            dtypes = (np.uint8, np.uint64, np.int32) if loss == "cross_entropy" else ()
+            for labels in [Y, *(Y.astype(t) for t in dtypes)]:
+                rows = (X.reshape(-1, 3), labels.reshape((-1,) + Y.shape[X.ndim - 1 :]))
+                lin = _step_lin(spec, params, rows, sets)
+                assert lin.deltas[-1].tobytes() == delta.tobytes()
+                got_losses, got_g = models._loss_and_gradient(lin, w)
+                assert got_losses.tobytes() == losses.tobytes()
+                assert got_g.tobytes() == g.tobytes()
+                if layout == "shared":
+                    got_losses, got_g = models.loss_and_gradient(spec, params, rows, w)
                     assert got_losses.tobytes() == losses.tobytes()
                     assert got_g.tobytes() == g.tobytes()
+                    assert dt.sample_losses(spec, params, rows).tobytes() == losses.tobytes()
 
 
 @ARCHITECTURES
@@ -306,29 +321,6 @@ def test_sample_losses_are_a_linearizations_losses_without_its_backward(kind, wi
             patch.setattr(models, "_act_grad", no_backward)
             patch.setattr(models, "_deltas", no_backward)
             assert models.sample_losses(spec, params, rows).tobytes() == want.tobytes()
-
-
-def test_a_linearization_of_a_stack_over_shared_rows_is_refused_by_one_vector_reads():
-    spec, params, rows = _probe("logistic_regression", (3, 2), "cross_entropy", 5, 0)
-    P = params.size
-    stack = params + np.zeros((2, 1))
-    weights = np.full((2, 5), 0.2)
-    lin = models.linearize(spec, stack, rows)
-    assert lin.samples == (5,) and lin.stack == (2,) and lin.losses.shape == (2, 5)
-    with pytest.raises(ShapeError, match=rf"parameter stack of shape \(2, {P}\)"):
-        models._sample_gradients(lin)
-    with pytest.raises(ShapeError, match=rf"parameters of shape \(2, {P}\), expected one vector"):
-        dt.hessian_vector_product(spec, stack, lin, weights[0], np.ones(P))
-    # a one-row stack holds the bytes of its one vector
-    lin = models.linearize(spec, stack[:1], rows)
-    with pytest.raises(ShapeError, match=rf"parameter stack of shape \(1, {P}\)"):
-        dt.hessian_vector_product(spec, params, lin, weights[0], np.ones(P))
-    # row sets at one vector have no stack, and no per-sample gradient matrix either
-    X, Y = rows
-    lin = models.linearize(spec, params, (X[None], Y[None]))
-    assert lin.samples == (1, 5) and lin.stack == ()
-    with pytest.raises(ShapeError, match=r"not samples of shape \(1, 5\) at one vector"):
-        models._sample_gradients(lin)
 
 
 @pytest.mark.parametrize("loss", models.LOSSES)
@@ -471,15 +463,16 @@ def test_power_iteration_on_known_matrix():
 
 def test_stacked_power_iteration_rows_equal_each_operator_alone():
     spec, params, (X, Y) = _probe("mlp", (4, 6, 3), "cross_entropy", 6, 2)
+    lin = models.linearize(spec, params, (X, Y))
 
     def shifted(rows, weights):
         return lambda v: dt.hessian_vector_product(spec, params, rows, weights, v) + 0.1 * v
 
-    stacked = shifted((X[:, None], Y[:, None]), np.ones((6, 1)))
+    stacked = shifted(lin.take(np.arange(6)[:, None]), np.ones((6, 1)))
     eigs = dt.power_iteration_max_eig(stacked, dim=(6, params.size), iterations=40, seed=3)
     assert eigs.shape == (6,)
     for j in range(6):
-        alone = shifted((X[j : j + 1], Y[j : j + 1]), np.ones(1))
+        alone = shifted(lin.take([[j]]), np.ones((1, 1)))
         assert eigs[j] == dt.power_iteration_max_eig(alone, dim=params.size, iterations=40, seed=3)
     # an operator that maps its iterate to zero reads 0.0 and leaves the others be
     D = np.array([[3.0, -5.0, 1.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.5]])
@@ -490,8 +483,9 @@ def test_stacked_power_iteration_rows_equal_each_operator_alone():
 
 
 def test_paired_row_sets_must_match_the_vectors():
-    spec, params, (X, Y) = _probe("mlp", (4, 6, 3), "cross_entropy", 6, 2)
-    sets, W = (X.reshape(3, 2, 4), Y.reshape(3, 2)), np.ones((3, 2))
+    spec, params, rows = _probe("mlp", (4, 6, 3), "cross_entropy", 6, 2)
+    sets = models.linearize(spec, params, rows).take(np.arange(6).reshape(3, 2))
+    W = np.ones((3, 2))
     V = np.ones((3, params.size))
     with pytest.raises(ShapeError):
         dt.hessian_vector_product(spec, params, sets, W, V[:2])
@@ -529,9 +523,8 @@ def test_the_hvp_operator_gives_the_bytes_of_the_public_call(widths, loss):
         step = slice(2 * j, 2 * j + 2)
         got = paired(V[:2], step)
         view = dt.hessian_vector_product(spec, params, gathered.take(step), W[step], V[:2])
-        raw = (X[sets[step]], Y[sets[step]])
-        rows = dt.hessian_vector_product(spec, params, raw, W[step], V[:2])
-        assert got.tobytes() == view.tobytes() == rows.tobytes()
+        alone = dt.hessian_vector_product(spec, params, lin.take(sets[step]), W[step], V[:2])
+        assert got.tobytes() == view.tobytes() == alone.tobytes()
 
 
 def test_shape_mismatch_raises():
@@ -555,25 +548,41 @@ def test_shape_mismatch_raises():
         dt.inverse_hvp(spec, params, ds, short, dt.InverseHvpConfig())
 
 
-@pytest.mark.parametrize("widths, loss", [((4, 6, 3), "cross_entropy"), ((4, 6, 2), "squared_error")])
-def test_image_rows_are_shared_rows_at_every_entry_point(widths, loss):
-    # (6, 2, 2) images of a 4-input model; with squared error the labels
-    # (6, 2) lead with the images' first two axes, but 2 is not the input width
-    spec, params, (X, Y) = _probe("mlp", widths, loss, 6, 5)
-    images = (X.reshape(6, 2, 2), Y)
+@pytest.mark.parametrize("kind, widths, loss, image", [
+    ("mlp", (4, 6, 3), "cross_entropy", (2, 2)),
+    ("mlp", (4, 6, 2), "squared_error", (2, 2)),
+    ("logistic_regression", (4, 1), "squared_error", (1, 4)),
+    ("mlp", (4, 3, 1), "squared_error", (1, 4)),
+])
+def test_image_rows_are_shared_rows_at_every_entry_point(kind, widths, loss, image):
+    # 6 images of a 4-input model are 6 rows at every entry point, with the
+    # bits of the same rows flattened to (6, 4), also where the squared-error
+    # labels (6, out) lead with the images' first two axes: (6, 1, 4) rows
+    # beside (6, 1) targets are not 6 one-row sets
+    spec, params, (X, Y) = _probe(kind, widths, loss, 6, 5)
+    images = (X.reshape(6, *image), Y)
     weights = np.linspace(0.5, 1.5, 6)
-    v = np.random.default_rng(1).standard_normal(params.size)
-    lin = models.linearize(spec, params, images)
-    assert lin.samples == (6,)
-    want = dt.hessian_vector_product(spec, params, (X, Y), weights, v)
-    for rows in (images, lin):
-        assert np.array_equal(dt.hessian_vector_product(spec, params, rows, weights, v), want)
+    V = np.random.default_rng(1).standard_normal((2, params.size))
+    lin, flat = models.linearize(spec, params, images), models.linearize(spec, params, (X, Y))
+    assert lin.samples == flat.samples == (6,)
+    for got, want in ((lin.losses, flat.losses), *zip(lin.deltas, flat.deltas)):
+        assert got.tobytes() == want.tobytes()
+    assert (dt.sample_losses(spec, params, images).tobytes()
+            == dt.sample_losses(spec, params, (X, Y)).tobytes())
+    for v in (V, V[0]):
+        want = dt.hessian_vector_product(spec, params, (X, Y), weights, v)
+        for rows in (images, lin):
+            assert dt.hessian_vector_product(spec, params, rows, weights, v).tobytes() == want.tobytes()
     assert np.array_equal(dt.per_sample_gradients(spec, params, images),
                           dt.per_sample_gradients(spec, params, (X, Y)))
+    for got, want in zip(models.loss_and_gradient(spec, params, images, weights),
+                         models.loss_and_gradient(spec, params, (X, Y), weights)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # and to a training step's stack of parameters over them
     stack = params + 0.1 * np.random.default_rng(2).standard_normal((3, params.size))
     W = weights * np.arange(1, 4)[:, None]
-    for got, want in zip(models.loss_and_gradient(spec, stack, images, W),
-                         models.loss_and_gradient(spec, stack, (X, Y), W)):
+    for got, want in zip(models._loss_and_gradient(_step_lin(spec, stack, images), W),
+                         models._loss_and_gradient(_step_lin(spec, stack, (X, Y)), W)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -584,8 +593,8 @@ def test_each_entry_point_evaluates_the_model_once(count_calls):
     calls = count_calls((models, "_forward"))
     reads = {
         "loss_and_gradient": lambda: models.loss_and_gradient(spec, params, rows, weights),
-        "stacked loss_and_gradient": lambda: models.loss_and_gradient(
-            spec, stack, rows, np.tile(weights, (2, 1))
+        "stacked step": lambda: models._loss_and_gradient(
+            _step_lin(spec, stack, rows), np.tile(weights, (2, 1))
         ),
         "per_sample_gradients": lambda: models.per_sample_gradients(spec, params, rows),
         "sample_losses": lambda: models.sample_losses(spec, params, rows),
@@ -601,7 +610,7 @@ def test_each_entry_point_evaluates_the_model_once(count_calls):
     losses, g = out["loss_and_gradient"]
     assert np.array_equal(out["sample_losses"], losses)
     assert np.array_equal(out["linearize"].losses, losses)
-    assert np.array_equal(out["stacked loss_and_gradient"][1], np.stack([g, g]))
+    assert np.array_equal(out["stacked step"][1], np.stack([g, g]))
     assert np.array_equal(out["test_gradients"][0], g)
     assert np.array_equal(out["test_gradients"][1:], out["per_sample_gradients"])
 
@@ -615,9 +624,17 @@ def test_a_parameter_stack_is_refused_where_one_vector_is_read(monkeypatch):
         raise AssertionError("forward pass on a parameter stack")
 
     monkeypatch.setattr(models, "_forward", no_forward)
-    for read in (dt.accuracy, dt.per_sample_gradients, dt.sample_losses):
-        with pytest.raises(ShapeError, match="expected one vector"):
-            read(spec, stack, ds)
+    weighted = [lambda spec, params, ds, f=f: f(spec, params, ds, np.full((len(params), 2), 0.5))
+                for f in (dt.loss_and_gradient, dt.batch_gradient)]
+    def hvp(spec, params, ds):
+        return dt.hessian_vector_product(spec, params, ds, np.full(2, 0.5), np.ones(6))
+
+    reads = (dt.accuracy, dt.per_sample_gradients, dt.sample_losses, dt.linearize, hvp, *weighted)
+    # stacks are a training step's own, even of one row with its vector's bytes
+    for params in (stack, stack[:1]):
+        for read in reads:
+            with pytest.raises(ShapeError, match=rf"shape \({len(params)}, 6\), expected one vector"):
+                read(spec, params, ds)
 
 
 def test_accuracy_and_test_loss():
@@ -660,19 +677,19 @@ def test_exact_hvp_properties_on_random_architectures(case):
     # a stack equals its rows done one by one
     for row, hv in zip(V, HV):
         assert np.array_equal(dt.hessian_vector_product(spec, params, rows, weights, row), hv)
-    # k row sets paired with the k vectors: row j is H(set j) v_j, bit-equal
-    # to set j alone
+    # k row sets as a step gathers them, paired with the k vectors: row j is
+    # H(set j) v_j, bit-equal to set j alone
     X, Y = rows
     sets = np.random.default_rng(b).integers(n, size=(k, b))
     W = np.random.default_rng(b + 1).uniform(0.5, 1.5, (k, b)) / b
-    paired = dt.hessian_vector_product(spec, params, (X[sets], Y[sets]), W, V)
+    paired = models._HvpOperator(spec, params, _step_lin(spec, params, rows, sets), W)(V)
     for j, (s, w) in enumerate(zip(sets, W)):
         assert np.array_equal(dt.hessian_vector_product(spec, params, (X[s], Y[s]), w, V[j]),
                               paired[j])
-    # so does a stack of parameters with its weights in loss_and_gradient
+    # so does a step's stack of parameters with its weights
     stack = params + 0.1 * V
     W = weights * np.arange(1, k + 1)[:, None]
-    losses, G = models.loss_and_gradient(spec, stack, rows, W)
+    losses, G = models._loss_and_gradient(_step_lin(spec, stack, rows), W)
     for p, w, l, g in zip(stack, W, losses, G):
         one_l, one_g = models.loss_and_gradient(spec, p, rows, w)
         assert np.array_equal(one_l, l) and np.array_equal(one_g, g)
@@ -686,20 +703,17 @@ def test_exact_hvp_properties_on_random_architectures(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_hvp_cases(), st.integers(1, 5))
 def test_loss_and_gradient_row_sets_are_bit_equal_to_each_set_alone(case, K):
-    spec, params, (X, Y), _, b = case  # K row sets of b >= 1 rows each
+    # a training step's K row sets of b >= 1 rows each, paired with a stack
+    spec, params, (X, Y), _, b = case
     rng = np.random.default_rng([K, b, len(X)])
     stack = params + 0.1 * rng.standard_normal((K, params.size))
     sets = rng.integers(len(X), size=(K, b))
     W = rng.uniform(0.5, 1.5, (K, b)) / b
-    losses, G = models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)
+    losses, G = models._loss_and_gradient(_step_lin(spec, stack, (X, Y), sets), W)
     assert losses.shape == (K, b) and G.shape == (K, params.size)
     for p, s, w, loss, g in zip(stack, sets, W, losses, G):
         one_loss, one_g = models.loss_and_gradient(spec, p, (X[s], Y[s]), w)
         assert np.array_equal(one_loss, loss) and np.array_equal(one_g, g)
-    # the weights and the parameters must pair with the row sets
-    for bad_stack, bad_W in ((stack, W[:, :-1]), (stack, W[None]), (np.vstack([stack, stack]), W)):
-        with pytest.raises(ShapeError, match="weights of shape"):
-            models.loss_and_gradient(spec, bad_stack, (X[sets], Y[sets]), bad_W)
 
 
 @pytest.mark.parametrize("activation", models.ACTIVATIONS)
@@ -716,11 +730,7 @@ def test_a_kept_state_gives_the_hvp_bits_of_its_raw_rows(kind, widths, loss, act
     K, b = 3, 4
     stack = params + 0.1 * rng.standard_normal((K, params.size))
     sets = rng.integers(len(X), size=(K, b))
-    W = np.full((K, b), 1.0 / b)
-    lin = models.linearize(spec, stack, (X[sets], Y[sets]))
-    g = models.loss_and_gradient(spec, stack, (X[sets], Y[sets]), W)[1]
-    assert np.array_equal(models._loss_and_gradient(lin, W)[1], g)
-    kept = models.keep(lin)
+    kept = models.keep(_step_lin(spec, stack, (X, Y), sets))
     assert kept.params is kept.losses is kept.act_grads is None
     V = rng.standard_normal((2, params.size))
     W = rng.uniform(0.5, 1.5, (K, b)) / b
@@ -745,41 +755,43 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
     rng = np.random.default_rng([n, k, b])
     V = rng.standard_normal((k, params.size))
     sets = rng.integers(n, size=(k, b))
-    picks = rng.integers(n, size=k)
-    picks[-1] = picks[0]  # a take may repeat a set
+    sets[-1] = sets[0]  # a take may repeat a set
     shared = models.linearize(spec, params, (X, Y))
-    paired = models.linearize(spec, params, (X[sets], Y[sets]))
-    one_row_sets = models.linearize(spec, params, (X[:, None], Y[:, None]))
-    cases = [
-        # (rows, their linearization, weights, vectors)
-        ((X, Y), shared, rng.uniform(0.5, 1.5, n) / n, (V, V[0])),
-        ((X[sets], Y[sets]), paired, rng.uniform(0.5, 1.5, (k, b)) / b, (V,)),
-        ((X[sets[1:2]], Y[sets[1:2]]), paired.take([1]), rng.uniform(0.5, 1.5, (1, b)), (V[1],)),
-        ((X[sets[1]], Y[sets[1]]), paired.take(1), rng.uniform(0.5, 1.5, b) / b, (V[1], V)),
-        ((X[picks][:, None], Y[picks][:, None]), one_row_sets.take(picks), np.ones((k, 1)), (V,)),
-        ((X[sets[1:]], Y[sets[1:]]), paired.take(slice(1, k)), rng.uniform(0.5, 1.5, (k - 1, b)) / b,
-         (V[1:],)),
-    ]
-    # a slice takes its sets as views
-    assert all(np.shares_memory(x, y) for x, y in zip(paired.take(slice(1, k)).deltas, paired.deltas))
+    paired = shared.take(sets)
+    weights = rng.uniform(0.5, 1.5, n) / n
+    for v in (V, V[0]):
+        want = dt.hessian_vector_product(spec, params, (X, Y), weights, v)
+        got = dt.hessian_vector_product(spec, params, shared, weights, v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # shared rows gathered into (k, b) sets: each set has the bits of its gather alone,
-    # and the values of the sets linearized as rows (their forward pass may sum in
-    # another order)
+    # and the values of the set's rows alone (their forward pass may sum in another order)
     weights = rng.uniform(0.5, 1.5, (k, b)) / b
-    gathered = dt.hessian_vector_product(spec, params, shared.take(sets), weights, V)
+    gathered = dt.hessian_vector_product(spec, params, paired, weights, V)
     alone = [
         dt.hessian_vector_product(spec, params, shared.take(sets[j : j + 1]), weights[j : j + 1],
                                   V[j : j + 1])
         for j in range(k)
     ]
     assert gathered.tobytes() == np.concatenate(alone).tobytes()
-    want = dt.hessian_vector_product(spec, params, (X[sets], Y[sets]), weights, V)
-    np.testing.assert_allclose(gathered, want, rtol=1e-12, atol=1e-12)
-    for rows, lin, weights, vectors in cases:
-        for v in vectors:
-            want = dt.hessian_vector_product(spec, params, rows, weights, v)
-            got = dt.hessian_vector_product(spec, params, lin, weights, v)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for j in range(k):
+        want = dt.hessian_vector_product(spec, params, (X[sets[j]], Y[sets[j]]), weights[j], V[j])
+        np.testing.assert_allclose(gathered[j], want, rtol=1e-12, atol=1e-12)
+    # the views of one set or a slice of the sets have the bits of their sets gathered alone
+    one = paired.take(1)
+    assert one.samples == (b,)
+    for v in (V[1], V):
+        want = np.concatenate([
+            dt.hessian_vector_product(spec, params, shared.take(sets[1:2]), weights[1:2], u[None])
+            for u in np.atleast_2d(v)
+        ])
+        got = dt.hessian_vector_product(spec, params, one, weights[1], v)
+        assert got.tobytes() == want.tobytes()
+    tail = paired.take(slice(1, k))
+    want = dt.hessian_vector_product(spec, params, shared.take(sets[1:]), weights[1:], V[1:])
+    got = dt.hessian_vector_product(spec, params, tail, weights[1:], V[1:])
+    assert got.tobytes() == want.tobytes()
+    # a slice takes its sets as views
+    assert all(np.shares_memory(x, y) for x, y in zip(tail.deltas, paired.deltas))
 
     # a linearization holds its own copy of the parameters, and serves no others
     weights = np.full(n, 1.0 / n)
@@ -793,7 +805,8 @@ def test_a_linearization_gives_the_bits_of_its_rows(case):
             dt.hessian_vector_product(call_spec, call_params, lin, weights, V[0])
     with pytest.raises(ShapeError, match="weights of shape"):
         dt.hessian_vector_product(spec, params, lin, weights[None], V[0])
-    for bad_take in (lambda: shared.take([0]), lambda: shared.take(0), lambda: paired.take(sets)):
+    for bad_take in (lambda: shared.take([0]), lambda: shared.take(0), lambda: paired.take(sets),
+                     lambda: paired.take([1])):
         with pytest.raises(ShapeError, match="take"):
             bad_take()
     # one from keep or restore has no parameters to check against

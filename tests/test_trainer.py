@@ -7,6 +7,7 @@ import os
 import re
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,19 @@ def test_replay_is_bit_identical_and_detects_tampering():
     rec.snapshots[max(rec.snapshots)] = rec.snapshots[max(rec.snapshots)] + 1.0
     with pytest.raises(ReplayDivergenceError):
         dt.replay(rec, ds)
+
+
+def test_replay_refuses_a_recorded_snapshot_at_a_step_it_does_not_snapshot():
+    # a snapshot off the run's own grid cannot be checked, so it is a bad step
+    spec = dt.ModelSpec("logistic_regression", (4, 2))
+    ds = dt.synth_gaussian(2, 10, 4, 2.0, 1)
+    cfg = dt.TrainingConfig(epochs=3, batch_size=5, initial_lr=0.05, seed=5)
+    rec = dt.train(spec, ds, cfg)
+    assert sorted(rec.snapshots) == [0, 4, 8, 12]
+    extra = replace(rec, snapshots={**rec.snapshots, 2: np.full_like(rec.snapshots[0], 7.0)})
+    with pytest.raises(ReplayDivergenceError, match="step 2") as err:
+        dt.replay(extra, ds)
+    assert err.value.step == 2
 
 
 def test_replay_with_perturbed_weights_skips_check():
