@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -50,6 +49,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "idx", "csv"):
             raise ConfigError(f"unknown dataset source {self.source!r}")
+        if self.classes < 1:
+            raise ConfigError(f"dataset.classes = {self.classes} must be >= 1")
         for key in ("per_class", "test_per_class"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be >= 0")
@@ -203,20 +204,28 @@ def load_config(path):
 # Pipeline pieces.
 
 
+_PATH_KEYS = {
+    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
+    "csv": ("train_csv", "test_csv"),
+}
+
+
 def build_datasets(cfg):
     """Train/test splits plus the noise record (None when fraction is 0).
 
-    An empty training split raises ConfigError here, before any command
-    creates its output directory.
+    An empty training split, or an empty path key of a file source, raises
+    ConfigError here, before any file is opened or any command creates its
+    output directory.
     """
     ds = cfg.dataset
+    for key in _PATH_KEYS.get(ds.source, ()):
+        if not getattr(ds, key):
+            raise ConfigError(f"dataset.{key} is empty: the {ds.source} source reads a file")
     if ds.source == "synthetic":
-        train = data.synth_gaussian(
-            ds.classes, ds.per_class, ds.dim, ds.separation, ds.seed, "train"
-        )
-        test = data.synth_gaussian(
-            ds.classes, ds.test_per_class, ds.dim, ds.separation, ds.test_seed, "test"
-        )
+        # Both splits share the class means: one simplex for the two.
+        means = data._simplex_means(ds.classes, ds.dim, ds.separation)
+        train = data._gaussian_blobs(means, ds.per_class, ds.seed, "train")
+        test = data._gaussian_blobs(means, ds.test_per_class, ds.test_seed, "test")
     elif ds.source == "idx":
         train = data.load_idx(ds.train_images, ds.train_labels, ds.classes, "train")
         test = data.load_idx(ds.test_images, ds.test_labels, ds.classes, "test")
@@ -302,6 +311,8 @@ def _resolve_output(cfg, override=None):
 
 
 def _file_sha256(path):
+    import hashlib  # loads OpenSSL (about 3.5 MB resident) on the first digest only
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -310,6 +321,8 @@ def _file_sha256(path):
 
 
 def _write_manifest(cfg, out_dir, files):
+    import hashlib
+
     manifest = {
         "config_hash": hashlib.sha256(
             config_to_text(cfg, include_output=False).encode()

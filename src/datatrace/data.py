@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -34,9 +35,9 @@ class LabeledDataset:
             raise ValueError(
                 f"{len(self.inputs)} inputs but {len(self.labels)} labels"
             )
-        if not np.all(np.isfinite(self.inputs)):
+        if not np.isfinite(self.inputs).all():
             raise ValueError("non-finite input values")
-        if np.issubdtype(self.labels.dtype, np.integer):
+        if self.labels.dtype.kind in "iu":  # integer class indices
             if len(self.labels) and (
                 self.labels.min() < 0 or self.labels.max() >= self.class_count
             ):
@@ -72,14 +73,22 @@ def training_indices(indices, n_train):
     """The distinct training indices in first-seen order, as an int64 array.
 
     Raises ConfigError for an index that is negative, >= n_train,
-    fractional or a boolean (a mask is not a list of indices), and
-    ValueError for no index (an estimator of no contributions would do its
-    work for nothing).
+    fractional or a boolean (a mask is not a list of indices), or for
+    indices that are not one flat list, and ValueError for no index (an
+    estimator of no contributions would do its work for nothing).
     """
-    indices = list(indices)
-    if any(isinstance(i, (bool, np.bool_)) for i in indices):
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "biu":
+        # An integer array's dtype says whether it holds a bool; a list must be
+        # scanned, since np.asarray([1, True]) loses the bool.
+        boolean = indices.dtype.kind == "b"
+    else:
+        indices = list(indices)
+        boolean = any(isinstance(i, (bool, np.bool_)) for i in indices)
+    if boolean:
         raise ConfigError("training index given as a boolean; pass indices, not a mask")
     index = np.asarray(indices, dtype=np.int64)
+    if index.ndim != 1:
+        raise ConfigError(f"training indices of shape {index.shape}; pass one flat list")
     # The cast truncates a fractional index, so compare with the originals too.
     if np.any((index < 0) | (index >= n_train) | (index != indices)):
         raise ConfigError("training index fractional or outside [0, n_train)")
@@ -90,11 +99,56 @@ def training_indices(indices, n_train):
 
 
 def check_disjoint(train, test):
-    """Raise if any test row is identical to a train row (sample identity)."""
-    tr = {r.tobytes() for r in train.features}
-    for j, row in enumerate(test.features):
-        if row.tobytes() in tr:
+    """Raise ValueError naming the first test row whose bytes equal a train row's.
+
+    Rows are compared as 64-bit words, so -0.0 and 0.0 stay distinct. Both
+    splits are keyed in one pass (``_row_keys``), and the test keys are
+    searched in the sorted train keys; only a test row whose key a train row
+    shares is compared with those rows word for word. Besides one block of
+    words, the extra memory is O(n + m).
+    """
+    a, b = train.features, test.features
+    if a.shape[1] != b.shape[1] or not len(a) or not len(b):
+        return  # rows of different widths never share their bytes
+    train_keys, test_keys = _row_keys(a), _row_keys(b)
+    sorted_keys = np.sort(train_keys)
+    found = sorted_keys[np.minimum(np.searchsorted(sorted_keys, test_keys), len(a) - 1)]
+    words_a, words_b = a.view(np.uint64), b.view(np.uint64)
+    for j in np.flatnonzero(found == test_keys):
+        if (words_a[train_keys == test_keys[j]] == words_b[j]).all(axis=1).any():
             raise ValueError(f"test sample {j} also appears in the training split")
+
+
+_KEY_BLOCK = 1 << 16  # words keyed per block, so the block's temporaries stay in cache
+
+
+def _row_keys(rows):
+    """One 64-bit key per row of a 2-D float64 array; equal rows get equal keys.
+
+    Each word w is folded to w ^ (w >> 32), so that its high half reaches the
+    low bits (an integer-valued float's low bits are all zero), multiplied by
+    its column's odd constant, and the products are summed mod 2**64.
+    """
+    n, d = rows.shape
+    multipliers = _key_multipliers(d)
+    keys = np.empty(n, dtype=np.uint64)
+    step = max(1, _KEY_BLOCK // max(d, 1))
+    block = np.empty((min(step, n), d), dtype=np.uint64)
+    for start in range(0, n, step):
+        words = rows[start:start + step].view(np.uint64)
+        folded = block[:len(words)]
+        np.right_shift(words, 32, out=folded)
+        folded ^= words
+        np.einsum("ij,j->i", folded, multipliers, out=keys[start:start + step])
+    return keys
+
+
+@functools.lru_cache(maxsize=8)
+def _key_multipliers(width):
+    """Fixed odd 64-bit multipliers, one per word of a row."""
+    multipliers = np.random.SeedSequence(0x6B6579).generate_state(width, np.uint64) | np.uint64(1)
+    multipliers.flags.writeable = False
+    return multipliers
 
 
 @dataclass
@@ -132,14 +186,20 @@ def synth_gaussian(classes, per_class, dim, separation, seed, split_tag="train")
     """
     if separation < 0:
         raise ValueError("separation must be >= 0")
+    if classes < 1:
+        raise ValueError(f"classes = {classes} must be >= 1")
+    return _gaussian_blobs(_simplex_means(classes, dim, separation), per_class, seed, split_tag)
+
+
+def _gaussian_blobs(means, per_class, seed, split_tag):
+    """``per_class`` unit-normal rows around each mean, class after class."""
+    classes, dim = means.shape
     rng = np.random.default_rng([seed, 0x5EED])
-    means = _simplex_means(classes, dim, separation)
-    inputs = np.empty((classes * per_class, dim))
-    labels = np.empty(classes * per_class, dtype=np.int64)
-    for c in range(classes):
-        rows = slice(c * per_class, (c + 1) * per_class)
-        inputs[rows] = means[c] + rng.standard_normal((per_class, dim))
-        labels[rows] = c
+    # One draw gives the stream of one draw per class, in class order.
+    inputs = rng.standard_normal((classes * per_class, dim))
+    blocks = inputs.reshape(classes, per_class, dim)
+    np.add(blocks, means[:, None, :], out=blocks)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     return LabeledDataset(inputs, labels, classes, split_tag)
 
 
@@ -153,11 +213,11 @@ def inject_noise(dataset, fraction, seed):
     count = int(np.floor(fraction * n))
     rng = np.random.default_rng([seed, 0xF11B])
     flipped = np.sort(rng.choice(n, size=count, replace=False))
-    original = dataset.labels[flipped].copy()
-    new = original.copy()
-    for k, idx in enumerate(flipped):
-        choices = [c for c in range(dataset.class_count) if c != dataset.labels[idx]]
-        new[k] = choices[rng.integers(len(choices))]
+    original = dataset.labels[flipped]
+    # The r-th of the other classes in ascending order: r itself below the
+    # original label, r + 1 from it on.
+    r = rng.integers(dataset.class_count - 1, size=count)
+    new = (r + (r >= original)).astype(original.dtype, copy=False)
     labels = dataset.labels.copy()
     labels[flipped] = new
     noisy = LabeledDataset(dataset.inputs, labels, dataset.class_count, dataset.split_tag)

@@ -9,7 +9,6 @@ the trajectory trackers are validated against.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,8 @@ class OracleResult:
 
 
 def _params_checksum(params):
+    import hashlib  # loads OpenSSL (about 3.5 MB resident) on the first digest only
+
     return hashlib.sha256(np.ascontiguousarray(params).tobytes()).hexdigest()
 
 

@@ -7,7 +7,6 @@ orders come from (seed, epoch) streams, never global RNG state.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import tokenize
@@ -219,6 +218,8 @@ class TrajectoryRecord:
 
     def checksum(self):
         """SHA-256 of the config text and of every array with its dtype and shape."""
+        import hashlib  # loads OpenSSL (about 3.5 MB resident) on the first digest only
+
         h = hashlib.sha256(self._text().encode())
         for name, array in self._arrays().items():
             h.update(f"{name} {array.dtype.str} {array.shape}\n".encode())

@@ -136,7 +136,7 @@ _experiments = st.builds(
     dataset=st.builds(
         _dataset,
         source=st.sampled_from(["synthetic", "idx", "csv"]),
-        classes=_counts, per_class=_counts, dim=_counts,
+        classes=st.integers(1, 10**9), per_class=_counts, dim=_counts,
         separation=st.floats(0.0, allow_infinity=False),
         seed=_counts, test_per_class=_counts, test_seed=_counts,
         train_images=_names, train_labels=_names, test_images=_names,
@@ -212,10 +212,19 @@ def test_config_text_round_trips_any_config(cfg):
     ("[dataset]\nseparation = inf\n", "separation"),
     ("[dataset]\nclasses = 1\n[noise]\nfraction = 0.1\n", "dataset.classes"),
     ("[dataset]\nclasses = 3\ndim = 1\n", "dataset.dim"),
+    ("[dataset]\nclasses = 0\n", "dataset.classes"),
+    ("[dataset]\nclasses = -2\nsource = csv\n", "dataset.classes"),
+    ("[dataset]\nsource = idx\n", "dataset.train_images"),
+    ("[dataset]\nsource = idx\ntrain_images = a\ntrain_labels = b\ntest_images = c\n",
+     "dataset.test_labels"),
+    ("[dataset]\nsource = csv\n", "dataset.train_csv"),
+    ("[dataset]\nsource = csv\ntrain_csv = a.csv\n", "dataset.test_csv"),
 ])
 def test_invalid_config_is_rejected_by_name(text, key):
+    # Parsing checks every field; building the splits checks the file paths
+    # before it opens any.
     with pytest.raises(ConfigError, match=re.escape(key)):
-        cli.parse_config_text(text)
+        cli.build_datasets(cli.parse_config_text(text))
 
 
 def test_set_dataset_dim_matches_file_dim(tmp_path):
@@ -362,8 +371,14 @@ def test_oracle_refuses_a_non_finite_delta(small_config, tmp_path, delta):
      dt.ShapeError, "squared_error"),
     (["run", "--set", "dataset.classes=3", "--set", "dataset.dim=1"],
      ConfigError, "dataset.dim"),
+    (["run", "--set", "model.layer_widths=5,2", "--set", "dataset.classes=0"],
+     ConfigError, "dataset.classes"),
+    (["run", "--set", "dataset.source=idx"], ConfigError, "dataset.train_images"),
+    (["train", "--set", "dataset.source=csv", "--set", "dataset.train_csv=missing.csv"],
+     ConfigError, "dataset.test_csv"),
 ], ids=["run-nan-delta", "oracle-negative-delta", "oracle-row-guard", "dense-cap",
-        "clean-squared-error", "synthetic-dim"])
+        "clean-squared-error", "synthetic-dim", "no-class", "idx-without-paths",
+        "csv-without-test-path"])
 def test_a_failing_command_leaves_no_output_directory(small_config, tmp_path,
                                                       argv, error, message):
     # All but the last raise only after training, so the whole command computes first.
@@ -431,7 +446,8 @@ def test_a_bad_tracked_selection_is_refused_before_any_output(small_config, tmp_
 
 
 def test_a_missing_dataset_leaves_no_output_directory(small_config, tmp_path):
-    missing = ["--set", "dataset.source=csv", "--set", f"dataset.train_csv={tmp_path / 'no.csv'}"]
+    missing = ["--set", "dataset.source=csv", "--set", f"dataset.train_csv={tmp_path / 'no.csv'}",
+               "--set", f"dataset.test_csv={tmp_path / 'no_test.csv'}"]
     for command in ("run", "train", "track", "bound-trace"):
         out = tmp_path / command
         with pytest.raises(FileNotFoundError):

@@ -1,5 +1,8 @@
 """The public surface, pinned: a new entry point, or one removed, is a one-line diff here."""
 
+import os
+import subprocess
+import sys
 import types
 
 import datatrace as dt
@@ -48,3 +51,12 @@ def test_models_defines_exactly_its_pinned_entries():
         if not name.startswith("_") and getattr(value, "__module__", None) == models.__name__
     ]
     assert sorted(names) == MODELS
+
+
+def test_importing_the_package_loads_no_openssl():
+    # hashlib (OpenSSL) is imported by the functions that make a digest.
+    code = "import sys, datatrace.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
